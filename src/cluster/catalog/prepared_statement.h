@@ -1,10 +1,8 @@
 #ifndef MTDB_CLUSTER_CATALOG_PREPARED_STATEMENT_H_
 #define MTDB_CLUSTER_CATALOG_PREPARED_STATEMENT_H_
 
-#include <map>
 #include <string>
-
-#include "src/platform/mutex.h"
+#include <utility>
 
 namespace mtdb {
 
@@ -13,18 +11,20 @@ class Connection;
 
 // A cluster-level prepared statement: one SQL text plus the routing facts the
 // controller derived from it once (read vs. write, which table a write
-// touches), plus a lazily-filled cache of machine-local statement handles
-// minted through kPrepareStatement RPCs. Machines keep the parsed + planned
-// form in their engine plan cache, so executing a handle skips parse and plan
-// entirely on the hot path; DDL bumps the engine's schema version and the
-// next execution re-plans transparently.
+// touches), so executing it skips the controller's routing parse. The
+// machines see exactly what Connection::Execute sends — SQL text plus
+// parameters — and serve the parse + plan from their engine plan cache; DDL
+// bumps the engine's schema version and the next execution re-plans
+// transparently. No machine holds any state for a prepared statement, so
+// nothing needs re-preparing when a machine fails, is recovered, or receives
+// a migrated tenant.
 //
-// Instances are shared (one per distinct (database, sql) pair, handed out as
-// shared_ptr by ClusterController::PrepareStatement) and thread-safe. The
+// Instances are immutable and shared (one per distinct (database, sql) pair,
+// handed out as shared_ptr by ClusterController::PrepareStatement). The
 // registry entry lives in the tenant catalog's evictable resident state:
 // evicting an idle tenant drops the registration, but outstanding shared_ptr
 // holders keep executing through their instance unaffected — the next
-// Prepare of the same text simply mints a fresh registration.
+// Prepare of the same text simply makes a fresh registration.
 class PreparedStatement {
  public:
   const std::string& database() const { return db_name_; }
@@ -47,14 +47,6 @@ class PreparedStatement {
   std::string sql_;
   bool is_read_;
   std::string write_table_;  // empty for reads
-
-  platform::Mutex mu_{"cluster/PreparedStatement::mu"};
-  // machine id -> engine-local statement handle. Entries are dropped when a
-  // machine fails (handles do not survive recovery) or when a machine
-  // reports the handle unknown (process restart behind a stable endpoint).
-  // Keyed by machine id, so bounded by the cluster size, not the tenant
-  // count.
-  std::map<int, uint64_t> machine_handles_ MTDB_GUARDED_BY(mu_);
 };
 
 }  // namespace mtdb

@@ -337,19 +337,6 @@ std::shared_ptr<PreparedStatement> TenantCatalog::InternPrepared(
   return winner;
 }
 
-void TenantCatalog::ForEachPrepared(
-    const std::function<void(PreparedStatement&)>& fn) {
-  for (const auto& shard : shards_) {
-    platform::Guard lock(shard->mu);
-    for (const auto& [name, entry] : shard->tenants) {
-      if (entry->resident == nullptr) continue;
-      for (auto& [sql, slot] : entry->resident->prepared) {
-        fn(*slot.stmt);
-      }
-    }
-  }
-}
-
 // --- Eviction ---
 
 void TenantCatalog::MaybeEvict() {

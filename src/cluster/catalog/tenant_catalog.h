@@ -214,10 +214,6 @@ class TenantCatalog {
   std::shared_ptr<PreparedStatement> InternPrepared(
       const std::string& tenant, const std::string& sql,
       std::shared_ptr<PreparedStatement> stmt);
-  // Visits every registered statement (shard by shard, under each shard's
-  // lock). `fn` may take per-statement locks (shard lock orders before
-  // PreparedStatement::mu_) but must not re-enter the catalog.
-  void ForEachPrepared(const std::function<void(PreparedStatement&)>& fn);
 
   // --- Eviction ---
   // Evicts idle (unpinned) tenants' resident state, oldest first, until at

@@ -313,7 +313,7 @@ Result<std::shared_ptr<PreparedStatement>> ClusterController::PrepareStatement(
     return hit;
   }
   // Parse locally for routing facts only (read vs. write, target table); the
-  // machines parse and plan for themselves when their handle is minted.
+  // machines parse and plan the text themselves, through their plan cache.
   MTDB_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
   if (stmt.explain) {
     return Status::InvalidArgument("cannot prepare an EXPLAIN statement");
@@ -337,35 +337,6 @@ Result<std::shared_ptr<PreparedStatement>> ClusterController::PrepareStatement(
   return catalog_.InternPrepared(db_name, sql, std::move(prepared));
 }
 
-Result<uint64_t> ClusterController::HandleOn(PreparedStatement* stmt,
-                                             int machine_id) {
-  {
-    platform::Guard lock(stmt->mu_);
-    auto it = stmt->machine_handles_.find(machine_id);
-    if (it != stmt->machine_handles_.end()) return it->second;
-  }
-  MTDB_ASSIGN_OR_RETURN(
-      uint64_t handle,
-      client_->PrepareStatement(machine_id, stmt->db_name_, stmt->sql_));
-  platform::Guard lock(stmt->mu_);
-  stmt->machine_handles_[machine_id] = handle;
-  return handle;
-}
-
-void ClusterController::DropHandle(PreparedStatement* stmt, int machine_id) {
-  platform::Guard lock(stmt->mu_);
-  stmt->machine_handles_.erase(machine_id);
-}
-
-void ClusterController::InvalidateHandles(int machine_id) {
-  // Lock order: catalog shard_mu (inside ForEachPrepared) before
-  // PreparedStatement::mu_, never the reverse.
-  catalog_.ForEachPrepared([machine_id](PreparedStatement& stmt) {
-    platform::Guard stmt_lock(stmt.mu_);
-    stmt.machine_handles_.erase(machine_id);
-  });
-}
-
 // --- Failure & copy coordination ---
 
 void ClusterController::FailMachine(int machine_id) {
@@ -374,9 +345,6 @@ void ClusterController::FailMachine(int machine_id) {
   // RPC against an already-failed machine.
   if (m != nullptr && !m->failed()) obs::Increment(m_failover_);
   if (m != nullptr) m->Fail();
-  // Statement handles are engine-local; whatever replaces this machine will
-  // not know them, so force re-preparation on the next use.
-  InvalidateHandles(machine_id);
 }
 
 Status ClusterController::BeginCopy(const std::string& db_name,
@@ -480,9 +448,6 @@ Status ClusterController::CompleteCopy(const std::string& db_name) {
     for (int id : old_replicas) machine_replica_load_[id]--;
     backup_.replica_map[db_name] = new_replicas;
   }
-  // The target may be a restarted process behind a stable endpoint; any
-  // handle minted against its previous incarnation is stale.
-  InvalidateHandles(target);
   // The quota follows the database: a freshly promoted replica must throttle
   // the tenant exactly like the replicas it joined.
   if (push_quota) {
@@ -1061,24 +1026,57 @@ Result<sql::QueryResult> Connection::Execute(const std::string& sql,
   // Parse for routing only (read vs. write, which table): the statement
   // itself travels to the machines as SQL text.
   MTDB_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
+  // EXPLAIN never mutates — whatever statement it wraps, only the plan text
+  // comes back — so it routes like a read.
+  if (stmt.explain || IsReadStatement(stmt)) {
+    return ExecuteStatement(sql, /*write_table=*/nullptr, params);
+  }
+  const std::string* table = WriteTargetTable(stmt);
+  if (table == nullptr) {
+    return Status::InvalidArgument(
+        "DDL must go through ClusterController::ExecuteDdl");
+  }
+  return ExecuteStatement(sql, table, params);
+}
 
-  if (!active_) {
-    // Autocommit: run the statement in its own transaction.
-    MTDB_RETURN_IF_ERROR(BeginInternal());
-    auto result = ExecuteInTxn(sql, stmt, params);
-    if (!result.ok()) {
-      (void)AbortInternal(result.status());
-      return result;
-    }
-    Status commit_status = CommitInternal();
-    if (!commit_status.ok()) return commit_status;
+Result<std::shared_ptr<PreparedStatement>> Connection::Prepare(
+    const std::string& sql) {
+  return controller_->PrepareStatement(db_name_, sql);
+}
+
+Result<sql::QueryResult> Connection::ExecutePrepared(
+    const std::shared_ptr<PreparedStatement>& stmt,
+    const std::vector<Value>& params) {
+  if (stmt == nullptr) {
+    return Status::InvalidArgument("null prepared statement");
+  }
+  if (stmt->db_name_ != db_name_) {
+    return Status::InvalidArgument("prepared statement belongs to database " +
+                                   stmt->db_name_);
+  }
+  return ExecuteStatement(stmt->sql_,
+                          stmt->is_read_ ? nullptr : &stmt->write_table_,
+                          params);
+}
+
+Result<sql::QueryResult> Connection::ExecuteStatement(
+    const std::string& sql, const std::string* write_table,
+    const std::vector<Value>& params) {
+  if (active_) return ExecuteInTxn(sql, write_table, params);
+  // Autocommit: run the statement in its own transaction.
+  MTDB_RETURN_IF_ERROR(BeginInternal());
+  auto result = ExecuteInTxn(sql, write_table, params);
+  if (!result.ok()) {
+    (void)AbortInternal(result.status());
     return result;
   }
-  return ExecuteInTxn(sql, stmt, params);
+  Status commit_status = CommitInternal();
+  if (!commit_status.ok()) return commit_status;
+  return result;
 }
 
 Result<sql::QueryResult> Connection::ExecuteInTxn(
-    const std::string& sql, const sql::Statement& stmt,
+    const std::string& sql, const std::string* write_table,
     const std::vector<Value>& params) {
   if (epoch_ != controller_->epoch()) {
     return Status::Unavailable("connection lost: controller failover");
@@ -1088,18 +1086,8 @@ Result<sql::QueryResult> Connection::ExecuteInTxn(
   if (!poison.ok()) {
     return Status::Aborted("transaction poisoned: " + poison.ToString());
   }
-
-  // EXPLAIN never mutates — whatever statement it wraps, only the plan text
-  // comes back — so it routes like a read.
-  if (stmt.explain || IsReadStatement(stmt)) {
-    return ExecuteRead(sql, params);
-  }
-  const std::string* table = WriteTargetTable(stmt);
-  if (table == nullptr) {
-    return Status::InvalidArgument(
-        "DDL must go through ClusterController::ExecuteDdl");
-  }
-  return ExecuteWrite(sql, *table, params);
+  return write_table == nullptr ? ExecuteRead(sql, params)
+                                : ExecuteWrite(sql, *write_table, params);
 }
 
 Result<sql::QueryResult> Connection::ExecuteRead(
@@ -1290,185 +1278,6 @@ Result<sql::QueryResult> Connection::FinishWrite(
   lock.unlock();
   Poison(error);
   return error;
-}
-
-Result<std::shared_ptr<PreparedStatement>> Connection::Prepare(
-    const std::string& sql) {
-  return controller_->PrepareStatement(db_name_, sql);
-}
-
-Result<sql::QueryResult> Connection::ExecutePrepared(
-    const std::shared_ptr<PreparedStatement>& stmt,
-    const std::vector<Value>& params) {
-  if (stmt == nullptr) {
-    return Status::InvalidArgument("null prepared statement");
-  }
-  if (stmt->db_name_ != db_name_) {
-    return Status::InvalidArgument("prepared statement belongs to database " +
-                                   stmt->db_name_);
-  }
-  if (!active_) {
-    // Autocommit, exactly like Execute.
-    MTDB_RETURN_IF_ERROR(BeginInternal());
-    auto result = ExecutePreparedInTxn(*stmt, params);
-    if (!result.ok()) {
-      (void)AbortInternal(result.status());
-      return result;
-    }
-    Status commit_status = CommitInternal();
-    if (!commit_status.ok()) return commit_status;
-    return result;
-  }
-  return ExecutePreparedInTxn(*stmt, params);
-}
-
-Result<sql::QueryResult> Connection::ExecutePreparedInTxn(
-    PreparedStatement& stmt, const std::vector<Value>& params) {
-  if (epoch_ != controller_->epoch()) {
-    return Status::Unavailable("connection lost: controller failover");
-  }
-  Status poison = poison_status();
-  if (!poison.ok()) {
-    return Status::Aborted("transaction poisoned: " + poison.ToString());
-  }
-  return stmt.is_read_ ? ExecutePreparedRead(stmt, params)
-                       : ExecutePreparedWrite(stmt, params);
-}
-
-Result<sql::QueryResult> Connection::ExecutePreparedRead(
-    PreparedStatement& stmt, const std::vector<Value>& params) {
-  // Mirrors ExecuteRead, with two extra moves per attempt: acquire the
-  // machine-local handle (cached after the first use) before touching the
-  // machine, and re-prepare once if the machine reports the handle unknown
-  // (its process restarted and lost the handle table).
-  size_t attempts = controller_->machine_count() + 2;
-  Status last = Status::Unavailable("no replica tried");
-  for (size_t attempt = 0; attempt < attempts; ++attempt) {
-    MTDB_ASSIGN_OR_RETURN(
-        int machine_id,
-        controller_->PickReadMachine(db_name_, sticky_read_machine_));
-    // Same snapshot pinning rule as ExecuteRead.
-    if (read_only_ || controller_->options().read_option ==
-                          ReadRoutingOption::kPerTransaction) {
-      sticky_read_machine_ = machine_id;
-    }
-    auto handle_or = controller_->HandleOn(&stmt, machine_id);
-    if (!handle_or.ok()) {
-      Status status = handle_or.status();
-      if (status.code() == StatusCode::kUnavailable) {
-        begun_machines_.erase(machine_id);
-        if (sticky_read_machine_ == machine_id) sticky_read_machine_ = -1;
-        last = status;
-        obs::Increment(m_read_retry_);
-        continue;  // pick another replica
-      }
-      Poison(status);
-      return status;
-    }
-    Status begun = EnsureBegun(machine_id);
-    if (!begun.ok()) {
-      if (begun.code() == StatusCode::kUnavailable) {
-        begun_machines_.erase(machine_id);
-        if (sticky_read_machine_ == machine_id) sticky_read_machine_ = -1;
-        last = begun;
-        obs::Increment(m_read_retry_);
-        continue;  // pick another replica
-      }
-      // Throttled ≠ failed: do not shift the tenant's reads to a replica.
-      Poison(begun);
-      return begun;
-    }
-
-    int64_t inject =
-        controller_->InjectedLatency(label_, /*is_write=*/false, machine_id);
-    auto done = std::make_shared<std::promise<net::RpcResponse>>();
-    auto future = done->get_future();
-    SessionFor(machine_id)
-        ->ExecutePreparedAsync(txn_id_, db_name_, *handle_or, params, inject,
-                               [done](net::RpcResponse response) {
-                                 done->set_value(std::move(response));
-                               });
-    net::RpcResponse response = future.get();
-    if (response.ok()) {
-      snapshot_read_done_ = snapshot_read_done_ || read_only_;
-      return std::move(response.result);
-    }
-    Status status = response.ToStatus();
-    if (status.code() == StatusCode::kUnavailable) {
-      begun_machines_.erase(machine_id);
-      if (sticky_read_machine_ == machine_id) sticky_read_machine_ = -1;
-      if (read_only_ && snapshot_read_done_) {
-        // Pinned replica died mid-snapshot: abort rather than splice a
-        // second snapshot onto already-returned reads (see ExecuteRead).
-        Poison(status);
-        return status;
-      }
-      last = status;
-      obs::Increment(m_read_retry_);
-      continue;  // pick another replica
-    }
-    if (status.code() == StatusCode::kFailedPrecondition &&
-        status.message().find("unknown statement handle") !=
-            std::string::npos) {
-      controller_->DropHandle(&stmt, machine_id);
-      last = status;
-      continue;  // re-prepare on the next attempt
-    }
-    Poison(status);
-    return status;
-  }
-  Poison(last);
-  return last;
-}
-
-Result<sql::QueryResult> Connection::ExecutePreparedWrite(
-    PreparedStatement& stmt, const std::vector<Value>& params) {
-  if (read_only_) {
-    Status status = Status::FailedPrecondition(
-        "read-only transaction cannot execute writes");
-    Poison(status);
-    return status;
-  }
-  const std::string& table = stmt.write_table_;
-  auto targets_or = controller_->WriteTargets(db_name_, table);
-  if (!targets_or.ok()) {
-    // Algorithm 1 line 11: reject the operation and abort the transaction.
-    if (targets_or.status().code() == StatusCode::kRejected) {
-      (void)AbortInternal(targets_or.status());
-    } else {
-      Poison(targets_or.status());
-    }
-    return targets_or.status();
-  }
-  const std::vector<int>& targets = *targets_or;
-  wrote_ = true;
-  controller_->BeginInflightWrite(db_name_, table);
-
-  auto pending = std::make_shared<PendingWrite>();
-  pending->outstanding = static_cast<int>(targets.size());
-  net::ResponseHandler handler = MakeWriteHandler(pending, table);
-
-  for (int machine_id : targets) {
-    // A replica we cannot mint a handle on counts as a failed replica RPC:
-    // feed the status through the shared handler so the PendingWrite (and
-    // the inflight-write accounting) stays balanced.
-    auto handle_or = controller_->HandleOn(&stmt, machine_id);
-    if (!handle_or.ok()) {
-      handler(net::RpcResponse::FromStatus(handle_or.status()));
-      continue;
-    }
-    Status begun = EnsureBegun(machine_id);
-    if (!begun.ok()) {
-      handler(net::RpcResponse::FromStatus(begun));
-      continue;
-    }
-    int64_t inject =
-        controller_->InjectedLatency(label_, /*is_write=*/true, machine_id);
-    SessionFor(machine_id)
-        ->ExecutePreparedAsync(txn_id_, db_name_, *handle_or, params, inject,
-                               handler);
-  }
-  return FinishWrite(std::move(pending));
 }
 
 Status Connection::WaitOutstandingWrites() {

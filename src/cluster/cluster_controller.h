@@ -87,7 +87,7 @@ class Connection;
 // PreparedStatement (the cluster-level prepared statement shared per
 // (database, sql) pair) lives with the rest of the per-tenant metadata in
 // src/cluster/catalog/prepared_statement.h; re-exported here because the
-// controller mints and routes them.
+// controller registers and routes them.
 
 // A client database connection, handed out by the cluster controller (which
 // is the connection manager: clients never talk to machines directly).
@@ -117,9 +117,8 @@ class Connection {
   // Plan-once/execute-many: prepares `sql` (shared registry — preparing the
   // same text twice returns the same statement) for later ExecutePrepared.
   Result<std::shared_ptr<PreparedStatement>> Prepare(const std::string& sql);
-  // Runs a prepared statement with `params` bound to its '?' markers.
-  // Follows the same routing/replication/autocommit rules as Execute, but
-  // ships a machine-local statement handle instead of SQL text.
+  // Runs a prepared statement with `params` bound to its '?' markers. The
+  // same statement path as Execute, minus the controller's routing parse.
   Result<sql::QueryResult> ExecutePrepared(
       const std::shared_ptr<PreparedStatement>& stmt,
       const std::vector<Value>& params = {});
@@ -159,25 +158,25 @@ class Connection {
              uint64_t epoch);
 
   Status BeginInternal(bool read_only = false);
-  // The statement is parsed once by the controller for routing decisions;
-  // machines receive the SQL text (plus params) and parse it themselves,
+  // The one statement path behind Execute and ExecutePrepared, which differ
+  // only in where the routing facts come from. `write_table` is null for
+  // reads (and EXPLAIN); a write fans out to every replica. Outside a
+  // transaction the statement runs in its own (autocommit) transaction.
+  // Machines receive the SQL text (plus params) and plan it themselves,
   // exactly like a DBMS behind a wire protocol.
+  Result<sql::QueryResult> ExecuteStatement(const std::string& sql,
+                                            const std::string* write_table,
+                                            const std::vector<Value>& params);
   Result<sql::QueryResult> ExecuteInTxn(const std::string& sql,
-                                        const sql::Statement& stmt,
+                                        const std::string* write_table,
                                         const std::vector<Value>& params);
   Result<sql::QueryResult> ExecuteRead(const std::string& sql,
                                        const std::vector<Value>& params);
   Result<sql::QueryResult> ExecuteWrite(const std::string& sql,
                                         const std::string& table,
                                         const std::vector<Value>& params);
-  Result<sql::QueryResult> ExecutePreparedInTxn(
-      PreparedStatement& stmt, const std::vector<Value>& params);
-  Result<sql::QueryResult> ExecutePreparedRead(
-      PreparedStatement& stmt, const std::vector<Value>& params);
-  Result<sql::QueryResult> ExecutePreparedWrite(
-      PreparedStatement& stmt, const std::vector<Value>& params);
-  // Replica-fanout plumbing shared by ExecuteWrite / ExecutePreparedWrite:
-  // the exactly-once completion handler and the policy-dependent wait.
+  // Replica-fanout plumbing of ExecuteWrite: the exactly-once completion
+  // handler and the policy-dependent wait.
   net::ResponseHandler MakeWriteHandler(std::shared_ptr<PendingWrite> pending,
                                         std::string table);
   Result<sql::QueryResult> FinishWrite(std::shared_ptr<PendingWrite> pending);
@@ -305,10 +304,10 @@ class ClusterController {
 
   // --- Prepared statements ---
   // Parses `sql` once for routing facts and registers it in the shared
-  // (database, sql) -> PreparedStatement registry. Machine-local handles are
-  // minted lazily, per replica, on first execution. Only SELECT and DML can
-  // be prepared (DDL goes through ExecuteDdl; EXPLAIN is rejected because
-  // its output is the plan, not data).
+  // (database, sql) -> PreparedStatement registry. No RPC: the machines plan
+  // the text through their plan cache when it first executes. Only SELECT
+  // and DML can be prepared (DDL goes through ExecuteDdl; EXPLAIN is
+  // rejected because its output is the plan, not data).
   Result<std::shared_ptr<PreparedStatement>> PrepareStatement(
       const std::string& db_name, const std::string& sql);
 
@@ -338,9 +337,7 @@ class ClusterController {
   // replica list. Positional swap, so primary_offset keeps naming the same
   // logical slot. The stored quota is pushed to the target — it joins with
   // the tenant's admission limits already in force, closing the gap where
-  // placement changes outran RefreshQuotasFromLoad. No handle invalidation
-  // needed: a machine that never saw the tenant answers kNotFound for a
-  // foreign statement handle and the connection re-mints via DropHandle.
+  // placement changes outran RefreshQuotasFromLoad.
   Status SwapReplica(const std::string& db_name, int source_machine,
                      int target_machine);
 
@@ -438,13 +435,6 @@ class ClusterController {
   Result<int> PickReadMachine(const std::string& db_name, int sticky);
   void LogCommitDecision(uint64_t txn_id);
   void ForgetCommitDecision(uint64_t txn_id);
-  // Returns the machine-local handle for `stmt` on machine_id, minting it
-  // with a kPrepareStatement control RPC on first use.
-  Result<uint64_t> HandleOn(PreparedStatement* stmt, int machine_id);
-  // Forgets one cached handle (the machine reported it unknown).
-  void DropHandle(PreparedStatement* stmt, int machine_id);
-  // Forgets every handle cached for machine_id (machine failed/replaced).
-  void InvalidateHandles(int machine_id);
   // In-flight replicated-write accounting (see WaitForQuiescentWrites).
   void BeginInflightWrite(const std::string& db_name,
                           const std::string& table);
@@ -486,9 +476,7 @@ class ClusterController {
   // state) plus evictable resident state (prepared registrations). Has its
   // own shard locks; the controller never holds mu_ while calling into it
   // (and the catalog never calls the controller), so the two lock layers
-  // cannot order-invert. Lock order within the catalog path:
-  // catalog/TenantCatalog::shard_mu before any PreparedStatement::mu_,
-  // never the reverse.
+  // cannot order-invert.
   catalog::TenantCatalog catalog_;
 
   mutable platform::Mutex inflight_mu_{"cluster/ClusterController::inflight_mu"};

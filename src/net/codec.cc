@@ -249,14 +249,13 @@ std::string_view RpcTypeName(RpcType type) {
 
 namespace {
 
-constexpr int kNumRpcTypes = static_cast<int>(RpcType::kWalDeltaApply) + 1;
-
 // Per-type request byte counters, resolved once. Encoding is the one place
 // that sees every outbound request regardless of transport.
 obs::Counter* RequestBytesCounter(RpcType type) {
   static obs::Counter** counters = [] {
-    auto** array = new obs::Counter*[kNumRpcTypes]();
-    for (int i = 1; i < kNumRpcTypes; ++i) {
+    auto** array = new obs::Counter*[kRpcTypeLimit]();
+    for (int i = 1; i < kRpcTypeLimit; ++i) {
+      if (!IsLiveRpcType(i)) continue;
       array[i] = obs::MetricsRegistry::Global().GetCounter(
           "mtdb_rpc_request_bytes_total",
           {.operation = std::string(RpcTypeName(static_cast<RpcType>(i)))});
@@ -264,7 +263,7 @@ obs::Counter* RequestBytesCounter(RpcType type) {
     return array;
   }();
   int index = static_cast<int>(type);
-  return index > 0 && index < kNumRpcTypes ? counters[index] : nullptr;
+  return index > 0 && index < kRpcTypeLimit ? counters[index] : nullptr;
 }
 
 obs::Counter* ResponseBytesCounter() {
@@ -291,7 +290,6 @@ void EncodeRequestFrame(const RpcRequest& request, std::string* out) {
   AppendTableDump(out, request.dump);
   AppendU64(out, static_cast<uint64_t>(request.per_row_delay_us));
   AppendU64(out, static_cast<uint64_t>(request.debug_delay_us));
-  AppendU64(out, request.stmt_handle);
   AppendU64(out, request.trace_id);
   AppendU8(out, request.read_only ? 1 : 0);
   AppendU64(out, request.wal_cursor);
@@ -318,7 +316,6 @@ void EncodeResponseFrame(const RpcResponse& response, std::string* out) {
   for (uint64_t id : response.txn_ids) AppendU64(out, id);
   AppendU32(out, static_cast<uint32_t>(response.names.size()));
   for (const std::string& name : response.names) AppendString(out, name);
-  AppendU64(out, response.stmt_handle);
   AppendU64(out, static_cast<uint64_t>(response.server_duration_us));
   AppendU64(out, static_cast<uint64_t>(response.retry_after_us));
   AppendU64(out, response.snapshot_ts);
@@ -356,8 +353,7 @@ Result<RpcRequest> DecodeRequest(std::string_view payload) {
   }
   RpcRequest request;
   uint8_t type = in.ReadU8();
-  if (type < static_cast<uint8_t>(RpcType::kHealth) ||
-      type > static_cast<uint8_t>(RpcType::kWalDeltaApply)) {
+  if (!IsLiveRpcType(type)) {
     return Status::InvalidArgument("unknown request type " +
                                    std::to_string(type));
   }
@@ -379,7 +375,6 @@ Result<RpcRequest> DecodeRequest(std::string_view payload) {
   request.dump = ReadTableDump(&in);
   request.per_row_delay_us = static_cast<int64_t>(in.ReadU64());
   request.debug_delay_us = static_cast<int64_t>(in.ReadU64());
-  request.stmt_handle = in.ReadU64();
   request.trace_id = in.ReadU64();
   request.read_only = in.ReadU8() != 0;
   request.wal_cursor = in.ReadU64();
@@ -424,7 +419,6 @@ Result<RpcResponse> DecodeResponse(std::string_view payload) {
   for (uint32_t i = 0; i < names && in.ok(); ++i) {
     response.names.push_back(in.ReadString());
   }
-  response.stmt_handle = in.ReadU64();
   response.server_duration_us = static_cast<int64_t>(in.ReadU64());
   response.retry_after_us = static_cast<int64_t>(in.ReadU64());
   response.snapshot_ts = in.ReadU64();

@@ -22,11 +22,11 @@ struct ClientRpcMetrics {
 };
 
 const ClientRpcMetrics& MetricsForType(RpcType type) {
-  constexpr int kNumTypes = static_cast<int>(RpcType::kSetQuota) + 1;
   static ClientRpcMetrics* table = [] {
-    auto* entries = new ClientRpcMetrics[kNumTypes];
+    auto* entries = new ClientRpcMetrics[kRpcTypeLimit];
     auto& registry = obs::MetricsRegistry::Global();
-    for (int i = 1; i < kNumTypes; ++i) {
+    for (int i = 1; i < kRpcTypeLimit; ++i) {
+      if (!IsLiveRpcType(i)) continue;
       obs::MetricLabels labels{
           .operation = std::string(RpcTypeName(static_cast<RpcType>(i)))};
       entries[i].calls = registry.GetCounter("mtdb_rpc_total", labels);
@@ -39,7 +39,7 @@ const ClientRpcMetrics& MetricsForType(RpcType type) {
   }();
   int index = static_cast<int>(type);
   static const ClientRpcMetrics kEmpty;
-  return index > 0 && index < kNumTypes ? table[index] : kEmpty;
+  return index > 0 && index < kRpcTypeLimit ? table[index] : kEmpty;
 }
 
 }  // namespace
@@ -98,22 +98,6 @@ void MachineClient::Session::ExecuteAsync(uint64_t txn_id,
   request.txn_id = txn_id;
   request.db_name = db_name;
   request.sql = sql;
-  request.params = params;
-  request.debug_delay_us = debug_delay_us;
-  request.trace_id = trace_id_.load(std::memory_order_relaxed);
-  client_->CallWithDeadline(channel_.get(), machine_id_, request,
-                            std::move(done));
-}
-
-void MachineClient::Session::ExecutePreparedAsync(
-    uint64_t txn_id, const std::string& db_name, uint64_t stmt_handle,
-    const std::vector<Value>& params, int64_t debug_delay_us,
-    ResponseHandler done) {
-  RpcRequest request;
-  request.type = RpcType::kExecutePrepared;
-  request.txn_id = txn_id;
-  request.db_name = db_name;
-  request.stmt_handle = stmt_handle;
   request.params = params;
   request.debug_delay_us = debug_delay_us;
   request.trace_id = trace_id_.load(std::memory_order_relaxed);
@@ -226,18 +210,6 @@ Status MachineClient::ExecuteDdl(int machine_id, const std::string& db_name,
   request.db_name = db_name;
   request.sql = sql;
   return ControlCall(machine_id, request).ToStatus();
-}
-
-Result<uint64_t> MachineClient::PrepareStatement(int machine_id,
-                                                 const std::string& db_name,
-                                                 const std::string& sql) {
-  RpcRequest request;
-  request.type = RpcType::kPrepareStatement;
-  request.db_name = db_name;
-  request.sql = sql;
-  RpcResponse response = ControlCall(machine_id, request);
-  if (!response.ok()) return response.ToStatus();
-  return response.stmt_handle;
 }
 
 Status MachineClient::BulkLoad(int machine_id, const std::string& db_name,

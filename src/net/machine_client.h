@@ -69,16 +69,11 @@ class MachineClient {
     void BeginAsync(uint64_t txn_id, const std::string& db_name,
                     bool read_only, ResponseHandler done);
 
+    // Runs one statement. The machine plans `sql` through its plan cache,
+    // so a repeated '?' statement skips parse and plan.
     void ExecuteAsync(uint64_t txn_id, const std::string& db_name,
                       const std::string& sql, const std::vector<Value>& params,
                       int64_t debug_delay_us, ResponseHandler done);
-    // Runs a statement handle previously minted by PrepareStatement on this
-    // session's machine. Parse/plan is skipped machine-side; the plan cache
-    // re-plans transparently after DDL.
-    void ExecutePreparedAsync(uint64_t txn_id, const std::string& db_name,
-                              uint64_t stmt_handle,
-                              const std::vector<Value>& params,
-                              int64_t debug_delay_us, ResponseHandler done);
     void PrepareAsync(uint64_t txn_id, ResponseHandler done);
     void CommitAsync(uint64_t txn_id, ResponseHandler done);
     void CommitPreparedAsync(uint64_t txn_id, ResponseHandler done);
@@ -107,11 +102,6 @@ class MachineClient {
   Status HasDatabase(int machine_id, const std::string& db_name);
   Status ExecuteDdl(int machine_id, const std::string& db_name,
                     const std::string& sql);
-  // Parse+plan `sql` once on the machine; returns the machine-local statement
-  // handle for Session::ExecutePreparedAsync. Handles do not survive machine
-  // recovery — callers must re-prepare after a machine is replaced.
-  Result<uint64_t> PrepareStatement(int machine_id, const std::string& db_name,
-                                    const std::string& sql);
   Status BulkLoad(int machine_id, const std::string& db_name,
                   const std::string& table, const std::vector<Row>& rows);
   Result<std::vector<uint64_t>> ListPrepared(int machine_id);

@@ -19,10 +19,10 @@ namespace {
 
 // Server-side per-type service-time histograms, resolved once.
 Histogram* ServerLatencyFor(RpcType type) {
-  constexpr int kNumTypes = static_cast<int>(RpcType::kWalDeltaApply) + 1;
   static Histogram** table = [] {
-    auto** entries = new Histogram*[kNumTypes]();
-    for (int i = 1; i < kNumTypes; ++i) {
+    auto** entries = new Histogram*[kRpcTypeLimit]();
+    for (int i = 1; i < kRpcTypeLimit; ++i) {
+      if (!IsLiveRpcType(i)) continue;
       entries[i] = obs::MetricsRegistry::Global().GetHistogram(
           "mtdb_rpc_server_us",
           {.operation = std::string(RpcTypeName(static_cast<RpcType>(i)))});
@@ -30,14 +30,13 @@ Histogram* ServerLatencyFor(RpcType type) {
     return entries;
   }();
   int index = static_cast<int>(type);
-  return index > 0 && index < kNumTypes ? table[index] : nullptr;
+  return index > 0 && index < kRpcTypeLimit ? table[index] : nullptr;
 }
 
 bool IsTransactional(RpcType type) {
   switch (type) {
     case RpcType::kBegin:
     case RpcType::kExecute:
-    case RpcType::kExecutePrepared:
     case RpcType::kPrepare:
     case RpcType::kCommit:
     case RpcType::kCommitPrepared:
@@ -132,21 +131,6 @@ RpcResponse MachineService::DispatchTransactional(const RpcRequest& request) {
       response.result = std::move(*result);
       return response;
     }
-    case RpcType::kExecutePrepared: {
-      SleepMicros(request.debug_delay_us);
-      qos::WeightedFairQueue::Guard guard(machine_->fair_queue(),
-                                          request.db_name);
-      int64_t execute_start_us = NowMicros();
-      SleepMicros(machine_->base_op_latency_us());
-      auto result = engine->ExecutePrepared(request.txn_id,
-                                            request.stmt_handle,
-                                            request.params);
-      machine_->RecordExecuteLatency(NowMicros() - execute_start_us);
-      if (!result.ok()) return RpcResponse::FromStatus(result.status());
-      RpcResponse response;
-      response.result = std::move(*result);
-      return response;
-    }
     case RpcType::kPrepare:
       return RpcResponse::FromStatus(engine->Prepare(request.txn_id));
     case RpcType::kCommit:
@@ -181,13 +165,6 @@ RpcResponse MachineService::DispatchControl(const RpcRequest& request) {
       if (!result.ok()) return RpcResponse::FromStatus(result.status());
       RpcResponse response;
       response.result = std::move(*result);
-      return response;
-    }
-    case RpcType::kPrepareStatement: {
-      auto handle_or = engine->PrepareStatement(request.db_name, request.sql);
-      if (!handle_or.ok()) return RpcResponse::FromStatus(handle_or.status());
-      RpcResponse response;
-      response.stmt_handle = *handle_or;
       return response;
     }
     case RpcType::kBulkLoad:
@@ -326,6 +303,9 @@ RpcResponse MachineService::DispatchControl(const RpcRequest& request) {
       response.names = db->TableNames();
       return response;
     }
+    // Retired wire numbers; DecodeRequest never lets them through.
+    case RpcType::kPrepareStatement:
+    case RpcType::kExecutePrepared:
     default:
       return RpcResponse::FromStatus(Status::InvalidArgument(
           "unhandled rpc type " +

@@ -35,13 +35,27 @@ enum class RpcType : uint8_t {
   kListPrepared = 16,  // prepared txn ids (process-pair takeover)
   kListActive = 17,    // active txn ids (process-pair takeover)
   kListTables = 18,    // table names of one database (recovery work list)
-  kPrepareStatement = 19,  // prepare SQL once, reply with a statement handle
-  kExecutePrepared = 20,   // run a prepared handle inside txn_id
+  // Retired statement-handle RPCs: statements travel only as kExecute SQL
+  // text, planned through the machine's plan cache. The numbers stay
+  // reserved and named (trace readers classify them); DecodeRequest rejects
+  // both.
+  kPrepareStatement = 19,
+  kExecutePrepared = 20,
   kStats = 21,             // metrics dump (text exposition in the message)
   kSetQuota = 22,          // install a QoS quota for db_name on the machine
   kWalDeltaRead = 23,      // live migration: committed WAL delta since cursor
   kWalDeltaApply = 24,     // live migration: replay delta lines on the target
 };
+
+// Every wire number lies in [1, kRpcTypeLimit); IsLiveRpcType excludes the
+// retired ones. Per-type tables and the decoder all size and validate
+// against this one range.
+constexpr int kRpcTypeLimit = static_cast<int>(RpcType::kWalDeltaApply) + 1;
+constexpr bool IsLiveRpcType(int raw) {
+  return raw >= static_cast<int>(RpcType::kHealth) && raw < kRpcTypeLimit &&
+         raw != static_cast<int>(RpcType::kPrepareStatement) &&
+         raw != static_cast<int>(RpcType::kExecutePrepared);
+}
 
 std::string_view RpcTypeName(RpcType type);
 
@@ -52,11 +66,10 @@ struct RpcRequest {
   uint64_t txn_id = 0;            // transactional ops, kDumpTable (dump txn)
   std::string db_name;            // everything except kHealth/kList*
   std::string table;              // kBulkLoad / kDumpTable
-  std::string sql;                // kExecute / kExecuteDdl / kPrepareStatement
-  // kExecute / kExecutePrepared ('?' binding); kSetQuota carries the quota
-  // triple [rate_tps (double), burst (double), weight (int)] here.
+  std::string sql;                // kExecute / kExecuteDdl
+  // kExecute ('?' binding); kSetQuota carries the quota triple
+  // [rate_tps (double), burst (double), weight (int)] here.
   std::vector<Value> params;
-  uint64_t stmt_handle = 0;       // kExecutePrepared
   std::vector<Row> rows;          // kBulkLoad
   TableDump dump;                 // kApplyDump
   int64_t per_row_delay_us = 0;   // kDumpTable / kDumpDatabase copy-cost model
@@ -88,7 +101,6 @@ struct RpcResponse {
   std::vector<TableDump> dumps;    // kDumpTable (one) / kDumpDatabase (all)
   std::vector<uint64_t> txn_ids;   // kListPrepared / kListActive
   std::vector<std::string> names;  // kListTables
-  uint64_t stmt_handle = 0;        // kPrepareStatement
   // Service time measured machine-side (dispatch entry to reply), echoed to
   // the client so traces can split client-observed latency into transport
   // vs execution. -1 when the server predates the field or never measured.

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "src/common/logging.h"
-#include "src/sql/executor.h"
 #include "src/sql/parser.h"
 #include "src/sql/planner.h"
 
@@ -71,7 +70,6 @@ Engine::Engine(std::string site_name, EngineOptions options)
   }
   if (!options_.wal_path.empty()) {
     WriteAheadLog::Options wal_options;
-    wal_options.sync_on_commit = options_.wal_sync_on_commit;
     wal_options.sync_policy = options_.wal_sync_policy;
     wal_options.async_max_lag_records = options_.wal_async_max_lag_records;
     wal_options.sync_delay_us = options_.wal_sync_delay_us;
@@ -182,7 +180,7 @@ Status Engine::DropTable(const std::string& db_name,
   return Status::OK();
 }
 
-// --- SQL planning & prepared statements ---
+// --- SQL planning ---
 
 void Engine::BumpSchemaVersion(const std::string& db_name) {
   platform::Guard lock(plan_mu_);
@@ -267,43 +265,6 @@ Result<std::shared_ptr<const sql::PlannedStatement>> Engine::GetPlan(
   return plan;
 }
 
-Result<Engine::StatementHandle> Engine::PrepareStatement(
-    const std::string& db_name, const std::string& sql) {
-  // Plan eagerly: parse/resolution errors surface at prepare time and the
-  // plan is warm in the cache for the first execution.
-  MTDB_ASSIGN_OR_RETURN(std::shared_ptr<const sql::PlannedStatement> plan,
-                        GetPlan(db_name, sql));
-  if (plan->explain) {
-    return Status::InvalidArgument("cannot prepare an EXPLAIN statement");
-  }
-  platform::Guard lock(plan_mu_);
-  StatementHandle handle = next_stmt_handle_++;
-  prepared_stmts_[handle] = PreparedStmt{db_name, sql};
-  return handle;
-}
-
-Result<sql::QueryResult> Engine::ExecutePrepared(
-    uint64_t txn_id, StatementHandle handle,
-    const std::vector<Value>& params) {
-  std::string db_name, sql;
-  {
-    platform::Guard lock(plan_mu_);
-    auto it = prepared_stmts_.find(handle);
-    if (it == prepared_stmts_.end()) {
-      return Status::FailedPrecondition("unknown statement handle " +
-                                        std::to_string(handle));
-    }
-    db_name = it->second.db_name;
-    sql = it->second.sql;
-  }
-  // The cache serves the hot path; after DDL this re-plans, and a dropped
-  // table surfaces as kNotFound rather than a stale plan.
-  MTDB_ASSIGN_OR_RETURN(std::shared_ptr<const sql::PlannedStatement> plan,
-                        GetPlan(db_name, sql));
-  sql::SqlExecutor executor(this);
-  return executor.ExecutePlan(txn_id, db_name, *plan, params);
-}
-
 Result<Table*> Engine::ResolveTable(const std::string& db_name,
                                     const std::string& table_name) const {
   Database* db = GetDatabase(db_name);
@@ -382,7 +343,7 @@ Status Engine::Prepare(uint64_t txn_id) {
   if (options_.release_read_locks_on_prepare && !txn->read_only) {
     lock_manager_.ReleaseReadLocks(txn_id);
   }
-  if (prepare_lsn != 0 && options_.wal_sync_on_commit) {
+  if (prepare_lsn != 0) {
     MTDB_RETURN_IF_ERROR(wal_->AwaitDurable(prepare_lsn));
   }
   return Status::OK();
@@ -429,7 +390,7 @@ Status Engine::CommitPrepared(uint64_t txn_id) {
   }
   // The durability wait comes after lock release: the fsync (the slow part)
   // no longer extends the lock hold time, which is the group-commit win.
-  if (commit_lsn != 0 && options_.wal_sync_on_commit) {
+  if (commit_lsn != 0) {
     MTDB_RETURN_IF_ERROR(wal_->AwaitDurable(commit_lsn));
   }
   return Status::OK();
@@ -474,7 +435,7 @@ Status Engine::Commit(uint64_t txn_id) {
   // failed wait is surfaced to the caller: in-memory state has advanced but
   // the log is sticky-dead, so every later commit fails too — the machine
   // is effectively write-dead rather than silently non-durable.
-  if (commit_lsn != 0 && options_.wal_sync_on_commit) {
+  if (commit_lsn != 0) {
     MTDB_RETURN_IF_ERROR(wal_->AwaitDurable(commit_lsn));
   }
   return Status::OK();

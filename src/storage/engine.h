@@ -14,7 +14,6 @@
 #include "src/platform/mutex.h"
 #include "src/common/result.h"
 #include "src/obs/metrics.h"
-#include "src/sql/query_result.h"
 #include "src/storage/buffer_cache.h"
 #include "src/storage/database.h"
 #include "src/storage/lock_manager.h"
@@ -60,11 +59,11 @@ struct EngineOptions {
   // Non-empty: append a redo-only write-ahead log to this file. Recover a
   // crashed engine's state with WriteAheadLog::Recover(path, fresh_engine).
   std::string wal_path;
-  bool wal_sync_on_commit = true;
   // Group-commit pipeline knobs, forwarded into WalOptions (DESIGN.md §15).
   // The sync policy is the durability ablation axis: per-commit (one sync
   // per decision), group (coalesced, the default), async (bounded-lag
-  // background sync).
+  // background sync). Commit and Prepare always wait for durability as the
+  // policy directs; kAsync is the "don't wait for the device" setting.
   wal::SyncPolicy wal_sync_policy = wal::SyncPolicy::kGroup;
   int64_t wal_async_max_lag_records = 64;
   // Modeled log-device sync latency (µs), like cache_miss_penalty_us.
@@ -113,7 +112,7 @@ class Engine {
                      const std::string& column_name);
   Status DropTable(const std::string& db_name, const std::string& table_name);
 
-  // --- SQL planning & prepared statements (DESIGN.md §9) ---
+  // --- SQL planning (DESIGN.md §9) ---
   // Monotone per-database schema version, bumped by every DDL (CREATE
   // TABLE/INDEX, DROP). Versions are drawn from one engine-wide counter so a
   // dropped-and-recreated database never repeats a version. 0 = unknown db.
@@ -121,25 +120,13 @@ class Engine {
 
   // Parses + plans `sql` against `db_name`, serving repeated calls from a
   // bounded plan cache keyed (db, sql text) and validated against the
-  // database's schema version — any DDL invalidates. Only '?'-parameterized,
-  // non-EXPLAIN statements are cached (the same cacheability rule the old
-  // MachineService parse cache used; literal-bearing one-shot statements
-  // would only churn the cache).
+  // database's schema version — any DDL invalidates, and a statement whose
+  // table was dropped surfaces kNotFound. Only '?'-parameterized,
+  // non-EXPLAIN statements are cached (literal-bearing one-shot statements
+  // would only churn the cache). This cache is the engine's only statement
+  // state: a client "prepares" a statement by sending the same text again.
   Result<std::shared_ptr<const sql::PlannedStatement>> GetPlan(
       const std::string& db_name, const std::string& sql);
-
-  // Server-side prepared statements: Prepare parses + plans eagerly (errors
-  // surface here, and the plan is warm in the cache) and returns a handle;
-  // ExecutePrepared runs the handle's statement inside `txn_id`, re-planning
-  // transparently after DDL. An unknown handle is kFailedPrecondition; a
-  // handle whose table was dropped returns kNotFound. Named PrepareStatement
-  // because Prepare(uint64_t) is the 2PC participant vote.
-  using StatementHandle = uint64_t;
-  Result<StatementHandle> PrepareStatement(const std::string& db_name,
-                                           const std::string& sql);
-  Result<sql::QueryResult> ExecutePrepared(uint64_t txn_id,
-                                           StatementHandle handle,
-                                           const std::vector<Value>& params);
 
   // Drops `db_name`'s cached plans and schema-version entry (tenant
   // catalog eviction of an idle tenant). Safe at any time: versions are
@@ -320,15 +307,11 @@ class Engine {
   std::unique_ptr<analysis::TwoPhaseCommitChecker> txn_checker_
       MTDB_PT_GUARDED_BY(txn_mu_);
 
-  // --- Plan cache & prepared statements ---
+  // --- Plan cache ---
   struct CachedPlan {
     uint64_t schema_version = 0;
     int64_t last_use_us = 0;
     std::shared_ptr<const sql::PlannedStatement> plan;
-  };
-  struct PreparedStmt {
-    std::string db_name;
-    std::string sql;
   };
   // Bumps the db's schema version and evicts its cached plans. Called by
   // every successful DDL.
@@ -343,9 +326,6 @@ class Engine {
   uint64_t schema_epoch_ MTDB_GUARDED_BY(plan_mu_) = 0;
   std::map<std::pair<std::string, std::string>, CachedPlan> plan_cache_
       MTDB_GUARDED_BY(plan_mu_);
-  std::map<StatementHandle, PreparedStmt> prepared_stmts_
-      MTDB_GUARDED_BY(plan_mu_);
-  StatementHandle next_stmt_handle_ MTDB_GUARDED_BY(plan_mu_) = 1;
   std::atomic<int64_t> plan_cache_hits_{0};
   std::atomic<int64_t> plan_cache_misses_{0};
 

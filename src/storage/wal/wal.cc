@@ -277,14 +277,6 @@ Status WriteAheadLog::AwaitDurable(uint64_t lsn) {
   return writer_->AwaitDurable(lsn);
 }
 
-Status WriteAheadLog::AppendDecision(WalRecordType type, uint64_t txn_id) {
-  MTDB_ASSIGN_OR_RETURN(uint64_t lsn, AppendDecisionAsync(type, txn_id));
-  if (options_.sync_on_commit && type == WalRecordType::kCommit) {
-    return AwaitDurable(lsn);
-  }
-  return Status::OK();
-}
-
 Status WriteAheadLog::Sync() { return writer_->SyncAll(); }
 
 namespace {

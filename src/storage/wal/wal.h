@@ -56,10 +56,6 @@ struct WalRecord {
 // Thread-safe: concurrent appends are serialized by the pipeline's queue;
 // record order in the file is LSN order.
 struct WalOptions {
-  // Wait for the commit record to be durable (per the sync policy) before
-  // Commit returns to the caller.
-  bool sync_on_commit = true;
-
   // How committers are released relative to the device sync — the ablation
   // axis of the group-commit study (see wal::SyncPolicy).
   wal::SyncPolicy sync_policy = wal::SyncPolicy::kGroup;
@@ -111,10 +107,6 @@ class WriteAheadLog {
   // Blocks until `lsn` (and everything before it) is durable under the
   // configured policy.
   Status AwaitDurable(uint64_t lsn);
-
-  // Compatibility wrapper: enqueue + AwaitDurable when the record is a
-  // commit and sync_on_commit is set (the pre-pipeline contract).
-  Status AppendDecision(WalRecordType type, uint64_t txn_id);
 
   // Full durability barrier: everything appended so far is written+synced.
   Status Sync();

@@ -53,7 +53,7 @@ WorkloadStats RunSession(ClusterController* controller,
   Random rng(session_seed);
   auto conn = controller->Connect(db_name);
   // Prepare the fixed statement set once per session; every interaction then
-  // ships (handle, params) over the wire instead of SQL text.
+  // skips the controller's routing parse.
   auto stmts_or = PrepareTpcwStatements(conn.get());
   if (!stmts_or.ok()) {
     ClassifyFailure(stmts_or.status(), &stats);

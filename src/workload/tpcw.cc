@@ -251,8 +251,8 @@ Result<TpcwStatements> PrepareTpcwStatements(Connection* conn) {
 namespace {
 
 // Helpers returning Status; the transaction wrapper handles abort. Every
-// statement is a prepared handle: the plan is cached engine-side and the
-// wire carries (handle, params), not SQL text.
+// statement is prepared: the controller skips its routing parse, and each
+// machine serves the '?' text from its plan cache.
 
 Status Home(Connection* conn, const TpcwStatements& stmts,
             const TpcwScale& scale, Random* rng) {

@@ -128,7 +128,8 @@ TEST(NetCodecTest, ExecuteRequestRoundTripsAllValueKinds) {
 }
 
 TEST(NetCodecTest, EveryRequestTypeRoundTrips) {
-  for (int raw = 1; raw <= static_cast<int>(RpcType::kSetQuota); ++raw) {
+  for (int raw = 1; raw < kRpcTypeLimit; ++raw) {
+    if (!IsLiveRpcType(raw)) continue;
     RpcRequest request;
     request.type = static_cast<RpcType>(raw);
     request.txn_id = static_cast<uint64_t>(raw) << 40;
@@ -137,7 +138,6 @@ TEST(NetCodecTest, EveryRequestTypeRoundTrips) {
     request.sql = "SELECT " + std::to_string(raw);
     request.per_row_delay_us = raw * 11;
     request.debug_delay_us = raw * 7;
-    request.stmt_handle = static_cast<uint64_t>(raw) * 1'000'003;
     request.trace_id = static_cast<uint64_t>(raw) * 999'983;
     RpcRequest out = RoundTripRequest(request);
     EXPECT_EQ(out.type, request.type) << RpcTypeName(request.type);
@@ -147,27 +147,26 @@ TEST(NetCodecTest, EveryRequestTypeRoundTrips) {
     EXPECT_EQ(out.sql, request.sql);
     EXPECT_EQ(out.per_row_delay_us, request.per_row_delay_us);
     EXPECT_EQ(out.debug_delay_us, request.debug_delay_us);
-    EXPECT_EQ(out.stmt_handle, request.stmt_handle);
     EXPECT_EQ(out.trace_id, request.trace_id);
   }
 }
 
-TEST(NetCodecTest, PreparedStatementHandleRoundTrips) {
-  RpcRequest request;
-  request.type = RpcType::kExecutePrepared;
-  request.txn_id = 77;
-  request.db_name = "shop";
-  request.stmt_handle = 0xDEADBEEFCAFEull;
-  request.params = {Value(int64_t{4}), Value("x")};
-  RpcRequest out = RoundTripRequest(request);
-  EXPECT_EQ(out.stmt_handle, request.stmt_handle);
-  ASSERT_EQ(out.params.size(), 2u);
-
-  RpcResponse response;
-  response.stmt_handle = 42;
-  RpcResponse rout = RoundTripResponse(response);
-  EXPECT_TRUE(rout.ok());
-  EXPECT_EQ(rout.stmt_handle, 42u);
+TEST(NetCodecTest, RetiredStatementHandleTypesAreRejected) {
+  // Wire numbers 19 (PrepareStatement) and 20 (ExecutePrepared) carried the
+  // removed statement-handle RPCs. A frame naming either must not decode.
+  for (RpcType retired :
+       {RpcType::kPrepareStatement, RpcType::kExecutePrepared}) {
+    EXPECT_FALSE(IsLiveRpcType(static_cast<int>(retired)));
+    RpcRequest request;
+    request.type = retired;
+    request.db_name = "shop";
+    request.sql = "SELECT i_title FROM item WHERE i_id = ?";
+    request.params = {Value(int64_t{4})};
+    std::string frame;
+    EncodeRequestFrame(request, &frame);
+    auto decoded = DecodeRequest(PayloadOf(frame));
+    EXPECT_FALSE(decoded.ok()) << RpcTypeName(retired) << " decoded";
+  }
 }
 
 TEST(NetCodecTest, BulkLoadRequestCarriesRows) {

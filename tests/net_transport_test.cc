@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -181,6 +183,23 @@ TEST_F(NetTransportTest, LostReplyIncrementsTimeoutAndFailoverCounters) {
   EXPECT_EQ(registry.CounterValue("mtdb_machine_failover_total", {}),
             failovers_before + 1);
   EXPECT_TRUE(controller_->machine(1)->failed());
+}
+
+TEST_F(NetTransportTest, WalDeltaReadProbeCountsInClientRpcMetrics) {
+  // The client-side RPC metrics cover every request type in use, the
+  // live-migration delta calls included: a capability probe against a
+  // machine without a WAL is answered with kFailedPrecondition and counted.
+  auto& registry = obs::MetricsRegistry::Global();
+  obs::MetricLabels delta_read{.operation = "WalDeltaRead"};
+  int64_t calls_before = registry.CounterValue("mtdb_rpc_total", delta_read);
+
+  Build(ClusterControllerOptions{});
+  uint64_t frontier = 0;
+  auto lines = controller_->machine_client()->WalDeltaRead(
+      0, "shop", std::numeric_limits<uint64_t>::max(), &frontier);
+  EXPECT_EQ(lines.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(registry.CounterValue("mtdb_rpc_total", delta_read),
+            calls_before + 1);
 }
 
 TEST_F(NetTransportTest, DroppedControlRequestSurfacesAsUnavailable) {

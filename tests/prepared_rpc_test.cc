@@ -1,20 +1,26 @@
 // End-to-end tests for prepared statements over the RPC path: Connection ↔
 // ClusterController ↔ net::MachineClient ↔ net::MachineService ↔ Engine.
 //
-// A PreparedStatement is a controller-side registry entry; machine-side
-// handles are minted lazily per replica and invalidated on failover and on
-// Algorithm-1 copy completion, so these tests drive exactly those paths:
-// reads with replica retry, write fan-out, DDL-driven re-planning, dropped
-// tables, and machine failure after handles were minted.
+// A PreparedStatement is a controller-side registry entry holding routing
+// facts; executing it sends the same kExecute SQL text as Connection::Execute
+// and the machines plan it through their plan cache. These tests drive reads
+// with replica retry, write fan-out, DDL-driven re-planning, dropped tables,
+// and machine failure and recovery between executions.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/cluster/cluster_controller.h"
+#include "src/cluster/rebalance/tenant_migrator.h"
+#include "src/cluster/recovery.h"
+#include "src/net/machine_service.h"
+#include "src/obs/metrics.h"
 #include "src/sql/executor.h"
 
 namespace mtdb {
@@ -128,7 +134,7 @@ TEST_F(PreparedRpcTest, RegistrySharesStatementsAcrossConnections) {
   auto stmt1 = conn1->Prepare(sql);
   auto stmt2 = conn2->Prepare(sql);
   ASSERT_TRUE(stmt1.ok() && stmt2.ok());
-  // Same (db, sql) → same registry entry, so machine handles are shared.
+  // Same (db, sql) → same registry entry, so routing facts are shared.
   EXPECT_EQ(stmt1->get(), stmt2->get());
 }
 
@@ -196,10 +202,9 @@ TEST_F(PreparedRpcTest, PreparedReadSurvivesMachineFailure) {
   auto conn = controller_->Connect("shop");
   auto stmt = conn->Prepare("SELECT i_title FROM item WHERE i_id = ?");
   ASSERT_TRUE(stmt.ok());
-  // Mint handles on the replica the first read lands on.
+  // Warm the plan cache on the replica the first read lands on.
   ASSERT_TRUE(conn->ExecutePrepared(*stmt, {Value(int64_t{1})}).ok());
-  // Fail every replica but one; cached handles for the dead machines are
-  // invalidated and the read re-mints a handle on the survivor.
+  // Fail every replica but one; the read fails over to the survivor.
   std::vector<int> replicas = controller_->ReplicasOf("shop");
   ASSERT_EQ(replicas.size(), 2u);
   controller_->FailMachine(replicas[0]);
@@ -227,6 +232,138 @@ TEST_F(PreparedRpcTest, PreparedWriteAfterFailover) {
   auto read = conn2->Execute("SELECT i_stock FROM item WHERE i_id = 0");
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read->at(0, 0).AsInt(), 3);
+}
+
+TEST_F(PreparedRpcTest, PreparedStatementsSurviveRecoveryOntoSpare) {
+  // Three machines, two replicas: the third machine is the spare that
+  // recovery copies onto. No machine holds per-statement state, so nothing
+  // is re-prepared across the failure or the recovery, and the retired
+  // statement-handle RPCs are never issued.
+  Build();
+  auto conn = controller_->Connect("shop");
+  auto read = conn->Prepare("SELECT i_stock FROM item WHERE i_id = ?");
+  auto write = conn->Prepare("UPDATE item SET i_stock = ? WHERE i_id = ?");
+  ASSERT_TRUE(read.ok() && write.ok());
+
+  // Every current replica's engine holds `expected` for item 6, and a
+  // prepared read through the controller returns it.
+  uint64_t probe_txn = 920'000;
+  auto expect_stock = [&](int64_t expected) {
+    for (int id : controller_->ReplicasOf("shop")) {
+      auto engine = controller_->machine(id)->engine();
+      uint64_t txn = ++probe_txn;
+      ASSERT_TRUE(engine->Begin(txn).ok());
+      sql::SqlExecutor executor(engine.get());
+      auto rows = executor.ExecuteSql(
+          txn, "shop", "SELECT i_stock FROM item WHERE i_id = 6", {});
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      EXPECT_EQ(rows->at(0, 0).AsInt(), expected) << "machine " << id;
+      ASSERT_TRUE(engine->Commit(txn).ok());
+    }
+    auto result = conn->ExecutePrepared(*read, {Value(int64_t{6})});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->at(0, 0).AsInt(), expected);
+  };
+
+  ASSERT_TRUE(
+      conn->ExecutePrepared(*write, {Value(int64_t{11}), Value(int64_t{6})})
+          .ok());
+  expect_stock(11);
+
+  std::vector<int> replicas = controller_->ReplicasOf("shop");
+  ASSERT_EQ(replicas.size(), 2u);
+  controller_->FailMachine(replicas[0]);
+  RecoveryManager recovery(controller_.get(), RecoveryOptions{});
+  auto results = recovery.RecoverAll(2);
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
+  std::vector<int> recovered = controller_->ReplicasOf("shop");
+  ASSERT_EQ(recovered.size(), 2u);
+  EXPECT_EQ(std::count(recovered.begin(), recovered.end(), replicas[0]), 0);
+  EXPECT_EQ(std::count(recovered.begin(), recovered.end(),
+                       results[0].target_machine),
+            1);
+  expect_stock(11);
+
+  // The same statement objects keep working: the write reaches the spare,
+  // and reads see it.
+  ASSERT_TRUE(
+      conn->ExecutePrepared(*write, {Value(int64_t{12}), Value(int64_t{6})})
+          .ok());
+  expect_stock(12);
+
+  // Counters only grow, so 0 now means 0 throughout.
+  auto& registry = obs::MetricsRegistry::Global();
+  EXPECT_EQ(registry.CounterValue("mtdb_rpc_total",
+                                  {.operation = "PrepareStatement"}),
+            0);
+  EXPECT_EQ(registry.CounterValue("mtdb_rpc_total",
+                                  {.operation = "ExecutePrepared"}),
+            0);
+}
+
+TEST_F(PreparedRpcTest, PreparedStatementsFollowAMigratedTenant) {
+  // A live migration swaps a replica onto a machine that has never seen the
+  // tenant's statements. Nothing is re-prepared: the target plans the text
+  // on first use.
+  Build();
+  auto conn = controller_->Connect("shop");
+  auto read = conn->Prepare("SELECT i_stock FROM item WHERE i_id = ?");
+  auto write = conn->Prepare("UPDATE item SET i_stock = ? WHERE i_id = ?");
+  ASSERT_TRUE(read.ok() && write.ok());
+  ASSERT_TRUE(
+      conn->ExecutePrepared(*write, {Value(int64_t{21}), Value(int64_t{3})})
+          .ok());
+
+  std::vector<int> replicas = controller_->ReplicasOf("shop");
+  ASSERT_EQ(replicas.size(), 2u);
+  int spare = 3 - replicas[0] - replicas[1];  // machines are 0, 1, 2
+  rebalance::MigrationPlan plan;
+  plan.database = "shop";
+  plan.source_machine = replicas[0];
+  plan.target_machine = spare;
+  rebalance::TenantMigrator migrator(controller_.get());
+  ASSERT_TRUE(migrator.Migrate(plan).ok());
+  std::vector<int> moved = controller_->ReplicasOf("shop");
+  ASSERT_EQ(std::count(moved.begin(), moved.end(), spare), 1);
+
+  ASSERT_TRUE(
+      conn->ExecutePrepared(*write, {Value(int64_t{22}), Value(int64_t{3})})
+          .ok());
+  auto result = conn->ExecutePrepared(*read, {Value(int64_t{3})});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->at(0, 0).AsInt(), 22);
+  Table* table =
+      controller_->machine(spare)->engine()->GetDatabase("shop")->GetTable(
+          "item");
+  ASSERT_NE(table, nullptr);
+  auto row = table->Get(Value(int64_t{3}));
+  ASSERT_TRUE(row.has_value());
+  EXPECT_EQ(row->values[2].AsInt(), 22);
+}
+
+TEST_F(PreparedRpcTest, RetiredHandleRpcsAreRejected) {
+  // A client still speaking the statement-handle protocol gets an error
+  // reply, whether the request crosses the wire or reaches the service.
+  Build();
+  auto channel = controller_->inproc_transport()->OpenChannel(0);
+  net::MachineService service(controller_->machine(0));
+  for (net::RpcType retired :
+       {net::RpcType::kPrepareStatement, net::RpcType::kExecutePrepared}) {
+    net::RpcRequest request;
+    request.type = retired;
+    request.db_name = "shop";
+    request.sql = "SELECT i_title FROM item WHERE i_id = ?";
+    auto done = std::make_shared<std::promise<net::RpcResponse>>();
+    auto reply = done->get_future();
+    channel->Call(request, [done](net::RpcResponse response) {
+      done->set_value(std::move(response));
+    });
+    EXPECT_EQ(reply.get().code, StatusCode::kInvalidArgument)
+        << net::RpcTypeName(retired);
+    EXPECT_EQ(service.Dispatch(request).code, StatusCode::kInvalidArgument)
+        << net::RpcTypeName(retired);
+  }
 }
 
 TEST_F(PreparedRpcTest, ConcurrentPreparedReadersAndWriters) {

@@ -3,10 +3,10 @@
 // Covers the split of the SQL path into parse → plan → execute:
 //  * EXPLAIN goldens proving access-path and join-strategy selection (PK
 //    probe over scan, index-assisted joins, lock scope of mutations);
-//  * the engine plan cache: hit/miss accounting, the size bound, and
-//    schema-version invalidation (CREATE INDEX re-plans a cached full scan
-//    into an index probe; DROP TABLE surfaces kNotFound, not a crash);
-//  * the prepared-statement surface (PrepareStatement / ExecutePrepared).
+//  * the engine plan cache, the engine's only statement cache: hit/miss
+//    accounting, the size bound, and schema-version invalidation (CREATE
+//    INDEX re-plans a cached full scan into an index probe; DROP TABLE
+//    surfaces kNotFound, not a crash).
 
 #include <gtest/gtest.h>
 
@@ -214,82 +214,60 @@ TEST_F(SqlPlannerTest, DropTableInvalidatesCachedPlan) {
   EXPECT_EQ(plan.status().code(), StatusCode::kNotFound);
 }
 
-// --- Prepared statements (engine surface) ---
+// --- Parameterized statements (the cached-plan path) ---
 
 TEST_F(SqlPlannerTest, PreparedStatementMatchesDirectExecution) {
+  // A '?' statement executes through its cached plan; the same statement
+  // with the literal inlined is planned from scratch. Both must agree.
   const std::string sql = "SELECT i_title, i_cost FROM item WHERE i_id = ?";
-  auto handle = engine_->PrepareStatement("app", sql);
-  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  Exec(sql, {Value(int64_t{1})});  // warm the cache
+  int64_t hits_before = engine_->plan_cache_hits();
+  QueryResult prepared = Exec(sql, {Value(int64_t{2})});
+  EXPECT_EQ(engine_->plan_cache_hits(), hits_before + 1);
 
-  uint64_t txn = next_txn_++;
-  ASSERT_TRUE(engine_->Begin(txn).ok());
-  auto prepared =
-      engine_->ExecutePrepared(txn, *handle, {Value(int64_t{2})});
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  ASSERT_TRUE(engine_->Commit(txn).ok());
-
-  QueryResult direct = Exec(sql, {Value(int64_t{2})});
-  ASSERT_EQ(prepared->rows.size(), direct.rows.size());
-  EXPECT_EQ(prepared->at(0, 0).AsString(), direct.at(0, 0).AsString());
-  EXPECT_EQ(prepared->columns, direct.columns);
-}
-
-TEST_F(SqlPlannerTest, ExecutePreparedRejectsUnknownHandle) {
-  uint64_t txn = next_txn_++;
-  ASSERT_TRUE(engine_->Begin(txn).ok());
-  auto result = engine_->ExecutePrepared(txn, 424242, {});
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(engine_->Abort(txn).ok());
-}
-
-TEST_F(SqlPlannerTest, PrepareRejectsExplain) {
-  auto handle =
-      engine_->PrepareStatement("app", "EXPLAIN SELECT * FROM item");
-  EXPECT_EQ(handle.status().code(), StatusCode::kInvalidArgument);
+  QueryResult direct = Exec("SELECT i_title, i_cost FROM item WHERE i_id = 2");
+  ASSERT_EQ(prepared.rows.size(), direct.rows.size());
+  EXPECT_EQ(prepared.at(0, 0).AsString(), direct.at(0, 0).AsString());
+  EXPECT_EQ(prepared.columns, direct.columns);
 }
 
 TEST_F(SqlPlannerTest, PrepareSurfacesPlanningErrors) {
-  auto handle =
-      engine_->PrepareStatement("app", "SELECT * FROM no_such_table");
-  EXPECT_EQ(handle.status().code(), StatusCode::kNotFound);
+  // Planning errors surface from GetPlan, before any execution.
+  auto plan = engine_->GetPlan("app", "SELECT * FROM no_such_table");
+  EXPECT_EQ(plan.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(SqlPlannerTest, DroppedTableSurfacesNotFoundThroughPreparedHandle) {
-  auto handle =
-      engine_->PrepareStatement("app", "SELECT i_title FROM item "
-                                       "WHERE i_id = ?");
-  ASSERT_TRUE(handle.ok());
+  // The statement text is the handle: once its plan is cached, executing
+  // it after DROP TABLE fails with kNotFound instead of running a stale
+  // plan against a table that no longer exists.
+  const std::string sql = "SELECT i_title FROM item WHERE i_id = ?";
+  QueryResult warm = Exec(sql, {Value(int64_t{1})});
+  ASSERT_EQ(warm.rows.size(), 1u);
   Exec("DROP TABLE item");
   uint64_t txn = next_txn_++;
   ASSERT_TRUE(engine_->Begin(txn).ok());
-  auto result = engine_->ExecutePrepared(txn, *handle, {Value(int64_t{1})});
+  auto result = executor_->ExecuteSql(txn, "app", sql, {Value(int64_t{1})});
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
   ASSERT_TRUE(engine_->Abort(txn).ok());
 }
 
 TEST_F(SqlPlannerTest, CreateIndexUpgradesPreparedStatementPlan) {
+  // A statement executed before CREATE INDEX keeps executing by the same
+  // text afterwards: the DDL costs it one re-plan, onto the new index, and
+  // the rows it returns do not change.
   const std::string sql = "SELECT i_title FROM item WHERE i_subject = ?";
-  auto handle = engine_->PrepareStatement("app", sql);
-  ASSERT_TRUE(handle.ok());
-
-  uint64_t txn = next_txn_++;
-  ASSERT_TRUE(engine_->Begin(txn).ok());
-  auto before = engine_->ExecutePrepared(txn, *handle, {Value("CS")});
-  ASSERT_TRUE(before.ok());
-  ASSERT_TRUE(engine_->Commit(txn).ok());
+  QueryResult before = Exec(sql, {Value("CS")});
+  ASSERT_EQ(before.rows.size(), 2u);
 
   Exec("CREATE INDEX idx_subject ON item (i_subject)");
-  // The handle survives the DDL; the plan behind it was re-derived.
+  int64_t misses_before = engine_->plan_cache_misses();
+  QueryResult after = Exec(sql, {Value("CS")});
+  EXPECT_EQ(engine_->plan_cache_misses() - misses_before, 1);
   auto plan = engine_->GetPlan("app", sql);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ((*plan)->select.driver.path, AccessPathKind::kIndexProbe);
-
-  txn = next_txn_++;
-  ASSERT_TRUE(engine_->Begin(txn).ok());
-  auto after = engine_->ExecutePrepared(txn, *handle, {Value("CS")});
-  ASSERT_TRUE(after.ok()) << after.status().ToString();
-  ASSERT_TRUE(engine_->Commit(txn).ok());
-  EXPECT_EQ(after->rows.size(), before->rows.size());
+  EXPECT_EQ(after.rows.size(), before.rows.size());
 }
 
 }  // namespace
