@@ -15,7 +15,7 @@
 //  * Resident state (materialized on first use, LRU-evicted when idle):
 //    prepared-statement registrations today, plus — via the eviction
 //    listener — whatever derived state other layers key by tenant name
-//    (LoadMonitor windows, per-tenant metric series, engine plan caches).
+//    (LoadMonitor windows, QoS buckets, engine plan caches).
 //    All of it rebuilds on demand from durable/controller state, so
 //    eviction is invisible to correctness: the next Acquire reloads.
 //
@@ -119,7 +119,7 @@ class TenantCatalog {
   };
 
   // Invoked (unlocked) once per evicted tenant so sibling layers can drop
-  // their derived per-tenant state (LoadMonitor window, metric series, ...).
+  // their derived per-tenant state (LoadMonitor window, plan caches, ...).
   using EvictionListener = std::function<void(const std::string& tenant)>;
 
   // Two constructors (not one defaulted argument): GCC rejects a `= {}`

@@ -64,17 +64,15 @@ ClusterController::ClusterController(ClusterControllerOptions options)
     : options_(options), catalog_(options_.catalog) {
   // Evicting an idle tenant's resident state also drops the derived
   // per-tenant state sibling layers key by database name: the LoadMonitor
-  // window, the per-database metric series (whose values roll up into the
-  // family's aggregate series), and each machine's QoS buckets, WDRR slot,
-  // and cached plans. Everything rebuilds on demand when the tenant becomes
-  // active again. Invoked by the catalog with no shard lock held, so taking
-  // mu_ here cannot invert against the shard locks (the controller never
-  // calls into the catalog while holding mu_). Machine teardown runs
-  // unlocked on snapshotted pointers — machines_ entries are never
-  // destroyed while the controller lives.
+  // window and each machine's QoS buckets, WDRR slot, and cached plans.
+  // Everything rebuilds on demand when the tenant becomes active again.
+  // Invoked by the catalog with no shard lock held, so taking mu_ here
+  // cannot invert against the shard locks (the controller never calls into
+  // the catalog while holding mu_). Machine teardown runs unlocked on
+  // snapshotted pointers — machines_ entries are never destroyed while the
+  // controller lives.
   catalog_.SetEvictionListener([this](const std::string& db_name) {
     load_monitor_.Evict(db_name);
-    obs::MetricsRegistry::Global().EvictDatabaseSeries(db_name);
     std::vector<Machine*> machines;
     {
       platform::Guard lock(mu_);
@@ -100,8 +98,16 @@ ClusterController::ClusterController(ClusterControllerOptions options)
                        << " missed an rpc deadline; declaring it failed";
     FailMachine(machine_id);
   });
-  m_failover_ = obs::MetricsRegistry::Global().GetCounter(
-      "mtdb_machine_failover_total", {});
+  auto& registry = obs::MetricsRegistry::Global();
+  m_failover_ = registry.GetCounter("mtdb_machine_failover_total", {});
+  m_txn_commit_ = registry.GetCounter("mtdb_txn_commit_total", {});
+  m_txn_abort_ = registry.GetCounter("mtdb_txn_abort_total", {});
+  m_read_retry_ = registry.GetCounter("mtdb_read_retry_total", {});
+  m_backoff_ = registry.GetCounter("mtdb_qos_backoff_total", {});
+  m_backoff_wait_us_ = registry.GetHistogram("mtdb_qos_backoff_wait_us", {});
+  m_txn_latency_us_ = registry.GetHistogram("mtdb_txn_latency_us", {});
+  m_2pc_prepare_us_ = registry.GetHistogram("mtdb_2pc_prepare_us", {});
+  m_2pc_commit_us_ = registry.GetHistogram("mtdb_2pc_commit_us", {});
 }
 
 ClusterController::~ClusterController() = default;
@@ -220,7 +226,6 @@ Status ClusterController::CreateDatabaseOn(const std::string& db_name,
     record.primary_offset =
         static_cast<int>(rr % machine_ids.size());
     for (int id : machine_ids) machine_replica_load_[id]++;
-    backup_.replica_map[db_name] = machine_ids;
   }
   catalog_.Install(db_name, std::move(record));
   return Status::OK();
@@ -245,15 +250,12 @@ Status ClusterController::DropDatabase(const std::string& db_name) {
       machine_replica_load_[id]--;
       if (!machines_[id]->failed()) alive.push_back(id);
     }
-    backup_.replica_map.erase(db_name);
   }
   for (int id : alive) {
     (void)client_->DropDatabase(id, db_name);
   }
-  // Drop the derived per-tenant state eviction would have dropped: the
-  // LoadMonitor window and the per-database metric series (rolled up).
+  // Drop the LoadMonitor window, as eviction would have.
   load_monitor_.Evict(db_name);
-  obs::MetricsRegistry::Global().EvictDatabaseSeries(db_name);
   return Status::OK();
 }
 
@@ -446,7 +448,6 @@ Status ClusterController::CompleteCopy(const std::string& db_name) {
     // joined; pruned failed machines left).
     for (int id : new_replicas) machine_replica_load_[id]++;
     for (int id : old_replicas) machine_replica_load_[id]--;
-    backup_.replica_map[db_name] = new_replicas;
   }
   // The quota follows the database: a freshly promoted replica must throttle
   // the tenant exactly like the replicas it joined.
@@ -513,7 +514,6 @@ Status ClusterController::SwapReplica(const std::string& db_name,
       machine_replica_load_[source_machine]--;
     }
     machine_replica_load_[target_machine]++;
-    backup_.replica_map[db_name] = new_replicas;
   }
   // The admission quota follows the tenant to its new home immediately;
   // without this, the target would serve unthrottled until the next
@@ -613,21 +613,6 @@ std::vector<int> ClusterController::AliveReplicas(
   return AliveReplicasLocked(replicas);
 }
 
-Result<std::vector<int>> ClusterController::ReadTargets(
-    const std::string& db_name) const {
-  std::vector<int> replicas;
-  Status found = catalog_.With(
-      db_name, [&](const catalog::TenantRecord& record) {
-        replicas = record.replicas;
-      });
-  MTDB_RETURN_IF_ERROR(found);
-  std::vector<int> targets = AliveReplicas(replicas);
-  if (targets.empty()) {
-    return Status::Unavailable("no alive replica of " + db_name);
-  }
-  return targets;
-}
-
 Result<int> ClusterController::PickReadMachine(const std::string& db_name,
                                                int sticky) {
   std::vector<int> replicas;
@@ -719,8 +704,10 @@ void ClusterController::EndInflightWrite(const std::string& db_name,
                                          const std::string& table) {
   {
     platform::Guard lock(inflight_mu_);
-    inflight_writes_[db_name]--;
-    inflight_writes_[db_name + "/" + table]--;
+    for (const std::string& key : {db_name, db_name + "/" + table}) {
+      auto it = inflight_writes_.find(key);
+      if (--it->second == 0) inflight_writes_.erase(it);
+    }
   }
   inflight_cv_.NotifyAll();
 }
@@ -730,8 +717,7 @@ void ClusterController::WaitForQuiescentWrites(const std::string& db_name,
   std::string key = table == "*" ? db_name : db_name + "/" + table;
   platform::UniqueLock lock(inflight_mu_);
   for (;;) {
-    auto it = inflight_writes_.find(key);
-    if (it == inflight_writes_.end() || it->second == 0) break;
+    if (inflight_writes_.count(key) == 0) break;
     inflight_cv_.Wait(lock);
   }
 }
@@ -853,19 +839,7 @@ int64_t ClusterController::InjectedLatency(const std::string& label,
 
 Connection::Connection(ClusterController* controller, std::string db_name,
                        uint64_t epoch)
-    : controller_(controller), db_name_(std::move(db_name)), epoch_(epoch) {
-  auto& registry = obs::MetricsRegistry::Global();
-  obs::MetricLabels labels{.database = db_name_};
-  m_db_commit_ = registry.GetCounter("mtdb_txn_commit_total", labels);
-  m_db_abort_ = registry.GetCounter("mtdb_txn_abort_total", labels);
-  m_read_retry_ = registry.GetCounter("mtdb_read_retry_total", labels);
-  m_backoff_ = registry.GetCounter("mtdb_qos_backoff_total", labels);
-  m_backoff_wait_us_ = registry.GetHistogram("mtdb_qos_backoff_wait_us",
-                                             labels);
-  m_txn_latency_us_ = registry.GetHistogram("mtdb_txn_latency_us", labels);
-  m_2pc_prepare_us_ = registry.GetHistogram("mtdb_2pc_prepare_us", labels);
-  m_2pc_commit_us_ = registry.GetHistogram("mtdb_2pc_commit_us", labels);
-}
+    : controller_(controller), db_name_(std::move(db_name)), epoch_(epoch) {}
 
 Connection::~Connection() {
   if (active_) {
@@ -931,8 +905,8 @@ Status Connection::BeginInternal(bool read_only) {
         return Status::ResourceExhausted("tenant " + db_name_ +
                                          " is in a migration cutover");
       }
-      obs::Increment(m_backoff_);
-      obs::Observe(m_backoff_wait_us_, wait_us);
+      obs::Increment(controller_->m_backoff_);
+      obs::Observe(controller_->m_backoff_wait_us_, wait_us);
       std::this_thread::sleep_for(std::chrono::microseconds(wait_us));
       backoff_us = std::min(backoff_us * 2,
                             std::max<int64_t>(policy.max_backoff_us, 1));
@@ -967,8 +941,9 @@ Status Connection::BeginInternal(bool read_only) {
 void Connection::FinishTxnObservation(bool committed) {
   tenant_ref_.Release();
   int64_t latency_us = NowMicros() - txn_start_us_;
-  obs::Increment(committed ? m_db_commit_ : m_db_abort_);
-  obs::Observe(m_txn_latency_us_, latency_us);
+  obs::Increment(committed ? controller_->m_txn_commit_
+                           : controller_->m_txn_abort_);
+  obs::Observe(controller_->m_txn_latency_us_, latency_us);
   controller_->load_monitor_.RecordTxn(db_name_, latency_us, wrote_,
                                        committed);
   obs::TraceCollector::Global().FinishTrace(trace_id_, committed);
@@ -1013,8 +988,8 @@ Status Connection::EnsureBegun(int machine_id) {
     if (NowMicros() + wait_us > deadline_us) {
       return status;  // budget exhausted: surface the throttle to the caller
     }
-    obs::Increment(m_backoff_);
-    obs::Observe(m_backoff_wait_us_, wait_us);
+    obs::Increment(controller_->m_backoff_);
+    obs::Observe(controller_->m_backoff_wait_us_, wait_us);
     std::this_thread::sleep_for(std::chrono::microseconds(wait_us));
     backoff_us = std::min(backoff_us * 2,
                           std::max<int64_t>(policy.max_backoff_us, 1));
@@ -1114,7 +1089,7 @@ Result<sql::QueryResult> Connection::ExecuteRead(
         begun_machines_.erase(machine_id);
         if (sticky_read_machine_ == machine_id) sticky_read_machine_ = -1;
         last = begun;
-        obs::Increment(m_read_retry_);
+        obs::Increment(controller_->m_read_retry_);
         continue;  // pick another replica
       }
       // A throttled Begin (kResourceExhausted past the retry budget) is NOT
@@ -1150,7 +1125,7 @@ Result<sql::QueryResult> Connection::ExecuteRead(
         return status;
       }
       last = status;
-      obs::Increment(m_read_retry_);
+      obs::Increment(controller_->m_read_retry_);
       continue;  // pick another replica
     }
     Poison(status);
@@ -1366,7 +1341,8 @@ Status Connection::CommitInternal() {
           });
     }
     barrier->Wait();
-    obs::Observe(m_2pc_prepare_us_, NowMicros() - prepare_start_us);
+    obs::Observe(controller_->m_2pc_prepare_us_,
+                 NowMicros() - prepare_start_us);
   }
   std::vector<int> prepared;
   Status veto = Status::OK();
@@ -1414,7 +1390,8 @@ Status Connection::CommitInternal() {
               txn, [barrier](net::RpcResponse) { barrier->Done(); });
     }
     barrier->Wait();
-    obs::Observe(m_2pc_commit_us_, NowMicros() - commit_start_us);
+    obs::Observe(controller_->m_2pc_commit_us_,
+                 NowMicros() - commit_start_us);
   }
   controller_->ForgetCommitDecision(txn);
   active_ = false;

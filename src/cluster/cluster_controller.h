@@ -196,8 +196,8 @@ class Connection {
   void Poison(const Status& status);
   Status poison_status() const;
 
-  // Closes the transaction observability-wise: per-db counters, latency,
-  // LoadMonitor feedback, and the trace record.
+  // Closes the transaction observability-wise: commit/abort counters,
+  // latency, LoadMonitor feedback, and the trace record.
   void FinishTxnObservation(bool committed);
 
   ClusterController* controller_;
@@ -215,19 +215,9 @@ class Connection {
   uint64_t snapshot_ts_ = 0;
   bool snapshot_read_done_ = false;
   // Trace of the current transaction (0 outside transactions) and its start
-  // time for the per-database latency histogram.
+  // time for the transaction latency histogram.
   uint64_t trace_id_ = 0;
   int64_t txn_start_us_ = 0;
-  // Per-database metric series, resolved once at connection construction
-  // (a connection is bound to one database for life).
-  obs::Counter* m_db_commit_ = nullptr;
-  obs::Counter* m_db_abort_ = nullptr;
-  obs::Counter* m_read_retry_ = nullptr;
-  obs::Counter* m_backoff_ = nullptr;
-  Histogram* m_backoff_wait_us_ = nullptr;
-  Histogram* m_txn_latency_us_ = nullptr;
-  Histogram* m_2pc_prepare_us_ = nullptr;
-  Histogram* m_2pc_commit_us_ = nullptr;
   int sticky_read_machine_ = -1;  // Option 2 anchor for the current txn
   // Catalog pin held for the life of each transaction: a tenant with an
   // in-flight transaction is never evicted from resident state.
@@ -250,9 +240,9 @@ class Connection {
 // The fault-tolerant cluster controller of Sections 2–3: connection manager,
 // read-one-write-all replicator, 2PC coordinator, Algorithm-1 copy
 // coordinator, and (with sla::*) SLA-driven placement driver. Runs as a
-// process pair: controller state (replica map, copy states, commit
-// decisions) is mirrored synchronously to a hot-standby image, and
-// SimulateControllerFailover() exercises the backup's takeover path.
+// process pair: 2PC commit decisions are mirrored synchronously to a
+// hot-standby image, and SimulateControllerFailover() exercises the backup's
+// takeover path.
 //
 // All transaction work reaches machines exclusively through net::MachineClient
 // RPCs; the controller compiles against the RPC surface, not the engine.
@@ -397,13 +387,9 @@ class ClusterController {
  private:
   friend class Connection;
 
-  // Hot-standby mirror of controller state (the process pair's backup).
-  // The replica map mirrors the catalog's durable records; per-tenant cost
-  // is one vector<int>, so it scales with tenant count like the catalog
-  // itself. mtdblint: allow(tenant-map) mirrored durable placement state,
-  // bounded by tenant count (erased in DropDatabase).
+  // Hot-standby mirror of controller state (the process pair's backup):
+  // the commit decisions SimulateControllerFailover resolves 2PC with.
   struct BackupImage {
-    std::map<std::string, std::vector<int>> replica_map;
     std::set<uint64_t> commit_decisions;
   };
 
@@ -425,8 +411,6 @@ class ClusterController {
   // Alive-filter without holding the catalog shard lock: snapshots the
   // record via the catalog, then filters under mu_.
   std::vector<int> AliveReplicas(const std::vector<int>& replicas) const;
-  // Read targets per Algorithm 1: alive replicas excluding the copy target.
-  Result<std::vector<int>> ReadTargets(const std::string& db_name) const;
   // Write targets per Algorithm 1; returns kRejected for a table being
   // copied (and bumps the rejection counter).
   Result<std::vector<int>> WriteTargets(const std::string& db_name,
@@ -471,6 +455,16 @@ class ClusterController {
 
   obs::LoadMonitor load_monitor_;
   obs::Counter* m_failover_ = nullptr;
+  // Transaction series every Connection records into: process-wide totals,
+  // resolved once here. Per-tenant load is load_monitor_'s job.
+  obs::Counter* m_txn_commit_ = nullptr;
+  obs::Counter* m_txn_abort_ = nullptr;
+  obs::Counter* m_read_retry_ = nullptr;
+  obs::Counter* m_backoff_ = nullptr;
+  Histogram* m_backoff_wait_us_ = nullptr;
+  Histogram* m_txn_latency_us_ = nullptr;
+  Histogram* m_2pc_prepare_us_ = nullptr;
+  Histogram* m_2pc_commit_us_ = nullptr;
 
   // The sharded tenant catalog: durable records (placement, quota, copy
   // state) plus evictable resident state (prepared registrations). Has its

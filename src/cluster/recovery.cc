@@ -64,7 +64,7 @@ RecoveryResult RecoveryManager::RecoverDatabase(const std::string& db_name,
                             .status;
   result.duration_us = watch.ElapsedMicros();
   obs::Observe(obs::MetricsRegistry::Global().GetHistogram(
-                   "mtdb_recovery_copy_us", {.database = db_name}),
+                   "mtdb_recovery_copy_us", {}),
                result.duration_us);
   return result;
 }

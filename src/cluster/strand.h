@@ -46,48 +46,6 @@ class Strand {
   std::thread thread_;
 };
 
-// A counting semaphore used to model per-machine execution parallelism
-// (number of "cores" a machine devotes to query processing).
-class Semaphore {
- public:
-  explicit Semaphore(int permits) : permits_(permits) {}
-
-  void Acquire() MTDB_EXCLUDES(mu_) {
-    platform::UniqueLock lock(mu_);
-    while (permits_ <= 0) cv_.Wait(lock);
-    --permits_;
-  }
-
-  void Release() MTDB_EXCLUDES(mu_) {
-    {
-      platform::Guard lock(mu_);
-      ++permits_;
-    }
-    cv_.NotifyOne();
-  }
-
- private:
-  platform::Mutex mu_{"cluster/Semaphore::mu"};
-  platform::CondVar cv_;
-  int permits_ MTDB_GUARDED_BY(mu_);
-};
-
-// RAII permit holder.
-class SemaphoreGuard {
- public:
-  explicit SemaphoreGuard(Semaphore* semaphore) : semaphore_(semaphore) {
-    if (semaphore_ != nullptr) semaphore_->Acquire();
-  }
-  ~SemaphoreGuard() {
-    if (semaphore_ != nullptr) semaphore_->Release();
-  }
-  SemaphoreGuard(const SemaphoreGuard&) = delete;
-  SemaphoreGuard& operator=(const SemaphoreGuard&) = delete;
-
- private:
-  Semaphore* semaphore_;
-};
-
 }  // namespace mtdb
 
 #endif  // MTDB_CLUSTER_STRAND_H_

@@ -1,7 +1,5 @@
 #include "src/net/inproc_transport.h"
 
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "src/cluster/strand.h"
@@ -58,11 +56,6 @@ class InProcTransport::InProcChannel : public Channel {
                    << " to machine " << machine_id_;
       return;  // the caller's deadline watchdog answers eventually
     }
-    int64_t delay_us = transport_->EvaluateLatency(machine_id_, request);
-    if (delay_us > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-    }
-
     MachineService* service = transport_->Lookup(machine_id_);
     RpcResponse response =
         service == nullptr
@@ -116,11 +109,6 @@ void InProcTransport::SetFaultHook(FaultHook hook) {
   fault_hook_ = std::move(hook);
 }
 
-void InProcTransport::SetLatencyHook(LatencyHook hook) {
-  platform::Guard lock(mu_);
-  latency_hook_ = std::move(hook);
-}
-
 void InProcTransport::PartitionMachine(int machine_id) {
   platform::Guard lock(mu_);
   partitioned_.insert(machine_id);
@@ -146,16 +134,6 @@ InProcTransport::Fault InProcTransport::EvaluateFault(
     hook = fault_hook_;
   }
   return hook ? hook(machine_id, request) : Fault::kDeliver;
-}
-
-int64_t InProcTransport::EvaluateLatency(int machine_id,
-                                         const RpcRequest& request) const {
-  LatencyHook hook;
-  {
-    platform::Guard lock(mu_);
-    hook = latency_hook_;
-  }
-  return hook ? hook(machine_id, request) : 0;
 }
 
 }  // namespace mtdb::net

@@ -26,7 +26,6 @@ namespace mtdb::net {
 //    the service sees it (lost request), or execute it but drop the reply
 //    (lost response — the dangerous 2PC case: the participant has voted but
 //    the coordinator never hears it).
-//  * SetLatencyHook adds per-request delivery delay.
 //  * PartitionMachine makes a machine unreachable (every call times out at
 //    the client) until HealMachine.
 // Hooks run inside the channel's strand, after the request is already
@@ -40,8 +39,6 @@ class InProcTransport : public Transport {
   };
 
   using FaultHook = std::function<Fault(int machine_id, const RpcRequest&)>;
-  using LatencyHook =
-      std::function<int64_t(int machine_id, const RpcRequest&)>;
 
   InProcTransport() = default;
 
@@ -50,7 +47,6 @@ class InProcTransport : public Transport {
   std::string name() const override { return "inproc"; }
 
   void SetFaultHook(FaultHook hook);
-  void SetLatencyHook(LatencyHook hook);
 
   // Cuts / restores all delivery to one machine (requests and replies).
   void PartitionMachine(int machine_id);
@@ -70,13 +66,11 @@ class InProcTransport : public Transport {
   // partitions. Looks up the service; null means unreachable.
   MachineService* Lookup(int machine_id) const;
   Fault EvaluateFault(int machine_id, const RpcRequest& request) const;
-  int64_t EvaluateLatency(int machine_id, const RpcRequest& request) const;
 
   mutable platform::Mutex mu_{"net/InProcTransport::mu"};
   std::map<int, MachineService*> services_ MTDB_GUARDED_BY(mu_);
   std::set<int> partitioned_ MTDB_GUARDED_BY(mu_);
   FaultHook fault_hook_ MTDB_GUARDED_BY(mu_);
-  LatencyHook latency_hook_ MTDB_GUARDED_BY(mu_);
   std::atomic<int64_t> delivered_{0};
 };
 

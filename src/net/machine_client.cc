@@ -46,7 +46,9 @@ const ClientRpcMetrics& MetricsForType(RpcType type) {
 
 MachineClient::MachineClient(Transport* transport, RpcOptions options)
     : transport_(transport), options_(options) {
-  watchdog_ = std::thread([this] { WatchdogLoop(); });
+  if (options_.call_timeout_us > 0) {
+    watchdog_ = std::thread([this] { WatchdogLoop(); });
+  }
 }
 
 MachineClient::~MachineClient() {
@@ -365,16 +367,19 @@ void MachineClient::CallWithDeadline(Channel* channel, int machine_id,
   state->start_us = NowMicros();
 
   if (options_.call_timeout_us > 0) {
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::microseconds(options_.call_timeout_us);
-    {
-      platform::Guard lock(watchdog_mu_);
-      deadlines_.emplace(deadline, state);
-    }
-    watchdog_cv_.NotifyAll();
+    // Stamped under the lock; WatchdogLoop relies on it to never need a
+    // wake-up when a call is armed.
+    platform::Guard lock(watchdog_mu_);
+    state->deadline = deadlines_.emplace(
+        std::chrono::steady_clock::now() +
+            std::chrono::microseconds(options_.call_timeout_us),
+        state);
   }
 
-  channel->Call(request, [state](RpcResponse response) {
+  // `this` outlives every reply: a channel drains before its owner (a
+  // Session, a control channel or a synchronous call) goes, and none of
+  // those outlives the client.
+  channel->Call(request, [this, state](RpcResponse response) {
     ResponseHandler handler;
     {
       platform::Guard lock(state->mu);
@@ -382,6 +387,7 @@ void MachineClient::CallWithDeadline(Channel* channel, int machine_id,
       state->done = true;
       handler = std::move(state->handler);
     }
+    Disarm(state.get());
     int64_t elapsed_us = NowMicros() - state->start_us;
     const ClientRpcMetrics& metrics = MetricsForType(state->type);
     obs::Increment(metrics.calls);
@@ -412,15 +418,29 @@ RpcResponse MachineClient::CallSync(Channel* channel, int machine_id,
   return future.get();
 }
 
+void MachineClient::Disarm(CallState* state) {
+  platform::Guard lock(watchdog_mu_);
+  if (!state->deadline.has_value()) return;
+  deadlines_.erase(*state->deadline);
+  state->deadline.reset();
+}
+
+size_t MachineClient::armed_deadlines() const {
+  platform::Guard lock(watchdog_mu_);
+  return deadlines_.size();
+}
+
 void MachineClient::WatchdogLoop() {
+  const auto timeout = std::chrono::microseconds(options_.call_timeout_us);
   platform::UniqueLock lock(watchdog_mu_);
   while (!watchdog_stop_) {
-    if (deadlines_.empty()) {
-      watchdog_cv_.Wait(lock);
-      continue;
-    }
-    auto next = deadlines_.begin()->first;
-    if (watchdog_cv_.WaitUntil(lock, next) == std::cv_status::no_timeout &&
+    // Every call has the same timeout and stamps its deadline under this
+    // lock, so a call armed while the watchdog sleeps expires no earlier
+    // than the wake-up chosen here (the earliest armed deadline, or one
+    // timeout from now when none is armed): arming never wakes the watchdog.
+    auto wake = deadlines_.empty() ? std::chrono::steady_clock::now() + timeout
+                                   : deadlines_.begin()->first;
+    if (watchdog_cv_.WaitUntil(lock, wake) == std::cv_status::no_timeout &&
         watchdog_stop_) {
       break;
     }
@@ -428,6 +448,7 @@ void MachineClient::WatchdogLoop() {
     std::vector<std::shared_ptr<CallState>> expired;
     while (!deadlines_.empty() && deadlines_.begin()->first <= now) {
       expired.push_back(std::move(deadlines_.begin()->second));
+      expired.back()->deadline.reset();
       deadlines_.erase(deadlines_.begin());
     }
     if (expired.empty()) continue;
@@ -456,10 +477,12 @@ void MachineClient::WatchdogLoop() {
         span.code = StatusCode::kUnavailable;
         obs::TraceCollector::Global().RecordSpan(span);
       }
+      // Declare the machine failed before completing the call, so a caller
+      // woken by the kUnavailable reply already sees the failure.
+      OnTimeout(machine_id);
       handler(RpcResponse::FromStatus(Status::Unavailable(
           "rpc deadline exceeded (machine " + std::to_string(machine_id) +
           ")")));
-      OnTimeout(machine_id);
     }
     lock.lock();
   }

@@ -7,6 +7,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -153,7 +154,15 @@ class MachineClient {
   // recovered into a new process); the next control call reconnects.
   void ResetControlChannel(int machine_id);
 
+  // Calls whose deadline is armed: sent and neither answered nor expired.
+  size_t armed_deadlines() const;
+
  private:
+  struct CallState;
+  using DeadlineMap =
+      std::multimap<std::chrono::steady_clock::time_point,
+                    std::shared_ptr<CallState>>;
+
   // Exactly-once completion record shared by the reply path and the
   // watchdog; whichever gets there first consumes the handler.
   struct CallState {
@@ -166,6 +175,9 @@ class MachineClient {
     RpcType type = RpcType::kHealth;
     uint64_t trace_id = 0;
     int64_t start_us = 0;  // send time, for the client-side latency metric
+    // This call's entry in deadlines_ while armed (guarded by the client's
+    // watchdog_mu_, which the analysis cannot name from here).
+    std::optional<DeadlineMap::iterator> deadline;
   };
 
   // Issues the call on `channel` with the deadline armed.
@@ -177,6 +189,8 @@ class MachineClient {
   RpcResponse ControlCall(int machine_id, const RpcRequest& request);
   Channel* ControlChannel(int machine_id);
 
+  // Removes an answered call's deadline, if the watchdog has not taken it.
+  void Disarm(CallState* state);
   void WatchdogLoop();
   void OnTimeout(int machine_id);
 
@@ -188,11 +202,9 @@ class MachineClient {
       MTDB_GUARDED_BY(mu_);
   TimeoutListener timeout_listener_ MTDB_GUARDED_BY(mu_);
 
-  platform::Mutex watchdog_mu_{"net/MachineClient::watchdog_mu"};
+  mutable platform::Mutex watchdog_mu_{"net/MachineClient::watchdog_mu"};
   platform::CondVar watchdog_cv_;
-  std::multimap<std::chrono::steady_clock::time_point,
-                std::shared_ptr<CallState>>
-      deadlines_ MTDB_GUARDED_BY(watchdog_mu_);
+  DeadlineMap deadlines_ MTDB_GUARDED_BY(watchdog_mu_);
   bool watchdog_stop_ MTDB_GUARDED_BY(watchdog_mu_) = false;
   std::thread watchdog_;
 };

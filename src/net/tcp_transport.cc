@@ -11,6 +11,7 @@
 #include <cstring>
 #include <deque>
 #include <utility>
+#include <vector>
 
 #include "src/common/logging.h"
 #include "src/platform/mutex.h"
@@ -153,10 +154,21 @@ void TcpServer::Stop() {
   std::vector<std::thread> threads;
   {
     platform::Guard lock(mu_);
-    for (int fd : connection_fds_) ::shutdown(fd, SHUT_RDWR);
-    threads.swap(connection_threads_);
+    for (auto& [fd, thread] : connections_) {
+      ::shutdown(fd, SHUT_RDWR);
+      threads.push_back(std::move(thread));
+    }
+    connections_.clear();
+    threads.push_back(std::move(finished_));
   }
-  for (auto& t : threads) t.join();
+  for (auto& t : threads) {
+    if (t.joinable()) t.join();
+  }
+}
+
+size_t TcpServer::connection_count() const {
+  platform::Guard lock(mu_);
+  return connections_.size() + (finished_.joinable() ? 1 : 0);
 }
 
 void TcpServer::AcceptLoop() {
@@ -173,8 +185,7 @@ void TcpServer::AcceptLoop() {
       ::close(fd);
       break;
     }
-    connection_fds_.push_back(fd);
-    connection_threads_.emplace_back([this, fd] { ServeConnection(fd); });
+    connections_.emplace(fd, std::thread([this, fd] { ServeConnection(fd); }));
   }
 }
 
@@ -195,7 +206,17 @@ void TcpServer::ServeConnection(int fd) {
     EncodeResponseFrame(response, &reply);
     if (!WriteAll(fd, reply.data(), reply.size())) break;
   }
-  ::close(fd);
+  std::thread predecessor;
+  {
+    platform::Guard lock(mu_);
+    ::close(fd);
+    auto it = connections_.find(fd);
+    if (it != connections_.end()) {  // else Stop owns this thread already
+      predecessor = std::exchange(finished_, std::move(it->second));
+      connections_.erase(it);
+    }
+  }
+  if (predecessor.joinable()) predecessor.join();
 }
 
 // --- TcpTransport ---

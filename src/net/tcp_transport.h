@@ -7,7 +7,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "src/net/transport.h"
 #include "src/platform/mutex.h"
@@ -37,6 +36,10 @@ class TcpServer {
   // Shuts the listener, closes live connections, joins all threads.
   void Stop();
 
+  // Connections whose thread has not been joined yet: the open ones plus at
+  // most one that has finished.
+  size_t connection_count() const;
+
  private:
   void AcceptLoop();
   void ServeConnection(int fd);
@@ -46,9 +49,14 @@ class TcpServer {
   std::atomic<int> listen_fd_{-1};
   uint16_t port_ = 0;
   std::thread accept_thread_;
-  platform::Mutex mu_{"net/TcpServer::mu"};
-  std::vector<std::thread> connection_threads_ MTDB_GUARDED_BY(mu_);
-  std::vector<int> connection_fds_ MTDB_GUARDED_BY(mu_);
+  mutable platform::Mutex mu_{"net/TcpServer::mu"};
+  // Open connections' threads by socket fd. A connection closes its fd and
+  // leaves this map in one critical section, so every fd here is open and
+  // Stop never shuts down a reused number.
+  std::map<int, std::thread> connections_ MTDB_GUARDED_BY(mu_);
+  // The last connection thread to finish; the next one to finish (or Stop)
+  // joins it, so finished threads never pile up.
+  std::thread finished_ MTDB_GUARDED_BY(mu_);
 };
 
 // Client-side transport: one TCP connection per channel, pipelined. Call

@@ -15,53 +15,36 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
-std::string MetricsRegistry::LabelKey(const MetricLabels& labels) {
-  std::string key;
-  key.reserve(labels.machine.size() + labels.database.size() +
-              labels.operation.size() + 2);
-  key.append(labels.machine);
-  key.push_back('\x1f');
-  key.append(labels.database);
-  key.push_back('\x1f');
-  key.append(labels.operation);
-  return key;
-}
-
 namespace {
 
-// Shared lookup-or-insert over the three family map shapes. Returns a
-// stable pointer; falls back to the family rollup series once the
-// cardinality bound is hit (eviction of idle databases' series frees slots
-// again, so a family saturating the cap is a transient, not a terminal,
-// state).
-template <typename FamilyMap, typename Series>
-Series* GetSeries(platform::SharedMutex& mu, FamilyMap& families,
-                  const std::string& name, const MetricLabels& labels,
-                  const std::string& key) {
+template <typename Series>
+using FamilyMap = std::map<std::string, std::map<MetricLabels, Series>>;
+
+// Shared lookup-or-insert over the three family maps: a reader-locked
+// lookup, then a writer-locked insert on first use.
+template <typename Series>
+Series* GetSeries(platform::SharedMutex& mu, FamilyMap<Series>& families,
+                  const std::string& name, const MetricLabels& labels) {
   {
     platform::ReaderGuard read(mu);
     auto family_it = families.find(name);
     if (family_it != families.end()) {
-      auto series_it = family_it->second.series.find(key);
-      if (series_it != family_it->second.series.end()) {
-        return series_it->second.get();
-      }
-      if (family_it->second.series.size() >=
-          MetricsRegistry::kMaxSeriesPerFamily) {
-        return &family_it->second.rollup;
-      }
+      auto series_it = family_it->second.find(labels);
+      if (series_it != family_it->second.end()) return &series_it->second;
     }
   }
   platform::WriterGuard write(mu);
-  auto& family = families[name];
-  auto series_it = family.series.find(key);
-  if (series_it != family.series.end()) return series_it->second.get();
-  if (family.series.size() >= MetricsRegistry::kMaxSeriesPerFamily) {
-    return &family.rollup;
-  }
-  auto inserted = family.series.emplace(key, std::make_unique<Series>());
-  family.labels.emplace(key, labels);
-  return inserted.first->second.get();
+  return &families[name].try_emplace(labels).first->second;
+}
+
+// The series of one exact label tuple, or null; the caller holds the lock.
+template <typename Series>
+const Series* FindSeries(const FamilyMap<Series>& families,
+                         const std::string& name, const MetricLabels& labels) {
+  auto family_it = families.find(name);
+  if (family_it == families.end()) return nullptr;
+  auto series_it = family_it->second.find(labels);
+  return series_it == family_it->second.end() ? nullptr : &series_it->second;
 }
 
 void AppendLabels(std::ostringstream& out, const MetricLabels& labels) {
@@ -72,7 +55,6 @@ void AppendLabels(std::ostringstream& out, const MetricLabels& labels) {
     any = true;
   };
   emit("machine", labels.machine);
-  emit("database", labels.database);
   emit("operation", labels.operation);
   if (any) out << "}";
 }
@@ -81,161 +63,71 @@ void AppendLabels(std::ostringstream& out, const MetricLabels& labels) {
 
 Counter* MetricsRegistry::GetCounter(const std::string& name,
                                      const MetricLabels& labels) {
-  return GetSeries<decltype(counters_), Counter>(mu_, counters_, name, labels,
-                                                 LabelKey(labels));
+  return GetSeries(mu_, counters_, name, labels);
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name,
                                  const MetricLabels& labels) {
-  return GetSeries<decltype(gauges_), Gauge>(mu_, gauges_, name, labels,
-                                             LabelKey(labels));
+  return GetSeries(mu_, gauges_, name, labels);
 }
 
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          const MetricLabels& labels) {
-  return GetSeries<decltype(histograms_), Histogram>(mu_, histograms_, name,
-                                                     labels, LabelKey(labels));
+  return GetSeries(mu_, histograms_, name, labels);
 }
 
 int64_t MetricsRegistry::SumCounter(const std::string& name) const {
   platform::ReaderGuard read(mu_);
   auto it = counters_.find(name);
   if (it == counters_.end()) return 0;
-  int64_t total = it->second.rollup.Value();
-  for (const auto& [key, counter] : it->second.series) {
-    total += counter->Value();
-  }
-  // Graveyarded series were folded into the rollup and reset at eviction,
-  // so adding their (post-eviction) residue never double-counts.
-  for (const auto& counter : it->second.graveyard) {
-    total += counter->Value();
-  }
+  int64_t total = 0;
+  for (const auto& [labels, counter] : it->second) total += counter.Value();
   return total;
 }
 
 int64_t MetricsRegistry::CounterValue(const std::string& name,
                                       const MetricLabels& labels) const {
   platform::ReaderGuard read(mu_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) return 0;
-  // The rollup series is addressable under the same pseudo-label the
-  // Snapshot/TextDump expositions use for it.
-  if (labels.machine.empty() && labels.operation.empty() &&
-      labels.database == kRollupDatabase) {
-    return it->second.rollup.Value();
-  }
-  auto series_it = it->second.series.find(LabelKey(labels));
-  return series_it == it->second.series.end() ? 0
-                                              : series_it->second->Value();
+  const Counter* counter = FindSeries(counters_, name, labels);
+  return counter == nullptr ? 0 : counter->Value();
 }
 
 int64_t MetricsRegistry::GaugeValue(const std::string& name,
                                     const MetricLabels& labels) const {
   platform::ReaderGuard read(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) return 0;
-  if (labels.machine.empty() && labels.operation.empty() &&
-      labels.database == kRollupDatabase) {
-    return it->second.rollup.Value();
-  }
-  auto series_it = it->second.series.find(LabelKey(labels));
-  return series_it == it->second.series.end() ? 0
-                                              : series_it->second->Value();
+  const Gauge* gauge = FindSeries(gauges_, name, labels);
+  return gauge == nullptr ? 0 : gauge->Value();
 }
 
 std::vector<SeriesSnapshot> MetricsRegistry::Snapshot() const {
   std::vector<SeriesSnapshot> out;
+  auto add = [&out](const std::string& name, const MetricLabels& labels,
+                    SeriesSnapshot::Kind kind) -> SeriesSnapshot& {
+    SeriesSnapshot& snap = out.emplace_back();
+    snap.name = name;
+    snap.labels = labels;
+    snap.kind = kind;
+    return snap;
+  };
   platform::ReaderGuard read(mu_);
   for (const auto& [name, family] : counters_) {
-    for (const auto& [key, counter] : family.series) {
-      SeriesSnapshot snap;
-      snap.name = name;
-      snap.labels = family.labels.at(key);
-      snap.kind = SeriesSnapshot::Kind::kCounter;
-      snap.value = counter->Value();
-      out.push_back(std::move(snap));
-    }
-    if (int64_t rolled = family.rollup.Value(); rolled != 0) {
-      SeriesSnapshot snap;
-      snap.name = name;
-      snap.labels.database = kRollupDatabase;
-      snap.kind = SeriesSnapshot::Kind::kCounter;
-      snap.value = rolled;
-      out.push_back(std::move(snap));
+    for (const auto& [labels, counter] : family) {
+      add(name, labels, SeriesSnapshot::Kind::kCounter).value =
+          counter.Value();
     }
   }
   for (const auto& [name, family] : gauges_) {
-    for (const auto& [key, gauge] : family.series) {
-      SeriesSnapshot snap;
-      snap.name = name;
-      snap.labels = family.labels.at(key);
-      snap.kind = SeriesSnapshot::Kind::kGauge;
-      snap.value = gauge->Value();
-      out.push_back(std::move(snap));
-    }
-    if (int64_t rolled = family.rollup.Value(); rolled != 0) {
-      SeriesSnapshot snap;
-      snap.name = name;
-      snap.labels.database = kRollupDatabase;
-      snap.kind = SeriesSnapshot::Kind::kGauge;
-      snap.value = rolled;
-      out.push_back(std::move(snap));
+    for (const auto& [labels, gauge] : family) {
+      add(name, labels, SeriesSnapshot::Kind::kGauge).value = gauge.Value();
     }
   }
   for (const auto& [name, family] : histograms_) {
-    for (const auto& [key, histogram] : family.series) {
-      SeriesSnapshot snap;
-      snap.name = name;
-      snap.labels = family.labels.at(key);
-      snap.kind = SeriesSnapshot::Kind::kHistogram;
-      snap.histogram = histogram->Snapshot();
-      out.push_back(std::move(snap));
-    }
-    if (family.rollup.count() != 0) {
-      SeriesSnapshot snap;
-      snap.name = name;
-      snap.labels.database = kRollupDatabase;
-      snap.kind = SeriesSnapshot::Kind::kHistogram;
-      snap.histogram = family.rollup.Snapshot();
-      out.push_back(std::move(snap));
+    for (const auto& [labels, histogram] : family) {
+      add(name, labels, SeriesSnapshot::Kind::kHistogram).histogram =
+          histogram.Snapshot();
     }
   }
   return out;
-}
-
-void MetricsRegistry::EvictDatabaseSeries(const std::string& database) {
-  if (database.empty()) return;
-  platform::WriterGuard write(mu_);
-  auto evict = [&](auto& families, const auto& fold) {
-    for (auto& [name, family] : families) {
-      for (auto it = family.labels.begin(); it != family.labels.end();) {
-        if (it->second.database != database) {
-          ++it;
-          continue;
-        }
-        auto series_it = family.series.find(it->first);
-        fold(family, *series_it->second);
-        family.graveyard.push_back(std::move(series_it->second));
-        family.series.erase(series_it);
-        it = family.labels.erase(it);
-      }
-    }
-  };
-  evict(counters_, [](CounterFamily& family, Counter& counter) {
-    // Fold-then-reset keeps SumCounter lossless: the history moves to the
-    // rollup, and only post-eviction increments remain on the graveyarded
-    // object.
-    family.rollup.Add(counter.Value());
-    counter.Reset();
-  });
-  evict(gauges_, [](GaugeFamily&, Gauge& gauge) {
-    // Instantaneous state of an idle tenant: dropping it is the truth.
-    gauge.Reset();
-  });
-  evict(histograms_, [](HistogramFamily& family, Histogram& histogram) {
-    family.rollup.Merge(histogram);
-    histogram.Reset();
-  });
 }
 
 std::string MetricsRegistry::TextDump() const {
@@ -258,19 +150,13 @@ std::string MetricsRegistry::TextDump() const {
 void MetricsRegistry::ResetForTest() {
   platform::WriterGuard write(mu_);
   for (auto& [name, family] : counters_) {
-    family.rollup.Reset();
-    for (auto& [key, counter] : family.series) counter->Reset();
-    for (auto& counter : family.graveyard) counter->Reset();
+    for (auto& [labels, counter] : family) counter.Reset();
   }
   for (auto& [name, family] : gauges_) {
-    family.rollup.Reset();
-    for (auto& [key, gauge] : family.series) gauge->Reset();
-    for (auto& gauge : family.graveyard) gauge->Reset();
+    for (auto& [labels, gauge] : family) gauge.Reset();
   }
   for (auto& [name, family] : histograms_) {
-    family.rollup.Reset();
-    for (auto& [key, histogram] : family.series) histogram->Reset();
-    for (auto& histogram : family.graveyard) histogram->Reset();
+    for (auto& [labels, histogram] : family) histogram.Reset();
   }
 }
 

@@ -2,36 +2,30 @@
 #define MTDB_OBS_METRICS_H_
 
 // Process-wide metrics registry: counters, gauges, and latency histograms
-// with {machine, database, operation} labels.
+// with {machine, operation} labels.
 //
 // Design goals, in order:
 //  1. Hot-path recording must be cheap. Callers resolve a series once
 //     (GetCounter/GetHistogram at setup time) and then record through the
 //     returned pointer: a counter increment is one relaxed atomic add on a
 //     cache-line-padded shard, a histogram observation takes the histogram's
-//     own mutex (uncontended in practice because series are per-machine).
+//     own mutex for a few instructions.
 //  2. Recording must be safe from any thread at any time. Series pointers
-//     are stable for the process lifetime (node-based maps of unique_ptr,
+//     are stable for the process lifetime (node-based maps that never erase,
 //     registry is a leaked singleton), so instrumented code never touches a
 //     dangling pointer even during shutdown.
-//  3. Cardinality is bounded. Each family caps distinct label tuples at
-//     kMaxSeriesPerFamily; past that, recordings fold into a per-family
-//     rollup series (exposed with labels {database: "_rollup"}) instead of
-//     growing without bound — the aggregate survives even when the
-//     individual attribution does not. Per-database series of idle tenants
-//     can be evicted (EvictDatabaseSeries) to reclaim label space: counter
-//     and histogram contents fold into the rollup, and the series object
-//     moves to a family graveyard so pointers cached by instrumented code
-//     stay valid. Recordings through such stale pointers still count toward
-//     SumCounter; the next Get* for the same tuple mints a fresh series.
+//  3. Cardinality is bounded by construction. The only label values are
+//     machine names and fixed operation names, so no family grows with the
+//     number of tenants and no series is ever retired. Per-tenant load lives
+//     in obs::LoadMonitor, which the tenant catalog evicts with the tenant.
 //
 // Metrics can be disabled at runtime (MetricsRegistry::SetEnabled(false))
 // or compiled out entirely with -DMTDB_NO_METRICS=1 (cmake -DMTDB_METRICS=OFF),
 // which turns every Increment/Observe into a no-op the optimizer deletes.
 #include <atomic>
+#include <compare>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,14 +37,16 @@
 namespace mtdb::obs {
 
 // Label tuple identifying one series within a metric family. Empty labels
-// are omitted from dumps. Keep cardinality low: machine and database names,
-// RPC type names — never row keys or SQL text.
+// are omitted from dumps. Both label sets are fixed by the deployment and the
+// code: machine names and operation (RPC type) names — never tenant names,
+// row keys or SQL text.
 struct MetricLabels {
   // Default member initializers keep partial designated initialization
-  // ({.database = ...}) clean under -Wextra's missing-field warning.
+  // ({.machine = ...}) clean under -Wextra's missing-field warning.
   std::string machine{};
-  std::string database{};
   std::string operation{};
+
+  auto operator<=>(const MetricLabels&) const = default;
 };
 
 // Monotonic counter, sharded across cache-line-padded atomics so concurrent
@@ -108,13 +104,6 @@ struct SeriesSnapshot {
 
 class MetricsRegistry {
  public:
-  // Distinct label tuples allowed per family before recordings fold into the
-  // family's rollup series (labels {database: "_rollup"}).
-  static constexpr size_t kMaxSeriesPerFamily = 512;
-  // Pseudo-database label the rollup series is exposed (and addressable via
-  // CounterValue/GaugeValue) under.
-  static constexpr const char* kRollupDatabase = "_rollup";
-
   // Process-wide registry; never destroyed, so series pointers handed to
   // instrumented code stay valid through static destruction.
   static MetricsRegistry& Global();
@@ -146,19 +135,9 @@ class MetricsRegistry {
   std::vector<SeriesSnapshot> Snapshot() const;
 
   // Text exposition, one series per line:
-  //   name{machine="m0",database="shop"} 42
+  //   name{machine="m0"} 42
   //   name{operation="kPrepare"} count=10 mean=130.0 p50=120 p99=400 max=412
   std::string TextDump() const;
-
-  // Retires every series labeled {database == `database`} across all
-  // families, reclaiming label-space for other tenants. Counter values and
-  // histogram contents fold into the family rollup (so family aggregates
-  // are lossless across eviction); gauges are instantaneous state of a
-  // now-idle tenant and are simply dropped. The series objects move to a
-  // per-family graveyard — never freed, so pointers cached by instrumented
-  // code stay valid, and counter increments through them still reach
-  // SumCounter. Called by the tenant catalog's eviction sweep.
-  void EvictDatabaseSeries(const std::string& database);
 
   // Zeroes every registered series (the series themselves stay registered so
   // cached pointers remain live). Test-only.
@@ -167,43 +146,24 @@ class MetricsRegistry {
  private:
   MetricsRegistry() = default;
 
-  // The graveyard keeps evicted series objects alive for pointer stability;
-  // its growth is bounded by eviction traffic, and each entry is one series
-  // (tens of bytes) versus the map nodes + label strings reclaimed.
-  struct CounterFamily {
-    std::map<std::string, std::unique_ptr<Counter>> series;
-    std::map<std::string, MetricLabels> labels;
-    Counter rollup;
-    std::vector<std::unique_ptr<Counter>> graveyard;
-  };
-  struct GaugeFamily {
-    std::map<std::string, std::unique_ptr<Gauge>> series;
-    std::map<std::string, MetricLabels> labels;
-    Gauge rollup;
-    std::vector<std::unique_ptr<Gauge>> graveyard;
-  };
-  struct HistogramFamily {
-    std::map<std::string, std::unique_ptr<Histogram>> series;
-    std::map<std::string, MetricLabels> labels;
-    Histogram rollup;
-    std::vector<std::unique_ptr<Histogram>> graveyard;
-  };
-
-  static std::string LabelKey(const MetricLabels& labels);
+  // One metric family: its series by label tuple. A map node never moves,
+  // so the address of a series is stable.
+  template <typename Series>
+  using Family = std::map<MetricLabels, Series>;
 
 #if !defined(MTDB_NO_METRICS)
   static std::atomic<bool> enabled_;
 #endif
 
   mutable platform::SharedMutex mu_{"obs/MetricsRegistry::mu"};
-  // Keyed by metric *name* (bounded by the code); the per-tenant dimension
-  // inside each family is capped at kMaxSeriesPerFamily and evicted via
-  // EvictDatabaseSeries. mtdblint: allow(tenant-map)
-  std::map<std::string, CounterFamily> counters_ MTDB_GUARDED_BY(mu_);
-  // mtdblint: allow(tenant-map)
-  std::map<std::string, GaugeFamily> gauges_ MTDB_GUARDED_BY(mu_);
-  // mtdblint: allow(tenant-map)
-  std::map<std::string, HistogramFamily> histograms_ MTDB_GUARDED_BY(mu_);
+  // Keyed by metric name, a fixed set in the code; the series inside a
+  // family are keyed by machine and operation labels, fixed sets too, so
+  // these maps never grow with tenants. mtdblint: allow(tenant-map)
+  std::map<std::string, Family<Counter>> counters_ MTDB_GUARDED_BY(mu_);
+  // Metric names and fixed label sets, as above. mtdblint: allow(tenant-map)
+  std::map<std::string, Family<Gauge>> gauges_ MTDB_GUARDED_BY(mu_);
+  // Metric names and fixed label sets, as above. mtdblint: allow(tenant-map)
+  std::map<std::string, Family<Histogram>> histograms_ MTDB_GUARDED_BY(mu_);
 };
 
 // Hot-path recording helpers: tolerate null series (instrumentation not yet

@@ -3,7 +3,12 @@
 namespace mtdb::qos {
 
 AdmissionController::AdmissionController(const Options& options)
-    : options_(options) {}
+    : options_(options) {
+  if (!options_.machine.empty()) {
+    m_throttled_ = obs::MetricsRegistry::Global().GetCounter(
+        "mtdb_qos_throttled_total", {.machine = options_.machine});
+  }
+}
 
 AdmissionController::Entry& AdmissionController::EntryLocked(
     const std::string& db) {
@@ -14,11 +19,6 @@ AdmissionController::Entry& AdmissionController::EntryLocked(
     if (entry.spec.rate_tps > 0) {
       entry.bucket = std::make_unique<TokenBucket>(entry.spec.rate_tps,
                                                    entry.spec.burst);
-    }
-    if (!options_.machine.empty()) {
-      entry.throttled = obs::MetricsRegistry::Global().GetCounter(
-          "mtdb_qos_throttled_total",
-          {.machine = options_.machine, .database = db});
     }
   }
   return entry;
@@ -49,7 +49,6 @@ QuotaSpec AdmissionController::GetQuota(const std::string& db) const {
 AdmitDecision AdmissionController::AdmitTxn(const std::string& db,
                                             int64_t now_us) {
   TokenBucket* bucket;
-  obs::Counter* throttled;
   {
     platform::Guard lock(mu_);
     Entry& entry = EntryLocked(db);
@@ -61,12 +60,11 @@ AdmitDecision AdmissionController::AdmitTxn(const std::string& db,
     }
     entry.last_admit_us = now_us;
     bucket = entry.bucket.get();
-    throttled = entry.throttled;
   }
   if (bucket == nullptr) return {};
   AdmitDecision decision;
   decision.admitted = bucket->TryAcquire(now_us, &decision.retry_after_us);
-  if (!decision.admitted) obs::Increment(throttled);
+  if (!decision.admitted) obs::Increment(m_throttled_);
   return decision;
 }
 

@@ -26,7 +26,7 @@ class AdmissionController {
  public:
   struct Options {
     QuotaSpec default_quota{};
-    // Label for throttle counters; empty disables metrics.
+    // Label for the throttle counter; empty disables metrics.
     std::string machine{};
   };
 
@@ -61,12 +61,13 @@ class AdmissionController {
     bool explicit_quota = false;  // spec came from SetQuota, keep it
     std::unique_ptr<TokenBucket> bucket;  // null when unlimited or evicted
     int64_t last_admit_us = 0;
-    obs::Counter* throttled = nullptr;
   };
 
   Entry& EntryLocked(const std::string& db) MTDB_REQUIRES(mu_);
 
   const Options options_;
+  // mtdb_qos_throttled_total{machine}; null when options_.machine is empty.
+  obs::Counter* m_throttled_ = nullptr;
   mutable platform::Mutex mu_{"qos/AdmissionController::mu"};
   // Per-database, but bounded: entries without an explicit quota are erased
   // by Evict, and explicit quotas are themselves catalog-driven.

@@ -196,12 +196,6 @@ void Engine::BumpSchemaVersion(const std::string& db_name) {
   }
 }
 
-uint64_t Engine::SchemaVersion(const std::string& db_name) const {
-  platform::Guard lock(plan_mu_);
-  auto it = schema_versions_.find(db_name);
-  return it == schema_versions_.end() ? 0 : it->second;
-}
-
 void Engine::EvictTenantPlans(const std::string& db_name) {
   platform::Guard lock(plan_mu_);
   schema_versions_.erase(db_name);

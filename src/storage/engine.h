@@ -113,11 +113,6 @@ class Engine {
   Status DropTable(const std::string& db_name, const std::string& table_name);
 
   // --- SQL planning (DESIGN.md §9) ---
-  // Monotone per-database schema version, bumped by every DDL (CREATE
-  // TABLE/INDEX, DROP). Versions are drawn from one engine-wide counter so a
-  // dropped-and-recreated database never repeats a version. 0 = unknown db.
-  uint64_t SchemaVersion(const std::string& db_name) const;
-
   // Parses + plans `sql` against `db_name`, serving repeated calls from a
   // bounded plan cache keyed (db, sql text) and validated against the
   // database's schema version — any DDL invalidates, and a statement whose

@@ -179,14 +179,4 @@ Result<Value> Value::DecodeFrom(std::string_view* data) {
   }
 }
 
-std::string RowToString(const Row& row) {
-  std::string out = "(";
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += row[i].ToString();
-  }
-  out += ")";
-  return out;
-}
-
 }  // namespace mtdb

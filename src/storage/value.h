@@ -88,8 +88,6 @@ class Value {
 // A row is a flat vector of values, positionally matching a table schema.
 using Row = std::vector<Value>;
 
-std::string RowToString(const Row& row);
-
 }  // namespace mtdb
 
 #endif  // MTDB_STORAGE_VALUE_H_

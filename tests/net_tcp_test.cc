@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/cluster/cluster_controller.h"
@@ -147,6 +150,33 @@ TEST_F(NetTcpTest, DeadServerSurfacesAsUnavailableNotHang) {
       remotes_[0]->machine.engine()->GetDatabase("db")->GetTable("t")->Get(
           Value(int64_t{1}));
   EXPECT_TRUE(stored.has_value());
+}
+
+TEST_F(NetTcpTest, ClosedConnectionsAreReaped) {
+  // Connection-per-request clients: every closed connection's server thread
+  // must be joined, not parked until Stop.
+  StartCluster(1);
+  net::TcpServer& server = remotes_[0]->server;
+  for (int i = 0; i < 64; ++i) {
+    std::promise<net::RpcResponse> reply;
+    std::future<net::RpcResponse> answered = reply.get_future();
+    std::unique_ptr<net::Channel> channel = transport_.OpenChannel(0);
+    net::RpcRequest request;
+    request.type = net::RpcType::kHealth;
+    channel->Call(request, [&reply](net::RpcResponse response) {
+      reply.set_value(std::move(response));
+    });
+    ASSERT_TRUE(answered.get().ok());
+  }
+  // Each server thread sees its client's close asynchronously.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.connection_count() > 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_LE(server.connection_count(), 1u);
+  server.Stop();
+  EXPECT_EQ(server.connection_count(), 0u);
 }
 
 }  // namespace

@@ -202,6 +202,17 @@ TEST_F(NetTransportTest, WalDeltaReadProbeCountsInClientRpcMetrics) {
             calls_before + 1);
 }
 
+TEST_F(NetTransportTest, AnsweredCallsReleaseTheirDeadlines) {
+  // A reply disarms its call's deadline at once: answered calls must not
+  // sit in the watchdog's map until their deadline passes.
+  Build(ClusterControllerOptions{});
+  net::MachineClient* client = controller_->machine_client();
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(client->Health(i % 3).ok());
+  }
+  EXPECT_EQ(client->armed_deadlines(), 0u);
+}
+
 TEST_F(NetTransportTest, DroppedControlRequestSurfacesAsUnavailable) {
   Build(ClusterControllerOptions{});
   net::InProcTransport* transport = controller_->inproc_transport();

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,92 +51,39 @@ TEST(ObsMetricsTest, ConcurrentResolveAndRecordIsSafe) {
   auto& registry = MetricsRegistry::Global();
   constexpr int kThreads = 8;
   constexpr int kOps = 2'000;
-  registry.GetCounter("test_resolve_total", {.database = "db0"})->Reset();
+  registry.GetCounter("test_resolve_total", {.machine = "m0"})->Reset();
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&registry, t] {
+    workers.emplace_back([&registry] {
       for (int i = 0; i < kOps; ++i) {
-        MetricLabels labels{.database = "db" + std::to_string(i % 4)};
+        MetricLabels labels{.machine = "m" + std::to_string(i % 4)};
         obs::Increment(registry.GetCounter("test_resolve_total", labels));
-        (void)t;
       }
     });
   }
   for (auto& w : workers) w.join();
   int64_t total = 0;
-  for (int d = 0; d < 4; ++d) {
+  for (int m = 0; m < 4; ++m) {
     total += registry.CounterValue("test_resolve_total",
-                                   {.database = "db" + std::to_string(d)});
+                                   {.machine = "m" + std::to_string(m)});
   }
   EXPECT_EQ(total, int64_t{kThreads} * kOps);
-}
-
-TEST(ObsMetricsTest, CardinalityIsBoundedPerFamily) {
-  auto& registry = MetricsRegistry::Global();
-  // Resolve far more label tuples than the per-family cap; the registry must
-  // stop minting new series and fold the excess into the family rollup.
-  const size_t kAttempts = MetricsRegistry::kMaxSeriesPerFamily + 100;
-  for (size_t i = 0; i < kAttempts; ++i) {
-    MetricLabels labels{.operation = "op" + std::to_string(i)};
-    obs::Increment(registry.GetCounter("test_cardinality_total", labels));
-  }
-  // Past-the-cap tuples all landed on the shared rollup series (addressed by
-  // the reserved database label, so nothing is silently dropped).
-  int64_t rollup = registry.CounterValue(
-      "test_cardinality_total",
-      {.database = MetricsRegistry::kRollupDatabase});
-  EXPECT_EQ(rollup, 100);
-  // In-cap tuples kept their own series.
-  EXPECT_EQ(registry.CounterValue("test_cardinality_total",
-                                  {.operation = "op0"}),
-            1);
-}
-
-TEST(ObsMetricsTest, EvictDatabaseSeriesFoldsWithoutLosingCounts) {
-  auto& registry = MetricsRegistry::Global();
-  for (int d = 0; d < 3; ++d) {
-    obs::Increment(
-        registry.GetCounter("test_evict_total",
-                            {.database = "app" + std::to_string(d)}),
-        10);
-  }
-  ASSERT_EQ(registry.SumCounter("test_evict_total"), 30);
-
-  // Evicting one database's series folds its count into the family rollup:
-  // the family total is lossless across eviction.
-  registry.EvictDatabaseSeries("app1");
-  EXPECT_EQ(registry.SumCounter("test_evict_total"), 30);
-  EXPECT_EQ(registry.CounterValue(
-                "test_evict_total",
-                {.database = MetricsRegistry::kRollupDatabase}),
-            10);
-  // The per-database series is gone; a fresh one mints from zero on reuse.
-  EXPECT_EQ(registry.CounterValue("test_evict_total", {.database = "app1"}),
-            0);
-  obs::Increment(registry.GetCounter("test_evict_total", {.database = "app1"}),
-                 5);
-  EXPECT_EQ(registry.SumCounter("test_evict_total"), 35);
-
-  // Untouched databases keep their own series.
-  EXPECT_EQ(registry.CounterValue("test_evict_total", {.database = "app0"}),
-            10);
+  EXPECT_EQ(registry.SumCounter("test_resolve_total"), total);
 }
 
 TEST(ObsMetricsTest, TextDumpFormatsLabelsAndHistograms) {
   auto& registry = MetricsRegistry::Global();
-  registry.GetCounter("test_dump_total", {.machine = "m1", .database = "shop"})
-      ->Reset();
-  obs::Increment(
-      registry.GetCounter("test_dump_total",
-                          {.machine = "m1", .database = "shop"}),
-      42);
+  MetricLabels labels{.machine = "m1", .operation = "Commit"};
+  registry.GetCounter("test_dump_total", labels)->Reset();
+  obs::Increment(registry.GetCounter("test_dump_total", labels), 42);
   Histogram* hist = registry.GetHistogram("test_dump_us", {.operation = "Get"});
   hist->Record(100);
   hist->Record(300);
 
   std::string dump = registry.TextDump();
-  EXPECT_NE(dump.find("test_dump_total{machine=\"m1\",database=\"shop\"} 42"),
-            std::string::npos)
+  EXPECT_NE(
+      dump.find("test_dump_total{machine=\"m1\",operation=\"Commit\"} 42"),
+      std::string::npos)
       << dump;
   EXPECT_NE(dump.find("test_dump_us{operation=\"Get\"} count=2"),
             std::string::npos)
@@ -213,12 +161,18 @@ TEST(ObsMetricsTest, ScopedTimerRecordsElapsed) {
 }
 
 // End-to-end: a TPC-W-style paced load over the in-proc RPC stack must leave
-// non-zero 2PC phase latencies and per-database commit counters behind, and
-// the LoadMonitor's throughput estimate must line up with the pace we drove.
+// non-zero 2PC phase latencies and the controller's commit counter behind,
+// and the LoadMonitor's per-tenant throughput estimate must line up with the
+// pace we drove.
 TEST(ObsMetricsTest, PacedLoadFeedsCountersAndLoadMonitor) {
   auto& registry = MetricsRegistry::Global();
-  MetricLabels shop{.database = "shop"};
-  int64_t commits_before = registry.CounterValue("mtdb_txn_commit_total", shop);
+  // The controller's series are unlabeled process totals; the engines'
+  // series of the same names carry machine labels.
+  int64_t commits_before = registry.CounterValue("mtdb_txn_commit_total", {});
+  int64_t prepares_before =
+      registry.GetHistogram("mtdb_2pc_prepare_us", {})->count();
+  int64_t phase2_before =
+      registry.GetHistogram("mtdb_2pc_commit_us", {})->count();
 
   ClusterController controller{ClusterControllerOptions{}};
   controller.AddMachine();
@@ -250,16 +204,16 @@ TEST(ObsMetricsTest, PacedLoadFeedsCountersAndLoadMonitor) {
     std::this_thread::sleep_until(start + kPeriod);
   }
 
-  // Per-database commit counter advanced by exactly the committed count.
-  EXPECT_EQ(registry.CounterValue("mtdb_txn_commit_total", shop),
+  // The controller's commit counter advanced by exactly the committed count.
+  EXPECT_EQ(registry.CounterValue("mtdb_txn_commit_total", {}),
             commits_before + kTxns);
   // Both 2PC phases saw every write transaction and measured real time.
   HistogramSnapshot prepare =
-      registry.GetHistogram("mtdb_2pc_prepare_us", shop)->Snapshot();
+      registry.GetHistogram("mtdb_2pc_prepare_us", {})->Snapshot();
   HistogramSnapshot commit =
-      registry.GetHistogram("mtdb_2pc_commit_us", shop)->Snapshot();
-  EXPECT_GE(prepare.count, kTxns);
-  EXPECT_GE(commit.count, kTxns);
+      registry.GetHistogram("mtdb_2pc_commit_us", {})->Snapshot();
+  EXPECT_GE(prepare.count, prepares_before + kTxns);
+  EXPECT_GE(commit.count, phase2_before + kTxns);
   EXPECT_GT(prepare.mean, 0.0);
   EXPECT_GT(commit.mean, 0.0);
 
@@ -283,6 +237,51 @@ TEST(ObsMetricsTest, PacedLoadFeedsCountersAndLoadMonitor) {
   auto demands = controller.load_monitor()->Demands(/*replicas=*/2);
   ASSERT_FALSE(demands.empty());
   EXPECT_EQ(demands[0].name, "shop");
+}
+
+// A large number of small tenants must cost the registry nothing: with the
+// catalog keeping 16 of 300 tenants resident, connecting to and committing
+// on every tenant mints no series beyond those the first tenant needed, and
+// no label carries a tenant name.
+TEST(ObsMetricsTest, TenantChurnMintsNoSeries) {
+  auto& registry = MetricsRegistry::Global();
+  ClusterControllerOptions options;
+  options.catalog.max_resident = 16;
+  ClusterController controller{options};
+  controller.AddMachine();
+  controller.AddMachine();
+
+  constexpr int kTenants = 300;
+  std::set<std::string> tenants;
+  size_t series_after_first = 0;
+  for (int t = 0; t < kTenants; ++t) {
+    std::string name = "churn_tenant_" + std::to_string(t);
+    tenants.insert(name);
+    ASSERT_TRUE(controller.CreateDatabase(name).ok());
+    ASSERT_TRUE(controller
+                    .ExecuteDdl(name,
+                                "CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
+                    .ok());
+    auto conn = controller.Connect(name);
+    ASSERT_TRUE(conn->Begin().ok());
+    ASSERT_TRUE(conn->Execute("INSERT INTO kv VALUES (?, ?)",
+                              {Value(int64_t{1}), Value(int64_t{t})})
+                    .ok());
+    ASSERT_TRUE(conn->Execute("SELECT v FROM kv WHERE k = ?",
+                              {Value(int64_t{1})})
+                    .ok());
+    ASSERT_TRUE(conn->Commit().ok());
+    if (t == 0) series_after_first = registry.Snapshot().size();
+  }
+  // The churn really evicted tenants, so eviction paths ran too.
+  EXPECT_GT(registry.SumCounter("mtdb_catalog_evictions_total"), 0);
+
+  std::vector<obs::SeriesSnapshot> series = registry.Snapshot();
+  EXPECT_EQ(series.size(), series_after_first);
+  for (const obs::SeriesSnapshot& snap : series) {
+    EXPECT_EQ(tenants.count(snap.labels.machine), 0u) << snap.name;
+    EXPECT_EQ(tenants.count(snap.labels.operation), 0u) << snap.name;
+  }
 }
 
 TEST(ObsMetricsTest, LoadMonitorWindowDecaysToZero) {

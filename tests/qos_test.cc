@@ -335,8 +335,8 @@ TEST_F(QosClusterTest, ThrottleFloodNeverTriggersFailover) {
   auto& registry = obs::MetricsRegistry::Global();
   int64_t failovers_before =
       registry.SumCounter("mtdb_machine_failover_total");
-  int64_t throttled_before = registry.CounterValue(
-      "mtdb_qos_throttled_total", {.machine = "m0", .database = "app"});
+  int64_t throttled_before =
+      registry.CounterValue("mtdb_qos_throttled_total", {.machine = "m0"});
 
   std::atomic<int64_t> throttled_seen{0};
   std::atomic<int64_t> other_failures{0};
@@ -363,10 +363,9 @@ TEST_F(QosClusterTest, ThrottleFloodNeverTriggersFailover) {
             failovers_before)
       << "a throttled response triggered machine failover";
   EXPECT_FALSE(controller_->machine(0)->failed());
-  EXPECT_GT(registry.CounterValue(
-                "mtdb_qos_throttled_total",
-                {.machine = "m0", .database = "app"}),
-            throttled_before);
+  EXPECT_GT(
+      registry.CounterValue("mtdb_qos_throttled_total", {.machine = "m0"}),
+      throttled_before);
 }
 
 // With a retry budget, the connection honors retry_after_us and every
@@ -381,16 +380,15 @@ TEST_F(QosClusterTest, BackoffRetriesAbsorbAModestOverrun) {
 
   auto& registry = obs::MetricsRegistry::Global();
   int64_t backoffs_before =
-      registry.CounterValue("mtdb_qos_backoff_total", {.database = "app"});
+      registry.CounterValue("mtdb_qos_backoff_total", {});
 
   auto conn = controller_->Connect("app");
   for (int i = 0; i < 20; ++i) {
     auto result = conn->Execute("SELECT v FROM t WHERE id = 1");
     ASSERT_TRUE(result.ok()) << result.status().ToString();
   }
-  EXPECT_GT(
-      registry.CounterValue("mtdb_qos_backoff_total", {.database = "app"}),
-      backoffs_before)
+  EXPECT_GT(registry.CounterValue("mtdb_qos_backoff_total", {}),
+            backoffs_before)
       << "20 txns at 200 tps/burst 1 should have backed off at least once";
 }
 

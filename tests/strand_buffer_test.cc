@@ -120,31 +120,6 @@ TEST(StrandTest, ConcurrentSubmittersAllExecute) {
   EXPECT_EQ(executed, 200);
 }
 
-TEST(SemaphoreTest, LimitsConcurrency) {
-  Semaphore semaphore(2);
-  std::atomic<int> inside{0};
-  std::atomic<int> peak{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 6; ++t) {
-    threads.emplace_back([&] {
-      SemaphoreGuard guard(&semaphore);
-      int now = ++inside;
-      int expected = peak.load();
-      while (now > expected && !peak.compare_exchange_weak(expected, now)) {
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      --inside;
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_LE(peak.load(), 2);
-  EXPECT_GE(peak.load(), 1);
-}
-
-TEST(SemaphoreTest, NullGuardIsNoop) {
-  SemaphoreGuard guard(nullptr);  // must not crash
-}
-
 TEST(BufferCacheTest, DisabledCacheAlwaysHits) {
   BufferCache cache(0);
   for (uint64_t p = 0; p < 100; ++p) EXPECT_TRUE(cache.Touch(p));

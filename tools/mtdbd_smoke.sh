@@ -4,7 +4,8 @@
 # sockets, and shut the daemon down cleanly.
 #
 # After the smoke transaction, mtdbstat (found next to mtdbd, or passed as
-# the second argument) must report non-zero commit counters from the daemon.
+# the second argument) must report non-zero commit counters from the daemon,
+# and 200 more mtdbstat connections must grow its VmSize by at most 128 MB.
 #
 # usage: tools/mtdbd_smoke.sh path/to/mtdbd [path/to/mtdbstat]
 set -euo pipefail
@@ -111,6 +112,24 @@ if [ -x "$MTDBSTAT" ]; then
     exit 1
   fi
   echo "mtdbstat --interval mode ok"
+
+  # Connection-per-request clients must not grow the daemon: every mtdbstat
+  # call opens and closes one TCP connection, and the server must reap the
+  # finished connection's thread (an unjoined thread keeps its stack mapped).
+  vmsize_kb() {
+    sed -n 's/^VmSize:[[:space:]]*\([0-9]*\) kB$/\1/p' "/proc/$SERVER_PID/status"
+  }
+  VMSIZE_BEFORE="$(vmsize_kb)"
+  for _ in $(seq 1 200); do
+    "$MTDBSTAT" "127.0.0.1:$PORT" > /dev/null
+  done
+  VMSIZE_AFTER="$(vmsize_kb)"
+  GROWTH_KB=$((VMSIZE_AFTER - VMSIZE_BEFORE))
+  echo "mtdbd VmSize grew by $GROWTH_KB kB over 200 mtdbstat connections"
+  if [ "$GROWTH_KB" -gt $((128 * 1024)) ]; then
+    echo "mtdbd VmSize grew by more than 128 MB: closed connections leak" >&2
+    exit 1
+  fi
 else
   echo "mtdbstat binary not found at $MTDBSTAT" >&2
   exit 1

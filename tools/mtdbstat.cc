@@ -12,8 +12,9 @@
 // name starts with PREFIX (e.g. --grep mtdb_mvcc_ to watch the version
 // store), in both one-shot and interval mode. --top N keeps only the N
 // largest scalar series — by value one-shot, by per-window delta with
-// --interval — which is how you find the hot tenants on a machine hosting
-// thousands of label series (histogram lines are dropped in --top mode).
+// --interval — which is how you find the busiest machines and operations
+// (histogram lines are dropped in --top mode). Series carry machine and
+// operation labels only; per-tenant load is the controller's LoadMonitor.
 // --watch WHAT is a named prefix shorthand; `--watch migrations` selects
 // the live-migration series (mtdb_rebalance_*: started/completed/aborted
 // counters, bytes copied, delta rounds, and the cutover pause histogram).
