@@ -14,7 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "src/cluster/serializability.h"
+#include "src/analysis/history.h"
 #include "src/common/clock.h"
 #include "src/common/random.h"
 #include "src/obs/metrics.h"
@@ -162,7 +162,7 @@ void BM_SerializabilityCheck(benchmark::State& state) {
     site2.push_back(std::move(t2));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(CheckSerializability({site1, site2}));
+    benchmark::DoNotOptimize(analysis::AuditHistories({site1, site2}));
   }
 }
 BENCHMARK(BM_SerializabilityCheck)->Arg(100)->Arg(1000);

@@ -172,7 +172,7 @@ IsolationOutcome RunIsolationOnce(IsolationMode mode, uint64_t round) {
   t2.join();
   t3.join();
 
-  SerializabilityReport report = controller.CheckClusterSerializability();
+  analysis::DsgReport report = controller.CheckClusterSerializability();
   IsolationOutcome outcome;
   outcome.serializable = report.serializable;
   outcome.read_only_in_cycle = report.read_only_in_cycle;

@@ -72,14 +72,11 @@ struct TenantRecord {
   CopyState copy;
   int64_t rejected_writes = 0;
   // QoS admission quota + WDRR weight, pushed to every replica (and
-  // re-pushed to copy targets on promotion). has_quota distinguishes "no
-  // quota configured" from "explicitly unlimited". `quota` keeps the base
-  // (SLA-derived) spec; live_rate_tps is the last rate actually pushed,
-  // which RefreshQuotasFromLoad may raise above the base as measured load
-  // grows.
+  // re-pushed to copy targets on promotion and to swap targets on
+  // migration). has_quota distinguishes "no quota configured" from
+  // "explicitly unlimited".
   qos::QuotaSpec quota;
   bool has_quota = false;
-  double live_rate_tps = 0;
   // Live-migration state machine (assigned only inside src/cluster/rebalance/
   // — see migration_state.h; the catalog itself only reads the phase).
   rebalance::MigrationState migration;

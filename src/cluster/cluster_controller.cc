@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <future>
 #include <thread>
 
@@ -14,6 +13,10 @@
 namespace mtdb {
 
 namespace {
+
+// Throttle backoff: the first wait, and the cap the doubling stops at.
+constexpr int64_t kInitialBackoffUs = 1'000;
+constexpr int64_t kMaxBackoffUs = 100'000;
 
 // The single table a write statement touches (the correctness of Algorithm 1
 // relies on SQL updates touching exactly one table).
@@ -435,7 +438,6 @@ Status ClusterController::CompleteCopy(const std::string& db_name) {
         new_replicas = record.replicas;
         if (record.has_quota) {
           quota = record.quota;
-          if (record.live_rate_tps > 0) quota.rate_tps = record.live_rate_tps;
           push_quota = true;
         }
       });
@@ -501,7 +503,6 @@ Status ClusterController::SwapReplica(const std::string& db_name,
     new_replicas = record.replicas;
     if (record.has_quota) {
       quota = record.quota;
-      if (record.live_rate_tps > 0) quota.rate_tps = record.live_rate_tps;
       push_quota = true;
     }
   });
@@ -516,8 +517,8 @@ Status ClusterController::SwapReplica(const std::string& db_name,
     machine_replica_load_[target_machine]++;
   }
   // The admission quota follows the tenant to its new home immediately;
-  // without this, the target would serve unthrottled until the next
-  // RefreshQuotasFromLoad pass noticed the move.
+  // without this, the target would serve it unthrottled, since nothing
+  // else re-pushes a quota.
   if (push_quota) {
     (void)client_->SetQuota(target_machine, db_name, quota.rate_tps,
                             quota.burst, quota.weight);
@@ -534,7 +535,6 @@ Status ClusterController::SetDatabaseQuota(const std::string& db_name,
       db_name, [&](catalog::TenantRecord& record) {
         record.quota = spec;
         record.has_quota = true;
-        record.live_rate_tps = spec.rate_tps;
         replicas = record.replicas;
       });
   MTDB_RETURN_IF_ERROR(found);
@@ -558,42 +558,6 @@ qos::QuotaSpec ClusterController::DatabaseQuota(
                         if (record.has_quota) spec = record.quota;
                       });
   return spec;
-}
-
-int ClusterController::RefreshQuotasFromLoad(double headroom) {
-  // Walk the catalog tenant by tenant: measure unlocked, mutate the record
-  // under its shard lock, push unlocked. No global lock is held across the
-  // sweep, so a refresh over 10^5 tenants never stalls routing.
-  int pushed = 0;
-  for (const std::string& db_name : catalog_.Names()) {
-    double measured = load_monitor_.TpsFor(db_name);
-    bool do_push = false;
-    qos::QuotaSpec spec;
-    std::vector<int> replicas;
-    (void)catalog_.With(
-        db_name, [&](catalog::TenantRecord& record) {
-          if (!record.has_quota || record.quota.rate_tps <= 0) return;
-          // Quotas only ever grow with observed demand; the SLA-derived
-          // base rate is the floor, so a quiet tenant keeps its full
-          // entitlement.
-          double rate = std::max(record.quota.rate_tps, measured * headroom);
-          double current = record.live_rate_tps > 0 ? record.live_rate_tps
-                                                    : record.quota.rate_tps;
-          if (std::abs(rate - current) <= 0.01 * current) return;
-          record.live_rate_tps = rate;
-          spec = record.quota;
-          spec.rate_tps = rate;
-          replicas = record.replicas;
-          do_push = true;
-        });
-    if (!do_push) continue;
-    ++pushed;
-    for (int machine_id : AliveReplicas(replicas)) {
-      (void)client_->SetQuota(machine_id, db_name, spec.rate_tps, spec.burst,
-                              spec.weight);
-    }
-  }
-  return pushed;
 }
 
 // --- Routing ---
@@ -815,8 +779,8 @@ ClusterController::CollectHistories() const {
   return histories;
 }
 
-SerializabilityReport ClusterController::CheckClusterSerializability() const {
-  return CheckSerializability(CollectHistories());
+analysis::DsgReport ClusterController::CheckClusterSerializability() const {
+  return analysis::AuditHistories(CollectHistories());
 }
 
 void ClusterController::SetLatencyInjector(LatencyInjector injector) {
@@ -895,10 +859,9 @@ Status Connection::BeginInternal(bool read_only) {
   if (cutover) {
     const ThrottleRetryPolicy& policy = controller_->options().throttle_retry;
     int64_t deadline_us = NowMicros() + std::max<int64_t>(policy.budget_us, 0);
-    int64_t backoff_us = std::max<int64_t>(policy.initial_backoff_us, 1);
+    int64_t backoff_us = kInitialBackoffUs;
     while (cutover) {
-      int64_t wait_us =
-          std::min(backoff_us, std::max<int64_t>(policy.max_backoff_us, 1));
+      int64_t wait_us = backoff_us;
       wait_us += static_cast<int64_t>(
           rng_.Uniform(static_cast<uint64_t>(wait_us / 2 + 1)));
       if (NowMicros() + wait_us > deadline_us) {
@@ -908,8 +871,7 @@ Status Connection::BeginInternal(bool read_only) {
       obs::Increment(controller_->m_backoff_);
       obs::Observe(controller_->m_backoff_wait_us_, wait_us);
       std::this_thread::sleep_for(std::chrono::microseconds(wait_us));
-      backoff_us = std::min(backoff_us * 2,
-                            std::max<int64_t>(policy.max_backoff_us, 1));
+      backoff_us = std::min(backoff_us * 2, kMaxBackoffUs);
       ref = controller_->catalog_.AcquireForTxn(db_name_, &cutover);
     }
   }
@@ -944,8 +906,7 @@ void Connection::FinishTxnObservation(bool committed) {
   obs::Increment(committed ? controller_->m_txn_commit_
                            : controller_->m_txn_abort_);
   obs::Observe(controller_->m_txn_latency_us_, latency_us);
-  controller_->load_monitor_.RecordTxn(db_name_, latency_us, wrote_,
-                                       committed);
+  controller_->load_monitor_.RecordTxn(db_name_, committed);
   obs::TraceCollector::Global().FinishTrace(trace_id_, committed);
   trace_id_ = 0;
   for (auto& [machine_id, session] : sessions_) {
@@ -957,7 +918,7 @@ Status Connection::EnsureBegun(int machine_id) {
   if (begun_machines_.count(machine_id) > 0) return Status::OK();
   const ThrottleRetryPolicy& policy = controller_->options().throttle_retry;
   int64_t deadline_us = NowMicros() + std::max<int64_t>(policy.budget_us, 0);
-  int64_t backoff_us = std::max<int64_t>(policy.initial_backoff_us, 1);
+  int64_t backoff_us = kInitialBackoffUs;
   for (;;) {
     // Synchronous: the reply carries the QoS admission verdict, and an op
     // must not be queued behind a Begin that may be bounced.
@@ -980,9 +941,8 @@ Status Connection::EnsureBegun(int machine_id) {
     // the failure/recovery path (failover would dogpile the tenant's load
     // onto a replica). Honor the wire retry_after_us hint under a capped
     // exponential backoff with jitter, against the SAME machine.
-    int64_t wait_us = std::max(response.retry_after_us, backoff_us);
-    wait_us = std::min(wait_us,
-                       std::max<int64_t>(policy.max_backoff_us, 1));
+    int64_t wait_us =
+        std::min(std::max(response.retry_after_us, backoff_us), kMaxBackoffUs);
     wait_us += static_cast<int64_t>(
         rng_.Uniform(static_cast<uint64_t>(wait_us / 2 + 1)));
     if (NowMicros() + wait_us > deadline_us) {
@@ -991,8 +951,7 @@ Status Connection::EnsureBegun(int machine_id) {
     obs::Increment(controller_->m_backoff_);
     obs::Observe(controller_->m_backoff_wait_us_, wait_us);
     std::this_thread::sleep_for(std::chrono::microseconds(wait_us));
-    backoff_us = std::min(backoff_us * 2,
-                          std::max<int64_t>(policy.max_backoff_us, 1));
+    backoff_us = std::min(backoff_us * 2, kMaxBackoffUs);
   }
 }
 

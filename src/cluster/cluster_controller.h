@@ -9,10 +9,10 @@
 #include <string>
 #include <vector>
 
+#include "src/analysis/history.h"
 #include "src/cluster/catalog/prepared_statement.h"
 #include "src/cluster/catalog/tenant_catalog.h"
 #include "src/cluster/machine.h"
-#include "src/cluster/serializability.h"
 #include "src/common/clock.h"
 #include "src/common/random.h"
 #include "src/common/result.h"
@@ -53,10 +53,9 @@ enum class WriteAckPolicy {
 // exponential backoff with jitter against the SAME machine. A throttled
 // machine is alive and answering — it must not be failed over (that would
 // dogpile the load onto a replica) and must never reach FailMachine, which is
-// reserved for silence (RPC deadline expiry).
+// reserved for silence (RPC deadline expiry). The waits start at 1 ms and
+// double up to a 100 ms cap.
 struct ThrottleRetryPolicy {
-  int64_t initial_backoff_us = 1'000;
-  int64_t max_backoff_us = 100'000;
   // Total time a transaction may spend backing off before the throttle
   // status surfaces to the caller. <= 0 disables retries (fail fast).
   int64_t budget_us = 2'000'000;
@@ -326,8 +325,7 @@ class ClusterController {
   // Atomically replaces `source_machine` with `target_machine` in db_name's
   // replica list. Positional swap, so primary_offset keeps naming the same
   // logical slot. The stored quota is pushed to the target — it joins with
-  // the tenant's admission limits already in force, closing the gap where
-  // placement changes outran RefreshQuotasFromLoad.
+  // the tenant's admission limits already in force.
   Status SwapReplica(const std::string& db_name, int source_machine,
                      int target_machine);
 
@@ -347,11 +345,14 @@ class ClusterController {
   int64_t total_deadlocks() const;
   // Per-site committed histories, for the serializability checker.
   std::vector<std::vector<CommittedTxnRecord>> CollectHistories() const;
-  SerializabilityReport CheckClusterSerializability() const;
+  // Audits the union of the per-site histories for a dependency cycle
+  // (Bernstein et al.: with read-one-write-all, global one-copy
+  // serializability == an acyclic global serialization graph).
+  analysis::DsgReport CheckClusterSerializability() const;
 
   // Live per-database load feedback: every finished connection transaction
-  // is reported here, and EstimateFor/DemandFor expose measured
-  // ResourceVectors to sla::Placement.
+  // is reported here, and EstimateFor exposes measured ResourceVectors to
+  // the rebalancer.
   obs::LoadMonitor* load_monitor() { return &load_monitor_; }
 
   // The sharded tenant catalog holding every per-tenant record (placement,
@@ -368,13 +369,6 @@ class ClusterController {
                           const qos::QuotaSpec& spec);
   // Returns the stored quota (zero-valued spec when none configured).
   qos::QuotaSpec DatabaseQuota(const std::string& db_name) const;
-  // Re-derives each quota-bearing database's admission rate from measured
-  // LoadMonitor throughput: rate = max(stored base rate, measured *
-  // headroom), pushed only when it moves by more than 1%. Returns the number
-  // of databases whose quota was re-pushed. Call periodically (e.g. from the
-  // placement loop) to let quotas track organic load growth instead of
-  // throttling a tenant at a stale ceiling.
-  int RefreshQuotasFromLoad(double headroom = 1.25);
 
   // Test hook: extra latency (us) applied per operation, keyed by the
   // connection label. `is_write` distinguishes read/write ops. Rides the

@@ -14,14 +14,10 @@ Machine::Machine(int id, MachineOptions options)
     queue_options.machine = name_;
     fair_queue_ = std::make_unique<qos::WeightedFairQueue>(queue_options);
   }
-  qos::AdmissionController::Options admission_options;
-  admission_options.default_quota = options_.qos.default_quota;
-  admission_options.machine = name_;
-  admission_ = std::make_unique<qos::AdmissionController>(admission_options);
-  overload_ =
-      std::make_unique<qos::OverloadDetector>(options_.qos.overload, name_);
-  m_shed_ = obs::MetricsRegistry::Global().GetCounter("mtdb_qos_shed_total",
-                                                      {.machine = name_});
+  admission_ = std::make_unique<qos::AdmissionController>(
+      qos::AdmissionController::Options{.machine = name_});
+  m_execute_us_ = obs::MetricsRegistry::Global().GetHistogram(
+      "mtdb_qos_execute_us", {.machine = name_});
 }
 
 std::shared_ptr<Engine> Machine::engine() const {
@@ -38,11 +34,6 @@ void Machine::Recover() {
 }
 
 qos::AdmitDecision Machine::AdmitBegin(const std::string& db) {
-  size_t depth = fair_queue_ != nullptr ? fair_queue_->queue_depth() : 0;
-  if (overload_->Evaluate(depth, NowMicros())) {
-    obs::Increment(m_shed_);
-    return {false, overload_->retry_after_us()};
-  }
   return admission_->AdmitTxn(db, NowMicros());
 }
 
@@ -56,7 +47,7 @@ qos::QuotaSpec Machine::GetQuota(const std::string& db) const {
 }
 
 void Machine::RecordExecuteLatency(int64_t latency_us) {
-  overload_->RecordExecute(latency_us);
+  obs::Observe(m_execute_us_, latency_us);
 }
 
 void Machine::EvictTenant(const std::string& db) {

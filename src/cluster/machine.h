@@ -8,9 +8,9 @@
 #include "src/platform/mutex.h"
 #include "src/cluster/strand.h"
 #include "src/common/resource.h"
+#include "src/obs/metrics.h"
 #include "src/qos/admission.h"
 #include "src/qos/fair_queue.h"
-#include "src/qos/overload.h"
 #include "src/qos/qos.h"
 #include "src/storage/engine.h"
 
@@ -26,18 +26,14 @@ struct MachineOptions {
   // Fixed execution cost charged per operation (models per-query CPU).
   int64_t base_op_latency_us = 0;
 
-  // Runtime QoS configuration.
+  // Runtime QoS configuration. Quotas are not configured here: the
+  // controller pushes them per database with kSetQuota.
   struct QosOptions {
-    // Admission quota for databases without an explicit kSetQuota;
-    // rate <= 0 (the default) means unlimited.
-    qos::QuotaSpec default_quota{};
     // Scheduling discipline for the bounded worker pool. kWeightedFair is
     // the default; kFifo reproduces the pre-QoS semaphore handoff (used by
     // bench/noisy_neighbor as the "QoS off" configuration).
     qos::WeightedFairQueue::Policy queue_policy =
         qos::WeightedFairQueue::Policy::kWeightedFair;
-    // Overload detection thresholds; both default to 0 = shedding disabled.
-    qos::OverloadDetector::Options overload{};
   };
   QosOptions qos;
 };
@@ -77,8 +73,7 @@ class Machine {
 
   int64_t base_op_latency_us() const { return options_.base_op_latency_us; }
 
-  // QoS admission point for one transaction Begin on `db`: evaluates the
-  // overload detector against the current queue depth, then charges the
+  // QoS admission point for one transaction Begin on `db`: charges the
   // database's token bucket. Called by MachineService before any engine
   // work, so a denied transaction leaves no state behind.
   qos::AdmitDecision AdmitBegin(const std::string& db);
@@ -88,18 +83,17 @@ class Machine {
   void SetQuota(const std::string& db, const qos::QuotaSpec& spec);
   qos::QuotaSpec GetQuota(const std::string& db) const;
 
-  // Feeds one execute latency sample to the overload detector.
+  // Records one execute latency sample (mtdb_qos_execute_us{machine}).
   void RecordExecuteLatency(int64_t latency_us);
 
   // Drops `db`'s rebuildable QoS and plan state on this machine: the
   // admission token bucket (only if idle long enough that the full-burst
   // rebuild is exact — see AdmissionController::Evict), the WDRR scheduler
-  // slot (only if no waiters are parked), and the engine's cached plans and
-  // schema-version entry. Driven by the controller's tenant-catalog
-  // eviction sweep; every piece reloads on the tenant's next transaction.
+  // slot (only if no waiters are parked and the weight is the default),
+  // and the engine's cached plans and schema-version entry. Driven by the
+  // controller's tenant-catalog eviction sweep; every piece reloads on the
+  // tenant's next transaction. Explicit quotas and weights stay.
   void EvictTenant(const std::string& db);
-
-  bool shedding() const { return overload_->shedding(); }
 
  private:
   int id_;
@@ -110,8 +104,7 @@ class Machine {
   std::atomic<bool> failed_{false};
   std::unique_ptr<qos::WeightedFairQueue> fair_queue_;
   std::unique_ptr<qos::AdmissionController> admission_;
-  std::unique_ptr<qos::OverloadDetector> overload_;
-  obs::Counter* m_shed_ = nullptr;
+  Histogram* m_execute_us_ = nullptr;
 };
 
 }  // namespace mtdb

@@ -7,6 +7,12 @@
 
 namespace mtdb::rebalance {
 
+namespace {
+// How far above the re-solved balanced bound the hottest machine may run
+// before a move is proposed.
+constexpr double kSlack = 1.05;
+}  // namespace
+
 double Utilization(const ResourceVector& load, const ResourceVector& capacity) {
   double u = 0.0;
   if (capacity.cpu > 0) u = std::max(u, load.cpu / capacity.cpu);
@@ -19,7 +25,7 @@ double Utilization(const ResourceVector& load, const ResourceVector& capacity) {
 }
 
 std::optional<MigrationPlan> FirstFitReplanner::Plan(
-    const ClusterLoadView& view) {
+    const ClusterLoadView& view) const {
   std::vector<const MachineLoad*> alive;
   for (const MachineLoad& m : view.machines) {
     if (m.alive) alive.push_back(&m);
@@ -77,7 +83,7 @@ std::optional<MigrationPlan> FirstFitReplanner::Plan(
   for (const TenantLoad& t : view.tenants) {
     balanced_max = std::max(balanced_max, Utilization(t.demand, capacity));
   }
-  if (hot_u <= balanced_max * options_.slack) return std::nullopt;
+  if (hot_u <= balanced_max * kSlack) return std::nullopt;
 
   // Greedy move: largest-demand tenant on the hottest machine, to the
   // coldest machine not already hosting it whose load after the move still

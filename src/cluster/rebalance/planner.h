@@ -55,42 +55,19 @@ struct MigrationPlan {
 // capacity is degenerate). The scalar the imbalance test runs on.
 double Utilization(const ResourceVector& load, const ResourceVector& capacity);
 
-// Strategy interface so placement research can swap planners without
-// touching the control loop or the migrator.
-class MigrationPlanner {
- public:
-  virtual ~MigrationPlanner() = default;
-
-  // Returns the single best move, or nullopt when the cluster is balanced
-  // enough that no move is worth its cost.
-  virtual std::optional<MigrationPlan> Plan(const ClusterLoadView& view) = 0;
-};
-
-// The seed planner: re-solves placement from scratch with the same
+// The planner: re-solves placement from scratch with the same
 // FirstFitPlacer the SLA layer uses (first-fit decreasing over measured
 // demands) as a feasibility check, then judges the hottest machine against
 // the balanced-placement lower bound — total demand spread evenly across the
 // alive machines, floored at the largest single (unsplittable) tenant. A
-// move is only proposed when the hottest machine exceeds that bound by a
-// configurable slack. The move itself is greedy: the largest-demand tenant
-// on the hottest machine goes to the coldest machine with room.
-struct FirstFitReplannerOptions {
-  // How far above the re-solved balanced bound the hottest machine may run
-  // before a move is proposed (1.05 = 5% slack).
-  double slack = 1.05;
-};
-
-class FirstFitReplanner : public MigrationPlanner {
+// move is only proposed when the hottest machine exceeds that bound by 5%
+// slack. The move itself is greedy: the largest-demand tenant on the
+// hottest machine goes to the coldest machine with room.
+class FirstFitReplanner {
  public:
-  using Options = FirstFitReplannerOptions;
-
-  explicit FirstFitReplanner(Options options = Options())
-      : options_(options) {}
-
-  std::optional<MigrationPlan> Plan(const ClusterLoadView& view) override;
-
- private:
-  Options options_;
+  // Returns the single best move, or nullopt when the cluster is balanced
+  // enough that no move is worth its cost.
+  std::optional<MigrationPlan> Plan(const ClusterLoadView& view) const;
 };
 
 }  // namespace mtdb::rebalance

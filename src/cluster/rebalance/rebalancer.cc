@@ -21,14 +21,8 @@ obs::Counter* TicksCounter() {
 }  // namespace
 
 Rebalancer::Rebalancer(ClusterController* controller,
-                       RebalancerOptions options,
-                       std::unique_ptr<MigrationPlanner> planner)
-    : controller_(controller),
-      options_(options),
-      planner_(planner != nullptr
-                   ? std::move(planner)
-                   : std::make_unique<FirstFitReplanner>()),
-      migrator_(controller, options.migrator) {
+                       RebalancerOptions options)
+    : controller_(controller), options_(options), migrator_(controller) {
   RegisterRebalanceMetrics();
 }
 
@@ -96,7 +90,7 @@ Status Rebalancer::Tick() {
   if (++sustain_count_ < options_.sustain_ticks) return Status::OK();
   // Imbalance sustained: plan, and execute at most one migration.
   sustain_count_ = 0;
-  std::optional<MigrationPlan> plan = planner_->Plan(view);
+  std::optional<MigrationPlan> plan = planner_.Plan(view);
   if (!plan.has_value()) return Status::OK();
   cooldown_left_ = options_.cooldown_ticks;
   Status migrated = migrator_.Migrate(*plan);

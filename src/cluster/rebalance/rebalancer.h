@@ -19,7 +19,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <thread>
 
 #include "src/cluster/rebalance/planner.h"
@@ -44,15 +43,11 @@ struct RebalancerOptions {
   int sustain_ticks = 3;
   // Ticks to sit out after an executed migration (cooldown).
   int cooldown_ticks = 4;
-  // Passed through to the migrator.
-  MigratorOptions migrator;
 };
 
 class Rebalancer {
  public:
-  // `planner` may be null: defaults to FirstFitReplanner.
-  Rebalancer(ClusterController* controller, RebalancerOptions options = {},
-             std::unique_ptr<MigrationPlanner> planner = nullptr);
+  Rebalancer(ClusterController* controller, RebalancerOptions options = {});
   ~Rebalancer();
 
   Rebalancer(const Rebalancer&) = delete;
@@ -82,7 +77,7 @@ class Rebalancer {
 
   ClusterController* controller_;
   RebalancerOptions options_;
-  std::unique_ptr<MigrationPlanner> planner_;
+  FirstFitReplanner planner_;
   TenantMigrator migrator_;
 
   int sustain_count_ = 0;

@@ -24,6 +24,16 @@ namespace {
 constexpr uint64_t kMigrateDumpTxnBase = (1ull << 48) + (1ull << 47);
 std::atomic<uint64_t> migrate_dump_seq{0};
 
+// How long the cutover may wait for in-flight transactions to finish before
+// the migration aborts. Pins are bounded by the begin-throttle budget, so
+// this comfortably covers a full transaction.
+constexpr int64_t kDrainTimeoutUs = 5'000'000;
+constexpr int64_t kDrainPollUs = 200;
+// Delta catch-up stops when a round ships at most this many lines (the
+// remaining tail is shipped inside the cutover) or after this many rounds.
+constexpr size_t kDeltaSettleLines = 8;
+constexpr int kDeltaMaxRounds = 16;
+
 struct Metrics {
   obs::Counter* started;
   obs::Counter* completed;
@@ -184,13 +194,12 @@ Status TenantMigrator::FreezeAndDrain(const std::string& database) {
   if (!frozen.ok()) return frozen;
   // New begins are now refused (they back off and retry); wait out the
   // transactions that pinned the tenant before the freeze.
-  int64_t deadline_us = NowMicros() + options_.drain_timeout_us;
+  int64_t deadline_us = NowMicros() + kDrainTimeoutUs;
   while (controller_->tenant_catalog()->PinCount(database) > 0) {
     if (NowMicros() > deadline_us) {
       return Status::Aborted("cutover drain timed out for " + database);
     }
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(std::max<int64_t>(options_.drain_poll_us, 1)));
+    std::this_thread::sleep_for(std::chrono::microseconds(kDrainPollUs));
   }
   // Writes routed before the freeze may still be in flight past their pin
   // release on abort paths; the recovery machinery's quiescence barrier
@@ -218,7 +227,7 @@ Status TenantMigrator::MigrateLive(const MigrationPlan& plan,
       });
   if (!advanced.ok()) return Abort(plan, advanced, trace_id);
   phase_start_us = NowMicros();
-  for (int round = 0; round < options_.delta_max_rounds; ++round) {
+  for (int round = 0; round < kDeltaMaxRounds; ++round) {
     uint64_t frontier = 0;
     auto lines = client->WalDeltaRead(plan.source_machine, plan.database,
                                       wal_cursor, &frontier);
@@ -240,7 +249,7 @@ Status TenantMigrator::MigrateLive(const MigrationPlan& plan,
           record.migration.wal_cursor = wal_cursor;
         });
     if (!cursored.ok()) return Abort(plan, cursored, trace_id);
-    if (lines->size() <= options_.delta_settle_lines) break;
+    if (lines->size() <= kDeltaSettleLines) break;
   }
   RecordPhaseSpan(trace_id, plan.source_machine, "delta_catchup",
                   phase_start_us);

@@ -45,15 +45,6 @@ struct MigratorOptions {
   // Copy-cost model passed through to the dump RPCs (0 = as fast as the
   // engine goes).
   int64_t per_row_delay_us = 0;
-  // How long the cutover may wait for in-flight transactions to finish
-  // before the migration aborts. Pins are bounded by the begin-throttle
-  // budget, so the default comfortably covers a full transaction.
-  int64_t drain_timeout_us = 5'000'000;
-  int64_t drain_poll_us = 200;
-  // Delta catch-up stops when a round ships at most this many lines (the
-  // remaining tail is shipped inside the cutover) or after max_rounds.
-  size_t delta_settle_lines = 8;
-  int delta_max_rounds = 16;
 };
 
 class TenantMigrator {

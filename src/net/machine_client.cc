@@ -159,18 +159,6 @@ Channel* MachineClient::ControlChannel(int machine_id) {
   return it->second.get();
 }
 
-void MachineClient::ResetControlChannel(int machine_id) {
-  std::unique_ptr<Channel> dropped;
-  {
-    platform::Guard lock(mu_);
-    auto it = control_channels_.find(machine_id);
-    if (it == control_channels_.end()) return;
-    dropped = std::move(it->second);
-    control_channels_.erase(it);
-  }
-  // Destroyed outside mu_: channel teardown joins transport threads.
-}
-
 RpcResponse MachineClient::ControlCall(int machine_id,
                                        const RpcRequest& request) {
   return CallSync(ControlChannel(machine_id), machine_id, request);

@@ -63,8 +63,8 @@ class MachineClient {
 
     // Starts the engine-side transaction. The reply carries the QoS
     // admission verdict: kResourceExhausted + retry_after_us when the
-    // tenant is over quota or the machine is shedding, so the caller can
-    // back off and retry the *same* machine instead of failing over.
+    // tenant is over quota, so the caller can back off and retry the
+    // *same* machine instead of failing over.
     // `read_only` requests MVCC snapshot mode; the reply's snapshot_ts is
     // the engine-local snapshot timestamp assigned to the transaction.
     void BeginAsync(uint64_t txn_id, const std::string& db_name,
@@ -149,10 +149,6 @@ class MachineClient {
   // upserts). Lines must come from WalDeltaRead against the same database.
   Status WalDeltaApply(int machine_id, const std::string& db_name,
                        const std::vector<std::string>& lines);
-
-  // Drops the cached control channel to one machine (e.g. after it was
-  // recovered into a new process); the next control call reconnects.
-  void ResetControlChannel(int machine_id);
 
   // Calls whose deadline is armed: sent and neither answered nor expired.
   size_t armed_deadlines() const;

@@ -89,17 +89,15 @@ RpcResponse MachineService::DispatchTransactional(const RpcRequest& request) {
   switch (request.type) {
     case RpcType::kBegin: {
       // QoS admission gates the transaction here, before any engine state
-      // exists: an over-quota tenant or a shedding machine answers with a
-      // fast kResourceExhausted + retry_after_us instead of queueing work.
+      // exists: an over-quota tenant answers with a fast
+      // kResourceExhausted + retry_after_us instead of queueing work.
       // Everything after Begin (executes, 2PC completions) belongs to an
       // already-admitted transaction and is never throttled, so a quota can
       // never cut a replicated write off on a subset of replicas.
       qos::AdmitDecision decision = machine_->AdmitBegin(request.db_name);
       if (!decision.admitted) {
         RpcResponse response = RpcResponse::FromStatus(
-            Status::ResourceExhausted(
-                machine_->shedding() ? "machine overloaded, shedding load"
-                                     : "tenant over admission quota"));
+            Status::ResourceExhausted("tenant over admission quota"));
         response.retry_after_us = decision.retry_after_us;
         return response;
       }

@@ -3,15 +3,13 @@
 #include <algorithm>
 
 #include "src/common/clock.h"
+#include "src/sla/sla.h"
 
 namespace mtdb::obs {
 
 LoadMonitor::LoadMonitor(Options options) : options_(options) {}
 
-void LoadMonitor::RecordTxn(const std::string& db, int64_t latency_us,
-                            bool wrote, bool committed) {
-  (void)latency_us;
-  (void)wrote;
+void LoadMonitor::RecordTxn(const std::string& db, bool committed) {
   int64_t now = NowMicros();
   platform::Guard lock(mu_);
   Window& window = windows_[db];
@@ -21,11 +19,6 @@ void LoadMonitor::RecordTxn(const std::string& db, int64_t latency_us,
   while (!window.samples.empty() && window.samples.front().first < horizon) {
     window.samples.pop_front();
   }
-}
-
-void LoadMonitor::SetSizeHint(const std::string& db, double size_mb) {
-  platform::Guard lock(mu_);
-  windows_[db].size_mb = size_mb;
 }
 
 double LoadMonitor::TpsLocked(const Window& window, int64_t now_us) const {
@@ -62,33 +55,13 @@ ResourceVector LoadMonitor::EstimateFor(const std::string& db) const {
   int64_t now = NowMicros();
   platform::Guard lock(mu_);
   auto it = windows_.find(db);
-  if (it == windows_.end()) {
-    return sla::EstimateRequirement(0.0, 0.0, options_.model);
-  }
+  if (it == windows_.end()) return sla::EstimateRequirement(0.0, 0.0);
   // A database with no committed transactions in the window contributes a
-  // zero vector, not the size-term floor of the profile model: stale windows
+  // zero vector, not the base terms of the profile model: stale windows
   // must not keep reporting demand (and thereby trigger rebalancing) for
   // tenants that went quiet.
   if (IdleLocked(it->second, now)) return ResourceVector{};
-  return sla::EstimateRequirement(it->second.size_mb,
-                                  TpsLocked(it->second, now), options_.model);
-}
-
-sla::DatabaseDemand LoadMonitor::DemandFor(const std::string& db,
-                                           int replicas) const {
-  sla::DatabaseDemand demand;
-  demand.name = db;
-  demand.requirement = EstimateFor(db);
-  demand.replicas = replicas;
-  return demand;
-}
-
-std::vector<sla::DatabaseDemand> LoadMonitor::Demands(int replicas) const {
-  std::vector<sla::DatabaseDemand> demands;
-  for (const std::string& name : ActiveDatabases()) {
-    demands.push_back(DemandFor(name, replicas));
-  }
-  return demands;
+  return sla::EstimateRequirement(0.0, TpsLocked(it->second, now));
 }
 
 std::vector<std::string> LoadMonitor::ActiveDatabases() const {
@@ -105,11 +78,6 @@ std::vector<std::string> LoadMonitor::ActiveDatabases() const {
 void LoadMonitor::Evict(const std::string& db) {
   platform::Guard lock(mu_);
   windows_.erase(db);
-}
-
-void LoadMonitor::ResetForTest() {
-  platform::Guard lock(mu_);
-  windows_.clear();
 }
 
 }  // namespace mtdb::obs

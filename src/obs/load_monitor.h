@@ -1,7 +1,7 @@
 #ifndef MTDB_OBS_LOAD_MONITOR_H_
 #define MTDB_OBS_LOAD_MONITOR_H_
 
-// Live per-database load feedback for SLA placement.
+// Live per-database load feedback for the rebalancer.
 //
 // The paper's placement machinery (Section 4) sizes replicas from a
 // resource requirement vector r[j]. The seed codebase derives r[j] once,
@@ -19,8 +19,6 @@
 
 #include "src/common/resource.h"
 #include "src/platform/mutex.h"
-#include "src/sla/placement.h"
-#include "src/sla/sla.h"
 
 namespace mtdb::obs {
 
@@ -29,8 +27,6 @@ class LoadMonitor {
   struct Options {
     // Sliding window over which throughput is averaged.
     int64_t window_us = 5'000'000;
-    // Coefficients mapping (size, tps) to a ResourceVector.
-    sla::ProfileModel model;
   };
 
   LoadMonitor() : LoadMonitor(Options{}) {}
@@ -38,47 +34,34 @@ class LoadMonitor {
 
   // Reports one finished transaction against `db`. Called from connection
   // commit/abort paths (txn granularity, so a mutex is cheap enough).
-  void RecordTxn(const std::string& db, int64_t latency_us, bool wrote,
-                 bool committed);
-
-  // On-disk size hint used for the memory/disk dimensions of the estimate.
-  // Typically fed from the catalog; defaults to 0 (pure-throughput terms).
-  void SetSizeHint(const std::string& db, double size_mb);
+  void RecordTxn(const std::string& db, bool committed);
 
   // Committed transactions per second over the window. Databases with no
   // recent traffic decay to 0 as their window empties.
   double TpsFor(const std::string& db) const;
 
-  // Measured-load requirement vector: sla::EstimateRequirement(size_hint,
-  // TpsFor(db), model). The live replacement for the creation-time profile.
+  // Measured-load requirement vector: sla::EstimateRequirement(0,
+  // TpsFor(db)) under the default sla::ProfileModel. The live replacement
+  // for the creation-time profile.
   ResourceVector EstimateFor(const std::string& db) const;
 
-  // Packaged for the placer: measured demand for one database.
-  sla::DatabaseDemand DemandFor(const std::string& db, int replicas) const;
-
-  // Databases with committed traffic inside the window, ready to feed
-  // FirstFitPlacer. Idle databases are excluded entirely — their estimate is
-  // a zero vector (see EstimateFor), so reporting them would only dilute the
-  // placer's input with ghosts.
-  std::vector<sla::DatabaseDemand> Demands(int replicas) const;
-
-  // Names of the non-idle databases (the Demands() universe). The
+  // Names of the databases with committed traffic inside the window. The
   // rebalancer's working set: tenants whose measured demand is current.
+  // Idle databases are excluded entirely — their estimate is a zero vector
+  // (see EstimateFor), so reporting them would only dilute the planner's
+  // input with ghosts.
   std::vector<std::string> ActiveDatabases() const;
 
-  // Drops `db`'s window (samples, size hint, first-seen mark). Called by the
+  // Drops `db`'s window (samples and first-seen mark). Called by the
   // tenant catalog's eviction sweep for idle tenants and on DropDatabase;
   // the window rebuilds from scratch on the tenant's next transaction.
   void Evict(const std::string& db);
-
-  void ResetForTest();
 
  private:
   struct Window {
     // (completion time us, committed) per transaction, trimmed to window_us.
     std::deque<std::pair<int64_t, bool>> samples;
     int64_t first_seen_us = 0;
-    double size_mb = 0;
   };
 
   double TpsLocked(const Window& window, int64_t now_us) const

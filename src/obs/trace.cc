@@ -66,8 +66,6 @@ void TraceCollector::FinishTrace(uint64_t trace_id, bool committed) {
     active_.erase(it);
     finished.committed = committed;
     finished.duration_us = NowMicros() - finished.start_us;
-    last_finished_ = finished;
-    has_last_finished_ = true;
     if (finished.duration_us >= slow_threshold_us_) {
       slow = true;
       slow_.push_back(finished);
@@ -94,18 +92,10 @@ std::vector<TraceRecord> TraceCollector::SlowTraces() const {
   return {slow_.begin(), slow_.end()};
 }
 
-bool TraceCollector::LastFinished(TraceRecord* out) const {
-  platform::Guard lock(mu_);
-  if (!has_last_finished_) return false;
-  *out = last_finished_;
-  return true;
-}
-
 void TraceCollector::ResetForTest() {
   platform::Guard lock(mu_);
   active_.clear();
   slow_.clear();
-  has_last_finished_ = false;
   slow_threshold_us_ = 1'000'000;
 }
 

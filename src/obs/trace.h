@@ -72,9 +72,6 @@ class TraceCollector {
 
   void ResetForTest();
 
-  // Test hook: the most recent finished trace (even if fast), if any.
-  bool LastFinished(TraceRecord* out) const;
-
  private:
   TraceCollector() = default;
 
@@ -87,8 +84,6 @@ class TraceCollector {
   int64_t slow_threshold_us_ MTDB_GUARDED_BY(mu_) = 1'000'000;
   std::map<uint64_t, TraceRecord> active_ MTDB_GUARDED_BY(mu_);
   std::deque<TraceRecord> slow_ MTDB_GUARDED_BY(mu_);
-  TraceRecord last_finished_ MTDB_GUARDED_BY(mu_);
-  bool has_last_finished_ MTDB_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace mtdb::obs

@@ -14,18 +14,17 @@
 namespace mtdb::qos {
 
 // Per-{machine, database} admission control: one token bucket per co-located
-// database, charged once per transaction at Begin time. Charging at Begin —
-// not per operation — keeps replicated writes atomic with respect to
-// throttling: by the time a write fans out, every target machine has already
-// admitted the transaction, so a quota can never cut a write off on a subset
-// of replicas.
+// database with a quota, charged once per transaction at Begin time.
+// Charging at Begin — not per operation — keeps replicated writes atomic with
+// respect to throttling: by the time a write fans out, every target machine
+// has already admitted the transaction, so a quota can never cut a write off
+// on a subset of replicas.
 //
-// Databases without an explicit quota fall back to `default_quota`
-// (rate <= 0 means unlimited, the out-of-the-box behavior).
+// Only SetQuota creates state. A database without a quota is unlimited and
+// is admitted with one lookup, leaving nothing behind.
 class AdmissionController {
  public:
   struct Options {
-    QuotaSpec default_quota{};
     // Label for the throttle counter; empty disables metrics.
     std::string machine{};
   };
@@ -33,7 +32,7 @@ class AdmissionController {
   explicit AdmissionController(const Options& options);
 
   // Installs or replaces the quota for `db`. Live-reconfigures the existing
-  // bucket (current fill preserved) so a refresh never grants a free burst.
+  // bucket (current fill preserved) so a re-push never grants a free burst.
   void SetQuota(const std::string& db, const QuotaSpec& spec);
 
   QuotaSpec GetQuota(const std::string& db) const;
@@ -43,14 +42,13 @@ class AdmissionController {
   AdmitDecision AdmitTxn(const std::string& db, int64_t now_us);
 
   // Releases `db`'s evictable state (the token bucket) if — and only if —
-  // the database has been idle for at least one full bucket refill
-  // (burst/rate seconds). After that long a kept bucket would be full
-  // anyway, so the lazy full-burst rebuild on the next AdmitTxn is
-  // indistinguishable from never having evicted: quota enforcement is
-  // exactly preserved. The quota spec itself stays (it is pushed by the
-  // controller, not rederivable locally). Returns true if a bucket was
-  // dropped. Databases that never had an explicit quota and carry no bucket
-  // have their whole entry erased.
+  // the database has been idle for at least one full bucket refill (the
+  // bucket's effective burst over its rate). After that long a kept bucket
+  // would be full anyway, so the lazy full-burst rebuild on the next
+  // AdmitTxn is indistinguishable from never having evicted: quota
+  // enforcement is exactly preserved. The quota spec itself stays (it is
+  // pushed by the controller, not rederivable locally). Returns true if a
+  // bucket was dropped.
   bool Evict(const std::string& db, int64_t now_us);
 
   size_t entry_count() const;
@@ -58,19 +56,15 @@ class AdmissionController {
  private:
   struct Entry {
     QuotaSpec spec{};
-    bool explicit_quota = false;  // spec came from SetQuota, keep it
     std::unique_ptr<TokenBucket> bucket;  // null when unlimited or evicted
     int64_t last_admit_us = 0;
   };
 
-  Entry& EntryLocked(const std::string& db) MTDB_REQUIRES(mu_);
-
-  const Options options_;
-  // mtdb_qos_throttled_total{machine}; null when options_.machine is empty.
+  // mtdb_qos_throttled_total{machine}; null when the machine label is empty.
   obs::Counter* m_throttled_ = nullptr;
   mutable platform::Mutex mu_{"qos/AdmissionController::mu"};
-  // Per-database, but bounded: entries without an explicit quota are erased
-  // by Evict, and explicit quotas are themselves catalog-driven.
+  // Per-database, but bounded: entries exist for explicit quotas only, and
+  // those are pushed by the controller from the tenant catalog.
   // mtdblint: allow(tenant-map)
   std::map<std::string, Entry> entries_ MTDB_GUARDED_BY(mu_);
 };

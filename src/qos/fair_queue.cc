@@ -33,9 +33,7 @@ uint64_t WeightedFairQueue::Enter(const std::string& db) {
       options_.policy == Policy::kFifo ? std::string() : db;
   Waiter waiter;
   waiter.seq = seq;
-  auto [it, inserted] = tenants_.try_emplace(key);
-  Tenant& tenant = it->second;
-  if (inserted) tenant.weight = std::max(1, options_.default_weight);
+  Tenant& tenant = tenants_[key];
   if (tenant.waiters.empty()) active_.push_back(key);
   tenant.waiters.push_back(&waiter);
   ++waiting_;
@@ -116,7 +114,10 @@ void WeightedFairQueue::SetWeight(const std::string& db, int weight) {
 bool WeightedFairQueue::EvictIdle(const std::string& db) {
   platform::Guard lock(mu_);
   auto it = tenants_.find(db);
-  if (it == tenants_.end() || !it->second.waiters.empty()) return false;
+  if (it == tenants_.end() || !it->second.waiters.empty() ||
+      it->second.weight != kDefaultWeight) {
+    return false;
+  }
   tenants_.erase(it);
   return true;
 }

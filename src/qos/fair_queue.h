@@ -34,7 +34,6 @@ class WeightedFairQueue {
   struct Options {
     int permits = 1;
     Policy policy = Policy::kWeightedFair;
-    int default_weight = 1;
     // Label for the depth gauge / wait histogram; empty disables metrics.
     std::string machine{};
   };
@@ -52,18 +51,17 @@ class WeightedFairQueue {
   // database's next replenish round.
   void SetWeight(const std::string& db, int weight);
 
-  // Erases `db`'s scheduler state if it has no parked waiters. Safe at any
-  // time: an idle tenant holds no deficit (GrantLocked zeroes it when the
-  // queue drains), and the weight is re-pushed with the quota on the
-  // tenant's next kSetQuota — until then a resubmitting tenant runs at the
-  // default weight, which only ever under-privileges it. Returns true if
-  // state was erased.
+  // Erases `db`'s scheduler state if it has no parked waiters and runs at
+  // the default weight: such an entry is pure cache, since an idle tenant
+  // holds no deficit (GrantLocked zeroes it when the queue drains). An
+  // explicit weight stays, like the admission controller's explicit quota:
+  // nothing re-pushes it until the quota changes. Returns true if state was
+  // erased.
   bool EvictIdle(const std::string& db);
 
   size_t tenant_count() const;
 
-  // Number of waiters currently parked (excludes granted slots). This is the
-  // queue-depth signal the overload detector samples.
+  // Number of waiters currently parked (excludes granted slots).
   size_t queue_depth() const;
 
   // Slots currently handed out (<= permits).
@@ -86,13 +84,16 @@ class WeightedFairQueue {
   };
 
  private:
+  // Weight of a database that kSetQuota never weighted.
+  static constexpr int kDefaultWeight = 1;
+
   struct Waiter {
     uint64_t seq = 0;
     bool granted = false;
   };
   struct Tenant {
     std::deque<Waiter*> waiters;
-    int weight = 1;
+    int weight = kDefaultWeight;
     int deficit = 0;
   };
 
@@ -103,8 +104,9 @@ class WeightedFairQueue {
   const Options options_;
   mutable platform::Mutex mu_{"qos/WeightedFairQueue::mu"};
   platform::CondVar cv_;
-  // Per-database, but bounded: idle tenants are erased by EvictIdle from
-  // the catalog's eviction sweep. mtdblint: allow(tenant-map)
+  // Per-database, but bounded: entries outlive their waiters for explicit
+  // weights only, which the controller pushes from the tenant catalog.
+  // mtdblint: allow(tenant-map)
   std::map<std::string, Tenant> tenants_ MTDB_GUARDED_BY(mu_);
   // Round-robin ring of database names with parked waiters.
   std::vector<std::string> active_ MTDB_GUARDED_BY(mu_);

@@ -3,13 +3,15 @@
 
 #include <cstdint>
 
-// Shared vocabulary types for the QoS subsystem. This header is
-// dependency-free so lower layers (sla) can produce QuotaSpecs without
-// pulling in the runtime machinery.
+// Shared vocabulary types for the QoS subsystem, dependency-free so the
+// wire and controller layers can carry quotas without the runtime
+// machinery.
 namespace mtdb::qos {
 
-// Per-{machine, database} admission contract. Derived from the tenant's SLA
-// profile (sla::QuotaForSla) or set explicitly via the kSetQuota RPC.
+// Per-{machine, database} admission contract. The controller stores it in
+// the tenant record and pushes it with the kSetQuota RPC to every replica,
+// again on copy completion and on replica swap. A database without one is
+// unlimited and runs at the default WDRR weight.
 struct QuotaSpec {
   // Token refill rate in transactions/second. <= 0 means unlimited: no
   // token bucket is enforced for this database.

@@ -1,8 +1,5 @@
 #include "src/sla/sla.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace mtdb::sla {
 
 double ExpectedRejectedFraction(const AvailabilityParams& params,
@@ -24,16 +21,6 @@ ResourceVector EstimateRequirement(double size_mb, double throughput_tps,
       model.memory_base_mb + model.memory_per_mb * size_mb,
       model.disk_per_mb * size_mb,
       model.io_per_tps * throughput_tps);
-}
-
-qos::QuotaSpec QuotaForSla(const Sla& sla, double headroom) {
-  qos::QuotaSpec spec;
-  double min_tps = std::max(sla.min_throughput_tps, 0.0);
-  spec.rate_tps = min_tps * std::max(headroom, 1.0);
-  spec.burst = std::max(1.0, spec.rate_tps / 2.0);
-  spec.weight = static_cast<int>(
-      std::clamp<long>(std::lround(min_tps), 1L, 1000L));
-  return spec;
 }
 
 }  // namespace mtdb::sla

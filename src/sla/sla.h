@@ -4,7 +4,6 @@
 #include <string>
 
 #include "src/common/resource.h"
-#include "src/qos/qos.h"
 
 namespace mtdb::sla {
 
@@ -56,15 +55,6 @@ struct ProfileModel {
 // Analytic requirement estimate from a database's size and throughput SLA.
 ResourceVector EstimateRequirement(double size_mb, double throughput_tps,
                                    const ProfileModel& model = ProfileModel());
-
-// Admission quota derived from an SLA: the tenant may burst above its
-// guaranteed minimum (headroom > 1 leaves room for organic growth before the
-// load-driven refresh catches up), and its WDRR weight scales with the
-// guaranteed throughput so scheduler shares line up with what was sold.
-//   rate  = min_throughput_tps * headroom
-//   burst = max(1, rate / 2)     (half a second of line-rate arrivals)
-//   weight = clamp(round(min_throughput_tps), 1, 1000)
-qos::QuotaSpec QuotaForSla(const Sla& sla, double headroom = 1.25);
 
 }  // namespace mtdb::sla
 

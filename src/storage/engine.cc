@@ -12,6 +12,10 @@ namespace mtdb {
 
 namespace {
 
+// Plan-cache capacity (distinct (db, sql) entries). When full, the
+// least-recently-used entry is evicted — one tenant's churn displaces one
+// plan at a time instead of wiping every tenant's warm plans.
+constexpr size_t kMaxCachedPlans = 512;
 
 // Amortized GC trigger: run a version-store prune once per this many
 // completed snapshot transactions (plus on-demand via Engine::MvccGc).
@@ -240,8 +244,7 @@ Result<std::shared_ptr<const sql::PlannedStatement>> Engine::GetPlan(
     // Don't cache a plan that raced a DDL: it was planned against a catalog
     // that no longer matches any version we could tag it with.
     if (now == version) {
-      if (options_.max_cached_plans > 0 &&
-          plan_cache_.size() >= options_.max_cached_plans) {
+      if (plan_cache_.size() >= kMaxCachedPlans) {
         // Evict the least-recently-used entry: one displaced plan instead
         // of the old clear-when-full stampede that cold-started every
         // co-located tenant at once.
@@ -273,10 +276,7 @@ Result<Table*> Engine::ResolveTable(const std::string& db_name,
 // --- Transaction lifecycle ---
 
 Status Engine::Begin(uint64_t txn_id, bool read_only, uint64_t* snapshot_ts) {
-  // With the version store disabled, a read-only begin degrades to a plain
-  // strict-2PL transaction (the ablation baseline) — correct, just locked.
-  const bool snapshot = read_only && options_.enable_mvcc;
-  const int64_t start_us = snapshot ? NowMicros() : 0;
+  const int64_t start_us = read_only ? NowMicros() : 0;
   platform::Guard lock(txn_mu_);
   auto [it, inserted] = txns_.try_emplace(txn_id, nullptr);
   if (!inserted) {
@@ -285,7 +285,7 @@ Status Engine::Begin(uint64_t txn_id, bool read_only, uint64_t* snapshot_ts) {
   }
   it->second = std::make_unique<Transaction>();
   it->second->id = txn_id;
-  if (snapshot) {
+  if (read_only) {
     it->second->read_only = true;
     it->second->snapshot_ts = oracle_.BeginSnapshot();
     if (snapshot_ts != nullptr) *snapshot_ts = it->second->snapshot_ts;
@@ -812,7 +812,6 @@ void Engine::MvccStageWrite(Transaction* txn, const std::string& db_name,
                             const std::optional<StoredRow>& old,
                             std::optional<Row> new_values, uint64_t new_version,
                             const Table* table) {
-  if (!options_.enable_mvcc) return;
   // First transactional writer of a key seeds the chain base with the
   // committed pre-image while holding the row X lock and *before* mutating
   // the live table, so snapshot readers that find the chain never need the
@@ -834,7 +833,7 @@ void Engine::MvccStageWrite(Transaction* txn, const std::string& db_name,
 }
 
 void Engine::MvccPublish(Transaction* txn) {
-  if (!options_.enable_mvcc || txn->mvcc_pending.empty()) return;
+  if (txn->mvcc_pending.empty()) return;
   // Reserve -> install -> publish, serialized so that a snapshot taken at
   // LastPublished() never observes a torn commit: ts becomes visible to
   // BeginSnapshot only after every version of this txn is installed.
@@ -864,7 +863,6 @@ void Engine::MvccEndSnapshot(Transaction* txn) {
 }
 
 size_t Engine::MvccGc() {
-  if (!options_.enable_mvcc) return 0;
   size_t pruned = versions_.PruneBelow(oracle_.Watermark());
   if (pruned > 0) {
     obs::Increment(m_mvcc_gc_pruned_, static_cast<int64_t>(pruned));

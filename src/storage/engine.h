@@ -39,27 +39,16 @@ struct EngineOptions {
   // default, matching "most modern database systems".
   bool release_read_locks_on_prepare = true;
 
-  // Maintain the MVCC version store so read-only transactions can run
-  // against a commit-timestamp snapshot without acquiring row locks
-  // (DESIGN.md §13). With this off, Begin(txn, /*read_only=*/true) degrades
-  // to a plain strict-2PL transaction — still correct, just lock-bound —
-  // which is the strict-2PL leg of the isolation ablation.
-  bool enable_mvcc = true;
-
   // Buffer-pool model. 0 pages disables it (all hits, no penalty).
   size_t buffer_pool_pages = 0;
   int64_t cache_miss_penalty_us = 0;
   int64_t rows_per_page = 16;
 
-  // Plan-cache capacity (distinct (db, sql) entries). When full, the
-  // least-recently-used entry is evicted — one tenant's churn displaces one
-  // plan at a time instead of wiping every tenant's warm plans.
-  size_t max_cached_plans = 512;
-
   // Non-empty: append a redo-only write-ahead log to this file. Recover a
   // crashed engine's state with WriteAheadLog::Recover(path, fresh_engine).
   std::string wal_path;
-  // Group-commit pipeline knobs, forwarded into WalOptions (DESIGN.md §15).
+  // Group-commit pipeline knobs, forwarded into wal::LogWriterOptions
+  // (DESIGN.md §15).
   // The sync policy is the durability ablation axis: per-commit (one sync
   // per decision), group (coalesced, the default), async (bounded-lag
   // background sync). Commit and Prepare always wait for durability as the
@@ -142,10 +131,10 @@ class Engine {
 
   // --- Transaction lifecycle ---
   // txn_id is assigned by the coordinator and must be unique engine-wide.
-  // A read_only transaction (with enable_mvcc on) pins a snapshot timestamp
-  // at begin — reported through *snapshot_ts when non-null — and serves
-  // every read from the version store without touching the lock manager;
-  // its write ops are rejected with kFailedPrecondition.
+  // A read_only transaction pins a snapshot timestamp at begin — reported
+  // through *snapshot_ts when non-null — and serves every read from the
+  // version store without touching the lock manager; its write ops are
+  // rejected with kFailedPrecondition.
   Status Begin(uint64_t txn_id, bool read_only = false,
                uint64_t* snapshot_ts = nullptr);
   // First phase of 2PC. Votes yes by returning OK; per options, releases

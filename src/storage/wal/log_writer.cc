@@ -12,6 +12,12 @@
 
 namespace mtdb::wal {
 
+namespace {
+// Bound on enqueued-but-unwritten records; appenders block when full
+// (backpressure instead of unbounded queue growth).
+constexpr size_t kMaxQueueRecords = 4096;
+}  // namespace
+
 const char* SyncPolicyName(SyncPolicy policy) {
   switch (policy) {
     case SyncPolicy::kPerCommit:
@@ -78,7 +84,7 @@ Result<uint64_t> LogWriter::Append(std::string line) {
     // Backpressure: a full queue means the log thread is behind; block on
     // durable_cv_, which the log thread signals after every drained batch.
     while (io_status_.ok() && !stop_ &&
-           queue_.size() >= options_.max_queue_records) {
+           queue_.size() >= kMaxQueueRecords) {
       durable_cv_.Wait(lock);
     }
     if (!io_status_.ok()) return io_status_;

@@ -52,10 +52,6 @@ struct LogWriterOptions {
   // host-level flush.
   int64_t sync_delay_us = 0;
 
-  // Bound on enqueued-but-unwritten records; appenders block when full
-  // (backpressure instead of unbounded queue growth).
-  size_t max_queue_records = 4096;
-
   // {machine=} label for the mtdb_wal_* metric series.
   std::string metrics_label;
 };
@@ -93,8 +89,8 @@ class LogWriter {
   const Options& options() const { return options_; }
 
   // Enqueues one record (a line, no trailing '\n') and returns its LSN.
-  // Blocks while the queue is at max_queue_records. Fails if the log has
-  // hit an I/O error.
+  // Blocks while the queue holds 4096 unwritten records (backpressure).
+  // Fails if the log has hit an I/O error.
   Result<uint64_t> Append(std::string line);
 
   // Blocks until `lsn` is durable under the policy: written+synced for

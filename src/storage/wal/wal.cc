@@ -214,24 +214,16 @@ Result<TableSchema> WriteAheadLog::DecodeSchema(const std::string& text) {
   return schema;
 }
 
-WriteAheadLog::WriteAheadLog(std::unique_ptr<wal::LogWriter> writer,
-                             Options options)
-    : writer_(std::move(writer)), options_(std::move(options)) {}
+WriteAheadLog::WriteAheadLog(std::unique_ptr<wal::LogWriter> writer)
+    : writer_(std::move(writer)) {}
 
 WriteAheadLog::~WriteAheadLog() = default;
 
 Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     const std::string& path, Options options) {
-  wal::LogWriterOptions writer_options;
-  writer_options.sync_policy = options.sync_policy;
-  writer_options.async_max_lag_records = options.async_max_lag_records;
-  writer_options.sync_delay_us = options.sync_delay_us;
-  writer_options.max_queue_records = options.max_queue_records;
-  writer_options.metrics_label = options.metrics_label;
   MTDB_ASSIGN_OR_RETURN(std::unique_ptr<wal::LogWriter> writer,
-                        wal::LogWriter::Open(path, std::move(writer_options)));
-  return std::unique_ptr<WriteAheadLog>(
-      new WriteAheadLog(std::move(writer), std::move(options)));
+                        wal::LogWriter::Open(path, std::move(options)));
+  return std::unique_ptr<WriteAheadLog>(new WriteAheadLog(std::move(writer)));
 }
 
 Status WriteAheadLog::AppendDdl(WalRecordType type,

@@ -55,29 +55,9 @@ struct WalRecord {
 //
 // Thread-safe: concurrent appends are serialized by the pipeline's queue;
 // record order in the file is LSN order.
-struct WalOptions {
-  // How committers are released relative to the device sync — the ablation
-  // axis of the group-commit study (see wal::SyncPolicy).
-  wal::SyncPolicy sync_policy = wal::SyncPolicy::kGroup;
-
-  // kAsync only: bound on written-but-unsynced records (a crash loses at
-  // most this suffix).
-  int64_t async_max_lag_records = 64;
-
-  // Modeled log-device sync latency in microseconds (the host file system
-  // stands in for the disk; see LogWriterOptions::sync_delay_us).
-  int64_t sync_delay_us = 0;
-
-  // Commit-queue bound; appenders block when it is full.
-  size_t max_queue_records = 4096;
-
-  // {machine=} label for the mtdb_wal_* metric series.
-  std::string metrics_label;
-};
-
 class WriteAheadLog {
  public:
-  using Options = WalOptions;
+  using Options = wal::LogWriterOptions;
 
   // Opens (appending) or creates the log file and starts the log thread.
   static Result<std::unique_ptr<WriteAheadLog>> Open(const std::string& path,
@@ -88,7 +68,7 @@ class WriteAheadLog {
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
   const std::string& path() const { return writer_->path(); }
-  const Options& options() const { return options_; }
+  const Options& options() const { return writer_->options(); }
 
   // DDL is rare and structural: appended and synced before returning,
   // regardless of policy.
@@ -156,10 +136,9 @@ class WriteAheadLog {
   static Result<TableSchema> DecodeSchema(const std::string& text);
 
  private:
-  WriteAheadLog(std::unique_ptr<wal::LogWriter> writer, Options options);
+  explicit WriteAheadLog(std::unique_ptr<wal::LogWriter> writer);
 
   std::unique_ptr<wal::LogWriter> writer_;
-  Options options_;
 };
 
 }  // namespace mtdb

@@ -470,8 +470,8 @@ TEST_F(ClusterTest, FailoverCommitsDecidedTransactions) {
 // Runs the paper's adversarial schedule (T1: r(x) w(y); T2: r(y) w(x)) with
 // injected latencies that force the cross-site interleaving, and returns the
 // serializability verdict.
-SerializabilityReport RunAnomalySchedule(ReadRoutingOption read_option,
-                                         WriteAckPolicy write_policy) {
+analysis::DsgReport RunAnomalySchedule(ReadRoutingOption read_option,
+                                       WriteAckPolicy write_policy) {
   ClusterControllerOptions options;
   options.read_option = read_option;
   options.write_policy = write_policy;

@@ -24,6 +24,8 @@ using obs::TraceSpan;
 
 TEST(ObsTraceTest, MintsDistinctNonzeroIdsAndAssemblesSpans) {
   auto& collector = TraceCollector::Global();
+  collector.ResetForTest();
+  collector.set_slow_threshold_us(0);  // retain every finished trace
   uint64_t a = collector.StartTrace(/*txn_id=*/100);
   uint64_t b = collector.StartTrace(/*txn_id=*/101);
   ASSERT_NE(a, 0u);
@@ -45,8 +47,9 @@ TEST(ObsTraceTest, MintsDistinctNonzeroIdsAndAssemblesSpans) {
   collector.RecordSpan(span);
 
   collector.FinishTrace(a, /*committed=*/true);
-  TraceRecord record;
-  ASSERT_TRUE(collector.LastFinished(&record));
+  std::vector<TraceRecord> finished = collector.SlowTraces();
+  ASSERT_EQ(finished.size(), 1u);
+  const TraceRecord& record = finished[0];
   EXPECT_EQ(record.trace_id, a);
   EXPECT_EQ(record.txn_id, 100u);
   EXPECT_TRUE(record.committed);
@@ -57,6 +60,8 @@ TEST(ObsTraceTest, MintsDistinctNonzeroIdsAndAssemblesSpans) {
   collector.FinishTrace(b, /*committed=*/false);
   // Double-finish is a harmless no-op (abort-after-commit-failure paths).
   collector.FinishTrace(b, /*committed=*/false);
+  EXPECT_EQ(collector.SlowTraces().size(), 2u);
+  collector.ResetForTest();
 }
 
 TEST(ObsTraceTest, SlowTransactionsLandInTheSlowRing) {
@@ -76,8 +81,12 @@ TEST(ObsTraceTest, SlowTransactionsLandInTheSlowRing) {
   EXPECT_EQ(collector.SlowTraces().size(), 1u);  // fast txn not retained
 }
 
-// Drives one transaction and returns the finished trace for it.
+// Drives one transaction and returns the finished trace for it, read from
+// the slow ring with the threshold at 0.
 TraceRecord RunTracedTransaction(ClusterController* controller) {
+  auto& collector = TraceCollector::Global();
+  collector.ResetForTest();
+  collector.set_slow_threshold_us(0);
   auto conn = controller->Connect("shop");
   EXPECT_TRUE(conn->Begin().ok());
   auto read = conn->Execute("SELECT i_stock FROM item WHERE i_id = ?",
@@ -88,9 +97,10 @@ TraceRecord RunTracedTransaction(ClusterController* controller) {
       {Value(int64_t{3})});
   EXPECT_TRUE(write.ok()) << write.status().ToString();
   EXPECT_TRUE(conn->Commit().ok());
-  TraceRecord record;
-  EXPECT_TRUE(TraceCollector::Global().LastFinished(&record));
-  return record;
+  std::vector<TraceRecord> finished = collector.SlowTraces();
+  collector.ResetForTest();
+  EXPECT_EQ(finished.size(), 1u);
+  return finished.empty() ? TraceRecord{} : finished.back();
 }
 
 void LoadShop(ClusterController* controller, const std::vector<int>& replicas) {

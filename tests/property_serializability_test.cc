@@ -108,7 +108,7 @@ TEST_P(SerializabilityProperty, RandomWorkloadInvariants) {
   // Invariant 1: guaranteed-serializable configurations produce an acyclic
   // global serialization graph. (Aggressive + Options 2/3 MAY violate it;
   // that direction is pinned deterministically in cluster_controller_test.)
-  SerializabilityReport report = controller->CheckClusterSerializability();
+  analysis::DsgReport report = controller->CheckClusterSerializability();
   if (param.guaranteed_serializable) {
     EXPECT_TRUE(report.serializable) << report.ToString();
   }

@@ -1,8 +1,8 @@
 // Invariant tests for the QoS layer (src/qos/): token-bucket admission
 // properties under simulated clocks, weighted-fair-queue ordering and share
 // guarantees under real threads (the TSan job runs these under `ctest -L
-// qos`), overload-detector hysteresis, and the end-to-end contract that a
-// throttled machine is never mistaken for a failed one.
+// qos`), what survives a tenant eviction, and the end-to-end contract that
+// a throttled machine is never mistaken for a failed one.
 
 #include <atomic>
 #include <chrono>
@@ -16,13 +16,12 @@
 #include <gtest/gtest.h>
 
 #include "src/cluster/cluster_controller.h"
+#include "src/cluster/machine.h"
 #include "src/common/random.h"
 #include "src/obs/metrics.h"
 #include "src/qos/admission.h"
 #include "src/qos/fair_queue.h"
-#include "src/qos/overload.h"
 #include "src/qos/token_bucket.h"
-#include "src/sla/sla.h"
 
 namespace mtdb {
 namespace {
@@ -121,6 +120,40 @@ TEST(AdmissionControllerTest, QuotaIsPerDatabase) {
   EXPECT_TRUE(admission.AdmitTxn("limited", 0).admitted);
 }
 
+// Admitting a tenant without a quota is a lookup, not an insert: a machine
+// serving many small tenants that never set a quota holds no admission
+// state for them.
+TEST(AdmissionControllerTest, UnquotedTenantsLeaveNoState) {
+  qos::AdmissionController admission({});
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_TRUE(
+        admission.AdmitTxn("tenant" + std::to_string(i), 0).admitted);
+  }
+  EXPECT_EQ(admission.entry_count(), 0u);
+}
+
+// Evict may drop a bucket only once it has been idle for a full refill,
+// measured on the bucket's effective burst: a defaulted burst (<= 0) is
+// max(rate, 1) tokens, not zero, so a drained bucket must survive.
+TEST(AdmissionControllerTest, EvictDropsOnlyAFullBucket) {
+  qos::AdmissionController admission({});
+  qos::QuotaSpec spec;
+  spec.rate_tps = 1;  // burst defaulted: one token, refilled in 1 s
+  admission.SetQuota("app", spec);
+  ASSERT_TRUE(admission.AdmitTxn("app", 0).admitted);
+  ASSERT_FALSE(admission.AdmitTxn("app", 10).admitted);
+  // Drained 10 us ago: dropping the bucket now would rebuild it full.
+  EXPECT_FALSE(admission.Evict("app", 20));
+  EXPECT_FALSE(admission.AdmitTxn("app", 30).admitted);
+
+  // Idle for a full refill since the last admit: the bucket is full anyway.
+  int64_t idle_us = 30 + 1'000'001;
+  EXPECT_TRUE(admission.Evict("app", idle_us));
+  EXPECT_EQ(admission.entry_count(), 1u);  // the quota itself stays
+  EXPECT_TRUE(admission.AdmitTxn("app", idle_us + 1).admitted);
+  EXPECT_FALSE(admission.AdmitTxn("app", idle_us + 2).admitted);
+}
+
 // --- weighted fair queue ---
 
 // Per-tenant FIFO ordering: with one permit, the slot itself serializes the
@@ -206,6 +239,21 @@ TEST(WeightedFairQueueTest, WeightsSkewSlotShares) {
       << "heavy=" << heavy_grants.load() << " light=" << light_grants.load();
 }
 
+// An idle tenant at the default weight is pure cache and goes; an explicit
+// weight is the scheduler half of a pushed quota and stays, because nothing
+// re-pushes it.
+TEST(WeightedFairQueueTest, EvictIdleKeepsAnExplicitWeight) {
+  qos::WeightedFairQueue::Options options;
+  options.permits = 1;
+  qos::WeightedFairQueue queue(options);
+  queue.SetWeight("heavy", 4);
+  queue.SetWeight("plain", 1);  // the default weight
+  ASSERT_EQ(queue.tenant_count(), 2u);
+  EXPECT_FALSE(queue.EvictIdle("heavy"));
+  EXPECT_TRUE(queue.EvictIdle("plain"));
+  EXPECT_EQ(queue.tenant_count(), 1u);
+}
+
 TEST(WeightedFairQueueTest, FifoPolicyIgnoresWeights) {
   qos::WeightedFairQueue::Options options;
   options.permits = 2;
@@ -217,69 +265,17 @@ TEST(WeightedFairQueueTest, FifoPolicyIgnoresWeights) {
   EXPECT_EQ(queue.in_use(), 2);
 }
 
-// --- overload detector ---
-
-TEST(OverloadDetectorTest, DisabledDetectorNeverSheds) {
-  qos::OverloadDetector detector({}, "");
-  detector.RecordExecute(10'000'000);
-  EXPECT_FALSE(detector.Evaluate(1'000'000, 1'000'000));
-  EXPECT_FALSE(detector.shedding());
-}
-
-TEST(OverloadDetectorTest, ShedsOnQueueDepthAndRecoversWithHysteresis) {
-  qos::OverloadDetector::Options options;
-  options.max_queue_depth = 10;
-  options.eval_interval_us = 1'000;
-  options.exit_fraction = 0.5;
-  qos::OverloadDetector detector(options, "");
-
-  int64_t now_us = 1'000'000;
-  EXPECT_TRUE(detector.Evaluate(20, now_us));  // depth 20 > 10: shed
-  EXPECT_TRUE(detector.shedding());
-  // Depth back under the entry threshold but above exit_fraction * max:
-  // hysteresis holds the shedding state.
-  now_us += 2'000;
-  EXPECT_TRUE(detector.Evaluate(8, now_us));
-  // Within the evaluation interval the cached state is returned even for a
-  // cool sample.
-  EXPECT_TRUE(detector.Evaluate(0, now_us));
-  // Cooled below exit_fraction * max: recover.
-  now_us += 2'000;
-  EXPECT_FALSE(detector.Evaluate(4, now_us));
-  EXPECT_FALSE(detector.shedding());
-}
-
-TEST(OverloadDetectorTest, ShedsOnWindowedP99Latency) {
-  qos::OverloadDetector::Options options;
-  options.max_p99_us = 1'000;
-  options.eval_interval_us = 1'000;
-  qos::OverloadDetector detector(options, "");
-
-  for (int i = 0; i < 100; ++i) detector.RecordExecute(5'000);
-  int64_t now_us = 1'000'000;
-  EXPECT_TRUE(detector.Evaluate(0, now_us));
-  // The window resets per evaluation: with only fast samples since the last
-  // eval and exit_fraction satisfied, the machine recovers.
-  for (int i = 0; i < 100; ++i) detector.RecordExecute(10);
-  now_us += 2'000;
-  EXPECT_FALSE(detector.Evaluate(0, now_us));
-}
-
-// --- SLA -> quota mapping ---
-
-TEST(SlaQuotaTest, QuotaForSlaScalesWithGuaranteedThroughput) {
-  sla::Sla sla;
-  sla.min_throughput_tps = 40;
-  qos::QuotaSpec spec = sla::QuotaForSla(sla, /*headroom=*/1.25);
-  EXPECT_DOUBLE_EQ(spec.rate_tps, 50.0);
-  EXPECT_DOUBLE_EQ(spec.burst, 25.0);
-  EXPECT_EQ(spec.weight, 40);
-
-  sla::Sla tiny;
-  tiny.min_throughput_tps = 0.2;
-  qos::QuotaSpec tiny_spec = sla::QuotaForSla(tiny);
-  EXPECT_GE(tiny_spec.burst, 1.0);
-  EXPECT_EQ(tiny_spec.weight, 1);  // clamped floor
+// Eviction as the tenant catalog fans it out to a machine: a tenant whose
+// quota carries a weight keeps both halves of the quota.
+TEST(MachineQosTest, EvictTenantKeepsAnExplicitWeight) {
+  MachineOptions options;
+  options.max_concurrent_ops = 1;
+  Machine machine(0, options);
+  ASSERT_NE(machine.fair_queue(), nullptr);
+  machine.SetQuota("app", qos::QuotaSpec{.weight = 10});
+  machine.EvictTenant("app");
+  EXPECT_EQ(machine.fair_queue()->tenant_count(), 1u);
+  EXPECT_EQ(machine.GetQuota("app").weight, 10);
 }
 
 // --- end-to-end: throttling through the RPC stack ---

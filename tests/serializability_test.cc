@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "src/cluster/serializability.h"
+#include "src/analysis/history.h"
 
 namespace mtdb {
 namespace {
@@ -16,14 +16,14 @@ CommittedTxnRecord Txn(uint64_t id,
 }
 
 TEST(SerializabilityTest, EmptyHistoryIsSerializable) {
-  auto report = CheckSerializability({});
+  auto report = analysis::AuditHistories({});
   EXPECT_TRUE(report.serializable);
   EXPECT_EQ(report.num_transactions, 0u);
 }
 
 TEST(SerializabilityTest, SingleSiteSequentialWrites) {
   // T1 writes x@1; T2 writes x@2: single ww edge, acyclic.
-  auto report = CheckSerializability({{
+  auto report = analysis::AuditHistories({{
       Txn(1, {}, {{"x", 1}}),
       Txn(2, {}, {{"x", 2}}),
   }});
@@ -34,7 +34,7 @@ TEST(SerializabilityTest, SingleSiteSequentialWrites) {
 TEST(SerializabilityTest, WrAndRwEdges) {
   // T1 writes x@1. T2 reads x@1 (wr edge T1->T2). T3 writes x@2
   // (ww T1->T3, rw T2->T3). Acyclic: T1 -> T2 -> T3.
-  auto report = CheckSerializability({{
+  auto report = analysis::AuditHistories({{
       Txn(1, {}, {{"x", 1}}),
       Txn(2, {{"x", 1}}, {}),
       Txn(3, {}, {{"x", 2}}),
@@ -46,7 +46,7 @@ TEST(SerializabilityTest, WrAndRwEdges) {
 TEST(SerializabilityTest, SingleSiteCycleDetected) {
   // Classic write skew rendered in versions: T1 reads x@0 writes y@1;
   // T2 reads y@0 writes x@1. rw edges both ways -> cycle.
-  auto report = CheckSerializability({{
+  auto report = analysis::AuditHistories({{
       Txn(1, {{"x", 0}}, {{"y", 1}}),
       Txn(2, {{"y", 0}}, {{"x", 1}}),
   }});
@@ -67,16 +67,16 @@ TEST(SerializabilityTest, PaperSection31AnomalyAcrossSites) {
       Txn(1, {}, {{"y", 1}}),          // w1(y) after
   };
   // Per-site checks pass individually...
-  EXPECT_TRUE(CheckSerializability({site1}).serializable);
-  EXPECT_TRUE(CheckSerializability({site2}).serializable);
+  EXPECT_TRUE(analysis::AuditHistories({site1}).serializable);
+  EXPECT_TRUE(analysis::AuditHistories({site2}).serializable);
   // ...but the global graph has a cycle.
-  auto report = CheckSerializability({site1, site2});
+  auto report = analysis::AuditHistories({site1, site2});
   EXPECT_FALSE(report.serializable);
   EXPECT_FALSE(report.cycle.empty());
 }
 
 TEST(SerializabilityTest, ReadOwnWriteIsNotACycle) {
-  auto report = CheckSerializability({{
+  auto report = analysis::AuditHistories({{
       Txn(1, {{"x", 1}}, {{"x", 1}}),
   }});
   EXPECT_TRUE(report.serializable);
@@ -86,7 +86,7 @@ TEST(SerializabilityTest, ReadOwnWriteIsNotACycle) {
 TEST(SerializabilityTest, ReadOfUnknownWriterTolerated) {
   // Version 5 was installed by a bulk load (no recorded writer): only the
   // rw edge to the next writer exists.
-  auto report = CheckSerializability({{
+  auto report = analysis::AuditHistories({{
       Txn(1, {{"x", 5}}, {}),
       Txn(2, {}, {{"x", 6}}),
   }});
@@ -99,7 +99,7 @@ TEST(SerializabilityTest, LongChainAcyclic) {
   for (uint64_t i = 1; i <= 50; ++i) {
     history.push_back(Txn(i, {{"x", i - 1}}, {{"x", i}}));
   }
-  auto report = CheckSerializability({history});
+  auto report = analysis::AuditHistories({history});
   EXPECT_TRUE(report.serializable);
   EXPECT_EQ(report.num_transactions, 50u);
 }
@@ -112,13 +112,13 @@ TEST(SerializabilityTest, ThreeTxnCycleAcrossThreeSites) {
                                        Txn(3, {}, {{"q", 2}})};
   std::vector<CommittedTxnRecord> c = {Txn(3, {}, {{"r", 1}}),
                                        Txn(1, {}, {{"r", 2}})};
-  auto report = CheckSerializability({a, b, c});
+  auto report = analysis::AuditHistories({a, b, c});
   EXPECT_FALSE(report.serializable);
   EXPECT_EQ(report.cycle.size(), 3u);
 }
 
 TEST(SerializabilityTest, ReportToStringMentionsCycle) {
-  auto report = CheckSerializability({{
+  auto report = analysis::AuditHistories({{
       Txn(1, {{"x", 0}}, {{"y", 1}}),
       Txn(2, {{"y", 0}}, {{"x", 1}}),
   }});
