@@ -123,10 +123,13 @@ PhaseResult RunPhase(ClusterController* controller, bool with_aggressor,
     }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(duration_ms));
+  int64_t stop_us = NowMicros();
   stop.store(true, std::memory_order_relaxed);
   protected_load.join();
   aggressor_load.join();
-  double elapsed_s = static_cast<double>(NowMicros() - start_us) / 1e6;
+  // Rates over [start, stop] only: the join can come a throttle backoff
+  // (up to 150 ms) after `stop`, time in which neither tenant was running.
+  double elapsed_s = static_cast<double>(stop_us - start_us) / 1e6;
   PhaseResult result;
   result.protected_tps =
       static_cast<double>(protected_committed.load()) / elapsed_s;
