@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <future>
 #include <thread>
 
 #include "src/common/clock.h"
@@ -36,28 +35,6 @@ const std::string* WriteTargetTable(const sql::Statement& stmt) {
 bool IsReadStatement(const sql::Statement& stmt) {
   return stmt.kind == sql::StatementKind::kSelect;
 }
-
-// Completion latch for a fan-out of async RPCs: handlers call Done(), the
-// issuing thread Wait()s. Shared-ptr-captured so a handler outliving the
-// caller (never happens today, but cheap insurance) stays safe.
-struct CallBarrier {
-  explicit CallBarrier(int n) : outstanding(n) {}
-  platform::Mutex mu{"cluster/CallBarrier::mu"};
-  platform::CondVar cv;
-  int outstanding MTDB_GUARDED_BY(mu);
-
-  void Done() MTDB_EXCLUDES(mu) {
-    {
-      platform::Guard lock(mu);
-      --outstanding;
-    }
-    cv.NotifyAll();
-  }
-  void Wait() MTDB_EXCLUDES(mu) {
-    platform::UniqueLock lock(mu);
-    while (outstanding > 0) cv.Wait(lock);
-  }
-};
 
 }  // namespace
 
@@ -801,6 +778,40 @@ int64_t ClusterController::InjectedLatency(const std::string& label,
 
 // ===== Connection =====
 
+class Connection::Backoff {
+ public:
+  // The budget starts now.
+  explicit Backoff(Connection* connection)
+      : connection_(connection),
+        deadline_us_(NowMicros() +
+                     std::max<int64_t>(connection->controller_->options()
+                                           .throttle_retry.budget_us,
+                                       0)) {}
+
+  // Sleeps before the next retry: the current step (1 ms, doubling to a
+  // 100 ms cap) or the machine's retry_after_us hint if longer, capped too,
+  // plus up to 50% jitter. Returns false without sleeping when that wait
+  // would overrun the budget.
+  bool Wait(int64_t retry_after_us) {
+    int64_t wait_us =
+        std::min(std::max(retry_after_us, backoff_us_), kMaxBackoffUs);
+    wait_us += static_cast<int64_t>(connection_->rng_.Uniform(
+        static_cast<uint64_t>(wait_us / 2 + 1)));
+    if (NowMicros() + wait_us > deadline_us_) return false;
+    ClusterController* controller = connection_->controller_;
+    obs::Increment(controller->m_backoff_);
+    obs::Observe(controller->m_backoff_wait_us_, wait_us);
+    std::this_thread::sleep_for(std::chrono::microseconds(wait_us));
+    backoff_us_ = std::min(backoff_us_ * 2, kMaxBackoffUs);
+    return true;
+  }
+
+ private:
+  Connection* connection_;
+  int64_t deadline_us_;
+  int64_t backoff_us_ = kInitialBackoffUs;
+};
+
 Connection::Connection(ClusterController* controller, std::string db_name,
                        uint64_t epoch)
     : controller_(controller), db_name_(std::move(db_name)), epoch_(epoch) {}
@@ -857,21 +868,12 @@ Status Connection::BeginInternal(bool read_only) {
   catalog::TenantCatalog::TenantRef ref =
       controller_->catalog_.AcquireForTxn(db_name_, &cutover);
   if (cutover) {
-    const ThrottleRetryPolicy& policy = controller_->options().throttle_retry;
-    int64_t deadline_us = NowMicros() + std::max<int64_t>(policy.budget_us, 0);
-    int64_t backoff_us = kInitialBackoffUs;
+    Backoff backoff(this);
     while (cutover) {
-      int64_t wait_us = backoff_us;
-      wait_us += static_cast<int64_t>(
-          rng_.Uniform(static_cast<uint64_t>(wait_us / 2 + 1)));
-      if (NowMicros() + wait_us > deadline_us) {
+      if (!backoff.Wait(/*retry_after_us=*/0)) {
         return Status::ResourceExhausted("tenant " + db_name_ +
                                          " is in a migration cutover");
       }
-      obs::Increment(controller_->m_backoff_);
-      obs::Observe(controller_->m_backoff_wait_us_, wait_us);
-      std::this_thread::sleep_for(std::chrono::microseconds(wait_us));
-      backoff_us = std::min(backoff_us * 2, kMaxBackoffUs);
       ref = controller_->catalog_.AcquireForTxn(db_name_, &cutover);
     }
   }
@@ -914,45 +916,85 @@ void Connection::FinishTxnObservation(bool committed) {
   }
 }
 
+net::RpcRequest Connection::TxnRequest(net::RpcType type) const {
+  net::RpcRequest request;
+  request.type = type;
+  request.txn_id = txn_id_;
+  return request;
+}
+
+net::RpcRequest Connection::StatementRequest(const std::string& sql,
+                                             const std::vector<Value>& params,
+                                             bool is_write,
+                                             int machine_id) const {
+  net::RpcRequest request = TxnRequest(net::RpcType::kExecute);
+  request.db_name = db_name_;
+  request.sql = sql;
+  request.params = params;
+  request.debug_delay_us =
+      controller_->InjectedLatency(label_, is_write, machine_id);
+  return request;
+}
+
+net::RpcResponse Connection::CallBeginning(int machine_id,
+                                           net::RpcRequest request) {
+  request.db_name = db_name_;
+  request.read_only = read_only_;
+  net::MachineClient::Session* session = SessionFor(machine_id);
+  Backoff backoff(this);
+  for (;;) {
+    net::RpcResponse response = session->Call(request);
+    if (response.code != StatusCode::kResourceExhausted) {
+      if (response.code != StatusCode::kUnavailable) {
+        begun_machines_.insert(machine_id);
+        if (read_only_) snapshot_ts_ = response.snapshot_ts;
+      }
+      return response;
+    }
+    // Throttled: nothing ran. The machine is alive and answering — this must
+    // never feed the failure/recovery path (failover would dogpile the
+    // tenant's load onto a replica). Retry the SAME machine after the
+    // backoff, or surface the throttle once the budget is spent.
+    if (!backoff.Wait(response.retry_after_us)) return response;
+  }
+}
+
 Status Connection::EnsureBegun(int machine_id) {
   if (begun_machines_.count(machine_id) > 0) return Status::OK();
-  const ThrottleRetryPolicy& policy = controller_->options().throttle_retry;
-  int64_t deadline_us = NowMicros() + std::max<int64_t>(policy.budget_us, 0);
-  int64_t backoff_us = kInitialBackoffUs;
-  for (;;) {
-    // Synchronous: the reply carries the QoS admission verdict, and an op
-    // must not be queued behind a Begin that may be bounced.
-    auto done = std::make_shared<std::promise<net::RpcResponse>>();
-    auto future = done->get_future();
+  return CallBeginning(machine_id, TxnRequest(net::RpcType::kBegin))
+      .ToStatus();
+}
+
+std::vector<std::pair<int, Status>> Connection::CallAll(
+    const std::vector<int>& machines, net::RpcType type) {
+  struct Replies {
+    explicit Replies(size_t n) : expected(n) {}
+    const size_t expected;
+    platform::Mutex mu{"cluster/Connection::Replies::mu"};
+    platform::CondVar cv;
+    std::vector<std::pair<int, Status>> statuses MTDB_GUARDED_BY(mu);
+  };
+  auto replies = std::make_shared<Replies>(machines.size());
+  for (size_t i = 0; i < machines.size(); ++i) {
+    int machine_id = machines[i];
+    net::RpcRequest request = TxnRequest(type);
+    request.caller_waits = i + 1 == machines.size();
     SessionFor(machine_id)
-        ->BeginAsync(txn_id_, db_name_, read_only_,
-                     [done](net::RpcResponse response) {
-                       done->set_value(std::move(response));
-                     });
-    net::RpcResponse response = future.get();
-    if (response.ok()) {
-      begun_machines_.insert(machine_id);
-      if (read_only_) snapshot_ts_ = response.snapshot_ts;
-      return Status::OK();
-    }
-    Status status = response.ToStatus();
-    if (status.code() != StatusCode::kResourceExhausted) return status;
-    // Throttled. The machine is alive and answering — this must never feed
-    // the failure/recovery path (failover would dogpile the tenant's load
-    // onto a replica). Honor the wire retry_after_us hint under a capped
-    // exponential backoff with jitter, against the SAME machine.
-    int64_t wait_us =
-        std::min(std::max(response.retry_after_us, backoff_us), kMaxBackoffUs);
-    wait_us += static_cast<int64_t>(
-        rng_.Uniform(static_cast<uint64_t>(wait_us / 2 + 1)));
-    if (NowMicros() + wait_us > deadline_us) {
-      return status;  // budget exhausted: surface the throttle to the caller
-    }
-    obs::Increment(controller_->m_backoff_);
-    obs::Observe(controller_->m_backoff_wait_us_, wait_us);
-    std::this_thread::sleep_for(std::chrono::microseconds(wait_us));
-    backoff_us = std::min(backoff_us * 2, kMaxBackoffUs);
+        ->CallAsync(std::move(request),
+                    [replies, machine_id](net::RpcResponse response) {
+                      bool all = false;
+                      {
+                        platform::Guard lock(replies->mu);
+                        replies->statuses.emplace_back(machine_id,
+                                                       response.ToStatus());
+                        all = replies->statuses.size() == replies->expected;
+                      }
+                      if (all) replies->cv.NotifyAll();
+                    });
   }
+  platform::UniqueLock lock(replies->mu);
+  while (replies->statuses.size() < replies->expected) replies->cv.Wait(lock);
+  return std::move(replies->statuses);
 }
 
 Result<sql::QueryResult> Connection::Execute(const std::string& sql,
@@ -1042,32 +1084,14 @@ Result<sql::QueryResult> Connection::ExecuteRead(
                           ReadRoutingOption::kPerTransaction) {
       sticky_read_machine_ = machine_id;
     }
-    Status begun = EnsureBegun(machine_id);
-    if (!begun.ok()) {
-      if (begun.code() == StatusCode::kUnavailable) {
-        begun_machines_.erase(machine_id);
-        if (sticky_read_machine_ == machine_id) sticky_read_machine_ = -1;
-        last = begun;
-        obs::Increment(controller_->m_read_retry_);
-        continue;  // pick another replica
-      }
-      // A throttled Begin (kResourceExhausted past the retry budget) is NOT
-      // replica failure: retrying elsewhere would route the over-quota
-      // tenant's load onto its other replicas. Surface it.
-      Poison(begun);
-      return begun;
-    }
-
-    int64_t inject =
-        controller_->InjectedLatency(label_, /*is_write=*/false, machine_id);
-    auto done = std::make_shared<std::promise<net::RpcResponse>>();
-    auto future = done->get_future();
-    SessionFor(machine_id)
-        ->ExecuteAsync(txn_id_, db_name_, sql, params, inject,
-                       [done](net::RpcResponse response) {
-                         done->set_value(std::move(response));
-                       });
-    net::RpcResponse response = future.get();
+    net::RpcRequest request =
+        StatementRequest(sql, params, /*is_write=*/false, machine_id);
+    // The transaction's first request to this machine carries the begin:
+    // one round trip instead of a kBegin and then the read.
+    request.begin = begun_machines_.count(machine_id) == 0;
+    net::RpcResponse response =
+        request.begin ? CallBeginning(machine_id, std::move(request))
+                      : SessionFor(machine_id)->Call(std::move(request));
     if (response.ok()) {
       snapshot_read_done_ = snapshot_read_done_ || read_only_;
       return std::move(response.result);
@@ -1087,6 +1111,10 @@ Result<sql::QueryResult> Connection::ExecuteRead(
       obs::Increment(controller_->m_read_retry_);
       continue;  // pick another replica
     }
+    // A throttled begin (kResourceExhausted past the retry budget) is NOT
+    // replica failure: retrying elsewhere would route the over-quota
+    // tenant's load onto its other replicas. Surface it, like any other
+    // failed read.
     Poison(status);
     return status;
   }
@@ -1121,19 +1149,27 @@ Result<sql::QueryResult> Connection::ExecuteWrite(
   pending->outstanding = static_cast<int>(targets.size());
   net::ResponseHandler handler = MakeWriteHandler(pending, table);
 
-  for (int machine_id : targets) {
+  // A conservative write waits for every replica, so its last request may
+  // run on this thread. An aggressive one stays fully asynchronous: the
+  // acknowledgement must be able to overtake a replica still running it.
+  bool waits = controller_->options().write_policy ==
+               WriteAckPolicy::kConservative;
+  for (size_t i = 0; i < targets.size(); ++i) {
+    int machine_id = targets[i];
     // A replica that cannot be begun (dead, or throttled past the retry
     // budget) counts as a failed replica RPC: feed the status through the
-    // shared handler so the PendingWrite stays balanced.
+    // shared handler so the PendingWrite stays balanced. The begin is its
+    // own request because an aggressive ack may come before every replica
+    // answers, too early to learn that one refused it.
     Status begun = EnsureBegun(machine_id);
     if (!begun.ok()) {
       handler(net::RpcResponse::FromStatus(begun));
       continue;
     }
-    int64_t inject =
-        controller_->InjectedLatency(label_, /*is_write=*/true, machine_id);
-    SessionFor(machine_id)
-        ->ExecuteAsync(txn_id_, db_name_, sql, params, inject, handler);
+    net::RpcRequest request =
+        StatementRequest(sql, params, /*is_write=*/true, machine_id);
+    request.caller_waits = waits && i + 1 == targets.size();
+    SessionFor(machine_id)->CallAsync(std::move(request), handler);
   }
   return FinishWrite(std::move(pending));
 }
@@ -1260,14 +1296,7 @@ Status Connection::CommitInternal() {
 
   if (!wrote_) {
     // Read-only: single-phase commit on every participant.
-    auto barrier =
-        std::make_shared<CallBarrier>(static_cast<int>(participants.size()));
-    for (int machine_id : participants) {
-      SessionFor(machine_id)
-          ->CommitAsync(txn,
-                        [barrier](net::RpcResponse) { barrier->Done(); });
-    }
-    barrier->Wait();
+    (void)CallAll(participants, net::RpcType::kCommit);
     active_ = false;
     controller_->committed_.fetch_add(1, std::memory_order_relaxed);
     FinishTxnObservation(/*committed=*/true);
@@ -1279,42 +1308,17 @@ Status Connection::CommitInternal() {
   // vetoes the commit. A machine that never answers surfaces here as
   // kUnavailable via the RPC deadline — a lost PREPARE reply cannot hang
   // the coordinator.
-  struct PhaseState {
-    platform::Mutex mu{"cluster/PhaseState::mu"};
-    std::vector<std::pair<int, Status>> results MTDB_GUARDED_BY(mu);
-  };
-  auto phase = std::make_shared<PhaseState>();
-  {
-    int64_t prepare_start_us = NowMicros();
-    auto barrier =
-        std::make_shared<CallBarrier>(static_cast<int>(participants.size()));
-    for (int machine_id : participants) {
-      SessionFor(machine_id)
-          ->PrepareAsync(txn, [phase, barrier,
-                               machine_id](net::RpcResponse response) {
-            {
-              platform::Guard lock(phase->mu);
-              phase->results.emplace_back(machine_id, response.ToStatus());
-            }
-            barrier->Done();
-          });
-    }
-    barrier->Wait();
-    obs::Observe(controller_->m_2pc_prepare_us_,
-                 NowMicros() - prepare_start_us);
-  }
+  int64_t prepare_start_us = NowMicros();
+  std::vector<std::pair<int, Status>> votes =
+      CallAll(participants, net::RpcType::kPrepare);
+  obs::Observe(controller_->m_2pc_prepare_us_, NowMicros() - prepare_start_us);
   std::vector<int> prepared;
   Status veto = Status::OK();
-  {
-    // The barrier guarantees every handler has finished; the lock is for the
-    // thread-safety analysis (and pairs the read with the handlers' writes).
-    platform::Guard lock(phase->mu);
-    for (const auto& [machine_id, status] : phase->results) {
-      if (status.ok()) {
-        prepared.push_back(machine_id);
-      } else if (status.code() != StatusCode::kUnavailable && veto.ok()) {
-        veto = status;
-      }
+  for (const auto& [machine_id, status] : votes) {
+    if (status.ok()) {
+      prepared.push_back(machine_id);
+    } else if (status.code() != StatusCode::kUnavailable && veto.ok()) {
+      veto = status;
     }
   }
   // PREPARE ran after every queued write on each session channel, so all
@@ -1339,19 +1343,9 @@ Status Connection::CommitInternal() {
   controller_->LogCommitDecision(txn);
 
   // Phase 2: COMMIT on all prepared participants.
-  {
-    int64_t commit_start_us = NowMicros();
-    auto barrier =
-        std::make_shared<CallBarrier>(static_cast<int>(prepared.size()));
-    for (int machine_id : prepared) {
-      SessionFor(machine_id)
-          ->CommitPreparedAsync(
-              txn, [barrier](net::RpcResponse) { barrier->Done(); });
-    }
-    barrier->Wait();
-    obs::Observe(controller_->m_2pc_commit_us_,
-                 NowMicros() - commit_start_us);
-  }
+  int64_t commit_start_us = NowMicros();
+  (void)CallAll(prepared, net::RpcType::kCommitPrepared);
+  obs::Observe(controller_->m_2pc_commit_us_, NowMicros() - commit_start_us);
   controller_->ForgetCommitDecision(txn);
   active_ = false;
   controller_->committed_.fetch_add(1, std::memory_order_relaxed);
@@ -1369,14 +1363,9 @@ Status Connection::AbortInternal(Status reason) {
   // below, so FIFO ordering guarantees the abort runs after them on each
   // machine.
   (void)WaitOutstandingWrites();
-  uint64_t txn = txn_id_;
-  auto barrier = std::make_shared<CallBarrier>(
-      static_cast<int>(begun_machines_.size()));
-  for (int machine_id : begun_machines_) {
-    SessionFor(machine_id)
-        ->AbortAsync(txn, [barrier](net::RpcResponse) { barrier->Done(); });
-  }
-  barrier->Wait();
+  std::vector<int> participants(begun_machines_.begin(),
+                                begun_machines_.end());
+  (void)CallAll(participants, net::RpcType::kAbort);
   active_ = false;
   controller_->aborted_.fetch_add(1, std::memory_order_relaxed);
   FinishTxnObservation(/*committed=*/false);

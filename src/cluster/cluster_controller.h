@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/history.h"
@@ -49,12 +50,13 @@ enum class WriteAckPolicy {
   kAggressive,
 };
 
-// Connection-side reaction to a throttled (kResourceExhausted) Begin: capped
-// exponential backoff with jitter against the SAME machine. A throttled
-// machine is alive and answering — it must not be failed over (that would
-// dogpile the load onto a replica) and must never reach FailMachine, which is
-// reserved for silence (RPC deadline expiry). The waits start at 1 ms and
-// double up to a 100 ms cap.
+// Connection-side reaction to a throttled (kResourceExhausted) begin — a
+// kBegin, or a transaction's first read on a machine, which carries the
+// begin: capped exponential backoff with jitter against the SAME machine. A
+// throttled machine is alive and answering — it must not be failed over
+// (that would dogpile the load onto a replica) and must never reach
+// FailMachine, which is reserved for silence (RPC deadline expiry). The waits
+// start at 1 ms and double up to a 100 ms cap.
 struct ThrottleRetryPolicy {
   // Total time a transaction may spend backing off before the throttle
   // status surfaces to the caller. <= 0 disables retries (fail fast).
@@ -153,6 +155,9 @@ class Connection {
     bool AllDone() const MTDB_REQUIRES(mu) { return outstanding == 0; }
   };
 
+  // Paces one retry loop under the controller's ThrottleRetryPolicy.
+  class Backoff;
+
   Connection(ClusterController* controller, std::string db_name,
              uint64_t epoch);
 
@@ -183,14 +188,31 @@ class Connection {
   Status WaitOutstandingWrites();
   Status CommitInternal();
   Status AbortInternal(Status reason);
-  // Ensures the engine-side transaction exists on machine m. Synchronous:
-  // the Begin reply carries the QoS admission verdict, and a throttled
-  // (kResourceExhausted) verdict is retried against the same machine with
-  // capped exponential backoff + jitter, honoring the wire-carried
-  // retry_after_us hint, until the controller's throttle_retry budget runs
-  // out. Returns the final status; the machine joins begun_machines_ only on
-  // success, so later fan-outs and 2PC touch admitted machines only.
+  // A request of this transaction: `type` and txn_id only.
+  net::RpcRequest TxnRequest(net::RpcType type) const;
+  // A kExecute of `sql` on `machine_id`, with the injected test latency.
+  net::RpcRequest StatementRequest(const std::string& sql,
+                                   const std::vector<Value>& params,
+                                   bool is_write, int machine_id) const;
+  // Sends `request`, which begins the transaction on `machine_id` (a kBegin,
+  // or a read carrying RpcRequest::begin), and waits for the reply. The
+  // reply carries the QoS admission verdict: a refusal (kResourceExhausted)
+  // is retried against the same machine with capped exponential backoff +
+  // jitter, honoring the wire-carried retry_after_us hint, until the
+  // controller's throttle_retry budget runs out, and is then returned. The
+  // machine joins begun_machines_ once a reply is neither a refusal nor
+  // kUnavailable, so an abort also reaches a transaction that a failed
+  // statement left behind.
+  net::RpcResponse CallBeginning(int machine_id, net::RpcRequest request);
+  // Ensures the engine-side transaction exists on machine m before a write:
+  // a kBegin through CallBeginning, unless m has begun already.
   Status EnsureBegun(int machine_id);
+  // Sends `type` for this transaction to every machine and waits for all
+  // replies. The last request carries RpcRequest::caller_waits, so
+  // in-process it runs on this thread while the others run on their
+  // sessions' threads. Returns each machine's reply status.
+  std::vector<std::pair<int, Status>> CallAll(const std::vector<int>& machines,
+                                              net::RpcType type);
   net::MachineClient::Session* SessionFor(int machine_id);
   void Poison(const Status& status);
   Status poison_status() const;
@@ -207,8 +229,8 @@ class Connection {
   bool active_ = false;
   uint64_t txn_id_ = 0;
   bool wrote_ = false;
-  // Snapshot mode (see Begin). snapshot_ts_ arrives with the pinned
-  // machine's Begin reply; snapshot_read_done_ flips on the first
+  // Snapshot mode (see Begin). snapshot_ts_ arrives with the reply to the
+  // first read on the pinned machine; snapshot_read_done_ flips on the first
   // successful read, after which replica failover is forbidden.
   bool read_only_ = false;
   uint64_t snapshot_ts_ = 0;

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "src/platform/mutex.h"
-#include "src/cluster/strand.h"
 #include "src/common/resource.h"
 #include "src/obs/metrics.h"
 #include "src/qos/admission.h"

@@ -11,53 +11,54 @@ namespace mtdb {
 namespace {
 
 // One gauge across all strands: the aggregate backlog is what signals an
-// overloaded cluster; per-strand depth is visible via pending().
+// overloaded cluster.
 obs::Gauge* QueueDepthGauge() {
   static obs::Gauge* gauge =
       obs::MetricsRegistry::Global().GetGauge("mtdb_strand_queue_depth", {});
   return gauge;
 }
 
+// A throwing detached task used to terminate the process with no indication
+// of where it came from. Route it through the violation handler instead,
+// which aborts loudly (or records it in tests).
+void RunTask(const std::function<void()>& task) {
+  try {
+    task();
+  } catch (const std::exception& e) {
+    analysis::ReportViolation("strand",
+                              std::string("strand task threw: ") + e.what());
+  } catch (...) {
+    analysis::ReportViolation("strand",
+                              "strand task threw a non-std exception");
+  }
+}
+
 }  // namespace
 
-Strand::Strand() : thread_([this] { Run(); }) {}
-
 Strand::~Strand() {
+  std::thread thread;
   {
     platform::Guard lock(mu_);
     stop_ = true;
+    thread = std::move(thread_);
   }
   cv_.NotifyAll();
-  if (thread_.joinable()) thread_.join();
+  if (thread.joinable()) thread.join();
 }
 
 void Strand::Run() {
+  platform::UniqueLock lock(mu_);
   while (true) {
-    std::function<void()> task;
-    {
-      platform::UniqueLock lock(mu_);
-      while (!stop_ && queue_.empty()) cv_.Wait(lock);
-      if (queue_.empty()) {
-        if (stop_) return;
-        continue;
-      }
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
+    while (running_ || (queue_.empty() && !stop_)) cv_.Wait(lock);
+    if (queue_.empty()) return;  // stopped and drained
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    running_ = true;
+    lock.unlock();
     obs::GaugeAdd(QueueDepthGauge(), -1);
-    // A throwing detached task used to terminate the process with no
-    // indication of where it came from. Route it through the violation
-    // handler instead, which aborts loudly (or records it in tests).
-    try {
-      task();
-    } catch (const std::exception& e) {
-      analysis::ReportViolation(
-          "strand", std::string("strand task threw: ") + e.what());
-    } catch (...) {
-      analysis::ReportViolation("strand",
-                                "strand task threw a non-std exception");
-    }
-    cv_.NotifyAll();  // wake Drain() waiters
+    RunTask(task);
+    lock.lock();
+    running_ = false;
   }
 }
 
@@ -79,22 +80,49 @@ std::future<void> Strand::Submit(std::function<void()> task) {
 }
 
 void Strand::SubmitDetached(std::function<void()> task) {
+  platform::Guard lock(mu_);
+  EnqueueLocked(std::move(task));
+}
+
+void Strand::EnqueueLocked(std::function<void()> task) {
+  queue_.push_back(std::move(task));
+  obs::GaugeAdd(QueueDepthGauge(), 1);
+  if (!thread_.joinable()) {
+    thread_ = std::thread([this] { Run(); });
+  } else if (!running_) {
+    // While a task runs, whoever runs it looks at the queue when it ends.
+    cv_.NotifyOne();
+  }
+}
+
+void Strand::RunIfIdle(std::function<void()> task) {
   {
     platform::Guard lock(mu_);
-    queue_.push_back(std::move(task));
+    if (running_ || !queue_.empty()) {
+      EnqueueLocked(std::move(task));
+      return;
+    }
+    running_ = true;
   }
-  obs::GaugeAdd(QueueDepthGauge(), 1);
-  cv_.NotifyAll();
+  RunTask(task);
+  bool wake = false;
+  {
+    platform::Guard lock(mu_);
+    running_ = false;
+    // Only work queued behind this run needs the strand's thread; waking it
+    // after every inline run would cost the context switch this path exists
+    // to save.
+    wake = !queue_.empty();
+  }
+  if (wake) cv_.NotifyOne();
 }
 
 void Strand::Drain() {
-  auto done = Submit([] {});
-  done.wait();
-}
-
-size_t Strand::pending() const {
-  platform::Guard lock(mu_);
-  return queue_.size();
+  {
+    platform::Guard lock(mu_);
+    if (!running_ && queue_.empty()) return;
+  }
+  Submit([] {}).wait();
 }
 
 }  // namespace mtdb

@@ -17,9 +17,13 @@ namespace mtdb {
 // different machines proceed independently. This independence is what lets
 // an *aggressive* controller acknowledge a write after one replica finishes
 // while the same write is still executing (queued) on another replica.
+//
+// Tasks never overlap. Queued tasks run on the strand's own thread, started
+// when a task is first queued: a strand used only through RunIfIdle by
+// callers that find it idle never owns a thread.
 class Strand {
  public:
-  Strand();
+  Strand() = default;
   ~Strand();  // drains the queue, then joins
 
   Strand(const Strand&) = delete;
@@ -31,19 +35,26 @@ class Strand {
   // Enqueues a task without result tracking.
   void SubmitDetached(std::function<void()> task) MTDB_EXCLUDES(mu_);
 
-  // Blocks until every task submitted so far has run.
-  void Drain();
+  // Runs `task` on the calling thread, before returning, when no task is
+  // queued or running; otherwise enqueues it behind them like
+  // SubmitDetached. Either way it runs after every task submitted before.
+  void RunIfIdle(std::function<void()> task) MTDB_EXCLUDES(mu_);
 
-  size_t pending() const MTDB_EXCLUDES(mu_);
+  // Blocks until every task submitted so far has run.
+  void Drain() MTDB_EXCLUDES(mu_);
 
  private:
   void Run();
+  // Appends `task` and wakes (or first starts) the strand's thread.
+  void EnqueueLocked(std::function<void()> task) MTDB_REQUIRES(mu_);
 
-  mutable platform::Mutex mu_{"cluster/Strand::mu"};
-  platform::CondVar cv_;
+  platform::Mutex mu_{"cluster/Strand::mu"};
+  platform::CondVar cv_;  // the strand's thread is its only waiter
   std::deque<std::function<void()>> queue_ MTDB_GUARDED_BY(mu_);
+  // A task is executing, on the strand's thread or inline in RunIfIdle.
+  bool running_ MTDB_GUARDED_BY(mu_) = false;
   bool stop_ MTDB_GUARDED_BY(mu_) = false;
-  std::thread thread_;
+  std::thread thread_ MTDB_GUARDED_BY(mu_);
 };
 
 }  // namespace mtdb

@@ -295,6 +295,7 @@ void EncodeRequestFrame(const RpcRequest& request, std::string* out) {
   AppendU64(out, request.wal_cursor);
   AppendU32(out, static_cast<uint32_t>(request.lines.size()));
   for (const std::string& line : request.lines) AppendString(out, line);
+  AppendU8(out, request.begin ? 1 : 0);
   uint32_t payload = static_cast<uint32_t>(out->size() - frame_start - 4);
   for (int i = 0; i < 4; ++i) {
     (*out)[frame_start + i] = static_cast<char>((payload >> (8 * i)) & 0xff);
@@ -383,6 +384,7 @@ Result<RpcRequest> DecodeRequest(std::string_view payload) {
   for (uint32_t i = 0; i < lines && in.ok(); ++i) {
     request.lines.push_back(in.ReadString());
   }
+  request.begin = in.ReadU8() != 0;
   if (!in.ok()) return Status::InvalidArgument("truncated request frame");
   if (in.remaining() != 0) {
     return Status::InvalidArgument("trailing bytes after request frame");

@@ -25,10 +25,18 @@ class InProcTransport::InProcChannel : public Channel {
     // caller like a real socket write.
     auto frame = std::make_shared<std::string>();
     EncodeRequestFrame(request, frame.get());
-    strand_.SubmitDetached([this, frame = std::move(frame),
-                            handler = std::move(handler)]() mutable {
+    auto deliver = [this, frame = std::move(frame),
+                    handler = std::move(handler)]() mutable {
       Deliver(*frame, std::move(handler));
-    });
+    };
+    // A caller that blocks on the reply anyway may as well run the request
+    // itself: no thread hop there and back. Only when the channel is idle,
+    // so the request still runs after everything sent before it.
+    if (request.caller_waits) {
+      strand_.RunIfIdle(std::move(deliver));
+    } else {
+      strand_.SubmitDetached(std::move(deliver));
+    }
   }
 
  private:

@@ -21,6 +21,16 @@ namespace mtdb::net {
 // strand — the same FIFO-per-(connection,machine) ordering a dedicated TCP
 // connection provides, with none of the scheduling nondeterminism.
 //
+// A request marked RpcRequest::caller_waits runs on the calling thread,
+// inside Call, when nothing is queued or running on its channel; otherwise
+// (and for every unmarked request) it runs on the channel's strand thread,
+// which starts when the channel first queues a request. A channel whose
+// callers always wait therefore never owns a thread. An inline caller is
+// blocked in the machine's Dispatch until it returns, so an RPC deadline
+// cannot wake it earlier; in-process Dispatch always returns (its lock, WFQ
+// and WAL waits are bounded). A dropped request or reply returns from Call
+// at once and leaves the caller to the deadline watchdog.
+//
 // Fault injection:
 //  * SetFaultHook decides per request whether to deliver it, drop it before
 //    the service sees it (lost request), or execute it but drop the reply
@@ -28,8 +38,9 @@ namespace mtdb::net {
 //    the coordinator never hears it).
 //  * PartitionMachine makes a machine unreachable (every call times out at
 //    the client) until HealMachine.
-// Hooks run inside the channel's strand, after the request is already
-// serialized, so they see exactly what would have hit the wire.
+// Hooks run on the delivering thread (the caller's or the strand's), after
+// the request is already serialized, so they see exactly what would have
+// hit the wire.
 class InProcTransport : public Transport {
  public:
   enum class Fault {

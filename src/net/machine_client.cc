@@ -76,74 +76,16 @@ std::unique_ptr<MachineClient::Session> MachineClient::OpenSession(
 
 // --- Session ---
 
-void MachineClient::Session::BeginAsync(uint64_t txn_id,
-                                        const std::string& db_name,
-                                        bool read_only, ResponseHandler done) {
-  RpcRequest request;
-  request.type = RpcType::kBegin;
-  request.txn_id = txn_id;
-  request.db_name = db_name;
-  request.read_only = read_only;
+void MachineClient::Session::CallAsync(RpcRequest request,
+                                       ResponseHandler done) {
   request.trace_id = trace_id_.load(std::memory_order_relaxed);
   client_->CallWithDeadline(channel_.get(), machine_id_, request,
                             std::move(done));
 }
 
-void MachineClient::Session::ExecuteAsync(uint64_t txn_id,
-                                          const std::string& db_name,
-                                          const std::string& sql,
-                                          const std::vector<Value>& params,
-                                          int64_t debug_delay_us,
-                                          ResponseHandler done) {
-  RpcRequest request;
-  request.type = RpcType::kExecute;
-  request.txn_id = txn_id;
-  request.db_name = db_name;
-  request.sql = sql;
-  request.params = params;
-  request.debug_delay_us = debug_delay_us;
+RpcResponse MachineClient::Session::Call(RpcRequest request) {
   request.trace_id = trace_id_.load(std::memory_order_relaxed);
-  client_->CallWithDeadline(channel_.get(), machine_id_, request,
-                            std::move(done));
-}
-
-void MachineClient::Session::PrepareAsync(uint64_t txn_id,
-                                          ResponseHandler done) {
-  RpcRequest request;
-  request.type = RpcType::kPrepare;
-  request.txn_id = txn_id;
-  request.trace_id = trace_id_.load(std::memory_order_relaxed);
-  client_->CallWithDeadline(channel_.get(), machine_id_, request,
-                            std::move(done));
-}
-
-void MachineClient::Session::CommitAsync(uint64_t txn_id,
-                                         ResponseHandler done) {
-  RpcRequest request;
-  request.type = RpcType::kCommit;
-  request.txn_id = txn_id;
-  request.trace_id = trace_id_.load(std::memory_order_relaxed);
-  client_->CallWithDeadline(channel_.get(), machine_id_, request,
-                            std::move(done));
-}
-
-void MachineClient::Session::CommitPreparedAsync(uint64_t txn_id,
-                                                 ResponseHandler done) {
-  RpcRequest request;
-  request.type = RpcType::kCommitPrepared;
-  request.txn_id = txn_id;
-  request.trace_id = trace_id_.load(std::memory_order_relaxed);
-  client_->CallWithDeadline(channel_.get(), machine_id_, request,
-                            std::move(done));
-}
-
-void MachineClient::Session::AbortAsync(uint64_t txn_id, ResponseHandler done) {
-  RpcRequest request;
-  request.type = RpcType::kAbort;
-  request.txn_id = txn_id;
-  request.trace_id = trace_id_.load(std::memory_order_relaxed);
-  client_->CallWithDeadline(channel_.get(), machine_id_, request,
-                            std::move(done));
+  return client_->CallSync(channel_.get(), machine_id_, std::move(request));
 }
 
 // --- Control plane ---
@@ -159,15 +101,14 @@ Channel* MachineClient::ControlChannel(int machine_id) {
   return it->second.get();
 }
 
-RpcResponse MachineClient::ControlCall(int machine_id,
-                                       const RpcRequest& request) {
-  return CallSync(ControlChannel(machine_id), machine_id, request);
+RpcResponse MachineClient::ControlCall(int machine_id, RpcRequest request) {
+  return CallSync(ControlChannel(machine_id), machine_id, std::move(request));
 }
 
 Status MachineClient::Health(int machine_id) {
   RpcRequest request;
   request.type = RpcType::kHealth;
-  return ControlCall(machine_id, request).ToStatus();
+  return ControlCall(machine_id, std::move(request)).ToStatus();
 }
 
 Status MachineClient::CreateDatabase(int machine_id,
@@ -175,7 +116,7 @@ Status MachineClient::CreateDatabase(int machine_id,
   RpcRequest request;
   request.type = RpcType::kCreateDatabase;
   request.db_name = db_name;
-  return ControlCall(machine_id, request).ToStatus();
+  return ControlCall(machine_id, std::move(request)).ToStatus();
 }
 
 Status MachineClient::DropDatabase(int machine_id,
@@ -183,14 +124,14 @@ Status MachineClient::DropDatabase(int machine_id,
   RpcRequest request;
   request.type = RpcType::kDropDatabase;
   request.db_name = db_name;
-  return ControlCall(machine_id, request).ToStatus();
+  return ControlCall(machine_id, std::move(request)).ToStatus();
 }
 
 Status MachineClient::HasDatabase(int machine_id, const std::string& db_name) {
   RpcRequest request;
   request.type = RpcType::kHasDatabase;
   request.db_name = db_name;
-  return ControlCall(machine_id, request).ToStatus();
+  return ControlCall(machine_id, std::move(request)).ToStatus();
 }
 
 Status MachineClient::ExecuteDdl(int machine_id, const std::string& db_name,
@@ -199,7 +140,7 @@ Status MachineClient::ExecuteDdl(int machine_id, const std::string& db_name,
   request.type = RpcType::kExecuteDdl;
   request.db_name = db_name;
   request.sql = sql;
-  return ControlCall(machine_id, request).ToStatus();
+  return ControlCall(machine_id, std::move(request)).ToStatus();
 }
 
 Status MachineClient::BulkLoad(int machine_id, const std::string& db_name,
@@ -210,13 +151,13 @@ Status MachineClient::BulkLoad(int machine_id, const std::string& db_name,
   request.db_name = db_name;
   request.table = table;
   request.rows = rows;
-  return ControlCall(machine_id, request).ToStatus();
+  return ControlCall(machine_id, std::move(request)).ToStatus();
 }
 
 Result<std::vector<uint64_t>> MachineClient::ListPrepared(int machine_id) {
   RpcRequest request;
   request.type = RpcType::kListPrepared;
-  RpcResponse response = ControlCall(machine_id, request);
+  RpcResponse response = ControlCall(machine_id, std::move(request));
   if (!response.ok()) return response.ToStatus();
   return std::move(response.txn_ids);
 }
@@ -224,7 +165,7 @@ Result<std::vector<uint64_t>> MachineClient::ListPrepared(int machine_id) {
 Result<std::vector<uint64_t>> MachineClient::ListActive(int machine_id) {
   RpcRequest request;
   request.type = RpcType::kListActive;
-  RpcResponse response = ControlCall(machine_id, request);
+  RpcResponse response = ControlCall(machine_id, std::move(request));
   if (!response.ok()) return response.ToStatus();
   return std::move(response.txn_ids);
 }
@@ -234,7 +175,7 @@ Result<std::vector<std::string>> MachineClient::ListTables(
   RpcRequest request;
   request.type = RpcType::kListTables;
   request.db_name = db_name;
-  RpcResponse response = ControlCall(machine_id, request);
+  RpcResponse response = ControlCall(machine_id, std::move(request));
   if (!response.ok()) return response.ToStatus();
   return std::move(response.names);
 }
@@ -243,20 +184,20 @@ Status MachineClient::CommitPrepared(int machine_id, uint64_t txn_id) {
   RpcRequest request;
   request.type = RpcType::kCommitPrepared;
   request.txn_id = txn_id;
-  return ControlCall(machine_id, request).ToStatus();
+  return ControlCall(machine_id, std::move(request)).ToStatus();
 }
 
 Status MachineClient::Abort(int machine_id, uint64_t txn_id) {
   RpcRequest request;
   request.type = RpcType::kAbort;
   request.txn_id = txn_id;
-  return ControlCall(machine_id, request).ToStatus();
+  return ControlCall(machine_id, std::move(request)).ToStatus();
 }
 
 Result<std::string> MachineClient::Stats(int machine_id) {
   RpcRequest request;
   request.type = RpcType::kStats;
-  RpcResponse response = ControlCall(machine_id, request);
+  RpcResponse response = ControlCall(machine_id, std::move(request));
   if (!response.ok()) return response.ToStatus();
   return std::move(response.message);
 }
@@ -268,7 +209,7 @@ Status MachineClient::SetQuota(int machine_id, const std::string& db_name,
   request.db_name = db_name;
   request.params = {Value(rate_tps), Value(burst),
                     Value(static_cast<int64_t>(weight))};
-  return ControlCall(machine_id, request).ToStatus();
+  return ControlCall(machine_id, std::move(request)).ToStatus();
 }
 
 Result<TableDump> MachineClient::DumpTable(int machine_id,
@@ -283,7 +224,8 @@ Result<TableDump> MachineClient::DumpTable(int machine_id,
   request.table = table;
   request.per_row_delay_us = per_row_delay_us;
   auto channel = transport_->OpenChannel(machine_id);
-  RpcResponse response = CallSync(channel.get(), machine_id, request);
+  RpcResponse response =
+      CallSync(channel.get(), machine_id, std::move(request));
   if (!response.ok()) return response.ToStatus();
   if (response.dumps.size() != 1) {
     return Status::Internal("DumpTable reply carried " +
@@ -301,7 +243,8 @@ Result<std::vector<TableDump>> MachineClient::DumpDatabase(
   request.db_name = db_name;
   request.per_row_delay_us = per_row_delay_us;
   auto channel = transport_->OpenChannel(machine_id);
-  RpcResponse response = CallSync(channel.get(), machine_id, request);
+  RpcResponse response =
+      CallSync(channel.get(), machine_id, std::move(request));
   if (!response.ok()) return response.ToStatus();
   return std::move(response.dumps);
 }
@@ -313,7 +256,7 @@ Status MachineClient::ApplyDump(int machine_id, const std::string& db_name,
   request.db_name = db_name;
   request.dump = dump;
   auto channel = transport_->OpenChannel(machine_id);
-  return CallSync(channel.get(), machine_id, request).ToStatus();
+  return CallSync(channel.get(), machine_id, std::move(request)).ToStatus();
 }
 
 Result<std::vector<std::string>> MachineClient::WalDeltaRead(
@@ -326,7 +269,8 @@ Result<std::vector<std::string>> MachineClient::WalDeltaRead(
   // Transient channel, like the dump calls: a delta round can be large and
   // must not head-of-line-block the control channel.
   auto channel = transport_->OpenChannel(machine_id);
-  RpcResponse response = CallSync(channel.get(), machine_id, request);
+  RpcResponse response =
+      CallSync(channel.get(), machine_id, std::move(request));
   if (!response.ok()) return response.ToStatus();
   *frontier = response.wal_lsn;
   return std::move(response.names);
@@ -339,7 +283,7 @@ Status MachineClient::WalDeltaApply(int machine_id, const std::string& db_name,
   request.db_name = db_name;
   request.lines = lines;
   auto channel = transport_->OpenChannel(machine_id);
-  return CallSync(channel.get(), machine_id, request).ToStatus();
+  return CallSync(channel.get(), machine_id, std::move(request)).ToStatus();
 }
 
 // --- Deadline machinery ---
@@ -396,7 +340,8 @@ void MachineClient::CallWithDeadline(Channel* channel, int machine_id,
 }
 
 RpcResponse MachineClient::CallSync(Channel* channel, int machine_id,
-                                    const RpcRequest& request) {
+                                    RpcRequest request) {
+  request.caller_waits = true;
   auto done = std::make_shared<std::promise<RpcResponse>>();
   auto future = done->get_future();
   CallWithDeadline(channel, machine_id, request,

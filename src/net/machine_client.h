@@ -61,24 +61,15 @@ class MachineClient {
       trace_id_.store(trace_id, std::memory_order_relaxed);
     }
 
-    // Starts the engine-side transaction. The reply carries the QoS
-    // admission verdict: kResourceExhausted + retry_after_us when the
-    // tenant is over quota, so the caller can back off and retry the
-    // *same* machine instead of failing over.
-    // `read_only` requests MVCC snapshot mode; the reply's snapshot_ts is
-    // the engine-local snapshot timestamp assigned to the transaction.
-    void BeginAsync(uint64_t txn_id, const std::string& db_name,
-                    bool read_only, ResponseHandler done);
+    // Sends one transactional request (kBegin, kExecute, kPrepare, kCommit,
+    // kCommitPrepared or kAbort) stamped with the session's trace id; `done`
+    // hears the reply exactly once (reply or deadline). Set
+    // request.caller_waits when the caller blocks until `done` has run: an
+    // in-process transport may then run the request on the calling thread.
+    void CallAsync(RpcRequest request, ResponseHandler done);
 
-    // Runs one statement. The machine plans `sql` through its plan cache,
-    // so a repeated '?' statement skips parse and plan.
-    void ExecuteAsync(uint64_t txn_id, const std::string& db_name,
-                      const std::string& sql, const std::vector<Value>& params,
-                      int64_t debug_delay_us, ResponseHandler done);
-    void PrepareAsync(uint64_t txn_id, ResponseHandler done);
-    void CommitAsync(uint64_t txn_id, ResponseHandler done);
-    void CommitPreparedAsync(uint64_t txn_id, ResponseHandler done);
-    void AbortAsync(uint64_t txn_id, ResponseHandler done);
+    // CallAsync with caller_waits set; returns the reply.
+    RpcResponse Call(RpcRequest request);
 
    private:
     friend class MachineClient;
@@ -179,10 +170,10 @@ class MachineClient {
   // Issues the call on `channel` with the deadline armed.
   void CallWithDeadline(Channel* channel, int machine_id,
                         const RpcRequest& request, ResponseHandler handler);
-  RpcResponse CallSync(Channel* channel, int machine_id,
-                       const RpcRequest& request);
+  // Issues the call with caller_waits set and blocks for the reply.
+  RpcResponse CallSync(Channel* channel, int machine_id, RpcRequest request);
   // Control-plane convenience: sync call on the shared control channel.
-  RpcResponse ControlCall(int machine_id, const RpcRequest& request);
+  RpcResponse ControlCall(int machine_id, RpcRequest request);
   Channel* ControlChannel(int machine_id);
 
   // Removes an answered call's deadline, if the watchdog has not taken it.

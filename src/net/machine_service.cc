@@ -84,49 +84,65 @@ RpcResponse MachineService::Dispatch(const RpcRequest& request) {
   return response;
 }
 
+RpcResponse MachineService::Begin(Engine* engine, const RpcRequest& request) {
+  // QoS admission gates the transaction here, before any engine state
+  // exists: an over-quota tenant answers with a fast kResourceExhausted +
+  // retry_after_us instead of queueing work. Everything after the begin
+  // (executes, 2PC completions) belongs to an already-admitted transaction
+  // and is never throttled, so a quota can never cut a replicated write off
+  // on a subset of replicas.
+  qos::AdmitDecision decision = machine_->AdmitBegin(request.db_name);
+  if (!decision.admitted) {
+    RpcResponse response = RpcResponse::FromStatus(
+        Status::ResourceExhausted("tenant over admission quota"));
+    response.retry_after_us = decision.retry_after_us;
+    return response;
+  }
+  uint64_t snapshot_ts = 0;
+  RpcResponse response = RpcResponse::FromStatus(
+      engine->Begin(request.txn_id, request.read_only, &snapshot_ts));
+  response.snapshot_ts = snapshot_ts;
+  return response;
+}
+
+RpcResponse MachineService::Execute(Engine* engine,
+                                    const RpcRequest& request) {
+  // Parse+plan (or plan-cache hit) happens before the latency model so
+  // cached statements skip straight to the op slot.
+  auto plan_or = engine->GetPlan(request.db_name, request.sql);
+  if (!plan_or.ok()) return RpcResponse::FromStatus(plan_or.status());
+  // Test-only injected latency is applied *before* taking an op slot,
+  // matching the pre-RPC execution path so Table 1 anomaly schedules stay
+  // deterministic.
+  SleepMicros(request.debug_delay_us);
+  qos::WeightedFairQueue::Guard guard(machine_->fair_queue(),
+                                      request.db_name);
+  int64_t execute_start_us = NowMicros();
+  SleepMicros(machine_->base_op_latency_us());
+  sql::SqlExecutor executor(engine);
+  auto result = executor.ExecutePlan(request.txn_id, request.db_name,
+                                     **plan_or, request.params);
+  machine_->RecordExecuteLatency(NowMicros() - execute_start_us);
+  if (!result.ok()) return RpcResponse::FromStatus(result.status());
+  RpcResponse response;
+  response.result = std::move(*result);
+  return response;
+}
+
 RpcResponse MachineService::DispatchTransactional(const RpcRequest& request) {
   auto engine = machine_->engine();
   switch (request.type) {
-    case RpcType::kBegin: {
-      // QoS admission gates the transaction here, before any engine state
-      // exists: an over-quota tenant answers with a fast
-      // kResourceExhausted + retry_after_us instead of queueing work.
-      // Everything after Begin (executes, 2PC completions) belongs to an
-      // already-admitted transaction and is never throttled, so a quota can
-      // never cut a replicated write off on a subset of replicas.
-      qos::AdmitDecision decision = machine_->AdmitBegin(request.db_name);
-      if (!decision.admitted) {
-        RpcResponse response = RpcResponse::FromStatus(
-            Status::ResourceExhausted("tenant over admission quota"));
-        response.retry_after_us = decision.retry_after_us;
-        return response;
-      }
-      uint64_t snapshot_ts = 0;
-      RpcResponse response = RpcResponse::FromStatus(
-          engine->Begin(request.txn_id, request.read_only, &snapshot_ts));
-      response.snapshot_ts = snapshot_ts;
-      return response;
-    }
+    case RpcType::kBegin:
+      return Begin(engine.get(), request);
     case RpcType::kExecute: {
-      // Parse+plan (or plan-cache hit) happens before the latency model so
-      // cached statements skip straight to the op slot.
-      auto plan_or = engine->GetPlan(request.db_name, request.sql);
-      if (!plan_or.ok()) return RpcResponse::FromStatus(plan_or.status());
-      // Test-only injected latency is applied *before* taking an op slot,
-      // matching the pre-RPC execution path so Table 1 anomaly schedules
-      // stay deterministic.
-      SleepMicros(request.debug_delay_us);
-      qos::WeightedFairQueue::Guard guard(machine_->fair_queue(),
-                                          request.db_name);
-      int64_t execute_start_us = NowMicros();
-      SleepMicros(machine_->base_op_latency_us());
-      sql::SqlExecutor executor(engine.get());
-      auto result = executor.ExecutePlan(request.txn_id, request.db_name,
-                                         **plan_or, request.params);
-      machine_->RecordExecuteLatency(NowMicros() - execute_start_us);
-      if (!result.ok()) return RpcResponse::FromStatus(result.status());
-      RpcResponse response;
-      response.result = std::move(*result);
+      if (!request.begin) return Execute(engine.get(), request);
+      // The transaction's first request to this machine: begin it, then run
+      // the statement, and answer both in one reply. A refused or failed
+      // begin runs nothing.
+      RpcResponse begun = Begin(engine.get(), request);
+      if (!begun.ok()) return begun;
+      RpcResponse response = Execute(engine.get(), request);
+      response.snapshot_ts = begun.snapshot_ts;
       return response;
     }
     case RpcType::kPrepare:

@@ -4,6 +4,7 @@
 #include "src/net/message.h"
 
 namespace mtdb {
+class Engine;
 class Machine;
 }
 
@@ -13,7 +14,8 @@ namespace mtdb::net {
 // RpcResponse by dispatching onto the Machine's engine through the existing
 // semaphore/latency machinery. Stateless across requests — statement caching
 // lives in the engine's plan cache (Engine::GetPlan), so any transport
-// (in-process strand, TCP connection thread) can call Dispatch concurrently.
+// (in-process caller or strand, TCP connection thread) can call Dispatch
+// concurrently.
 class MachineService {
  public:
   explicit MachineService(Machine* machine);
@@ -30,6 +32,10 @@ class MachineService {
  private:
   RpcResponse DispatchTransactional(const RpcRequest& request);
   RpcResponse DispatchControl(const RpcRequest& request);
+  // Admits and starts request.txn_id (kBegin, or kExecute with `begin`).
+  RpcResponse Begin(Engine* engine, const RpcRequest& request);
+  // Runs request.sql inside request.txn_id.
+  RpcResponse Execute(Engine* engine, const RpcRequest& request);
 
   Machine* machine_;
 };

@@ -18,7 +18,8 @@ namespace mtdb::net {
 // control-plane requests issued outside client transactions.
 enum class RpcType : uint8_t {
   kHealth = 1,         // liveness probe
-  kBegin = 2,          // start engine-side transaction txn_id
+  kBegin = 2,          // start engine-side transaction txn_id (sent ahead
+                       // of a write; a read carries RpcRequest::begin)
   kExecute = 3,        // run one SQL statement inside txn_id
   kPrepare = 4,        // 2PC phase 1 (the vote is the response Status)
   kCommit = 5,         // one-phase commit (read-only / single participant)
@@ -80,9 +81,10 @@ struct RpcRequest {
   // Distributed-tracing correlation id minted by the issuing Connection;
   // 0 means "not part of a traced transaction".
   uint64_t trace_id = 0;
-  // kBegin: start the transaction in read-only snapshot mode — reads come
-  // from the MVCC snapshot without lock-manager traffic, writes are
-  // rejected. Always on the wire; old-format frames fail decoding.
+  // kBegin, and kExecute with `begin`: start the transaction in read-only
+  // snapshot mode — reads come from the MVCC snapshot without lock-manager
+  // traffic, writes are rejected. Always on the wire; old-format frames fail
+  // decoding.
   bool read_only = false;
   // kWalDeltaRead: ship committed records for db_name past this source-WAL
   // frontier (LSN). UINT64_MAX is a capability probe: no lines, frontier
@@ -90,6 +92,18 @@ struct RpcRequest {
   uint64_t wal_cursor = 0;
   // kWalDeltaApply: raw WAL lines to replay (as returned by kWalDeltaRead).
   std::vector<std::string> lines;
+  // kExecute: this is the transaction's first request to the machine, so the
+  // machine runs QoS admission and starts txn_id (with `read_only`) before
+  // the statement, exactly as a kBegin would. A refusal answers
+  // kResourceExhausted + retry_after_us with nothing executed; otherwise the
+  // reply carries snapshot_ts. Always on the wire, like wal_cursor.
+  bool begin = false;
+
+  // Not a wire field: the codec never writes it. Set when the caller blocks
+  // until the reply arrives, which lets an in-process transport run the
+  // request on the calling thread (see InProcTransport). TcpTransport
+  // ignores it.
+  bool caller_waits = false;
 };
 
 // A decoded response. `code`/`message` carry the operation Status; payload
@@ -110,9 +124,10 @@ struct RpcResponse {
   // 0 (the default, and the value on every non-throttled response) means
   // "no hint". Always on the wire, like trace_id/server_duration_us.
   int64_t retry_after_us = 0;
-  // kBegin on a read-only transaction: the engine-local MVCC snapshot
-  // timestamp assigned to it (0 for read-write begins and every other
-  // response type). Always on the wire, like retry_after_us.
+  // kBegin, or kExecute with `begin`, on a read-only transaction: the
+  // engine-local MVCC snapshot timestamp assigned to it (0 for read-write
+  // begins and every other response). Always on the wire, like
+  // retry_after_us.
   uint64_t snapshot_ts = 0;
   // kWalDeltaRead: the source-WAL frontier (LSN of the last complete line)
   // the returned delta catches the caller up to; feed it back as the next

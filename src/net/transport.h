@@ -22,7 +22,9 @@ using ResponseHandler = std::function<void(RpcResponse)>;
 // An ordered, bidirectional message stream to one machine — the moral
 // equivalent of one client connection to a per-machine DBMS process.
 // Requests sent on one channel are executed by the machine in FIFO order;
-// delivered replies arrive in the same order. Call is thread-safe.
+// delivered replies arrive in the same order. Call is thread-safe, and may
+// run the handler before it returns (on the calling thread, for a request
+// marked RpcRequest::caller_waits).
 class Channel {
  public:
   virtual ~Channel() = default;

@@ -301,6 +301,32 @@ TEST(NetCodecTest, BeginReadOnlyFlagRoundTrips) {
   EXPECT_FALSE(RoundTripRequest(execute).read_only);
 }
 
+TEST(NetCodecTest, BeginRoundTripsAndTheHintIsNotEncoded) {
+  // A read that starts its transaction carries `begin` (and read_only) on
+  // the wire.
+  RpcRequest execute;
+  execute.type = RpcType::kExecute;
+  execute.txn_id = 311;
+  execute.db_name = "shop";
+  execute.sql = "SELECT 1";
+  execute.begin = true;
+  execute.read_only = true;
+  RpcRequest out = RoundTripRequest(execute);
+  EXPECT_TRUE(out.begin);
+  EXPECT_TRUE(out.read_only);
+  execute.begin = false;
+  EXPECT_FALSE(RoundTripRequest(execute).begin);
+
+  // caller_waits stays on the caller's side: the frame bytes do not change.
+  std::string plain;
+  EncodeRequestFrame(execute, &plain);
+  execute.caller_waits = true;
+  std::string hinted;
+  EncodeRequestFrame(execute, &hinted);
+  EXPECT_EQ(plain, hinted);
+  EXPECT_FALSE(RoundTripRequest(execute).caller_waits);
+}
+
 TEST(NetCodecTest, SnapshotTimestampRoundTrips) {
   // BEGIN responses for read-only transactions return the snapshot
   // timestamp; every other response carries the 0 sentinel.

@@ -17,6 +17,7 @@
 #include "src/cluster/machine.h"
 #include "src/net/machine_service.h"
 #include "src/net/tcp_transport.h"
+#include "src/obs/metrics.h"
 
 namespace mtdb {
 namespace {
@@ -100,6 +101,40 @@ TEST_F(NetTcpTest, TpcwStyleTransactionCommitsOverSockets) {
                              {Value(int64_t{7})});
   ASSERT_TRUE(check.ok());
   EXPECT_EQ(check->rows[0][0], Value(int64_t{99}));
+}
+
+TEST_F(NetTcpTest, ReadOnlyTransactionTakesItsSnapshotFromTheFirstRead) {
+  // Over a real wire, too, the first read carries the begin: the snapshot
+  // timestamp comes back in the read's reply and no kBegin is sent.
+  StartCluster(2);
+  ASSERT_TRUE(controller_->CreateDatabaseOn("shop", {0, 1}).ok());
+  ASSERT_TRUE(controller_
+                  ->ExecuteDdl("shop",
+                               "CREATE TABLE item (i_id INT PRIMARY KEY, "
+                               "i_stock INT)")
+                  .ok());
+  ASSERT_TRUE(controller_
+                  ->BulkLoad("shop", "item",
+                             {{Value(int64_t{1}), Value(int64_t{100})}})
+                  .ok());
+  auto conn = controller_->Connect("shop");
+  // A committed write moves each replica's snapshot frontier past 0.
+  ASSERT_TRUE(
+      conn->Execute("UPDATE item SET i_stock = 99 WHERE i_id = 1").ok());
+
+  auto& registry = obs::MetricsRegistry::Global();
+  int64_t begins =
+      registry.CounterValue("mtdb_rpc_total", {.operation = "Begin"});
+  ASSERT_TRUE(conn->Begin(/*read_only=*/true).ok());
+  EXPECT_EQ(conn->snapshot_ts(), 0u);
+  auto read = conn->Execute("SELECT i_stock FROM item WHERE i_id = 1");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(read->rows.size(), 1u);
+  EXPECT_EQ(read->rows[0][0], Value(int64_t{99}));
+  EXPECT_GT(conn->snapshot_ts(), 0u);
+  ASSERT_TRUE(conn->Commit().ok());
+  EXPECT_EQ(registry.CounterValue("mtdb_rpc_total", {.operation = "Begin"}),
+            begins);
 }
 
 TEST_F(NetTcpTest, ReplicaContentsIdenticalAfterManyTransactions) {

@@ -9,13 +9,17 @@
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/cluster/cluster_controller.h"
 #include "src/cluster/recovery.h"
+#include "src/common/clock.h"
 #include "src/net/inproc_transport.h"
 #include "src/obs/metrics.h"
 
@@ -229,6 +233,128 @@ TEST_F(NetTransportTest, DroppedControlRequestSurfacesAsUnavailable) {
   EXPECT_TRUE(controller_->DatabaseNames() ==
               std::vector<std::string>{"shop"});
   transport->SetFaultHook(nullptr);
+}
+
+// --- in-process delivery on the caller's thread ---
+
+int64_t RpcCalls(const std::string& operation) {
+  return obs::MetricsRegistry::Global().CounterValue(
+      "mtdb_rpc_total", {.operation = operation});
+}
+
+TEST_F(NetTransportTest, ReadTransactionSendsNoBegin) {
+  // The first read to a machine carries the begin: a one-read transaction
+  // is one execute and one commit, with no kBegin round trip.
+  Build(ClusterControllerOptions{});
+  auto conn = controller_->Connect("shop");
+  int64_t begins = RpcCalls("Begin");
+  int64_t executes = RpcCalls("Execute");
+  int64_t commits = RpcCalls("Commit");
+  ASSERT_TRUE(conn->Begin().ok());
+  auto read = conn->Execute("SELECT i_stock FROM item WHERE i_id = 3");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_TRUE(conn->Commit().ok());
+  EXPECT_EQ(RpcCalls("Begin") - begins, 0);
+  EXPECT_EQ(RpcCalls("Execute") - executes, 1);
+  EXPECT_EQ(RpcCalls("Commit") - commits, 1);
+}
+
+TEST_F(NetTransportTest, WaitedReadRunsOnCallerThread) {
+  // A read blocks its connection until the reply, so the in-process
+  // transport runs it on the connection's own thread.
+  Build(ClusterControllerOptions{});
+  std::mutex mu;
+  std::vector<std::thread::id> executors;
+  controller_->inproc_transport()->SetFaultHook(
+      [&mu, &executors](int, const net::RpcRequest& request) {
+        if (request.type == net::RpcType::kExecute) {
+          std::lock_guard<std::mutex> lock(mu);
+          executors.push_back(std::this_thread::get_id());
+        }
+        return net::InProcTransport::Fault::kDeliver;
+      });
+  auto conn = controller_->Connect("shop");
+  ASSERT_TRUE(conn->Execute("SELECT i_stock FROM item WHERE i_id = 1").ok());
+  ASSERT_TRUE(conn->Begin(/*read_only=*/true).ok());
+  ASSERT_TRUE(conn->Execute("SELECT i_stock FROM item WHERE i_id = 2").ok());
+  ASSERT_TRUE(conn->Execute("SELECT i_stock FROM item WHERE i_id = 3").ok());
+  ASSERT_TRUE(conn->Commit().ok());
+  controller_->inproc_transport()->SetFaultHook(nullptr);
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(executors.size(), 3u);
+  for (std::thread::id executor : executors) {
+    EXPECT_EQ(executor, std::this_thread::get_id());
+  }
+}
+
+TEST_F(NetTransportTest, WaitOnlySessionsStartNoThread) {
+  // A session whose requests are all waited on never queues one, so its
+  // channel never starts a thread: 50 open connections that each ran a
+  // read transaction cost no threads.
+  Build(ClusterControllerOptions{});
+  auto threads = [] {
+    int64_t n = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)entry;
+      ++n;
+    }
+    return n;
+  };
+  int64_t before = threads();
+  std::vector<std::unique_ptr<Connection>> connections;
+  for (int i = 0; i < 50; ++i) {
+    connections.push_back(controller_->Connect("shop"));
+    Connection* conn = connections.back().get();
+    ASSERT_TRUE(conn->Begin().ok());
+    ASSERT_TRUE(conn->Execute("SELECT i_stock FROM item WHERE i_id = 5").ok());
+    ASSERT_TRUE(conn->Commit().ok());
+  }
+  EXPECT_LT(threads() - before, 5);
+}
+
+TEST_F(NetTransportTest, QueuedWriteRunsBeforeALaterRead) {
+  // Under aggressive ack the write is acknowledged by the fast replica while
+  // the delayed one still has it queued on this connection's session. A
+  // later read on that session waits behind it (per-session FIFO) instead
+  // of running inline ahead of it, so the read sees the write.
+  ClusterControllerOptions options;
+  options.write_policy = WriteAckPolicy::kAggressive;
+  Build(options);
+  // Find the replica reads go to (Option 1: the database's primary).
+  std::atomic<int> read_machine{-1};
+  controller_->inproc_transport()->SetFaultHook(
+      [&read_machine](int machine_id, const net::RpcRequest& request) {
+        if (request.type == net::RpcType::kExecute) {
+          read_machine.store(machine_id);
+        }
+        return net::InProcTransport::Fault::kDeliver;
+      });
+  auto conn = controller_->Connect("shop");
+  ASSERT_TRUE(conn->Execute("SELECT i_stock FROM item WHERE i_id = 4").ok());
+  controller_->inproc_transport()->SetFaultHook(nullptr);
+  int slow = read_machine.load();
+  ASSERT_GE(slow, 0);
+
+  constexpr int64_t kDelayUs = 300'000;
+  controller_->SetLatencyInjector(
+      [slow](const std::string&, bool is_write, int machine_id) -> int64_t {
+        return is_write && machine_id == slow ? kDelayUs : 0;
+      });
+  ASSERT_TRUE(conn->Begin().ok());
+  int64_t start_us = NowMicros();
+  ASSERT_TRUE(
+      conn->Execute("UPDATE item SET i_stock = 42 WHERE i_id = 4").ok());
+  // The acknowledgement came from the fast replica, before the delay ended.
+  EXPECT_LT(NowMicros() - start_us, kDelayUs);
+  auto read = conn->Execute("SELECT i_stock FROM item WHERE i_id = 4");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(read->rows.size(), 1u);
+  EXPECT_EQ(read->rows[0][0], Value(int64_t{42}));
+  EXPECT_TRUE(conn->Commit().ok());
+  controller_->SetLatencyInjector(nullptr);
+  EXPECT_EQ(StockOnEngine(0, 4), 42);
+  EXPECT_EQ(StockOnEngine(1, 4), 42);
 }
 
 }  // namespace

@@ -364,6 +364,34 @@ TEST_F(QosClusterTest, ThrottleFloodNeverTriggersFailover) {
       throttled_before);
 }
 
+// A transaction's first read on a machine carries its begin, so the
+// admission verdict rides the read's reply: a refusal runs nothing — no
+// engine transaction is left behind on the machine — and, like a refused
+// kBegin, surfaces as a throttle, never as a machine failure.
+TEST_F(QosClusterTest, RefusedFirstReadLeavesNoTransaction) {
+  ClusterControllerOptions options;
+  options.throttle_retry.budget_us = 0;  // fail fast: surface the refusal
+  Build(options);
+  qos::QuotaSpec spec;
+  spec.rate_tps = 1;
+  spec.burst = 1;
+  ASSERT_TRUE(controller_->SetDatabaseQuota("app", spec).ok());
+
+  auto conn = controller_->Connect("app");
+  // The burst admits one transaction...
+  ASSERT_TRUE(conn->Execute("SELECT v FROM t WHERE id = 1").ok());
+  // ...and the next one's first read is refused before it runs.
+  ASSERT_TRUE(conn->Begin().ok());
+  auto refused = conn->Execute("SELECT v FROM t WHERE id = 1");
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted)
+      << refused.status().ToString();
+  auto active = controller_->machine_client()->ListActive(0);
+  ASSERT_TRUE(active.ok()) << active.status().ToString();
+  EXPECT_TRUE(active->empty()) << active->size() << " transaction(s) left";
+  EXPECT_FALSE(controller_->machine(0)->failed());
+  EXPECT_TRUE(conn->Abort().ok());
+}
+
 // With a retry budget, the connection honors retry_after_us and every
 // transaction eventually lands — the quota shapes traffic instead of
 // failing it.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -118,6 +119,72 @@ TEST(StrandTest, ConcurrentSubmittersAllExecute) {
   for (auto& t : submitters) t.join();
   strand.Drain();
   EXPECT_EQ(executed, 200);
+}
+
+TEST(StrandTest, RunIfIdleRunsOnCallerAndKeepsFifo) {
+  Strand strand;
+  // An idle strand runs the task on the caller's thread, before returning.
+  std::thread::id ran_on;
+  strand.RunIfIdle([&ran_on] { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+
+  // Four callers race RunIfIdle against SubmitDetached on one strand.
+  constexpr int kThreads = 4;
+  constexpr int kTasksPerThread = 200;
+  struct Ran {
+    int task;
+    std::thread::id thread;
+    bool inline_candidate;  // submitted through RunIfIdle
+  };
+  std::mutex mu;
+  std::vector<std::vector<Ran>> ran(kThreads);
+  std::vector<std::thread::id> callers(kThreads);
+  std::atomic<int> running{0};
+  std::atomic<int> overlaps{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      callers[t] = std::this_thread::get_id();
+      Random rng(static_cast<uint64_t>(t) + 1);
+      for (int i = 0; i < kTasksPerThread; ++i) {
+        bool via_run_if_idle = rng.Uniform(4) != 0;
+        auto task = [&, t, i, via_run_if_idle] {
+          if (running.fetch_add(1) != 0) overlaps.fetch_add(1);
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            ran[t].push_back({i, std::this_thread::get_id(), via_run_if_idle});
+          }
+          running.fetch_sub(1);
+        };
+        if (via_run_if_idle) {
+          strand.RunIfIdle(task);
+        } else {
+          strand.SubmitDetached(task);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  strand.Drain();
+
+  EXPECT_EQ(overlaps.load(), 0) << "two strand tasks ran at once";
+  int inline_runs = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(ran[t].size(), static_cast<size_t>(kTasksPerThread));
+    for (int i = 0; i < kTasksPerThread; ++i) {
+      const Ran& r = ran[t][i];
+      EXPECT_EQ(r.task, i) << "caller " << t << " lost its submission order";
+      for (int other = 0; other < kThreads; ++other) {
+        if (r.thread != callers[other]) continue;
+        // A task runs on a caller's thread only inline, in its own
+        // caller's RunIfIdle.
+        EXPECT_EQ(other, t);
+        EXPECT_TRUE(r.inline_candidate);
+        ++inline_runs;
+      }
+    }
+  }
+  EXPECT_GT(inline_runs, 0);
 }
 
 TEST(BufferCacheTest, DisabledCacheAlwaysHits) {

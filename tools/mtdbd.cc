@@ -129,10 +129,12 @@ int RunSmokeClient(const std::string& host, uint16_t port) {
     return 1;
   }
 
-  // A read-only snapshot transaction over the same wire: BEGIN carries the
-  // read_only flag, the reads come from the MVCC version store (bumping
-  // mtdb_mvcc_snapshot_reads_total, asserted by mtdbd_smoke.sh), and the
-  // committed decrement must be visible in the snapshot.
+  // A read-only snapshot transaction over the same wire: the first read
+  // carries the begin with the read_only flag, the reads come from the MVCC
+  // version store (bumping mtdb_mvcc_snapshot_reads_total, asserted by
+  // mtdbd_smoke.sh), and the committed decrement must be visible in the
+  // snapshot. Every transaction here starts with a read, so the daemon
+  // serves no kBegin (also asserted by mtdbd_smoke.sh).
   status = conn->Begin(/*read_only=*/true);
   if (!status.ok()) return fail(status, "begin read-only");
   auto snap1 = conn->Execute("SELECT i_stock FROM item WHERE i_id = ?",

@@ -4,8 +4,9 @@
 # sockets, and shut the daemon down cleanly.
 #
 # After the smoke transaction, mtdbstat (found next to mtdbd, or passed as
-# the second argument) must report non-zero commit counters from the daemon,
-# and 200 more mtdbstat connections must grow its VmSize by at most 128 MB.
+# the second argument) must report non-zero commit counters and no served
+# kBegin from the daemon, and 200 more mtdbstat connections must grow its
+# VmSize by at most 128 MB.
 #
 # usage: tools/mtdbd_smoke.sh path/to/mtdbd [path/to/mtdbstat]
 set -euo pipefail
@@ -52,6 +53,20 @@ if [ -x "$MTDBSTAT" ]; then
     exit 1
   fi
   echo "mtdbstat reports $COMMITS committed transaction(s)"
+
+  # Each smoke transaction's first request to the daemon is a read, and a
+  # read carries its transaction's begin: the daemon must have served no
+  # kBegin at all (the server-side histogram's count stays 0).
+  BEGINS="$(printf '%s\n' "$STATS" \
+    | sed -n 's/^mtdb_rpc_server_us{operation="Begin"} count=\([0-9]*\) .*$/\1/p' \
+    | head -n 1)"
+  if [ -z "$BEGINS" ] || [ "$BEGINS" -ne 0 ]; then
+    echo "mtdbstat: daemon served ${BEGINS:-an unknown number of} kBegin" \
+      "request(s); the first read should carry the begin:" >&2
+    printf '%s\n' "$STATS" | grep '^mtdb_rpc_server_us' >&2 || true
+    exit 1
+  fi
+  echo "mtdbstat reports 0 kBegin requests served: reads carried the begin"
 
   # The smoke client's read-only transaction must have gone through the
   # MVCC snapshot-read path, not the lock manager (--grep also exercises
