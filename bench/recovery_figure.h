@@ -9,7 +9,7 @@
 #include "bench/bench_util.h"
 #include "bench/tpcw_bench_common.h"
 #include "src/common/clock.h"
-#include "src/cluster/recovery.h"
+#include "src/cluster/replica_builder.h"
 
 namespace mtdb::bench {
 
@@ -56,11 +56,11 @@ inline RecoveryRunStats RunRecoveryExperiment(int recovery_threads,
     }
   }
 
-  RecoveryOptions recovery_options;
+  ReplicaBuilderOptions recovery_options;
   recovery_options.recovery_threads = recovery_threads;
   recovery_options.granularity = granularity;
   recovery_options.per_row_delay_us = per_row_delay_us;
-  RecoveryManager recovery(controller.get(), recovery_options);
+  ReplicaBuilder recovery(controller.get(), recovery_options);
 
   RecoveryRunStats stats;
   std::atomic<bool> workload_done{false};

@@ -1,6 +1,6 @@
 // Scenario: failure management end to end (Section 3). Tenants serve live
 // traffic while a machine dies; the cluster controller keeps serving from
-// the survivors, the recovery manager re-replicates the lost databases with
+// the survivors, the replica builder re-replicates the lost databases with
 // the table-granularity copy tool, and writes that race the copy window are
 // proactively rejected — exactly the accounting the SLA model charges.
 // Finishes with a cluster-controller (process pair) failover.
@@ -8,7 +8,7 @@
 #include <thread>
 
 #include "src/cluster/cluster_controller.h"
-#include "src/cluster/recovery.h"
+#include "src/cluster/replica_builder.h"
 #include "src/workload/driver.h"
 
 using namespace mtdb;
@@ -46,11 +46,11 @@ int main() {
   std::printf("killing machine m0...\n");
   cluster.FailMachine(0);
 
-  RecoveryOptions recovery_options;
+  ReplicaBuilderOptions recovery_options;
   recovery_options.recovery_threads = 2;
   recovery_options.granularity = CopyGranularity::kTable;
   recovery_options.per_row_delay_us = 800;
-  RecoveryManager recovery(&cluster, recovery_options);
+  ReplicaBuilder recovery(&cluster, recovery_options);
   auto results = recovery.RecoverAll(/*target_replicas=*/2);
   for (const auto& result : results) {
     std::printf("recovered %-6s m%d -> m%d in %.2fs: %s\n",

@@ -213,8 +213,8 @@ TenantCatalog::TenantRef TenantCatalog::AcquireForTxn(const std::string& name,
     auto it = shard.tenants.find(name);
     if (it == shard.tenants.end() || it->second->reserved) return TenantRef();
     Entry& entry = *it->second;
-    if (entry.record.migration.phase == rebalance::MigrationPhase::kCutover) {
-      // Mid-cutover: no new pins, so the migrator's drain converges. The
+    if (entry.record.copy.cutover) {
+      // Frozen: no new pins, so the replica builder's drain converges. The
       // caller backs off and retries; the window is milliseconds.
       *cutover = true;
       return TenantRef();

@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "src/cluster/catalog/prepared_statement.h"
-#include "src/cluster/rebalance/migration_state.h"
 #include "src/common/result.h"
 #include "src/obs/metrics.h"
 #include "src/platform/mutex.h"
@@ -51,13 +50,24 @@
 
 namespace mtdb::catalog {
 
-// Algorithm-1 copy bookkeeping, part of the durable record (a mid-copy
-// tenant is by definition not idle metadata).
+// The one copy in flight for a tenant (ReplicaBuilder, DESIGN.md §16):
+// a recovery copy or a move, part of the durable record (a mid-copy tenant
+// is by definition not idle metadata). Only ClusterController's copy
+// methods assign it (mtdblint rule copy-state); everyone else reads it.
 struct CopyState {
   bool active = false;
+  int source_machine = -1;
   int target_machine = -1;
+  // A move: on completion the target takes the source's replica slot.
+  bool move = false;
+  // Frozen for a cutover or an abort's drain: AcquireForTxn refuses new
+  // pins, so begins back off until the state clears.
+  bool cutover = false;
+  // Algorithm 1: tables whose client writes also reach the target, and the
+  // one being copied, whose writes are rejected ("" = none, "*" = the whole
+  // database).
   std::set<std::string> copied_tables;
-  std::string in_progress;  // "" = none, "*" = whole database
+  std::string in_progress;
 };
 
 // The durable per-tenant record: everything the controller must know about
@@ -71,15 +81,11 @@ struct TenantRecord {
   int primary_offset = 0;
   CopyState copy;
   int64_t rejected_writes = 0;
-  // QoS admission quota + WDRR weight, pushed to every replica (and
-  // re-pushed to copy targets on promotion and to swap targets on
-  // migration). has_quota distinguishes "no quota configured" from
-  // "explicitly unlimited".
+  // QoS admission quota + WDRR weight, pushed to every replica (and to a
+  // copy target when the copy completes). has_quota distinguishes "no
+  // quota configured" from "explicitly unlimited".
   qos::QuotaSpec quota;
   bool has_quota = false;
-  // Live-migration state machine (assigned only inside src/cluster/rebalance/
-  // — see migration_state.h; the catalog itself only reads the phase).
-  rebalance::MigrationState migration;
 };
 
 // Point-in-time catalog counters, exposed through mtdb_catalog_* metrics
@@ -187,16 +193,16 @@ class TenantCatalog {
   // unpinned tenants when the resident cap is exceeded.
   TenantRef Acquire(const std::string& name);
 
-  // Acquire for a new transaction: refuses to pin a tenant whose migration
-  // is in its cutover window, returning an invalid ref with *cutover = true
-  // so the caller backs off and retries (throttled, never failed). The phase
-  // check and the pin are one atomic step under the shard lock — once the
-  // migrator has set kCutover, the pin count can only fall, so its drain
-  // loop (PinCount() == 0) cannot race a late pin.
+  // Acquire for a new transaction: refuses to pin a tenant whose copy is
+  // frozen (CopyState::cutover), returning an invalid ref with
+  // *cutover = true so the caller backs off and retries (throttled, never
+  // failed). The check and the pin are one atomic step under the shard lock
+  // — once the freeze is set, the pin count can only fall, so the replica
+  // builder's drain loop (PinCount() == 0) cannot race a late pin.
   TenantRef AcquireForTxn(const std::string& name, bool* cutover);
 
-  // Current pin count (0 for unknown tenants). The migration cutover's
-  // drain condition.
+  // Current pin count (0 for unknown tenants). The freeze's drain
+  // condition.
   int64_t PinCount(const std::string& name) const;
 
   // --- Prepared-statement registry (resident state) ---

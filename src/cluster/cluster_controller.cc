@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "src/common/clock.h"
@@ -329,22 +330,55 @@ void ClusterController::FailMachine(int machine_id) {
   if (m != nullptr) m->Fail();
 }
 
-Status ClusterController::BeginCopy(const std::string& db_name,
-                                    int target_machine) {
+Status ClusterController::WithCopy(
+    const std::string& db_name,
+    const std::function<Status(catalog::TenantRecord&)>& fn) {
   Status status = Status::OK();
   Status found = catalog_.With(
       db_name, [&](catalog::TenantRecord& record) {
+        status = record.copy.active
+                     ? fn(record)
+                     : Status::FailedPrecondition("no active copy for " +
+                                                  db_name);
+      });
+  MTDB_RETURN_IF_ERROR(found);
+  return status;
+}
+
+Status ClusterController::BeginCopy(const std::string& db_name,
+                                    int target_machine, int source_machine,
+                                    bool move) {
+  Machine* target = machine(target_machine);
+  if (target == nullptr || target->failed()) {
+    return Status::FailedPrecondition("copy target machine " +
+                                      std::to_string(target_machine) +
+                                      " is not alive");
+  }
+  Status status = Status::OK();
+  Status found = catalog_.With(
+      db_name, [&](catalog::TenantRecord& record) {
+        auto hosts = [&record](int id) {
+          return std::count(record.replicas.begin(), record.replicas.end(),
+                            id) > 0;
+        };
         if (record.copy.active) {
           status =
               Status::FailedPrecondition("copy already active for " + db_name);
-          return;
+        } else if (move && !hosts(source_machine)) {
+          status = Status::FailedPrecondition(
+              db_name + " has no replica on machine " +
+              std::to_string(source_machine));
+        } else if (hosts(target_machine)) {
+          // For a move this means the plan is stale, not malformed.
+          status = Status(move ? StatusCode::kFailedPrecondition
+                               : StatusCode::kInvalidArgument,
+                          "target already hosts " + db_name);
+        } else {
+          record.copy.active = true;
+          record.copy.source_machine = source_machine;
+          record.copy.target_machine = target_machine;
+          record.copy.move = move;
         }
-        if (std::count(record.replicas.begin(), record.replicas.end(),
-                       target_machine) > 0) {
-          status = Status::InvalidArgument("target already hosts " + db_name);
-          return;
-        }
-        record.copy = catalog::CopyState{true, target_machine, {}, ""};
       });
   MTDB_RETURN_IF_ERROR(found);
   return status;
@@ -352,39 +386,31 @@ Status ClusterController::BeginCopy(const std::string& db_name,
 
 Status ClusterController::SetCopyInProgress(const std::string& db_name,
                                             const std::string& table) {
-  Status status = Status::OK();
-  Status found = catalog_.With(
-      db_name, [&](catalog::TenantRecord& record) {
-        if (!record.copy.active) {
-          status = Status::FailedPrecondition("no active copy for " + db_name);
-          return;
-        }
-        record.copy.in_progress = table;
-      });
-  MTDB_RETURN_IF_ERROR(found);
-  return status;
+  return WithCopy(db_name, [&](catalog::TenantRecord& record) {
+    record.copy.in_progress = table;
+    return Status::OK();
+  });
 }
 
 Status ClusterController::MarkTableCopied(const std::string& db_name,
                                           const std::string& table) {
-  Status status = Status::OK();
-  Status found = catalog_.With(
-      db_name, [&](catalog::TenantRecord& record) {
-        if (!record.copy.active) {
-          status = Status::FailedPrecondition("no active copy for " + db_name);
-          return;
-        }
-        record.copy.copied_tables.insert(table);
-        if (record.copy.in_progress == table) record.copy.in_progress.clear();
-      });
-  MTDB_RETURN_IF_ERROR(found);
-  return status;
+  return WithCopy(db_name, [&](catalog::TenantRecord& record) {
+    record.copy.copied_tables.insert(table);
+    if (record.copy.in_progress == table) record.copy.in_progress.clear();
+    return Status::OK();
+  });
+}
+
+Status ClusterController::FreezeCopy(const std::string& db_name) {
+  return WithCopy(db_name, [](catalog::TenantRecord& record) {
+    record.copy.cutover = true;
+    record.copy.copied_tables.clear();
+    record.copy.in_progress.clear();
+    return Status::OK();
+  });
 }
 
 Status ClusterController::CompleteCopy(const std::string& db_name) {
-  int target = -1;
-  qos::QuotaSpec quota;
-  bool push_quota = false;
   // Snapshot machine aliveness under mu_ first: the record mutation below
   // runs under the catalog shard lock, which is never nested with mu_.
   std::vector<char> failed;
@@ -395,44 +421,45 @@ Status ClusterController::CompleteCopy(const std::string& db_name) {
       failed[m->id()] = m->failed() ? 1 : 0;
     }
   }
-  Status status = Status::OK();
+  int target = -1;
+  std::optional<qos::QuotaSpec> quota;
   std::vector<int> old_replicas;
   std::vector<int> new_replicas;
-  Status found = catalog_.With(
-      db_name, [&](catalog::TenantRecord& record) {
-        if (!record.copy.active) {
-          status = Status::FailedPrecondition("no active copy for " + db_name);
-          return;
-        }
-        target = record.copy.target_machine;
-        old_replicas = record.replicas;
-        record.replicas.push_back(record.copy.target_machine);
-        // Failed machines have been replaced; drop them from the replica
-        // map.
-        std::erase_if(record.replicas,
-                      [&failed](int id) { return failed[id] != 0; });
-        record.copy = catalog::CopyState{};
-        new_replicas = record.replicas;
-        if (record.has_quota) {
-          quota = record.quota;
-          push_quota = true;
-        }
-      });
-  MTDB_RETURN_IF_ERROR(found);
-  MTDB_RETURN_IF_ERROR(status);
+  MTDB_RETURN_IF_ERROR(WithCopy(db_name, [&](catalog::TenantRecord& record) {
+    const catalog::CopyState& copy = record.copy;
+    target = copy.target_machine;
+    if (failed[target] != 0) {
+      return Status::FailedPrecondition("copy target machine " +
+                                        std::to_string(target) + " failed");
+    }
+    old_replicas = record.replicas;
+    if (copy.move) {
+      std::replace(record.replicas.begin(), record.replicas.end(),
+                   copy.source_machine, target);
+    } else {
+      record.replicas.push_back(target);
+    }
+    // Failed machines have been replaced; drop them from the replica map.
+    std::erase_if(record.replicas,
+                  [&failed](int id) { return failed[id] != 0; });
+    record.copy = catalog::CopyState{};
+    new_replicas = record.replicas;
+    if (record.has_quota) quota = record.quota;
+    return Status::OK();
+  }));
   {
     platform::Guard lock(mu_);
     // Replica-count bookkeeping for least-loaded placement: apply the
     // multiset delta between the new and old replica lists (the target
-    // joined; pruned failed machines left).
+    // joined; a moved-off source or pruned failed machines left).
     for (int id : new_replicas) machine_replica_load_[id]++;
     for (int id : old_replicas) machine_replica_load_[id]--;
   }
-  // The quota follows the database: a freshly promoted replica must throttle
-  // the tenant exactly like the replicas it joined.
-  if (push_quota) {
-    (void)client_->SetQuota(target, db_name, quota.rate_tps, quota.burst,
-                            quota.weight);
+  // The quota follows the database: the target must throttle the tenant
+  // exactly like the replicas it joined, and nothing else re-pushes it.
+  if (quota.has_value()) {
+    (void)client_->SetQuota(target, db_name, quota->rate_tps, quota->burst,
+                            quota->weight);
   }
   return Status::OK();
 }
@@ -441,66 +468,6 @@ Status ClusterController::AbandonCopy(const std::string& db_name) {
   return catalog_.With(db_name, [](catalog::TenantRecord& record) {
     record.copy = catalog::CopyState{};
   });
-}
-
-Status ClusterController::SwapReplica(const std::string& db_name,
-                                      int source_machine, int target_machine) {
-  {
-    platform::Guard lock(mu_);
-    if (target_machine < 0 ||
-        target_machine >= static_cast<int>(machines_.size())) {
-      return Status::InvalidArgument("no machine " +
-                                     std::to_string(target_machine));
-    }
-    if (machines_[target_machine]->failed()) {
-      return Status::FailedPrecondition("swap target machine failed");
-    }
-  }
-  Status status = Status::OK();
-  std::vector<int> new_replicas;
-  qos::QuotaSpec quota;
-  bool push_quota = false;
-  Status found = catalog_.With(db_name, [&](catalog::TenantRecord& record) {
-    auto it = std::find(record.replicas.begin(), record.replicas.end(),
-                        source_machine);
-    if (it == record.replicas.end()) {
-      status = Status::FailedPrecondition(
-          db_name + " has no replica on machine " +
-          std::to_string(source_machine));
-      return;
-    }
-    if (std::find(record.replicas.begin(), record.replicas.end(),
-                  target_machine) != record.replicas.end()) {
-      status = Status::FailedPrecondition(
-          db_name + " already has a replica on machine " +
-          std::to_string(target_machine));
-      return;
-    }
-    *it = target_machine;
-    new_replicas = record.replicas;
-    if (record.has_quota) {
-      quota = record.quota;
-      push_quota = true;
-    }
-  });
-  MTDB_RETURN_IF_ERROR(found);
-  MTDB_RETURN_IF_ERROR(status);
-  {
-    platform::Guard lock(mu_);
-    if (source_machine >= 0 &&
-        source_machine < static_cast<int>(machine_replica_load_.size())) {
-      machine_replica_load_[source_machine]--;
-    }
-    machine_replica_load_[target_machine]++;
-  }
-  // The admission quota follows the tenant to its new home immediately;
-  // without this, the target would serve it unthrottled, since nothing
-  // else re-pushes a quota.
-  if (push_quota) {
-    (void)client_->SetQuota(target_machine, db_name, quota.rate_tps,
-                            quota.burst, quota.weight);
-  }
-  return Status::OK();
 }
 
 // --- QoS / admission control ---
@@ -858,8 +825,9 @@ Status Connection::BeginInternal(bool read_only) {
     return Status::Unavailable("connection lost: controller failover");
   }
   // Pin the tenant BEFORE minting any transaction state. AcquireForTxn
-  // atomically refuses the pin while the tenant is in a migration cutover,
-  // so every transaction holding a pin is visible to the cutover drain and
+  // atomically refuses the pin while the tenant's copy is frozen (a
+  // migration cutover, or an aborting copy draining before it drops the
+  // target), so every transaction holding a pin is visible to the drain and
   // no transaction can slip between the drain check and the replica swap.
   // A refused begin backs off and retries — throttled, never failed — with
   // the same policy as QoS admission; cutovers last milliseconds, far under
@@ -872,7 +840,7 @@ Status Connection::BeginInternal(bool read_only) {
     while (cutover) {
       if (!backoff.Wait(/*retry_after_us=*/0)) {
         return Status::ResourceExhausted("tenant " + db_name_ +
-                                         " is in a migration cutover");
+                                         " is frozen for a copy cutover");
       }
       ref = controller_->catalog_.AcquireForTxn(db_name_, &cutover);
     }

@@ -323,9 +323,15 @@ class ClusterController {
       const std::string& db_name, const std::string& sql);
 
   // --- Failure handling & copy coordination (Algorithm 1) ---
+  // These are the only writers of TenantRecord::copy (mtdblint rule
+  // copy-state); ReplicaBuilder drives them.
   void FailMachine(int machine_id);
-  // Registers m' as the copy target for db (no tables copied yet).
-  Status BeginCopy(const std::string& db_name, int target_machine);
+  // Claims db for one copy onto the alive `target_machine`: at most one copy
+  // per tenant, of either kind. A move (`move`) replaces `source_machine`,
+  // which must be a replica, on completion; otherwise the target joins the
+  // replica list. No tables are copied yet.
+  Status BeginCopy(const std::string& db_name, int target_machine,
+                   int source_machine = -1, bool move = false);
   // Marks `table` as the one currently being copied (writes rejected). The
   // sentinel "*" marks database-granularity copying: all writes rejected.
   Status SetCopyInProgress(const std::string& db_name,
@@ -333,23 +339,23 @@ class ClusterController {
   // Moves `table` into the copied set (writes now go to m' too).
   Status MarkTableCopied(const std::string& db_name, const std::string& table);
   // Blocks until no routed-but-unfinished write targets the table ("*" = any
-  // table of the database). Called by the recovery manager after
+  // table of the database). Called by the replica builder after
   // SetCopyInProgress and before the dump takes its read lock: a write that
   // was routed before the copy window opened must reach the engines before
   // the snapshot, or the new replica would silently miss it.
   void WaitForQuiescentWrites(const std::string& db_name,
                               const std::string& table);
-  // Promotes m' to a full replica and clears the copy state.
+  // The cutover: new transactions on db back off
+  // (TenantCatalog::AcquireForTxn) and no write is routed to the target
+  // any more, so the tenant's pins can drain.
+  Status FreezeCopy(const std::string& db_name);
+  // Installs the target: a move puts it in the source's slot, so
+  // primary_offset keeps naming the same logical replica; a recovery
+  // appends it and prunes failed replicas. Pushes the stored quota to the
+  // target and clears the copy state (unfreezing the tenant).
   Status CompleteCopy(const std::string& db_name);
+  // Clears the copy state, placement untouched.
   Status AbandonCopy(const std::string& db_name);
-
-  // --- Live migration (rebalance::TenantMigrator's cutover step) ---
-  // Atomically replaces `source_machine` with `target_machine` in db_name's
-  // replica list. Positional swap, so primary_offset keeps naming the same
-  // logical slot. The stored quota is pushed to the target — it joins with
-  // the tenant's admission limits already in force.
-  Status SwapReplica(const std::string& db_name, int source_machine,
-                     int target_machine);
 
   // --- Process-pair failover ---
   // Simulates the primary controller crashing and the backup taking over:
@@ -385,8 +391,8 @@ class ClusterController {
 
   // --- QoS / admission control ---
   // Records `spec` as db_name's admission quota and pushes it to every alive
-  // replica via kSetQuota. Newly promoted copy targets receive the quota in
-  // CompleteCopy, so the limit follows the database across machines.
+  // replica via kSetQuota. Copy targets receive the quota in CompleteCopy,
+  // so the limit follows the database across machines.
   Status SetDatabaseQuota(const std::string& db_name,
                           const qos::QuotaSpec& spec);
   // Returns the stored quota (zero-valued spec when none configured).
@@ -427,6 +433,10 @@ class ClusterController {
   // Alive-filter without holding the catalog shard lock: snapshots the
   // record via the catalog, then filters under mu_.
   std::vector<int> AliveReplicas(const std::vector<int>& replicas) const;
+  // Runs `fn` on db's record while a copy is active; FailedPrecondition
+  // otherwise. `fn`'s status is returned.
+  Status WithCopy(const std::string& db_name,
+                  const std::function<Status(catalog::TenantRecord&)>& fn);
   // Write targets per Algorithm 1; returns kRejected for a table being
   // copied (and bumps the rejection counter).
   Result<std::vector<int>> WriteTargets(const std::string& db_name,

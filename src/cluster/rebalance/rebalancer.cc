@@ -22,9 +22,7 @@ obs::Counter* TicksCounter() {
 
 Rebalancer::Rebalancer(ClusterController* controller,
                        RebalancerOptions options)
-    : controller_(controller), options_(options), migrator_(controller) {
-  RegisterRebalanceMetrics();
-}
+    : controller_(controller), options_(options), migrator_(controller) {}
 
 Rebalancer::~Rebalancer() { Stop(); }
 

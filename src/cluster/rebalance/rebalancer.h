@@ -22,7 +22,7 @@
 #include <thread>
 
 #include "src/cluster/rebalance/planner.h"
-#include "src/cluster/rebalance/tenant_migrator.h"
+#include "src/cluster/replica_builder.h"
 #include "src/common/status.h"
 
 namespace mtdb {
@@ -78,7 +78,7 @@ class Rebalancer {
   ClusterController* controller_;
   RebalancerOptions options_;
   FirstFitReplanner planner_;
-  TenantMigrator migrator_;
+  ReplicaBuilder migrator_;
 
   int sustain_count_ = 0;
   int cooldown_left_ = 0;

@@ -237,8 +237,8 @@ RpcResponse MachineService::DispatchControl(const RpcRequest& request) {
     case RpcType::kWalDeltaRead: {
       WriteAheadLog* log = engine->wal();
       if (log == nullptr) {
-        // Doubles as the migrator's capability probe: a WAL-less source
-        // cannot serve deltas, so the migration falls back to frozen copy.
+        // Doubles as the replica builder's capability probe: a WAL-less
+        // source cannot serve deltas, so a move falls back to frozen copy.
         return RpcResponse::FromStatus(
             Status::FailedPrecondition("source machine has no WAL"));
       }

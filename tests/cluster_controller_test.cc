@@ -4,7 +4,7 @@
 #include <thread>
 
 #include "src/cluster/cluster_controller.h"
-#include "src/cluster/recovery.h"
+#include "src/cluster/replica_builder.h"
 
 namespace mtdb {
 namespace {
@@ -307,9 +307,9 @@ TEST_F(ClusterTest, RecoveryRestoresReplicationFactor) {
   std::vector<int> before = controller_->ReplicasOf("bank");
   controller_->FailMachine(before[0]);
 
-  RecoveryOptions options;
+  ReplicaBuilderOptions options;
   options.recovery_threads = 1;
-  RecoveryManager recovery(controller_.get(), options);
+  ReplicaBuilder recovery(controller_.get(), options);
   auto results = recovery.RecoverAll(/*target_replicas=*/2);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(results[0].status.ok()) << results[0].status.ToString();
@@ -336,9 +336,9 @@ TEST_F(ClusterTest, RecoveryDatabaseGranularity) {
   Build({});
   SetUpAccountsDb();
   controller_->FailMachine(controller_->ReplicasOf("bank")[1]);
-  RecoveryOptions options;
+  ReplicaBuilderOptions options;
   options.granularity = CopyGranularity::kDatabase;
-  RecoveryManager recovery(controller_.get(), options);
+  ReplicaBuilder recovery(controller_.get(), options);
   auto results = recovery.RecoverAll(2);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(results[0].status.ok()) << results[0].status.ToString();
@@ -349,9 +349,9 @@ TEST_F(ClusterTest, WritesDuringRecoveryEitherApplyEverywhereOrReject) {
   SetUpAccountsDb();
   controller_->FailMachine(controller_->ReplicasOf("bank")[1]);
 
-  RecoveryOptions options;
+  ReplicaBuilderOptions options;
   options.per_row_delay_us = 10000;  // slow the copy so writes overlap it
-  RecoveryManager recovery(controller_.get(), options);
+  ReplicaBuilder recovery(controller_.get(), options);
 
   std::atomic<bool> done{false};
   std::atomic<int> committed{0}, rejected{0};

@@ -6,7 +6,7 @@
 #include <memory>
 #include <thread>
 
-#include "src/cluster/recovery.h"
+#include "src/cluster/replica_builder.h"
 #include "src/platform/system_controller.h"
 #include "src/sla/placement.h"
 #include "src/workload/driver.h"
@@ -49,10 +49,10 @@ TEST(IntegrationTest, TenantLifecycleOnCluster) {
 
   // Phase 2: machine failure + recovery under traffic.
   cluster.FailMachine(0);
-  RecoveryOptions recovery_options;
+  ReplicaBuilderOptions recovery_options;
   recovery_options.recovery_threads = 2;
   recovery_options.per_row_delay_us = 500;
-  RecoveryManager recovery(&cluster, recovery_options);
+  ReplicaBuilder recovery(&cluster, recovery_options);
   workload::WorkloadStats during;
   std::thread traffic([&] {
     during =

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "src/cluster/cluster_controller.h"
-#include "src/cluster/recovery.h"
+#include "src/cluster/replica_builder.h"
 #include "src/common/clock.h"
 #include "src/net/inproc_transport.h"
 #include "src/obs/metrics.h"
@@ -104,7 +104,7 @@ TEST_F(NetTransportTest, DroppedPrepareReplyResolvesViaTimeoutAndRecovery) {
   // Recovery restores the replication factor; the new replica carries the
   // committed write (no lost update, no double-applied decrement).
   transport->SetFaultHook(nullptr);
-  RecoveryManager recovery(controller_.get(), RecoveryOptions{});
+  ReplicaBuilder recovery(controller_.get(), ReplicaBuilderOptions{});
   auto results = recovery.RecoverAll(2);
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();

@@ -17,8 +17,7 @@
 #include <vector>
 
 #include "src/cluster/cluster_controller.h"
-#include "src/cluster/rebalance/tenant_migrator.h"
-#include "src/cluster/recovery.h"
+#include "src/cluster/replica_builder.h"
 #include "src/net/machine_service.h"
 #include "src/obs/metrics.h"
 #include "src/sql/executor.h"
@@ -273,7 +272,7 @@ TEST_F(PreparedRpcTest, PreparedStatementsSurviveRecoveryOntoSpare) {
   std::vector<int> replicas = controller_->ReplicasOf("shop");
   ASSERT_EQ(replicas.size(), 2u);
   controller_->FailMachine(replicas[0]);
-  RecoveryManager recovery(controller_.get(), RecoveryOptions{});
+  ReplicaBuilder recovery(controller_.get(), ReplicaBuilderOptions{});
   auto results = recovery.RecoverAll(2);
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
@@ -322,7 +321,7 @@ TEST_F(PreparedRpcTest, PreparedStatementsFollowAMigratedTenant) {
   plan.database = "shop";
   plan.source_machine = replicas[0];
   plan.target_machine = spare;
-  rebalance::TenantMigrator migrator(controller_.get());
+  ReplicaBuilder migrator(controller_.get());
   ASSERT_TRUE(migrator.Migrate(plan).ok());
   std::vector<int> moved = controller_->ReplicasOf("shop");
   ASSERT_EQ(std::count(moved.begin(), moved.end(), spare), 1);

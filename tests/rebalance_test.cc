@@ -7,8 +7,8 @@
 // the source. Plus the control loop around it: planner decisions, the
 // LoadMonitor idle-decay regression, and hysteresis/cooldown on Tick().
 //
-// This tier carries the "sanitizer;rebalance" labels (tests/CMakeLists.txt)
-// so the TSan CI job runs exactly this file with `ctest -L rebalance`.
+// This tier carries the "sanitizer;rebalance" labels (tests/CMakeLists.txt),
+// so the TSan CI job's `ctest -L sanitizer` run includes it.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +25,7 @@
 
 #include "src/cluster/cluster_controller.h"
 #include "src/cluster/rebalance/rebalancer.h"
+#include "src/cluster/replica_builder.h"
 #include "src/net/inproc_transport.h"
 #include "src/net/message.h"
 #include "src/obs/load_monitor.h"
@@ -100,14 +101,14 @@ class RebalanceTest : public ::testing::Test {
     ASSERT_TRUE(controller_->BulkLoad(db, "counters", load).ok());
   }
 
-  rebalance::MigrationPhase PhaseOf(const std::string& db) {
-    rebalance::MigrationPhase phase = rebalance::MigrationPhase::kIdle;
+  catalog::CopyState CopyOf(const std::string& db) {
+    catalog::CopyState copy;
     const catalog::TenantCatalog* cat = controller_->tenant_catalog();
     EXPECT_TRUE(cat->With(db, [&](const catalog::TenantRecord& record) {
-                     phase = record.migration.phase;
+                     copy = record.copy;
                    })
                     .ok());
-    return phase;
+    return copy;
   }
 
   int64_t CounterValue(int machine, const std::string& db, int64_t id) {
@@ -246,9 +247,9 @@ TEST_F(RebalanceTest, LiveMigrationUnderConcurrentWritesLosesNothing) {
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
-  rebalance::MigratorOptions migrator_options;
+  ReplicaBuilderOptions migrator_options;
   migrator_options.per_row_delay_us = 200;  // widen the bulk-copy window
-  rebalance::TenantMigrator migrator(controller_.get(), migrator_options);
+  ReplicaBuilder migrator(controller_.get(), migrator_options);
   Status migrated = migrator.Migrate(
       MakePlan("hot", 0, 1));
 
@@ -261,7 +262,7 @@ TEST_F(RebalanceTest, LiveMigrationUnderConcurrentWritesLosesNothing) {
   EXPECT_EQ(failures.load(), 0) << "in-flight transactions failed during "
                                    "the live migration";
   EXPECT_EQ(controller_->ReplicasOf("hot"), std::vector<int>{1});
-  EXPECT_EQ(PhaseOf("hot"), rebalance::MigrationPhase::kIdle);
+  EXPECT_FALSE(CopyOf("hot").active);
   EXPECT_FALSE(controller_->machine(0)->engine()->HasDatabase("hot"));
 
   // Zero lost writes: every committed increment — before, during, and after
@@ -288,9 +289,9 @@ TEST_F(RebalanceTest, SnapshotReadStaysOnSourceUntilTxnEnd) {
   ASSERT_TRUE(first.ok());
   int64_t seen = first->at(0, 0).AsInt();
 
-  rebalance::MigratorOptions migrator_options;
+  ReplicaBuilderOptions migrator_options;
   migrator_options.per_row_delay_us = 200;
-  rebalance::TenantMigrator migrator(controller_.get(), migrator_options);
+  ReplicaBuilder migrator(controller_.get(), migrator_options);
   std::atomic<bool> done{false};
   Status migrated = Status::OK();
   std::thread mover([&] {
@@ -300,7 +301,7 @@ TEST_F(RebalanceTest, SnapshotReadStaysOnSourceUntilTxnEnd) {
   });
 
   // Wait until the migration is actually draining on our pin.
-  while (PhaseOf("pinned") != rebalance::MigrationPhase::kCutover) {
+  while (!CopyOf("pinned").cutover) {
     ASSERT_FALSE(done.load()) << "migration finished around an open pin: "
                               << migrated.ToString();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -360,9 +361,9 @@ TEST_F(RebalanceTest, DroppedDeltaRpcAbortsBackToSource) {
   // Slow the bulk copy so the concurrent writer is guaranteed to commit
   // between the capability probe and the first delta round — the round then
   // has lines to ship and hits the dropped apply.
-  rebalance::MigratorOptions migrator_options;
+  ReplicaBuilderOptions migrator_options;
   migrator_options.per_row_delay_us = 1000;
-  rebalance::TenantMigrator migrator(controller_.get(), migrator_options);
+  ReplicaBuilder migrator(controller_.get(), migrator_options);
   Status migrated = migrator.Migrate(MakePlan("hot", 0, 1));
   EXPECT_FALSE(migrated.ok());
 
@@ -371,7 +372,7 @@ TEST_F(RebalanceTest, DroppedDeltaRpcAbortsBackToSource) {
   // failed by the fail-stop deadline policy; that is the controller's
   // business, not the tenant's.)
   EXPECT_EQ(controller_->ReplicasOf("hot"), std::vector<int>{0});
-  EXPECT_EQ(PhaseOf("hot"), rebalance::MigrationPhase::kIdle);
+  EXPECT_FALSE(CopyOf("hot").active);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   stop.store(true);
   writer.join();
@@ -399,12 +400,12 @@ TEST_F(RebalanceTest, PartitionedTargetAbortsCleanly) {
   SetUpCounters("hot", /*machine=*/0, 4);
 
   controller_->inproc_transport()->PartitionMachine(1);
-  rebalance::TenantMigrator migrator(controller_.get());
+  ReplicaBuilder migrator(controller_.get());
   Status migrated = migrator.Migrate(
       MakePlan("hot", 0, 1));
   EXPECT_FALSE(migrated.ok());
   EXPECT_EQ(controller_->ReplicasOf("hot"), std::vector<int>{0});
-  EXPECT_EQ(PhaseOf("hot"), rebalance::MigrationPhase::kIdle);
+  EXPECT_FALSE(CopyOf("hot").active);
 
   // The tenant keeps serving on the source after the abort.
   auto conn = controller_->Connect("hot");
@@ -432,12 +433,12 @@ TEST_F(RebalanceTest, FrozenFallbackMovesWalLessTenant) {
             .ok());
   }
 
-  rebalance::TenantMigrator migrator(controller_.get());
+  ReplicaBuilder migrator(controller_.get());
   ASSERT_TRUE(migrator
                   .Migrate(MakePlan("plain", 0, 1))
                   .ok());
   EXPECT_EQ(controller_->ReplicasOf("plain"), std::vector<int>{1});
-  EXPECT_EQ(PhaseOf("plain"), rebalance::MigrationPhase::kIdle);
+  EXPECT_FALSE(CopyOf("plain").active);
   EXPECT_FALSE(controller_->machine(0)->engine()->HasDatabase("plain"));
   for (int64_t id = 0; id < 4; ++id) {
     EXPECT_EQ(CounterValue(/*machine=*/1, "plain", id), 1) << "row " << id;
@@ -451,7 +452,7 @@ TEST_F(RebalanceTest, FrozenFallbackMovesWalLessTenant) {
 TEST_F(RebalanceTest, MigrateRefusesNonsensePlans) {
   BuildPlain(2);
   SetUpCounters("db", /*machine=*/0, 2);
-  rebalance::TenantMigrator migrator(controller_.get());
+  ReplicaBuilder migrator(controller_.get());
   // Source does not host the tenant.
   EXPECT_EQ(migrator
                 .Migrate(MakePlan("db", 1, 0))
@@ -467,6 +468,100 @@ TEST_F(RebalanceTest, MigrateRefusesNonsensePlans) {
                    .Migrate(MakePlan("ghost", 0, 1))
                    .ok());
   EXPECT_EQ(controller_->ReplicasOf("db"), std::vector<int>{0});
+}
+
+TEST_F(RebalanceTest, RecoveryRefusedDuringMigration) {
+  BuildWal("refuse", 3);
+  constexpr int64_t kRows = 64;
+  SetUpCounters("hot", /*machine=*/0, kRows);
+  auto conn = controller_->Connect("hot");
+  for (int64_t id = 0; id < kRows; id += 8) {
+    ASSERT_TRUE(conn->Execute("UPDATE counters SET v = " +
+                              std::to_string(id) +
+                              " WHERE id = " + std::to_string(id))
+                    .ok());
+  }
+
+  ReplicaBuilderOptions migrator_options;
+  migrator_options.per_row_delay_us = 2000;  // keep the bulk copy running
+  ReplicaBuilder migrator(controller_.get(), migrator_options);
+  std::atomic<bool> done{false};
+  Status migrated = Status::OK();
+  std::thread mover([&] {
+    migrated = migrator.Migrate(MakePlan("hot", 0, 1));
+    done.store(true);
+  });
+  while (!CopyOf("hot").active) {
+    ASSERT_FALSE(done.load()) << "migration ended before it was observed: "
+                              << migrated.ToString();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // One claim for both kinds of copy: the migration holds it.
+  ReplicaBuilder recovery(controller_.get());
+  RecoveryResult refused = recovery.RecoverDatabase("hot", 2);
+  EXPECT_EQ(refused.status.code(), StatusCode::kFailedPrecondition)
+      << refused.status.ToString();
+
+  mover.join();
+  ASSERT_TRUE(migrated.ok()) << migrated.ToString();
+  EXPECT_EQ(controller_->ReplicasOf("hot"), std::vector<int>{1});
+  EXPECT_FALSE(controller_->machine(2)->engine()->HasDatabase("hot"));
+  for (int64_t id = 0; id < kRows; ++id) {
+    EXPECT_EQ(CounterValue(/*machine=*/1, "hot", id), id % 8 == 0 ? id : 0)
+        << "row " << id;
+  }
+}
+
+TEST_F(RebalanceTest, MigrationPutsTargetInSourceSlot) {
+  BuildWal("slot", 3);
+  ASSERT_TRUE(controller_->CreateDatabaseOn("pair", {0, 1}).ok());
+  ASSERT_TRUE(controller_
+                  ->ExecuteDdl("pair",
+                               "CREATE TABLE counters (id INT PRIMARY KEY, "
+                               "v INT)")
+                  .ok());
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 8; ++i) rows.push_back({Value(i), Value(i)});
+  ASSERT_TRUE(controller_->BulkLoad("pair", "counters", rows).ok());
+
+  // Option-1 reads go to the replica in the primary slot: machine 0 here.
+  auto conn = controller_->Connect("pair");
+  auto commits_on = [&](int machine) {
+    return controller_->machine(machine)->engine()->committed_count();
+  };
+  auto served_reads = [&](int machine) {
+    int64_t before = commits_on(machine);
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_TRUE(conn->Execute("SELECT v FROM counters WHERE id = 1").ok());
+    }
+    return commits_on(machine) - before;
+  };
+  EXPECT_EQ(served_reads(0), 3);
+
+  ReplicaBuilder migrator(controller_.get());
+  ASSERT_TRUE(migrator.Migrate(MakePlan("pair", 0, 2)).ok());
+  // The target took the source's slot, so Option-1 reads follow it.
+  EXPECT_EQ(controller_->ReplicasOf("pair"), (std::vector<int>{2, 1}));
+  EXPECT_EQ(served_reads(2), 3);
+  for (int64_t id = 0; id < 8; ++id) {
+    EXPECT_EQ(CounterValue(/*machine=*/2, "pair", id), id) << "row " << id;
+  }
+}
+
+TEST_F(RebalanceTest, QuotaFollowsMigratedTenant) {
+  BuildPlain(2);
+  SetUpCounters("capped", /*machine=*/0, 4);
+  qos::QuotaSpec spec;
+  spec.rate_tps = 50;
+  spec.burst = 5;
+  spec.weight = 3;
+  ASSERT_TRUE(controller_->SetDatabaseQuota("capped", spec).ok());
+  ReplicaBuilder migrator(controller_.get());
+  ASSERT_TRUE(migrator.Migrate(MakePlan("capped", 0, 1)).ok());
+  qos::QuotaSpec pushed = controller_->machine(1)->GetQuota("capped");
+  EXPECT_DOUBLE_EQ(pushed.rate_tps, 50);
+  EXPECT_DOUBLE_EQ(pushed.burst, 5);
+  EXPECT_EQ(pushed.weight, 3);
 }
 
 // --- Control loop -----------------------------------------------------

@@ -1,10 +1,13 @@
-// Unit tests for the recovery manager and copy-state machinery beyond the
-// end-to-end paths covered in cluster_controller_test.
+// Unit tests for recovery on the replica pipeline and the copy-state
+// machinery beyond the end-to-end paths covered in cluster_controller_test.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <thread>
 
-#include "src/cluster/recovery.h"
+#include "src/cluster/cluster_controller.h"
+#include "src/cluster/replica_builder.h"
 
 namespace mtdb {
 namespace {
@@ -37,7 +40,7 @@ class RecoveryTest : public ::testing::Test {
 
 TEST_F(RecoveryTest, RecoverAllIsNoopWhenHealthy) {
   MakeDb("db");
-  RecoveryManager recovery(controller_.get(), RecoveryOptions{});
+  ReplicaBuilder recovery(controller_.get(), ReplicaBuilderOptions{});
   auto results = recovery.RecoverAll(2);
   EXPECT_TRUE(results.empty());
 }
@@ -51,9 +54,9 @@ TEST_F(RecoveryTest, MultipleDatabasesRecoverInParallel) {
       if (id == 0) ++affected;
     }
   }
-  RecoveryOptions options;
+  ReplicaBuilderOptions options;
   options.recovery_threads = 3;
-  RecoveryManager recovery(controller_.get(), options);
+  ReplicaBuilder recovery(controller_.get(), options);
   auto results = recovery.RecoverAll(2);
   EXPECT_EQ(static_cast<int>(results.size()), affected);
   for (const auto& result : results) {
@@ -76,7 +79,7 @@ TEST_F(RecoveryTest, AllTablesCopied) {
   MakeDb("db", /*tables=*/4, /*rows=*/7);
   std::vector<int> replicas = controller_->ReplicasOf("db");
   controller_->FailMachine(replicas[0]);
-  RecoveryManager recovery(controller_.get(), RecoveryOptions{});
+  ReplicaBuilder recovery(controller_.get(), ReplicaBuilderOptions{});
   auto results = recovery.RecoverAll(2);
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].status.ok());
@@ -93,7 +96,7 @@ TEST_F(RecoveryTest, AllTablesCopied) {
 TEST_F(RecoveryTest, NoAliveReplicaMeansDataLoss) {
   MakeDb("db");
   for (int id : controller_->ReplicasOf("db")) controller_->FailMachine(id);
-  RecoveryManager recovery(controller_.get(), RecoveryOptions{});
+  ReplicaBuilder recovery(controller_.get(), ReplicaBuilderOptions{});
   // RecoverAll skips databases with zero alive replicas (nothing to copy
   // from); explicit recovery reports the loss.
   EXPECT_TRUE(recovery.RecoverAll(2).empty());
@@ -109,7 +112,7 @@ TEST_F(RecoveryTest, TargetExhaustionSurfaces) {
   ASSERT_TRUE(
       small->ExecuteDdl("db", "CREATE TABLE t (id INT PRIMARY KEY)").ok());
   small->FailMachine(small->ReplicasOf("db")[0]);
-  RecoveryManager recovery(small.get(), RecoveryOptions{});
+  ReplicaBuilder recovery(small.get(), ReplicaBuilderOptions{});
   auto results = recovery.RecoverAll(2);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status.code(), StatusCode::kResourceExhausted);
@@ -165,7 +168,7 @@ TEST_F(RecoveryTest, RecoveredReplicaServesReads) {
   MakeDb("db2");
   std::vector<int> replicas = controller_->ReplicasOf("db2");
   controller_->FailMachine(replicas[0]);
-  RecoveryManager recovery(controller_.get(), RecoveryOptions{});
+  ReplicaBuilder recovery(controller_.get(), ReplicaBuilderOptions{});
   auto results = recovery.RecoverAll(2);
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].status.ok());
@@ -174,6 +177,110 @@ TEST_F(RecoveryTest, RecoveredReplicaServesReads) {
   auto read = conn->Execute("SELECT SUM(v) FROM t0");
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read->at(0, 0).AsInt(), 100);  // 0+10+20+30+40
+}
+
+TEST_F(RecoveryTest, EmptyTenantRecovers) {
+  ASSERT_TRUE(controller_->CreateDatabaseOn("empty", {0, 1}).ok());
+  controller_->FailMachine(0);
+  ReplicaBuilder recovery(controller_.get());
+  auto results = recovery.RecoverAll(2);
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
+  // The copy created the database on the target although there was no
+  // table to copy, so the tenant's first DDL and writes reach both replicas.
+  ASSERT_TRUE(controller_
+                  ->ExecuteDdl("empty",
+                               "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+                  .ok());
+  auto conn = controller_->Connect("empty");
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(conn->Execute("INSERT INTO t VALUES (" + std::to_string(i) +
+                              ", " + std::to_string(i * 10) + ")")
+                    .ok());
+  }
+  for (int id : controller_->ReplicasOf("empty")) {
+    if (controller_->machine(id)->failed()) continue;
+    Database* db = controller_->machine(id)->engine()->GetDatabase("empty");
+    ASSERT_NE(db, nullptr) << "machine " << id;
+    EXPECT_EQ(db->GetTable("t")->row_count(), 4u) << "machine " << id;
+  }
+}
+
+TEST_F(RecoveryTest, FailedCopyLeavesTargetReusable) {
+  // 3 machines, a 2-table tenant on {0,1}, and a short lock timeout.
+  MachineOptions machine;
+  machine.engine_options.lock_options.lock_timeout_us = 100'000;
+  auto cluster = std::make_unique<ClusterController>();
+  for (int m = 0; m < 3; ++m) cluster->AddMachine(machine);
+  ASSERT_TRUE(cluster->CreateDatabaseOn("db", {0, 1}).ok());
+  for (const char* table : {"t0", "t1"}) {
+    ASSERT_TRUE(cluster
+                    ->ExecuteDdl("db", std::string("CREATE TABLE ") + table +
+                                           " (id INT PRIMARY KEY, v INT)")
+                    .ok());
+    std::vector<Row> rows;
+    for (int64_t r = 0; r < 5; ++r) rows.push_back({Value(r), Value(r)});
+    ASSERT_TRUE(cluster->BulkLoad("db", table, rows).ok());
+  }
+  cluster->FailMachine(0);
+
+  // An open transaction that wrote t1 makes t1's dump time out after t0 is
+  // already installed on machine 2 and receiving writes. The writer commits
+  // from its own thread ~0.5 s later, while the abort drains it.
+  auto writer = cluster->Connect("db");
+  ASSERT_TRUE(writer->Begin().ok());
+  ASSERT_TRUE(writer->Execute("UPDATE t1 SET v = 70 WHERE id = 1").ok());
+  std::thread committer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    EXPECT_TRUE(writer->Commit().ok());
+  });
+  ReplicaBuilder recovery(cluster.get());
+  auto failed = recovery.RecoverAll(2);
+  committer.join();
+  ASSERT_EQ(failed.size(), 1u);
+  EXPECT_FALSE(failed[0].status.ok());
+  EXPECT_EQ(cluster->ReplicasOf("db"), (std::vector<int>{0, 1}));
+
+  // The abort dropped the partial copy, so machine 2 is a target again.
+  auto retried = recovery.RecoverAll(2);
+  ASSERT_EQ(retried.size(), 1u);
+  ASSERT_TRUE(retried[0].status.ok()) << retried[0].status.ToString();
+  EXPECT_EQ(retried[0].target_machine, 2);
+  for (const char* table : {"t0", "t1"}) {
+    Table* a = cluster->machine(1)->engine()->GetDatabase("db")->GetTable(
+        table);
+    Table* b = cluster->machine(2)->engine()->GetDatabase("db")->GetTable(
+        table);
+    EXPECT_EQ(a->row_count(), 5u) << table;
+    EXPECT_EQ(a->ContentFingerprint(), b->ContentFingerprint()) << table;
+  }
+  EXPECT_EQ(cluster->machine(2)
+                ->engine()
+                ->GetDatabase("db")
+                ->GetTable("t1")
+                ->Get(Value(int64_t{1}))
+                ->values[1]
+                .AsInt(),
+            70);
+}
+
+TEST_F(RecoveryTest, QuotaFollowsRecoveredReplica) {
+  MakeDb("db");
+  qos::QuotaSpec spec;
+  spec.rate_tps = 50;
+  spec.burst = 5;
+  spec.weight = 3;
+  ASSERT_TRUE(controller_->SetDatabaseQuota("db", spec).ok());
+  controller_->FailMachine(controller_->ReplicasOf("db")[0]);
+  ReplicaBuilder recovery(controller_.get());
+  auto results = recovery.RecoverAll(2);
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
+  qos::QuotaSpec pushed =
+      controller_->machine(results[0].target_machine)->GetQuota("db");
+  EXPECT_DOUBLE_EQ(pushed.rate_tps, 50);
+  EXPECT_DOUBLE_EQ(pushed.burst, 5);
+  EXPECT_EQ(pushed.weight, 3);
 }
 
 }  // namespace

@@ -29,7 +29,7 @@ fi
 STATUS=0
 
 # --- mtdblint: project rules (raw-mutex, snapshot-lock, rpc-coverage,
-# detached-thread, todo-tag). Hard gate: no external dependencies, so
+# detached-thread, todo-tag, tenant-map, wal-sync, copy-state). Hard gate: no external dependencies, so
 # never skipped.
 MTDBLINT="${BUILD_DIR}/tools/mtdblint"
 if [ ! -x "${MTDBLINT}" ]; then

@@ -26,7 +26,7 @@
 
 #include "src/cluster/cluster_controller.h"
 #include "src/cluster/machine.h"
-#include "src/cluster/rebalance/tenant_migrator.h"
+#include "src/cluster/replica_builder.h"
 #include "src/net/machine_service.h"
 #include "src/net/tcp_transport.h"
 
@@ -45,7 +45,7 @@ int RunServer(uint16_t port) {
   mtdb::Machine machine(/*id=*/0, machine_options);
   // Register the migration series up front so mtdbstat --watch migrations
   // shows them at zero on an idle daemon instead of printing nothing.
-  mtdb::rebalance::RegisterRebalanceMetrics();
+  mtdb::RegisterReplicaMetrics();
   mtdb::net::MachineService service(&machine);
   mtdb::net::TcpServer server(&service);
   mtdb::Status status = server.Start(port);

@@ -61,17 +61,18 @@
 //                    justified with `mtdblint: allow(tenant-map)` stating
 //                    why the map is bounded or evictable.
 //
-//   migration-state  TenantRecord::migration (rebalance::MigrationState /
-//                    MigrationPhase) is only ever *assigned* inside
-//                    src/cluster/rebalance/ — the migration protocol's
-//                    state machine has exactly one driver, the
-//                    TenantMigrator. Everyone else (catalog, controller,
-//                    tools) may read and compare the phase but never write
-//                    it; a stray assignment elsewhere silently corrupts an
-//                    in-flight migration (e.g. unfreezing a cutover while
-//                    the migrator still believes begins are blocked).
-//                    Comparisons (`==`, `!=`, switch/case) are fine.
-//                    Escape: `mtdblint: allow(migration-state)`.
+//   copy-state       TenantRecord::copy (catalog::CopyState, the one state
+//                    of every replica copy) is only ever *written* by
+//                    ClusterController's copy methods in
+//                    src/cluster/cluster_controller.cc (BeginCopy ...
+//                    CompleteCopy/AbandonCopy), which the ReplicaBuilder
+//                    drives. Everyone else (catalog, builder, tools) may
+//                    read and compare it but never assign it, a field of
+//                    it, or mutate its table sets; a stray write elsewhere
+//                    silently corrupts an in-flight copy (e.g. unfreezing a
+//                    cutover while the builder still believes begins are
+//                    blocked). Comparisons (`==`, `!=`) are fine.
+//                    Escape: `mtdblint: allow(copy-state)`.
 //
 // Usage: mtdblint [repo-root]   (default: current directory)
 // Exit status: 0 clean, 1 findings, 2 usage/environment error.
@@ -209,20 +210,22 @@ bool InCatalog(const std::string& rel) {
   return rel.rfind("src/cluster/catalog/", 0) == 0;
 }
 
-bool InRebalance(const std::string& rel) {
-  return rel.rfind("src/cluster/rebalance/", 0) == 0;
+bool IsCopyStateOwner(const std::string& rel) {
+  return rel == "src/cluster/cluster_controller.cc";
 }
 
-// True when `code` assigns (not compares) a migration-state value: a single
-// `=` (not `==`/`!=`/`<=`/`>=`) whose right-hand side is a possibly
-// namespace-qualified `MigrationPhase::k...` enumerator or `MigrationState{`
-// / `MigrationState()` aggregate. Declarations, case labels, and switch
-// conditions have no `=` before the token and never match.
-bool AssignsMigrationState(const std::string& code) {
-  static const std::regex kAssign(
-      R"((^|[^=!<>])=\s*([A-Za-z_]\w*::)*MigrationState\s*(\{|\(\s*\)))"
-      R"(|(^|[^=!<>])=\s*([A-Za-z_]\w*::)*MigrationPhase::k\w+)");
-  return std::regex_search(code, kAssign);
+// True when `code` writes copy state: an assignment (`=`, `+=`, ... but not
+// `==`/`!=`/`<=`/`>=`) to `.copy`/`->copy` or one of its fields, a possibly
+// namespace-qualified `CopyState{` / `CopyState()` aggregate on the right of
+// a single `=`, or a mutating call on one of its members
+// (`.copy.copied_tables.insert(`, `.copy.in_progress.clear()`). Reads such
+// as `record.copy.active` or `snap.copy_target = ...` never match.
+bool WritesCopyState(const std::string& code) {
+  static const std::regex kWrite(
+      R"((\.|->)copy\b(\.\w+)*\s*[-+*/%&|^]?=(?!=))"
+      R"(|(^|[^=!<>])=\s*([A-Za-z_]\w*::)*CopyState\s*(\{|\(\s*\)))"
+      R"(|(\.|->)copy\.\w+\.(insert|erase|clear|emplace|swap)\s*\()");
+  return std::regex_search(code, kWrite);
 }
 
 // A string-keyed map declared as a *member* (trailing-underscore name on
@@ -350,13 +353,14 @@ void CheckFile(const fs::path& root, const fs::path& path) {
              "or evictable");
     }
 
-    if (!self && !InRebalance(rel) && AssignsMigrationState(code) &&
-        !HasEscape(lines, i, "migration-state")) {
-      Report(rel, lineno, "migration-state",
-             "migration state assigned outside src/cluster/rebalance/: the "
-             "TenantMigrator is the state machine's only driver; read and "
-             "compare the phase elsewhere, never write it, or add "
-             "`mtdblint: allow(migration-state)` with a justification");
+    if (!self && !IsCopyStateOwner(rel) && WritesCopyState(code) &&
+        !HasEscape(lines, i, "copy-state")) {
+      Report(rel, lineno, "copy-state",
+             "copy state written outside src/cluster/cluster_controller.cc: "
+             "ClusterController's copy methods are its only writers (the "
+             "ReplicaBuilder drives them); read and compare it elsewhere, "
+             "never write it, or add `mtdblint: allow(copy-state)` with a "
+             "justification");
     }
 
     size_t todo = raw.find("TODO");
