@@ -4,19 +4,21 @@
 // The paper's sizing target is "a large number of small applications":
 // 10^5-10^6 tiny databases per cluster, almost all of them idle at any
 // moment. What has to stay cheap is (a) creating yet another tenant, (b)
-// the controller's per-tenant resident memory, and (c) the first query of
-// a tenant whose resident state was evicted while it slept.
+// the per-tenant memory, and (c) a sleeping tenant's first query.
 //
 // Phases:
 //   create   N databases (one table, one row each) on a 4-machine cluster
 //            with replication 2; per-create latency percentiles + RSS
 //            growth per tenant.
 //   cold     evict ALL resident catalog state, then run one point read on a
-//            sample of tenants: the reload path (catalog materialize +
-//            prepared re-registration + plan cache miss).
+//            sample of tenants. It is each sampled tenant's first query:
+//            a first catalog materialization, a prepared registration and
+//            a first plan on the serving machine.
 //   warm     the same reads again with everything resident.
 //   reload   evict again and verify every sampled tenant still answers —
-//            the "eviction is invisible to correctness" invariant.
+//            the "eviction is invisible to correctness" invariant. Catalog
+//            eviction frees only prepared registrations, so these reads
+//            reload the catalog's state but hit the machines' plan caches.
 //
 // Prints one JSON object; exits non-zero if a sampled first query fails or
 // if --baseline=<file> is given and create p99 or bytes/tenant regress more

@@ -39,11 +39,6 @@ TenantCatalog::TenantCatalog(Options options) : options_(options) {
 
 TenantCatalog::~TenantCatalog() = default;
 
-void TenantCatalog::SetEvictionListener(EvictionListener listener) {
-  platform::Guard lock(listener_mu_);
-  listener_ = std::move(listener);
-}
-
 TenantCatalog::Shard& TenantCatalog::ShardFor(const std::string& name) const {
   return *shards_[std::hash<std::string>{}(name) & shard_mask_];
 }
@@ -101,11 +96,10 @@ Status TenantCatalog::Erase(const std::string& name) {
     shard.tenants.erase(it);
     m_tenants_->Set(tenant_count_.fetch_sub(1, std::memory_order_relaxed) -
                     1);
-    if (detached->resident != nullptr) {
+    if (detached->prepared != nullptr) {
       m_resident_->Set(
           resident_count_.fetch_sub(1, std::memory_order_relaxed) - 1);
-      int64_t dropped =
-          static_cast<int64_t>(detached->resident->prepared.size());
+      int64_t dropped = static_cast<int64_t>(detached->prepared->size());
       m_prepared_->Set(
           prepared_count_.fetch_sub(dropped, std::memory_order_relaxed) -
           dropped);
@@ -168,7 +162,7 @@ Status TenantCatalog::With(
   return Status::OK();
 }
 
-// --- Acquire / Release ---
+// --- Pins ---
 
 TenantCatalog::TenantRef& TenantCatalog::TenantRef::operator=(
     TenantRef&& other) noexcept {
@@ -186,22 +180,6 @@ void TenantCatalog::TenantRef::Release() {
     catalog_->Unpin(tenant_);
     catalog_ = nullptr;
   }
-}
-
-TenantCatalog::TenantRef TenantCatalog::Acquire(const std::string& name) {
-  {
-    Shard& shard = ShardFor(name);
-    platform::Guard lock(shard.mu);
-    auto it = shard.tenants.find(name);
-    if (it == shard.tenants.end() || it->second->reserved) return TenantRef();
-    Entry& entry = *it->second;
-    entry.pins++;
-    pinned_count_.fetch_add(1, std::memory_order_relaxed);
-    entry.last_active_us = NowMicros();
-    MaterializeLocked(entry, entry.last_active_us);
-  }
-  MaybeEvict();
-  return TenantRef(this, name);
 }
 
 TenantCatalog::TenantRef TenantCatalog::AcquireForTxn(const std::string& name,
@@ -222,7 +200,7 @@ TenantCatalog::TenantRef TenantCatalog::AcquireForTxn(const std::string& name,
     entry.pins++;
     pinned_count_.fetch_add(1, std::memory_order_relaxed);
     entry.last_active_us = NowMicros();
-    MaterializeLocked(entry, entry.last_active_us);
+    MaterializeLocked(entry);
   }
   MaybeEvict();
   return TenantRef(this, name);
@@ -248,10 +226,9 @@ void TenantCatalog::Unpin(const std::string& name) {
   }
 }
 
-bool TenantCatalog::MaterializeLocked(Entry& entry, int64_t now_us) {
-  (void)now_us;
-  if (entry.resident != nullptr) return false;
-  entry.resident = std::make_unique<TenantResident>();
+void TenantCatalog::MaterializeLocked(Entry& entry) {
+  if (entry.prepared != nullptr) return;
+  entry.prepared = std::make_unique<PreparedMap>();
   m_resident_->Set(resident_count_.fetch_add(1, std::memory_order_relaxed) +
                    1);
   if (entry.ever_resident) {
@@ -259,7 +236,6 @@ bool TenantCatalog::MaterializeLocked(Entry& entry, int64_t now_us) {
     obs::Increment(m_reloads_);
   }
   entry.ever_resident = true;
-  return true;
 }
 
 // --- Prepared registry ---
@@ -270,12 +246,12 @@ std::shared_ptr<PreparedStatement> TenantCatalog::FindPrepared(
   platform::Guard lock(shard.mu);
   auto it = shard.tenants.find(tenant);
   if (it == shard.tenants.end() || it->second->reserved ||
-      it->second->resident == nullptr) {
+      it->second->prepared == nullptr) {
     return nullptr;
   }
   Entry& entry = *it->second;
-  auto slot_it = entry.resident->prepared.find(sql);
-  if (slot_it == entry.resident->prepared.end()) return nullptr;
+  auto slot_it = entry.prepared->find(sql);
+  if (slot_it == entry.prepared->end()) return nullptr;
   int64_t now_us = NowMicros();
   slot_it->second.last_use_us = now_us;
   entry.last_active_us = now_us;
@@ -298,9 +274,8 @@ std::shared_ptr<PreparedStatement> TenantCatalog::InternPrepared(
     Entry& entry = *it->second;
     int64_t now_us = NowMicros();
     entry.last_active_us = now_us;
-    MaterializeLocked(entry, now_us);
-    auto [slot_it, inserted] =
-        entry.resident->prepared.try_emplace(sql);
+    MaterializeLocked(entry);
+    auto [slot_it, inserted] = entry.prepared->try_emplace(sql);
     if (!inserted) {
       // Racing preparers of the same text share whichever instance won.
       slot_it->second.last_use_us = now_us;
@@ -313,13 +288,13 @@ std::shared_ptr<PreparedStatement> TenantCatalog::InternPrepared(
                      1);
     // Per-tenant cap: a tenant churning distinct texts evicts its own LRU
     // registration, never other tenants' state.
-    if (entry.resident->prepared.size() > options_.max_prepared_per_tenant) {
-      auto lru = entry.resident->prepared.begin();
-      for (auto probe = entry.resident->prepared.begin();
-           probe != entry.resident->prepared.end(); ++probe) {
+    if (entry.prepared->size() > options_.max_prepared_per_tenant) {
+      auto lru = entry.prepared->begin();
+      for (auto probe = entry.prepared->begin(); probe != entry.prepared->end();
+           ++probe) {
         if (probe->second.last_use_us < lru->second.last_use_us) lru = probe;
       }
-      entry.resident->prepared.erase(lru);
+      entry.prepared->erase(lru);
       m_prepared_->Set(prepared_count_.fetch_sub(1, std::memory_order_relaxed) -
                        1);
       prepared_evicted_.fetch_add(1, std::memory_order_relaxed);
@@ -363,7 +338,7 @@ size_t TenantCatalog::SweepResident(size_t target) {
   for (const auto& shard : shards_) {
     platform::Guard lock(shard->mu);
     for (const auto& [name, entry] : shard->tenants) {
-      if (entry->resident != nullptr && entry->pins == 0 &&
+      if (entry->prepared != nullptr && entry->pins == 0 &&
           !entry->reserved) {
         candidates.emplace_back(entry->last_active_us, name);
       }
@@ -373,8 +348,7 @@ size_t TenantCatalog::SweepResident(size_t target) {
   // Pass 2: re-check and detach under each victim's shard lock. A tenant
   // pinned between the passes is skipped — the eviction invariant holds
   // because pins only change under the shard lock we re-check beneath.
-  std::vector<std::pair<std::string, std::unique_ptr<TenantResident>>>
-      victims;
+  std::vector<std::unique_ptr<PreparedMap>> victims;
   for (auto& [last_active, name] : candidates) {
     if (resident_count_.load(std::memory_order_relaxed) <=
         static_cast<int64_t>(target)) {
@@ -385,12 +359,11 @@ size_t TenantCatalog::SweepResident(size_t target) {
     auto it = shard.tenants.find(name);
     if (it == shard.tenants.end()) continue;
     Entry& entry = *it->second;
-    if (entry.resident == nullptr || entry.pins > 0 || entry.reserved) {
+    if (entry.prepared == nullptr || entry.pins > 0 || entry.reserved) {
       continue;
     }
-    int64_t dropped =
-        static_cast<int64_t>(entry.resident->prepared.size());
-    victims.emplace_back(name, std::move(entry.resident));
+    int64_t dropped = static_cast<int64_t>(entry.prepared->size());
+    victims.push_back(std::move(entry.prepared));
     m_resident_->Set(
         resident_count_.fetch_sub(1, std::memory_order_relaxed) - 1);
     m_prepared_->Set(
@@ -403,15 +376,7 @@ size_t TenantCatalog::SweepResident(size_t target) {
     evictions_.fetch_add(1, std::memory_order_relaxed);
     obs::Increment(m_evictions_);
   }
-  // Pass 3: notify (no locks held) and free.
-  EvictionListener listener;
-  {
-    platform::Guard lock(listener_mu_);
-    listener = listener_;
-  }
-  if (listener) {
-    for (const auto& [name, resident] : victims) listener(name);
-  }
+  // The victims' registrations are freed here, with no shard lock held.
   return victims.size();
 }
 

@@ -13,24 +13,23 @@
 //    whole per-tenant cost of an idle application.
 //
 //  * Resident state (materialized on first use, LRU-evicted when idle):
-//    prepared-statement registrations today, plus — via the eviction
-//    listener — whatever derived state other layers key by tenant name
-//    (LoadMonitor windows, QoS buckets, engine plan caches).
-//    All of it rebuilds on demand from durable/controller state, so
-//    eviction is invisible to correctness: the next Acquire reloads.
+//    the tenant's prepared-statement registrations, nothing else. They
+//    rebuild on demand from the SQL text, so eviction is invisible to
+//    correctness: the next pin reloads. Other layers bound their own
+//    per-tenant state where it lives (DESIGN.md §14); the catalog tells
+//    them nothing.
 //
 // Concurrency: tenants are sharded by name hash; each shard has its own
 // mutex guarding its map and every entry in it. Catalog methods take at
 // most ONE shard lock at a time (the eviction sweep walks shards strictly
 // sequentially), so the single shard lock class can never deadlock against
-// itself. Callers must not call back into the catalog from With() callbacks
-// or eviction listeners' synchronous path into catalog methods — the shard
-// mutexes are one lock class and re-entry would self-nest. Eviction
-// listeners are invoked with no shard lock held.
+// itself. Callers must not call back into the catalog from With()
+// callbacks — the shard mutexes are one lock class and re-entry would
+// self-nest.
 //
-// Eviction invariant: a tenant pinned by an Acquire ref (= a transaction in
+// Eviction invariant: a tenant pinned by a TenantRef (= a transaction in
 // flight on it) is never evicted. Pins are counted under the shard lock, so
-// a concurrent Acquire either pins before the sweep re-checks (victim
+// a concurrent AcquireForTxn either pins before the sweep re-checks (victim
 // skipped) or materializes fresh resident state after (a reload).
 
 #include <atomic>
@@ -104,11 +103,11 @@ class TenantCatalog {
  public:
   struct Options {
     // Shard count (rounded up to a power of two). More shards = less lock
-    // contention on the Acquire hot path.
+    // contention on the pin hot path.
     size_t shards = 16;
     // Resident-state LRU cap: at most this many tenants keep materialized
     // resident state. Eviction frees down to ~90% of the cap in one sweep
-    // so the sweep cost amortizes across many Acquires.
+    // so the sweep cost amortizes across many pins.
     size_t max_resident = 1024;
     // Global cap on prepared-statement registrations across all tenants.
     size_t max_prepared = 4096;
@@ -121,10 +120,6 @@ class TenantCatalog {
     const char* name = "catalog";
   };
 
-  // Invoked (unlocked) once per evicted tenant so sibling layers can drop
-  // their derived per-tenant state (LoadMonitor window, plan caches, ...).
-  using EvictionListener = std::function<void(const std::string& tenant)>;
-
   // Two constructors (not one defaulted argument): GCC rejects a `= {}`
   // default for a nested-class parameter inside the enclosing class body.
   TenantCatalog();
@@ -134,12 +129,10 @@ class TenantCatalog {
   TenantCatalog(const TenantCatalog&) = delete;
   TenantCatalog& operator=(const TenantCatalog&) = delete;
 
-  void SetEvictionListener(EvictionListener listener);
-
   // --- Lifecycle ---
   // Reserves `name` for a creation in progress: Contains() turns true (so
   // concurrent creates fail kAlreadyExists) but the record is not yet
-  // routable (With/Acquire report NotFound). Finish with Install or
+  // routable (With/AcquireForTxn report NotFound). Finish with Install or
   // AbortReserve.
   Status Reserve(const std::string& name);
   void Install(const std::string& name, TenantRecord record);
@@ -159,11 +152,11 @@ class TenantCatalog {
   Status With(const std::string& name,
               const std::function<void(const TenantRecord&)>& fn) const;
 
-  // --- Acquire / Release ---
+  // --- Pins ---
   // Pin on a tenant: while at least one TenantRef is live, the tenant's
   // resident state is never evicted. Connections hold one for the duration
   // of every transaction. Release is idempotent and automatic on
-  // destruction; an Acquire of an unknown tenant returns an invalid ref
+  // destruction; pinning an unknown tenant returns an invalid ref
   // (valid() == false), which is a no-op to release.
   class TenantRef {
    public:
@@ -188,17 +181,15 @@ class TenantCatalog {
     std::string tenant_;
   };
 
-  // Pins `name`, materializing (or reloading) its resident state and
-  // bumping its LRU position. May trigger an eviction sweep of other,
-  // unpinned tenants when the resident cap is exceeded.
-  TenantRef Acquire(const std::string& name);
-
-  // Acquire for a new transaction: refuses to pin a tenant whose copy is
-  // frozen (CopyState::cutover), returning an invalid ref with
-  // *cutover = true so the caller backs off and retries (throttled, never
-  // failed). The check and the pin are one atomic step under the shard lock
-  // — once the freeze is set, the pin count can only fall, so the replica
-  // builder's drain loop (PinCount() == 0) cannot race a late pin.
+  // Pins `name` for a new transaction, materializing (or reloading) its
+  // resident state and bumping its LRU position; may sweep other, unpinned
+  // tenants when the resident cap is exceeded. Refuses to pin a tenant
+  // whose copy is frozen (CopyState::cutover), returning an invalid ref
+  // with *cutover = true so the caller backs off and retries (throttled,
+  // never failed). The check and the pin are one atomic step under the
+  // shard lock — once the freeze is set, the pin count can only fall, so
+  // the replica builder's drain loop (PinCount() == 0) cannot race a late
+  // pin.
   TenantRef AcquireForTxn(const std::string& name, bool* cutover);
 
   // Current pin count (0 for unknown tenants). The freeze's drain
@@ -239,12 +230,8 @@ class TenantCatalog {
     int64_t last_use_us = 0;
   };
 
-  // Evictable resident state. Today: prepared registrations. The struct
-  // exists (rather than a bare map) so later layers can hang more derived
-  // state off it without touching the eviction machinery.
-  struct TenantResident {
-    std::unordered_map<std::string, PreparedSlot> prepared;
-  };
+  // A tenant's resident state: its prepared registrations by SQL text.
+  using PreparedMap = std::unordered_map<std::string, PreparedSlot>;
 
   // One tenant. All fields are guarded by the owning shard's mutex (the
   // entry is only reachable through the shard map).
@@ -254,7 +241,8 @@ class TenantCatalog {
     int64_t pins = 0;
     int64_t last_active_us = 0;
     bool ever_resident = false;
-    std::unique_ptr<TenantResident> resident;
+    // Null while the tenant is not resident.
+    std::unique_ptr<PreparedMap> prepared;
   };
 
   struct Shard {
@@ -265,12 +253,11 @@ class TenantCatalog {
 
   Shard& ShardFor(const std::string& name) const;
   // Materializes resident state for an entry (shard lock held), updating
-  // the resident/reload counters. Returns true if this was a (re)load.
-  bool MaterializeLocked(Entry& entry, int64_t now_us);
+  // the resident/reload counters.
+  void MaterializeLocked(Entry& entry);
   // Sweeps unpinned resident tenants, oldest first, until the resident
   // count is <= target. No shard lock held on entry; takes them one at a
-  // time. Invokes the eviction listener for each victim after all locks are
-  // released.
+  // time, and frees the victims' registrations after releasing the last.
   size_t SweepResident(size_t target);
   void Unpin(const std::string& name);
   void MaybeEvict();
@@ -278,9 +265,6 @@ class TenantCatalog {
   Options options_;
   size_t shard_mask_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  mutable platform::Mutex listener_mu_{"catalog/TenantCatalog::listener_mu"};
-  EvictionListener listener_ MTDB_GUARDED_BY(listener_mu_);
 
   std::atomic<int64_t> tenant_count_{0};
   std::atomic<int64_t> resident_count_{0};

@@ -43,27 +43,6 @@ bool IsReadStatement(const sql::Statement& stmt) {
 
 ClusterController::ClusterController(ClusterControllerOptions options)
     : options_(options), catalog_(options_.catalog) {
-  // Evicting an idle tenant's resident state also drops the derived
-  // per-tenant state sibling layers key by database name: the LoadMonitor
-  // window and each machine's QoS buckets, WDRR slot, and cached plans.
-  // Everything rebuilds on demand when the tenant becomes active again.
-  // Invoked by the catalog with no shard lock held, so taking mu_ here
-  // cannot invert against the shard locks (the controller never calls into
-  // the catalog while holding mu_). Machine teardown runs unlocked on
-  // snapshotted pointers — machines_ entries are never destroyed while the
-  // controller lives.
-  catalog_.SetEvictionListener([this](const std::string& db_name) {
-    load_monitor_.Evict(db_name);
-    std::vector<Machine*> machines;
-    {
-      platform::Guard lock(mu_);
-      machines.reserve(machines_.size());
-      for (const auto& m : machines_) {
-        if (!m->failed()) machines.push_back(m.get());
-      }
-    }
-    for (Machine* m : machines) m->EvictTenant(db_name);
-  });
   if (options_.transport != nullptr) {
     transport_ = options_.transport;
   } else {
@@ -232,11 +211,11 @@ Status ClusterController::DropDatabase(const std::string& db_name) {
       if (!machines_[id]->failed()) alive.push_back(id);
     }
   }
+  // kDropDatabase is all a machine needs to forget the tenant. The
+  // LoadMonitor window ages out by itself.
   for (int id : alive) {
     (void)client_->DropDatabase(id, db_name);
   }
-  // Drop the LoadMonitor window, as eviction would have.
-  load_monitor_.Evict(db_name);
   return Status::OK();
 }
 

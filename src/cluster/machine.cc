@@ -50,10 +50,4 @@ void Machine::RecordExecuteLatency(int64_t latency_us) {
   obs::Observe(m_execute_us_, latency_us);
 }
 
-void Machine::EvictTenant(const std::string& db) {
-  (void)admission_->Evict(db, NowMicros());
-  if (fair_queue_ != nullptr) (void)fair_queue_->EvictIdle(db);
-  engine()->EvictTenantPlans(db);
-}
-
 }  // namespace mtdb

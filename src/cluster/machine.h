@@ -85,15 +85,6 @@ class Machine {
   // Records one execute latency sample (mtdb_qos_execute_us{machine}).
   void RecordExecuteLatency(int64_t latency_us);
 
-  // Drops `db`'s rebuildable QoS and plan state on this machine: the
-  // admission token bucket (only if idle long enough that the full-burst
-  // rebuild is exact — see AdmissionController::Evict), the WDRR scheduler
-  // slot (only if no waiters are parked and the weight is the default),
-  // and the engine's cached plans and schema-version entry. Driven by the
-  // controller's tenant-catalog eviction sweep; every piece reloads on the
-  // tenant's next transaction. Explicit quotas and weights stay.
-  void EvictTenant(const std::string& db);
-
  private:
   int id_;
   std::string name_;

@@ -204,9 +204,6 @@ Status ReplicaBuilder::Migrate(const rebalance::MigrationPlan& plan) {
   // the source copy is just garbage now.
   (void)controller_->machine_client()->DropDatabase(plan.source_machine,
                                                     plan.database);
-  if (Machine* source = controller_->machine(plan.source_machine)) {
-    source->EvictTenant(plan.database);
-  }
   return Status::OK();
 }
 
@@ -364,9 +361,6 @@ Status ReplicaBuilder::Abort(Copy& copy, const Status& cause) {
   (void)controller_->AbandonCopy(copy.db);
   if (drop) {
     (void)controller_->machine_client()->DropDatabase(copy.target, copy.db);
-    if (Machine* target = controller_->machine(copy.target)) {
-      target->EvictTenant(copy.db);
-    }
   }
   return cause;
 }

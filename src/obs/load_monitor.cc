@@ -11,14 +11,21 @@ LoadMonitor::LoadMonitor(Options options) : options_(options) {}
 
 void LoadMonitor::RecordTxn(const std::string& db, bool committed) {
   int64_t now = NowMicros();
-  platform::Guard lock(mu_);
-  Window& window = windows_[db];
-  if (window.first_seen_us == 0) window.first_seen_us = now;
-  window.samples.emplace_back(now, committed);
   int64_t horizon = now - options_.window_us;
+  platform::Guard lock(mu_);
+  if (now - last_sweep_us_ >= options_.window_us) {
+    last_sweep_us_ = now;
+    // Samples are appended in completion order, so the newest is last.
+    std::erase_if(windows_, [horizon](const auto& entry) {
+      return entry.second.samples.back().first < horizon;
+    });
+  }
+  Window& window = windows_[db];
   while (!window.samples.empty() && window.samples.front().first < horizon) {
     window.samples.pop_front();
   }
+  if (window.samples.empty()) window.first_seen_us = now;
+  window.samples.emplace_back(now, committed);
 }
 
 double LoadMonitor::TpsLocked(const Window& window, int64_t now_us) const {
@@ -75,9 +82,9 @@ std::vector<std::string> LoadMonitor::ActiveDatabases() const {
   return names;
 }
 
-void LoadMonitor::Evict(const std::string& db) {
+size_t LoadMonitor::window_count() const {
   platform::Guard lock(mu_);
-  windows_.erase(db);
+  return windows_.size();
 }
 
 }  // namespace mtdb::obs

@@ -33,7 +33,10 @@ class LoadMonitor {
   explicit LoadMonitor(Options options);
 
   // Reports one finished transaction against `db`. Called from connection
-  // commit/abort paths (txn granularity, so a mutex is cheap enough).
+  // commit/abort paths (txn granularity, so a mutex is cheap enough). At
+  // most once per window_us it also drops every window with no sample
+  // inside the horizon; a tenant idle for a whole window starts afresh,
+  // like a new one.
   void RecordTxn(const std::string& db, bool committed);
 
   // Committed transactions per second over the window. Databases with no
@@ -52,10 +55,9 @@ class LoadMonitor {
   // input with ghosts.
   std::vector<std::string> ActiveDatabases() const;
 
-  // Drops `db`'s window (samples and first-seen mark). Called by the
-  // tenant catalog's eviction sweep for idle tenants and on DropDatabase;
-  // the window rebuilds from scratch on the tenant's next transaction.
-  void Evict(const std::string& db);
+  // Windows currently held: the tenants that finished a transaction within
+  // one window before the last sweep, or since it.
+  size_t window_count() const;
 
  private:
   struct Window {
@@ -73,10 +75,10 @@ class LoadMonitor {
 
   Options options_;
   mutable platform::Mutex mu_{"obs/LoadMonitor::mu"};
-  // Evictable: the catalog's eviction listener calls Evict(db) when a
-  // tenant goes idle, and the window rebuilds from live traffic.
-  // mtdblint: allow(tenant-map)
+  // Bound: the tenants active within one window, give or take the sweep
+  // interval; RecordTxn drops the rest. mtdblint: allow(tenant-map)
   std::map<std::string, Window> windows_ MTDB_GUARDED_BY(mu_);
+  int64_t last_sweep_us_ MTDB_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace mtdb::obs

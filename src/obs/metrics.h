@@ -17,7 +17,7 @@
 //  3. Cardinality is bounded by construction. The only label values are
 //     machine names and fixed operation names, so no family grows with the
 //     number of tenants and no series is ever retired. Per-tenant load lives
-//     in obs::LoadMonitor, which the tenant catalog evicts with the tenant.
+//     in obs::LoadMonitor, which drops a tenant idle for a whole window.
 //
 // Metrics can be disabled at runtime (MetricsRegistry::SetEnabled(false))
 // or compiled out entirely with -DMTDB_NO_METRICS=1 (cmake -DMTDB_METRICS=OFF),

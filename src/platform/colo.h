@@ -81,9 +81,9 @@ class Colo {
   mutable platform::Mutex mu_{"platform/Colo::mu"};
   std::vector<std::unique_ptr<ClusterController>> clusters_
       MTDB_GUARDED_BY(mu_);
-  // One int per database — the colo-level placement fact itself, which has
-  // no smaller durable form (the paper's Figure 1 routing tier).
-  // mtdblint: allow(tenant-map)
+  // Bound: one int per database placed in this colo, the placement fact
+  // itself (the paper's Figure 1 routing tier); it has no smaller durable
+  // form and lives as long as the colo. mtdblint: allow(tenant-map)
   std::map<std::string, int> db_to_cluster_ MTDB_GUARDED_BY(mu_);
   std::atomic<int> free_pool_;
   std::atomic<bool> failed_{false};

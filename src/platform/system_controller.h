@@ -116,8 +116,9 @@ class SystemController {
   SystemOptions options_;
   mutable platform::Mutex mu_{"platform/SystemController::mu"};
   std::vector<std::unique_ptr<Colo>> colos_ MTDB_GUARDED_BY(mu_);
-  // Simulation-fixture routing table, not production metadata: lives only
-  // as long as the test scenario. mtdblint: allow(tenant-map)
+  // Bound: one route per database the scenario creates. A simulation
+  // fixture, not production metadata: it lives as long as the scenario.
+  // mtdblint: allow(tenant-map)
   std::map<std::string, DbRoute> routes_ MTDB_GUARDED_BY(mu_);
 
   platform::Mutex queue_mu_{"platform/SystemController::queue_mu"};

@@ -20,8 +20,9 @@ namespace mtdb::qos {
 // has already admitted the transaction, so a quota can never cut a write off
 // on a subset of replicas.
 //
-// Only SetQuota creates state. A database without a quota is unlimited and
-// is admitted with one lookup, leaving nothing behind.
+// Only SetQuota creates state, and a bucket lives as long as its quota. A
+// database without a quota is unlimited and is admitted with one lookup,
+// leaving nothing behind.
 class AdmissionController {
  public:
   struct Options {
@@ -41,31 +42,19 @@ class AdmissionController {
   // always admitted without charge.
   AdmitDecision AdmitTxn(const std::string& db, int64_t now_us);
 
-  // Releases `db`'s evictable state (the token bucket) if — and only if —
-  // the database has been idle for at least one full bucket refill (the
-  // bucket's effective burst over its rate). After that long a kept bucket
-  // would be full anyway, so the lazy full-burst rebuild on the next
-  // AdmitTxn is indistinguishable from never having evicted: quota
-  // enforcement is exactly preserved. The quota spec itself stays (it is
-  // pushed by the controller, not rederivable locally). Returns true if a
-  // bucket was dropped.
-  bool Evict(const std::string& db, int64_t now_us);
-
   size_t entry_count() const;
 
  private:
   struct Entry {
     QuotaSpec spec{};
-    std::unique_ptr<TokenBucket> bucket;  // null when unlimited or evicted
-    int64_t last_admit_us = 0;
+    std::unique_ptr<TokenBucket> bucket;  // null when unlimited
   };
 
   // mtdb_qos_throttled_total{machine}; null when the machine label is empty.
   obs::Counter* m_throttled_ = nullptr;
   mutable platform::Mutex mu_{"qos/AdmissionController::mu"};
-  // Per-database, but bounded: entries exist for explicit quotas only, and
-  // those are pushed by the controller from the tenant catalog.
-  // mtdblint: allow(tenant-map)
+  // Bound: one entry per explicit quota the controller pushed here; an
+  // unquoted database leaves none. mtdblint: allow(tenant-map)
   std::map<std::string, Entry> entries_ MTDB_GUARDED_BY(mu_);
 };
 

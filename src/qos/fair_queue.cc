@@ -64,7 +64,8 @@ bool WeightedFairQueue::GrantLocked() {
   bool any = false;
   while (free_ > 0 && waiting_ > 0) {
     if (rr_ >= active_.size()) rr_ = 0;
-    Tenant& tenant = tenants_[active_[rr_]];
+    auto tenant_it = tenants_.find(active_[rr_]);
+    Tenant& tenant = tenant_it->second;
     // Deficit round robin with unit cost: a tenant's deficit is replenished
     // by its weight once per *visit*, then spent one slot per grant. A visit
     // spans multiple GrantLocked calls when slots free up one at a time
@@ -88,8 +89,10 @@ bool WeightedFairQueue::GrantLocked() {
     }
     if (tenant.waiters.empty()) {
       // An idle tenant keeps no credit: deficit accrual only spans one
-      // backlogged period, so a tenant cannot bank slots while idle.
+      // backlogged period, so a tenant cannot bank slots while idle. At the
+      // default weight that leaves nothing worth keeping.
       tenant.deficit = 0;
+      if (tenant.weight == kDefaultWeight) tenants_.erase(tenant_it);
       active_.erase(active_.begin() + static_cast<ptrdiff_t>(rr_));
       if (rr_ >= active_.size()) rr_ = 0;
       mid_visit_ = false;
@@ -108,18 +111,11 @@ bool WeightedFairQueue::GrantLocked() {
 void WeightedFairQueue::SetWeight(const std::string& db, int weight) {
   platform::Guard lock(mu_);
   if (options_.policy == Policy::kFifo) return;
-  tenants_.try_emplace(db).first->second.weight = std::max(1, weight);
-}
-
-bool WeightedFairQueue::EvictIdle(const std::string& db) {
-  platform::Guard lock(mu_);
-  auto it = tenants_.find(db);
-  if (it == tenants_.end() || !it->second.waiters.empty() ||
-      it->second.weight != kDefaultWeight) {
-    return false;
+  auto it = tenants_.try_emplace(db).first;
+  it->second.weight = std::max(1, weight);
+  if (it->second.weight == kDefaultWeight && it->second.waiters.empty()) {
+    tenants_.erase(it);
   }
-  tenants_.erase(it);
-  return true;
 }
 
 size_t WeightedFairQueue::tenant_count() const {

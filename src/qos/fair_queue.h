@@ -51,14 +51,8 @@ class WeightedFairQueue {
   // database's next replenish round.
   void SetWeight(const std::string& db, int weight);
 
-  // Erases `db`'s scheduler state if it has no parked waiters and runs at
-  // the default weight: such an entry is pure cache, since an idle tenant
-  // holds no deficit (GrantLocked zeroes it when the queue drains). An
-  // explicit weight stays, like the admission controller's explicit quota:
-  // nothing re-pushes it until the quota changes. Returns true if state was
-  // erased.
-  bool EvictIdle(const std::string& db);
-
+  // Databases holding scheduler state: those with parked waiters or a
+  // non-default weight.
   size_t tenant_count() const;
 
   // Number of waiters currently parked (excludes granted slots).
@@ -104,9 +98,9 @@ class WeightedFairQueue {
   const Options options_;
   mutable platform::Mutex mu_{"qos/WeightedFairQueue::mu"};
   platform::CondVar cv_;
-  // Per-database, but bounded: entries outlive their waiters for explicit
-  // weights only, which the controller pushes from the tenant catalog.
-  // mtdblint: allow(tenant-map)
+  // Bound: the databases with parked waiters, plus one entry per explicit
+  // weight the controller pushed here. A default-weight entry goes when its
+  // queue drains. mtdblint: allow(tenant-map)
   std::map<std::string, Tenant> tenants_ MTDB_GUARDED_BY(mu_);
   // Round-robin ring of database names with parked waiters.
   std::vector<std::string> active_ MTDB_GUARDED_BY(mu_);

@@ -52,14 +52,4 @@ void TokenBucket::Configure(double rate_per_sec, double burst) {
   tokens_ = std::min(tokens_, burst_);
 }
 
-double TokenBucket::rate_per_sec() const {
-  platform::Guard lock(mu_);
-  return rate_per_sec_;
-}
-
-double TokenBucket::burst() const {
-  platform::Guard lock(mu_);
-  return burst_;
-}
-
 }  // namespace mtdb::qos

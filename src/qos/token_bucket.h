@@ -24,13 +24,9 @@ class TokenBucket {
   // one full token will have accrued (the wire-carried backoff hint).
   bool TryAcquire(int64_t now_us, int64_t* retry_after_us);
 
-  // Live reconfiguration (quota refresh from the load monitor). The current
-  // fill is preserved, clamped to the new burst, so a refresh never grants
-  // a free burst.
+  // Live reconfiguration (a quota re-push). The current fill is preserved,
+  // clamped to the new burst, so a re-push never grants a free burst.
   void Configure(double rate_per_sec, double burst);
-
-  double rate_per_sec() const;
-  double burst() const;
 
  private:
   void RefillLocked(int64_t now_us) MTDB_REQUIRES(mu_);

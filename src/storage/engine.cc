@@ -120,7 +120,17 @@ Status Engine::DropDatabase(const std::string& db_name) {
   if (databases_.erase(db_name) == 0) {
     return Status::NotFound("database " + db_name);
   }
-  BumpSchemaVersion(db_name);
+  {
+    // No ABA on a re-create: CreateDatabase mints a fresh epoch value, and
+    // a plan racing this drop finds no version to match and is not cached.
+    platform::Guard plan_lock(plan_mu_);
+    schema_versions_.erase(db_name);
+    ErasePlansLocked(db_name);
+  }
+  // Under the catalog latch, so a re-created database's chains never meet
+  // this sweep.
+  versions_.DropDatabase(db_name);
+  SetGauge(m_mvcc_versions_, versions_.live_versions());
   return Status::OK();
 }
 
@@ -180,6 +190,10 @@ Status Engine::DropTable(const std::string& db_name,
   Database* db = GetDatabase(db_name);
   if (db == nullptr) return Status::NotFound("database " + db_name);
   MTDB_RETURN_IF_ERROR(db->DropTable(table_name));
+  // Chains are authoritative over live rows, so a re-created table must not
+  // inherit them.
+  versions_.DropTable(db_name, table_name);
+  SetGauge(m_mvcc_versions_, versions_.live_versions());
   BumpSchemaVersion(db_name);
   return Status::OK();
 }
@@ -189,23 +203,16 @@ Status Engine::DropTable(const std::string& db_name,
 void Engine::BumpSchemaVersion(const std::string& db_name) {
   platform::Guard lock(plan_mu_);
   schema_versions_[db_name] = ++schema_epoch_;
-  // Evict eagerly so dropped databases don't pin dead plans; the version
-  // check in GetPlan covers any plan that slips back in concurrently.
-  for (auto it = plan_cache_.begin(); it != plan_cache_.end();) {
-    if (it->first.first == db_name) {
-      it = plan_cache_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  // Erase eagerly so stale plans don't hold cache slots; the version check
+  // in GetPlan covers any plan that slips back in concurrently.
+  ErasePlansLocked(db_name);
 }
 
-void Engine::EvictTenantPlans(const std::string& db_name) {
-  platform::Guard lock(plan_mu_);
-  schema_versions_.erase(db_name);
-  auto lo = plan_cache_.lower_bound({db_name, ""});
-  while (lo != plan_cache_.end() && lo->first.first == db_name) {
-    lo = plan_cache_.erase(lo);
+void Engine::ErasePlansLocked(const std::string& db_name) {
+  auto it = plan_cache_.lower_bound({db_name, std::string()});
+  while (it != plan_cache_.end() && it->first.first == db_name) {
+    plan_lru_.erase(it->second.lru);
+    it = plan_cache_.erase(it);
   }
 }
 
@@ -224,7 +231,7 @@ Result<std::shared_ptr<const sql::PlannedStatement>> Engine::GetPlan(
     version = vit == schema_versions_.end() ? 0 : vit->second;
     auto it = plan_cache_.find({db_name, sql});
     if (it != plan_cache_.end() && it->second.schema_version == version) {
-      it->second.last_use_us = NowMicros();
+      plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second.lru);
       plan_cache_hits_.fetch_add(1, std::memory_order_relaxed);
       obs::Increment(m_plan_hit_);
       return it->second.plan;
@@ -244,19 +251,22 @@ Result<std::shared_ptr<const sql::PlannedStatement>> Engine::GetPlan(
     // Don't cache a plan that raced a DDL: it was planned against a catalog
     // that no longer matches any version we could tag it with.
     if (now == version) {
-      if (plan_cache_.size() >= kMaxCachedPlans) {
-        // Evict the least-recently-used entry: one displaced plan instead
-        // of the old clear-when-full stampede that cold-started every
-        // co-located tenant at once.
-        auto victim = plan_cache_.begin();
-        for (auto it = plan_cache_.begin(); it != plan_cache_.end(); ++it) {
-          if (it->second.last_use_us < victim->second.last_use_us) {
-            victim = it;
-          }
+      auto [it, inserted] = plan_cache_.try_emplace({db_name, sql});
+      if (inserted) {
+        plan_lru_.push_front(&it->first);
+        it->second.lru = plan_lru_.begin();
+        if (plan_cache_.size() > kMaxCachedPlans) {
+          // Evict the least-recently-used entry: one displaced plan instead
+          // of the old clear-when-full stampede that cold-started every
+          // co-located tenant at once.
+          plan_cache_.erase(plan_cache_.find(*plan_lru_.back()));
+          plan_lru_.pop_back();
         }
-        plan_cache_.erase(victim);
+      } else {
+        plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second.lru);
       }
-      plan_cache_[{db_name, sql}] = CachedPlan{version, NowMicros(), plan};
+      it->second.schema_version = version;
+      it->second.plan = plan;
     }
   }
   return plan;

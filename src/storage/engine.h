@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -91,6 +92,8 @@ class Engine {
 
   // --- Catalog ---
   Status CreateDatabase(const std::string& db_name);
+  // Drops the database with everything this engine keeps for it: tables,
+  // cached plans, its schema-version entry and its MVCC version chains.
   Status DropDatabase(const std::string& db_name);
   bool HasDatabase(const std::string& db_name) const;
   Database* GetDatabase(const std::string& db_name) const;
@@ -99,11 +102,12 @@ class Engine {
   Status CreateIndex(const std::string& db_name, const std::string& table_name,
                      const std::string& index_name,
                      const std::string& column_name);
+  // Drops the table and its MVCC version chains.
   Status DropTable(const std::string& db_name, const std::string& table_name);
 
   // --- SQL planning (DESIGN.md §9) ---
   // Parses + plans `sql` against `db_name`, serving repeated calls from a
-  // bounded plan cache keyed (db, sql text) and validated against the
+  // bounded LRU plan cache keyed (db, sql text) and validated against the
   // database's schema version — any DDL invalidates, and a statement whose
   // table was dropped surfaces kNotFound. Only '?'-parameterized,
   // non-EXPLAIN statements are cached (literal-bearing one-shot statements
@@ -111,14 +115,6 @@ class Engine {
   // state: a client "prepares" a statement by sending the same text again.
   Result<std::shared_ptr<const sql::PlannedStatement>> GetPlan(
       const std::string& db_name, const std::string& sql);
-
-  // Drops `db_name`'s cached plans and schema-version entry (tenant
-  // catalog eviction of an idle tenant). Safe at any time: versions are
-  // drawn from the engine-wide epoch, so an evicted entry reads as 0
-  // ("unknown") and the next DDL mints a version greater than any a
-  // surviving plan could be tagged with — a stale plan can never validate
-  // against a post-eviction schema (no ABA).
-  void EvictTenantPlans(const std::string& db_name);
 
   // Plan-cache observability (tests + bench).
   size_t plan_cache_size() const;
@@ -275,9 +271,8 @@ class Engine {
 
   mutable platform::SharedMutex catalog_latch_{
       "storage/Engine::catalog_latch"};
-  // The tenant DATA itself — rows are what a storage machine exists to
-  // hold; only derived metadata (plans, schema versions) is evictable.
-  // mtdblint: allow(tenant-map)
+  // Bound: one entry per hosted database, the tenant data itself;
+  // DropDatabase erases it. mtdblint: allow(tenant-map)
   std::map<std::string, std::unique_ptr<Database>> databases_
       MTDB_GUARDED_BY(catalog_latch_);
 
@@ -292,24 +287,29 @@ class Engine {
       MTDB_PT_GUARDED_BY(txn_mu_);
 
   // --- Plan cache ---
+  using PlanKey = std::pair<std::string, std::string>;  // (db, sql text)
   struct CachedPlan {
     uint64_t schema_version = 0;
-    int64_t last_use_us = 0;
     std::shared_ptr<const sql::PlannedStatement> plan;
+    // This entry's node in plan_lru_.
+    std::list<const PlanKey*>::iterator lru;
   };
-  // Bumps the db's schema version and evicts its cached plans. Called by
-  // every successful DDL.
+  // Bumps the db's schema version and erases its cached plans. Called by
+  // CreateDatabase and every successful DDL.
   void BumpSchemaVersion(const std::string& db_name);
+  // Erases `db_name`'s cached plans: a range of the ordered cache.
+  void ErasePlansLocked(const std::string& db_name) MTDB_REQUIRES(plan_mu_);
 
   mutable platform::Mutex plan_mu_{"storage/Engine::plan_mu"};
-  // Evictable via EvictTenantPlans (catalog eviction listener): a missing
-  // entry re-mints from schema_epoch_ on the next DDL or plan lookup.
+  // Bound: one entry per hosted database; DropDatabase erases it.
   // mtdblint: allow(tenant-map)
   std::map<std::string, uint64_t> schema_versions_ MTDB_GUARDED_BY(plan_mu_);
   // engine-wide; versions never repeat
   uint64_t schema_epoch_ MTDB_GUARDED_BY(plan_mu_) = 0;
-  std::map<std::pair<std::string, std::string>, CachedPlan> plan_cache_
-      MTDB_GUARDED_BY(plan_mu_);
+  std::map<PlanKey, CachedPlan> plan_cache_ MTDB_GUARDED_BY(plan_mu_);
+  // Recency order of plan_cache_'s keys, most recent first: a hit moves its
+  // key to the front, and a full cache evicts the back.
+  std::list<const PlanKey*> plan_lru_ MTDB_GUARDED_BY(plan_mu_);
   std::atomic<int64_t> plan_cache_hits_{0};
   std::atomic<int64_t> plan_cache_misses_{0};
 

@@ -97,4 +97,29 @@ size_t VersionStore::PruneBelow(uint64_t watermark) {
   return pruned;
 }
 
+VersionStore::Tables::iterator VersionStore::EraseLocked(
+    Tables::iterator it) {
+  int64_t dropped = 0;
+  for (const auto& [pk, chain] : it->second) {
+    dropped += static_cast<int64_t>(chain.size());
+  }
+  live_.fetch_sub(dropped, std::memory_order_relaxed);
+  return tables_.erase(it);
+}
+
+void VersionStore::DropTable(const std::string& db_name,
+                             const std::string& table_name) {
+  platform::WriterGuard lock(latch_);
+  auto it = tables_.find({db_name, table_name});
+  if (it != tables_.end()) EraseLocked(it);
+}
+
+void VersionStore::DropDatabase(const std::string& db_name) {
+  platform::WriterGuard lock(latch_);
+  auto it = tables_.lower_bound({db_name, std::string()});
+  while (it != tables_.end() && it->first.first == db_name) {
+    it = EraseLocked(it);
+  }
+}
+
 }  // namespace mtdb::mvcc

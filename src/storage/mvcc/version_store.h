@@ -72,10 +72,16 @@ class VersionStore {
 
   // Garbage collection: within every chain, drop versions strictly older
   // than the newest version at or below `watermark` (that one stays — it is
-  // what snapshots at the watermark read). Chains are never dropped whole:
+  // what snapshots at the watermark read). GC never drops a chain whole:
   // chain-presence is what shields readers from uncommitted live rows.
   // Returns the number of versions pruned.
   size_t PruneBelow(uint64_t watermark);
+
+  // Drop every chain of one table, or of every table in one database, with
+  // the table or database itself: a chain is authoritative over the live
+  // row, so a re-created table must start without one.
+  void DropTable(const std::string& db_name, const std::string& table_name);
+  void DropDatabase(const std::string& db_name);
 
   // Total versions currently held across all chains.
   int64_t live_versions() const {
@@ -85,9 +91,13 @@ class VersionStore {
  private:
   using Chain = std::vector<RowVersion>;  // ascending commit_ts
   using TableKey = std::pair<std::string, std::string>;
+  using Tables = std::map<TableKey, std::map<Value, Chain>>;
+
+  // Erases one table's chains, keeping live_ in step.
+  Tables::iterator EraseLocked(Tables::iterator it) MTDB_REQUIRES(latch_);
 
   mutable platform::SharedMutex latch_{"storage/VersionStore::latch"};
-  std::map<TableKey, std::map<Value, Chain>> tables_ MTDB_GUARDED_BY(latch_);
+  Tables tables_ MTDB_GUARDED_BY(latch_);
   std::atomic<int64_t> live_{0};
 };
 

@@ -1,7 +1,7 @@
 // Tests for the sharded lazy tenant catalog (src/cluster/catalog/):
 // lazy materialization, LRU eviction with pin protection, and the
-// eviction-is-invisible reload invariant — plus a threaded Acquire/sweep
-// race for the TSan job (ctest -L catalog under the tsan preset).
+// eviction-is-invisible reload invariant — plus a threaded pin/sweep race
+// for the TSan job (ctest -L catalog under the tsan preset).
 #include <atomic>
 #include <memory>
 #include <string>
@@ -28,6 +28,12 @@ TenantRecord RecordOn(std::vector<int> replicas) {
   return record;
 }
 
+// Pins `name` the one way the catalog offers: as a transaction would.
+TenantCatalog::TenantRef Pin(TenantCatalog& cat, const std::string& name) {
+  bool cutover = false;
+  return cat.AcquireForTxn(name, &cutover);
+}
+
 TEST(TenantCatalogTest, InstallIsDurableButNotResident) {
   TenantCatalog cat;
   cat.Install("app0", RecordOn({0, 1}));
@@ -50,7 +56,7 @@ TEST(TenantCatalogTest, AcquireMaterializesLazily) {
   cat.Install("app0", RecordOn({0}));
 
   {
-    TenantCatalog::TenantRef ref = cat.Acquire("app0");
+    TenantCatalog::TenantRef ref = Pin(cat, "app0");
     ASSERT_TRUE(ref.valid());
     EXPECT_EQ(cat.resident_count(), 1u);
     CatalogStats stats = cat.Stats();
@@ -65,7 +71,7 @@ TEST(TenantCatalogTest, AcquireMaterializesLazily) {
 
 TEST(TenantCatalogTest, AcquireUnknownTenantIsInvalid) {
   TenantCatalog cat;
-  TenantCatalog::TenantRef ref = cat.Acquire("nope");
+  TenantCatalog::TenantRef ref = Pin(cat, "nope");
   EXPECT_FALSE(ref.valid());
   ref.Release();  // no-op, must not crash
   EXPECT_EQ(cat.Stats().pinned, 0);
@@ -79,7 +85,7 @@ TEST(TenantCatalogTest, ReserveBlocksRoutingUntilInstall) {
   EXPECT_EQ(cat.Reserve("app0").code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(cat.With("app0", [](const TenantRecord&) {}).code(),
             StatusCode::kNotFound);
-  EXPECT_FALSE(cat.Acquire("app0").valid());
+  EXPECT_FALSE(Pin(cat, "app0").valid());
 
   cat.Install("app0", RecordOn({0}));
   EXPECT_TRUE(cat.With("app0", [](const TenantRecord&) {}).ok());
@@ -97,14 +103,10 @@ TEST(TenantCatalogTest, EvictionPrefersOldestAndNotifiesListener) {
   options.max_resident = 64;
   TenantCatalog cat(options);
 
-  std::vector<std::string> evicted;
-  cat.SetEvictionListener(
-      [&](const std::string& tenant) { evicted.push_back(tenant); });
-
   for (int i = 0; i < 4; ++i) {
     std::string name = "app" + std::to_string(i);
     cat.Install(name, RecordOn({0}));
-    cat.Acquire(name).Release();
+    Pin(cat, name).Release();
     // Distinct last_active_us timestamps even on a coarse clock.
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
@@ -112,11 +114,15 @@ TEST(TenantCatalogTest, EvictionPrefersOldestAndNotifiesListener) {
 
   EXPECT_EQ(cat.EvictResidentDownTo(2), 2u);
   EXPECT_EQ(cat.resident_count(), 2u);
-  // Oldest-first: app0 and app1 go, app2 and app3 stay.
-  ASSERT_EQ(evicted.size(), 2u);
-  EXPECT_EQ(evicted[0], "app0");
-  EXPECT_EQ(evicted[1], "app1");
   EXPECT_EQ(cat.Stats().evictions, 2);
+  // Oldest-first: app2 and app3 stay resident (pinning them reloads
+  // nothing), while app0 and app1 went (pinning one is a reload).
+  Pin(cat, "app2").Release();
+  Pin(cat, "app3").Release();
+  EXPECT_EQ(cat.Stats().reloads, 0);
+  Pin(cat, "app0").Release();
+  Pin(cat, "app1").Release();
+  EXPECT_EQ(cat.Stats().reloads, 2);
 }
 
 TEST(TenantCatalogTest, PinnedTenantIsNeverEvicted) {
@@ -124,8 +130,8 @@ TEST(TenantCatalogTest, PinnedTenantIsNeverEvicted) {
   cat.Install("pinned", RecordOn({0}));
   cat.Install("idle", RecordOn({0}));
 
-  TenantCatalog::TenantRef ref = cat.Acquire("pinned");
-  cat.Acquire("idle").Release();
+  TenantCatalog::TenantRef ref = Pin(cat, "pinned");
+  Pin(cat, "idle").Release();
   ASSERT_EQ(cat.resident_count(), 2u);
 
   // Even an evict-everything sweep must skip the pinned tenant: it has a
@@ -142,7 +148,7 @@ TEST(TenantCatalogTest, PinnedTenantIsNeverEvicted) {
   EXPECT_EQ(cat.resident_count(), 0u);
 
   // And the reload path still works: eviction is invisible to correctness.
-  TenantCatalog::TenantRef again = cat.Acquire("pinned");
+  TenantCatalog::TenantRef again = Pin(cat, "pinned");
   EXPECT_TRUE(again.valid());
   EXPECT_GE(cat.Stats().reloads, 1);
 }
@@ -156,10 +162,10 @@ TEST(TenantCatalogTest, AcquirePastCapSweepsIdleTenants) {
   for (int i = 0; i < 32; ++i) {
     std::string name = "app" + std::to_string(i);
     cat.Install(name, RecordOn({0}));
-    cat.Acquire(name).Release();
+    Pin(cat, name).Release();
   }
-  // Steady state: the Acquire path itself keeps residency at or under the
-  // cap; no external sweeper needed.
+  // Steady state: the pin path itself keeps residency at or under the cap;
+  // no external sweeper needed.
   EXPECT_LE(cat.resident_count(), 8u);
   EXPECT_EQ(cat.tenant_count(), 32u);
   EXPECT_GT(cat.Stats().evictions, 0);
@@ -168,7 +174,7 @@ TEST(TenantCatalogTest, AcquirePastCapSweepsIdleTenants) {
 TEST(TenantCatalogTest, EraseWhilePinnedKeepsCountsBalanced) {
   TenantCatalog cat;
   cat.Install("app0", RecordOn({0}));
-  TenantCatalog::TenantRef ref = cat.Acquire("app0");
+  TenantCatalog::TenantRef ref = Pin(cat, "app0");
   ASSERT_TRUE(cat.Erase("app0").ok());
   EXPECT_FALSE(cat.Contains("app0"));
   // Releasing a ref whose tenant is gone must not crash or underflow.
@@ -196,8 +202,7 @@ TEST(TenantCatalogTest, ConcurrentAcquireAndSweep) {
     threads.emplace_back([&cat, t] {
       for (int i = 0; i < 400; ++i) {
         int id = (i * 31 + t * 17) % kTenants;
-        TenantCatalog::TenantRef ref =
-            cat.Acquire("app" + std::to_string(id));
+        TenantCatalog::TenantRef ref = Pin(cat, "app" + std::to_string(id));
         ASSERT_TRUE(ref.valid());
       }
     });
@@ -218,7 +223,7 @@ TEST(TenantCatalogTest, ConcurrentAcquireAndSweep) {
   EXPECT_EQ(stats.tenants, kTenants);
   // Every tenant still answers after the storm.
   for (int i = 0; i < kTenants; ++i) {
-    EXPECT_TRUE(cat.Acquire("app" + std::to_string(i)).valid());
+    EXPECT_TRUE(Pin(cat, "app" + std::to_string(i)).valid());
   }
 }
 

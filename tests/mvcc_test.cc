@@ -299,6 +299,71 @@ TEST_F(MvccEngineTest, GcPrunesSupersededVersions) {
   ASSERT_TRUE(engine_->Commit(txn).ok());
 }
 
+// A dropped database takes its version chains along: chains are
+// authoritative over live rows, so one left behind would answer a snapshot
+// read of the re-created database with the dropped row.
+TEST_F(MvccEngineTest, DropDatabaseDropsItsVersions) {
+  ASSERT_TRUE(engine_->Begin(1).ok());
+  ASSERT_TRUE(engine_->Update(1, "db", "kv", Value(int64_t{1}), MakeRow(1, 11))
+                  .ok());
+  ASSERT_TRUE(engine_->Commit(1).ok());
+  ASSERT_EQ(engine_->version_store().live_versions(), 2);
+
+  ASSERT_TRUE(engine_->DropDatabase("db").ok());
+  EXPECT_EQ(engine_->version_store().live_versions(), 0);
+  ASSERT_TRUE(engine_->CreateDatabase("db").ok());
+  ASSERT_TRUE(engine_
+                  ->CreateTable("db", TableSchema(
+                                          "kv",
+                                          {{"k", ColumnType::kInt64, true},
+                                           {"v", ColumnType::kInt64, false}},
+                                          0))
+                  .ok());
+  ASSERT_TRUE(engine_->BulkInsert("db", "kv", {MakeRow(1, 12)}).ok());
+
+  ASSERT_TRUE(engine_->Begin(2, /*read_only=*/true).ok());
+  EXPECT_EQ(ReadV(2, 1), 12);
+  ASSERT_TRUE(engine_->Commit(2).ok());
+  ASSERT_TRUE(engine_->Begin(3).ok());
+  EXPECT_EQ(ReadV(3, 1), 12);
+  ASSERT_TRUE(engine_->Commit(3).ok());
+}
+
+// The same for one table; its neighbours keep their chains.
+TEST_F(MvccEngineTest, DropTableDropsItsVersions) {
+  ASSERT_TRUE(engine_
+                  ->CreateTable("db", TableSchema(
+                                          "other",
+                                          {{"k", ColumnType::kInt64, true},
+                                           {"v", ColumnType::kInt64, false}},
+                                          0))
+                  .ok());
+  ASSERT_TRUE(engine_->Begin(1).ok());
+  ASSERT_TRUE(engine_->Update(1, "db", "kv", Value(int64_t{1}), MakeRow(1, 11))
+                  .ok());
+  ASSERT_TRUE(engine_->Insert(1, "db", "other", MakeRow(1, 5)).ok());
+  ASSERT_TRUE(engine_->Commit(1).ok());
+  ASSERT_EQ(engine_->version_store().live_versions(), 4);
+
+  ASSERT_TRUE(engine_->DropTable("db", "kv").ok());
+  EXPECT_EQ(engine_->version_store().live_versions(), 2);
+  ASSERT_TRUE(engine_
+                  ->CreateTable("db", TableSchema(
+                                          "kv",
+                                          {{"k", ColumnType::kInt64, true},
+                                           {"v", ColumnType::kInt64, false}},
+                                          0))
+                  .ok());
+  ASSERT_TRUE(engine_->BulkInsert("db", "kv", {MakeRow(1, 12)}).ok());
+
+  ASSERT_TRUE(engine_->Begin(2, /*read_only=*/true).ok());
+  EXPECT_EQ(ReadV(2, 1), 12);
+  ASSERT_TRUE(engine_->Commit(2).ok());
+  ASSERT_TRUE(engine_->Begin(3).ok());
+  EXPECT_EQ(ReadV(3, 1), 12);
+  ASSERT_TRUE(engine_->Commit(3).ok());
+}
+
 TEST_F(MvccEngineTest, HistoryMarksReadOnlyTransactions) {
   ASSERT_TRUE(engine_->Begin(1, /*read_only=*/true).ok());
   EXPECT_EQ(ReadV(1, 1), 10);

@@ -290,5 +290,20 @@ TEST(ObsMetricsTest, LoadMonitorWindowDecaysToZero) {
   EXPECT_DOUBLE_EQ(monitor.TpsFor("db"), 0.0);
 }
 
+// The monitor bounds itself: a window with no sample inside the horizon is
+// dropped by a later RecordTxn, so tenants that went quiet cost nothing.
+TEST(ObsMetricsTest, LoadMonitorDropsIdleWindows) {
+  obs::LoadMonitor::Options options;
+  options.window_us = 50'000;  // 50 ms window
+  obs::LoadMonitor monitor(options);
+  for (int i = 0; i < 100; ++i) {
+    monitor.RecordTxn("tenant" + std::to_string(i), /*committed=*/true);
+  }
+  EXPECT_EQ(monitor.window_count(), 100u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(75));
+  monitor.RecordTxn("tenant0", /*committed=*/true);
+  EXPECT_EQ(monitor.window_count(), 1u);
+}
+
 }  // namespace
 }  // namespace mtdb

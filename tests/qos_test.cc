@@ -1,11 +1,13 @@
 // Invariant tests for the QoS layer (src/qos/): token-bucket admission
 // properties under simulated clocks, weighted-fair-queue ordering and share
 // guarantees under real threads (the TSan job runs these under `ctest -L
-// qos`), what survives a tenant eviction, and the end-to-end contract that
-// a throttled machine is never mistaken for a failed one.
+// qos`), the per-tenant state each keeps (a bucket per quota, a queue entry
+// per parked tenant or explicit weight), and the end-to-end contract that a
+// throttled machine is never mistaken for a failed one.
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -132,29 +134,27 @@ TEST(AdmissionControllerTest, UnquotedTenantsLeaveNoState) {
   EXPECT_EQ(admission.entry_count(), 0u);
 }
 
-// Evict may drop a bucket only once it has been idle for a full refill,
-// measured on the bucket's effective burst: a defaulted burst (<= 0) is
-// max(rate, 1) tokens, not zero, so a drained bucket must survive.
-TEST(AdmissionControllerTest, EvictDropsOnlyAFullBucket) {
-  qos::AdmissionController admission({});
-  qos::QuotaSpec spec;
-  spec.rate_tps = 1;  // burst defaulted: one token, refilled in 1 s
-  admission.SetQuota("app", spec);
-  ASSERT_TRUE(admission.AdmitTxn("app", 0).admitted);
-  ASSERT_FALSE(admission.AdmitTxn("app", 10).admitted);
-  // Drained 10 us ago: dropping the bucket now would rebuild it full.
-  EXPECT_FALSE(admission.Evict("app", 20));
-  EXPECT_FALSE(admission.AdmitTxn("app", 30).admitted);
-
-  // Idle for a full refill since the last admit: the bucket is full anyway.
-  int64_t idle_us = 30 + 1'000'001;
-  EXPECT_TRUE(admission.Evict("app", idle_us));
-  EXPECT_EQ(admission.entry_count(), 1u);  // the quota itself stays
-  EXPECT_TRUE(admission.AdmitTxn("app", idle_us + 1).admitted);
-  EXPECT_FALSE(admission.AdmitTxn("app", idle_us + 2).admitted);
-}
-
 // --- weighted fair queue ---
+
+// Parks one waiter per database in `dbs` behind a slot held by an untracked
+// tenant (the queue needs permits == 1), runs `while_parked`, then lets
+// every waiter through and joins them once the queue has drained.
+void ParkAndDrain(qos::WeightedFairQueue& queue,
+                  const std::vector<std::string>& dbs,
+                  const std::function<void()>& while_parked) {
+  queue.Enter("holder");
+  std::vector<std::thread> waiters;
+  for (const std::string& db : dbs) {
+    waiters.emplace_back([&queue, db] {
+      queue.Enter(db);
+      queue.Leave();
+    });
+  }
+  while (queue.queue_depth() < dbs.size()) std::this_thread::yield();
+  while_parked();
+  queue.Leave();
+  for (std::thread& waiter : waiters) waiter.join();
+}
 
 // Per-tenant FIFO ordering: with one permit, the slot itself serializes the
 // critical sections, so recording the enqueue sequence while *holding* the
@@ -239,18 +239,18 @@ TEST(WeightedFairQueueTest, WeightsSkewSlotShares) {
       << "heavy=" << heavy_grants.load() << " light=" << light_grants.load();
 }
 
-// An idle tenant at the default weight is pure cache and goes; an explicit
-// weight is the scheduler half of a pushed quota and stays, because nothing
-// re-pushes it.
+// A default-weight tenant whose queue drains leaves no entry behind; an
+// explicit weight is the scheduler half of a pushed quota and survives the
+// drain, because nothing re-pushes it.
 TEST(WeightedFairQueueTest, EvictIdleKeepsAnExplicitWeight) {
   qos::WeightedFairQueue::Options options;
   options.permits = 1;
   qos::WeightedFairQueue queue(options);
   queue.SetWeight("heavy", 4);
   queue.SetWeight("plain", 1);  // the default weight
-  ASSERT_EQ(queue.tenant_count(), 2u);
-  EXPECT_FALSE(queue.EvictIdle("heavy"));
-  EXPECT_TRUE(queue.EvictIdle("plain"));
+  ParkAndDrain(queue, {"heavy", "plain"},
+               [&] { ASSERT_EQ(queue.tenant_count(), 2u); });
+  EXPECT_EQ(queue.queue_depth(), 0u);
   EXPECT_EQ(queue.tenant_count(), 1u);
 }
 
@@ -265,15 +265,15 @@ TEST(WeightedFairQueueTest, FifoPolicyIgnoresWeights) {
   EXPECT_EQ(queue.in_use(), 2);
 }
 
-// Eviction as the tenant catalog fans it out to a machine: a tenant whose
-// quota carries a weight keeps both halves of the quota.
+// The same drain on a machine: a tenant whose quota carries a weight keeps
+// both halves of the quota, while a default-weight neighbour leaves nothing.
 TEST(MachineQosTest, EvictTenantKeepsAnExplicitWeight) {
   MachineOptions options;
   options.max_concurrent_ops = 1;
   Machine machine(0, options);
   ASSERT_NE(machine.fair_queue(), nullptr);
   machine.SetQuota("app", qos::QuotaSpec{.weight = 10});
-  machine.EvictTenant("app");
+  ParkAndDrain(*machine.fair_queue(), {"app", "neighbour"}, [] {});
   EXPECT_EQ(machine.fair_queue()->tenant_count(), 1u);
   EXPECT_EQ(machine.GetQuota("app").weight, 10);
 }

@@ -449,6 +449,32 @@ TEST_F(RebalanceTest, FrozenFallbackMovesWalLessTenant) {
   EXPECT_EQ(read->at(0, 0).AsInt(), 1);
 }
 
+// A tenant that moves away and back must not meet its old version chains on
+// the machine it left: a snapshot read there answers from the chain, so a
+// chain that survived the source drop would serve the pre-move value.
+TEST_F(RebalanceTest, SnapshotReadAfterMigrationRoundTrip) {
+  BuildPlain(2);
+  SetUpCounters("trip", /*machine=*/0, 0);
+  auto conn = controller_->Connect("trip");
+  ASSERT_TRUE(
+      conn->Execute("INSERT INTO counters (id, v) VALUES (1, 1)").ok());
+
+  ReplicaBuilder migrator(controller_.get());
+  ASSERT_TRUE(migrator.Migrate(MakePlan("trip", 0, 1)).ok());
+  ASSERT_TRUE(conn->Execute("UPDATE counters SET v = 2 WHERE id = 1").ok());
+  ASSERT_TRUE(migrator.Migrate(MakePlan("trip", 1, 0)).ok());
+  ASSERT_EQ(controller_->ReplicasOf("trip"), std::vector<int>{0});
+
+  auto locked = conn->Execute("SELECT v FROM counters WHERE id = 1");
+  ASSERT_TRUE(locked.ok()) << locked.status().ToString();
+  EXPECT_EQ(locked->at(0, 0).AsInt(), 2);
+  ASSERT_TRUE(conn->Begin(/*read_only=*/true).ok());
+  auto snapshot = conn->Execute("SELECT v FROM counters WHERE id = 1");
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_EQ(snapshot->at(0, 0).AsInt(), 2);
+  ASSERT_TRUE(conn->Commit().ok());
+}
+
 TEST_F(RebalanceTest, MigrateRefusesNonsensePlans) {
   BuildPlain(2);
   SetUpCounters("db", /*machine=*/0, 2);

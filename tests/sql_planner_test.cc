@@ -188,6 +188,56 @@ TEST_F(SqlPlannerTest, PlanCacheIsBounded) {
   EXPECT_GT(engine_->plan_cache_size(), 0u);
 }
 
+// The bound is an LRU: a hit renews an entry, and a full cache evicts the
+// entry used longest ago.
+TEST_F(SqlPlannerTest, PlanCacheEvictsLeastRecentlyUsed) {
+  auto text = [](int i) {
+    return "SELECT i_title FROM item WHERE i_id = ? AND i_cost < " +
+           std::to_string(i);
+  };
+  ASSERT_EQ(engine_->plan_cache_size(), 0u);
+  for (int i = 0; i < 512; ++i) {
+    ASSERT_TRUE(engine_->GetPlan("app", text(i)).ok());
+  }
+  ASSERT_EQ(engine_->plan_cache_size(), 512u);
+  auto oldest = engine_->GetPlan("app", text(0));  // a hit renews it
+  ASSERT_TRUE(oldest.ok());
+  ASSERT_TRUE(engine_->GetPlan("app", text(512)).ok());
+  EXPECT_EQ(engine_->plan_cache_size(), 512u);
+
+  int64_t misses_before = engine_->plan_cache_misses();
+  auto renewed = engine_->GetPlan("app", text(0));
+  ASSERT_TRUE(renewed.ok());
+  EXPECT_EQ(renewed->get(), oldest->get());
+  EXPECT_EQ(engine_->plan_cache_misses(), misses_before);
+  ASSERT_TRUE(engine_->GetPlan("app", text(1)).ok());  // evicted: re-planned
+  EXPECT_EQ(engine_->plan_cache_misses(), misses_before + 1);
+}
+
+// Dropping a database erases its plans and nobody else's.
+TEST_F(SqlPlannerTest, DropDatabaseErasesOnlyItsPlans) {
+  ASSERT_TRUE(engine_->CreateDatabase("other").ok());
+  ASSERT_TRUE(
+      engine_
+          ->CreateTable("other", TableSchema("t",
+                                             {{"id", ColumnType::kInt64, true},
+                                              {"v", ColumnType::kInt64, false}},
+                                             0))
+          .ok());
+  const std::string app_sql = "SELECT i_title FROM item WHERE i_id = ?";
+  const std::string other_sql = "SELECT v FROM t WHERE id = ?";
+  ASSERT_TRUE(engine_->GetPlan("app", app_sql).ok());
+  auto other_plan = engine_->GetPlan("other", other_sql);
+  ASSERT_TRUE(other_plan.ok());
+  ASSERT_EQ(engine_->plan_cache_size(), 2u);
+
+  ASSERT_TRUE(engine_->DropDatabase("app").ok());
+  EXPECT_EQ(engine_->plan_cache_size(), 1u);
+  auto kept = engine_->GetPlan("other", other_sql);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(kept->get(), other_plan->get());
+}
+
 TEST_F(SqlPlannerTest, CreateIndexRePlansCachedFullScan) {
   const std::string sql = "SELECT i_title FROM item WHERE i_subject = ?";
   auto before = engine_->GetPlan("app", sql);

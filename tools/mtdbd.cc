@@ -9,9 +9,11 @@
 // Smoke-client mode:
 //   mtdbd --client HOST:PORT
 // connects a ClusterController over a TcpTransport to one running mtdbd,
-// creates a database, loads a tiny TPC-W-style item table, and runs one
-// read-modify-write transaction end to end. Prints "SMOKE OK" and exits 0
-// on success. Used by tools/mtdbd_smoke.sh and the CI smoke job.
+// creates a database, loads a tiny TPC-W-style item table, runs one
+// read-modify-write transaction and one snapshot read end to end, then
+// drops the database, re-creates it with fresh stock and checks that a
+// snapshot read sees the fresh stock. Prints "SMOKE OK" and exits 0 on
+// success. Used by tools/mtdbd_smoke.sh and the CI smoke job.
 
 #include <atomic>
 #include <chrono>
@@ -21,6 +23,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <unistd.h>
 
@@ -85,21 +88,25 @@ int RunSmokeClient(const std::string& host, uint16_t port) {
     return 1;
   };
 
-  mtdb::Status status = controller.CreateDatabaseOn("shop", {0});
-  if (!status.ok()) return fail(status, "create database");
-  status = controller.ExecuteDdl(
-      "shop",
-      "CREATE TABLE item (i_id INT PRIMARY KEY, i_title TEXT, "
-      "i_stock INT)");
-  if (!status.ok()) return fail(status, "create table");
-
-  std::vector<mtdb::Row> items;
-  for (int64_t i = 1; i <= 10; ++i) {
-    items.push_back({mtdb::Value(i), mtdb::Value("item-" + std::to_string(i)),
-                     mtdb::Value(int64_t{100})});
-  }
-  status = controller.BulkLoad("shop", "item", items);
-  if (!status.ok()) return fail(status, "bulk load");
+  // The tenant: a tiny item table, every item stocked at 100.
+  auto create_shop = [&controller] {
+    mtdb::Status status = controller.CreateDatabaseOn("shop", {0});
+    if (!status.ok()) return status;
+    status = controller.ExecuteDdl(
+        "shop",
+        "CREATE TABLE item (i_id INT PRIMARY KEY, i_title TEXT, "
+        "i_stock INT)");
+    if (!status.ok()) return status;
+    std::vector<mtdb::Row> items;
+    for (int64_t i = 1; i <= 10; ++i) {
+      items.push_back({mtdb::Value(i),
+                       mtdb::Value("item-" + std::to_string(i)),
+                       mtdb::Value(int64_t{100})});
+    }
+    return controller.BulkLoad("shop", "item", items);
+  };
+  mtdb::Status status = create_shop();
+  if (!status.ok()) return fail(status, "create shop");
 
   // One TPC-W-style buy-confirm: read the stock, decrement it, commit.
   auto conn = controller.Connect("shop");
@@ -152,6 +159,28 @@ int RunSmokeClient(const std::string& host, uint16_t port) {
   }
   status = conn->Commit();
   if (!status.ok()) return fail(status, "commit read-only");
+
+  // Teardown: kDropDatabase alone must clear the daemon's state for the
+  // tenant. Re-create it with fresh stock; a snapshot read must then see
+  // item 7 at 100, not the dropped tenant's 99.
+  status = controller.DropDatabase("shop");
+  if (!status.ok()) return fail(status, "drop database");
+  status = create_shop();
+  if (!status.ok()) return fail(status, "re-create shop");
+  auto fresh = controller.Connect("shop");
+  status = fresh->Begin(/*read_only=*/true);
+  if (!status.ok()) return fail(status, "begin read-only after re-create");
+  auto restocked = fresh->Execute("SELECT i_stock FROM item WHERE i_id = ?",
+                                  {mtdb::Value(int64_t{7})});
+  if (!restocked.ok()) return fail(restocked.status(), "read re-created");
+  if (restocked->rows.size() != 1 ||
+      restocked->rows[0][0] != mtdb::Value(int64_t{100})) {
+    std::fprintf(stderr,
+                 "smoke: re-created tenant read the dropped tenant's stock\n");
+    return 1;
+  }
+  status = fresh->Commit();
+  if (!status.ok()) return fail(status, "commit read-only after re-create");
 
   std::printf("SMOKE OK\n");
   return 0;

@@ -3,6 +3,12 @@
 # ephemeral port, run one TPC-W-style transaction against it over real
 # sockets, and shut the daemon down cleanly.
 #
+# The smoke client ends with a teardown: it drops its database, re-creates
+# it with fresh stock, and fails unless a snapshot read sees the fresh
+# stock rather than the dropped tenant's. kDropDatabase is the only way a
+# daemon hears that a tenant left, so this checks that it alone clears the
+# daemon's state for the tenant.
+#
 # After the smoke transaction, mtdbstat (found next to mtdbd, or passed as
 # the second argument) must report non-zero commit counters and no served
 # kBegin from the daemon, and 200 more mtdbstat connections must grow its

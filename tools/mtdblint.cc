@@ -54,12 +54,13 @@
 //   tenant-map       A string-keyed member map (`std::map<std::string, …>
 //                    foo_`) outside src/cluster/catalog is how unbounded
 //                    per-database state creeps in: one entry per tenant,
-//                    no eviction path, and at 10^5-10^6 tenants that is the
-//                    memory bug the sharded catalog exists to prevent.
-//                    Per-tenant state belongs in the catalog (durable
-//                    record or evictable resident state) or must be
-//                    justified with `mtdblint: allow(tenant-map)` stating
-//                    why the map is bounded or evictable.
+//                    nothing that removes it, and at 10^5-10^6 tenants
+//                    that is the memory bug. Each layer bounds its own
+//                    per-tenant state where it lives, so a tenant-keyed map
+//                    states its local bound — what limits its entries and
+//                    what removes them — in a comment
+//                    `mtdblint: allow(tenant-map)` on the line or one of
+//                    the three lines above it.
 //
 //   copy-state       TenantRecord::copy (catalog::CopyState, the one state
 //                    of every replica copy) is only ever *written* by
@@ -347,10 +348,10 @@ void CheckFile(const fs::path& root, const fs::path& path) {
         !HasEscape(lines, i, "tenant-map")) {
       Report(rel, lineno, "tenant-map",
              "string-keyed member map outside src/cluster/catalog: one entry "
-             "per database with no eviction path is the tenant-scale memory "
-             "bug; keep per-tenant state in the catalog or add "
-             "`mtdblint: allow(tenant-map)` saying why this map is bounded "
-             "or evictable");
+             "per database that nothing removes is the tenant-scale memory "
+             "bug; state the map's local bound (what limits its entries and "
+             "what removes them) in a `mtdblint: allow(tenant-map)` "
+             "comment");
     }
 
     if (!self && !IsCopyStateOwner(rel) && WritesCopyState(code) &&
