@@ -68,9 +68,15 @@ ClusterController::ClusterController(ClusterControllerOptions options)
   m_txn_latency_us_ = registry.GetHistogram("mtdb_txn_latency_us", {});
   m_2pc_prepare_us_ = registry.GetHistogram("mtdb_2pc_prepare_us", {});
   m_2pc_commit_us_ = registry.GetHistogram("mtdb_2pc_commit_us", {});
+  m_2pc_pending_ = registry.GetGauge("mtdb_2pc_decisions_pending", {});
 }
 
-ClusterController::~ClusterController() = default;
+ClusterController::~ClusterController() {
+  // Phase 2 runs behind the client's answer: let every outstanding COMMIT
+  // PREPARED reply (or its deadline) retire its decision before the client
+  // and the transport go.
+  SettleCommitDecisions();
+}
 
 int ClusterController::AddMachine(MachineOptions machine_options) {
   net::MachineService* service = nullptr;
@@ -612,11 +618,19 @@ void ClusterController::WaitForQuiescentWrites(const std::string& db_name,
 void ClusterController::LogCommitDecision(uint64_t txn_id) {
   platform::Guard lock(mu_);
   backup_.commit_decisions.insert(txn_id);
+  obs::GaugeAdd(m_2pc_pending_, 1);
 }
 
 void ClusterController::ForgetCommitDecision(uint64_t txn_id) {
   platform::Guard lock(mu_);
   backup_.commit_decisions.erase(txn_id);
+  obs::GaugeAdd(m_2pc_pending_, -1);
+  decisions_cv_.NotifyAll();
+}
+
+void ClusterController::SettleCommitDecisions() const {
+  platform::UniqueLock lock(mu_);
+  while (!backup_.commit_decisions.empty()) decisions_cv_.Wait(lock);
 }
 
 void ClusterController::SimulateControllerFailover() {
@@ -690,6 +704,7 @@ int64_t ClusterController::total_deadlocks() const {
 
 std::vector<std::vector<CommittedTxnRecord>>
 ClusterController::CollectHistories() const {
+  SettleCommitDecisions();
   std::vector<std::shared_ptr<Engine>> engines;
   {
     platform::Guard lock(mu_);
@@ -758,6 +773,39 @@ class Connection::Backoff {
   int64_t backoff_us_ = kInitialBackoffUs;
 };
 
+struct Connection::CommitFanOut {
+  CommitFanOut(Connection* connection, int participants)
+      : controller(connection->controller_),
+        txn_id(connection->txn_id_),
+        decided_us(NowMicros()),
+        pin(std::move(connection->tenant_ref_)),
+        owner(connection->phase_two_),
+        outstanding(participants) {}
+
+  // One participant answered COMMIT PREPARED. Whatever the reply says, the
+  // decision has done its job there: the reply is a durable ack, a deadline
+  // (which declared the machine failed first), or an error the decision
+  // cannot mend (a failover already resolved the transaction, or the
+  // participant's log died).
+  void Ack() {
+    if (outstanding.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+    obs::Observe(controller->m_2pc_commit_us_, NowMicros() - decided_us);
+    pin.Release();
+    // Forgetting the decision may let ~ClusterController proceed, so nothing
+    // after it touches the controller.
+    controller->ForgetCommitDecision(txn_id);
+    platform::Guard lock(owner->mu);
+    if (--owner->pending == 0) owner->cv.NotifyAll();
+  }
+
+  ClusterController* const controller;
+  const uint64_t txn_id;
+  const int64_t decided_us;
+  catalog::TenantCatalog::TenantRef pin;
+  const std::shared_ptr<PhaseTwoCount> owner;
+  std::atomic<int> outstanding;
+};
+
 Connection::Connection(ClusterController* controller, std::string db_name,
                        uint64_t epoch)
     : controller_(controller), db_name_(std::move(db_name)), epoch_(epoch) {}
@@ -766,7 +814,11 @@ Connection::~Connection() {
   if (active_) {
     (void)AbortInternal(Status::Aborted("connection closed mid-transaction"));
   }
-  // Session channels drain on destruction.
+  // Phase 2 of a committed transaction may still be in flight on these
+  // sessions. Their channels go with them (a closing TCP channel fails its
+  // pending replies), so wait for every reply first.
+  platform::UniqueLock lock(phase_two_->mu);
+  while (phase_two_->pending > 0) phase_two_->cv.Wait(lock);
 }
 
 net::MachineClient::Session* Connection::SessionFor(int machine_id) {
@@ -849,7 +901,10 @@ Status Connection::BeginInternal(bool read_only) {
   return Status::OK();
 }
 
-void Connection::FinishTxnObservation(bool committed) {
+void Connection::FinishTxn(bool committed) {
+  active_ = false;
+  (committed ? controller_->committed_ : controller_->aborted_)
+      .fetch_add(1, std::memory_order_relaxed);
   tenant_ref_.Release();
   int64_t latency_us = NowMicros() - txn_start_us_;
   obs::Increment(committed ? controller_->m_txn_commit_
@@ -922,10 +977,9 @@ std::vector<std::pair<int, Status>> Connection::CallAll(
     std::vector<std::pair<int, Status>> statuses MTDB_GUARDED_BY(mu);
   };
   auto replies = std::make_shared<Replies>(machines.size());
-  for (size_t i = 0; i < machines.size(); ++i) {
-    int machine_id = machines[i];
+  for (int machine_id : machines) {
     net::RpcRequest request = TxnRequest(type);
-    request.caller_waits = i + 1 == machines.size();
+    request.may_run_inline = true;
     SessionFor(machine_id)
         ->CallAsync(std::move(request),
                     [replies, machine_id](net::RpcResponse response) {
@@ -1115,7 +1169,7 @@ Result<sql::QueryResult> Connection::ExecuteWrite(
     }
     net::RpcRequest request =
         StatementRequest(sql, params, /*is_write=*/true, machine_id);
-    request.caller_waits = waits && i + 1 == targets.size();
+    request.may_run_inline = waits && i + 1 == targets.size();
     SessionFor(machine_id)->CallAsync(std::move(request), handler);
   }
   return FinishWrite(std::move(pending));
@@ -1221,8 +1275,9 @@ Status Connection::Commit() {
 
 Status Connection::CommitInternal() {
   if (epoch_ != controller_->epoch()) {
-    active_ = false;
-    tenant_ref_.Release();
+    // The backup rolled the transaction back when it took over; all that is
+    // left is to count the abort.
+    FinishTxn(/*committed=*/false);
     return Status::Unavailable("connection lost: controller failover");
   }
   // Conservative controllers have no outstanding writes (each Execute waited
@@ -1244,9 +1299,7 @@ Status Connection::CommitInternal() {
   if (!wrote_) {
     // Read-only: single-phase commit on every participant.
     (void)CallAll(participants, net::RpcType::kCommit);
-    active_ = false;
-    controller_->committed_.fetch_add(1, std::memory_order_relaxed);
-    FinishTxnObservation(/*committed=*/true);
+    FinishTxn(/*committed=*/true);
     return Status::OK();
   }
 
@@ -1286,18 +1339,34 @@ Status Connection::CommitInternal() {
   }
 
   // Decision point: mirrored to the backup before phase 2 so a controller
-  // failover after this line still commits the transaction.
+  // failover after this line still commits the transaction. Every PREPARE
+  // is durable, so the decision is final: the client hears it now, and
+  // phase 2 runs behind the answer (DESIGN.md §15).
   controller_->LogCommitDecision(txn);
-
-  // Phase 2: COMMIT on all prepared participants.
-  int64_t commit_start_us = NowMicros();
-  (void)CallAll(prepared, net::RpcType::kCommitPrepared);
-  obs::Observe(controller_->m_2pc_commit_us_, NowMicros() - commit_start_us);
-  controller_->ForgetCommitDecision(txn);
-  active_ = false;
-  controller_->committed_.fetch_add(1, std::memory_order_relaxed);
-  FinishTxnObservation(/*committed=*/true);
+  SendCommitPrepared(prepared);
+  FinishTxn(/*committed=*/true);
   return Status::OK();
+}
+
+void Connection::SendCommitPrepared(const std::vector<int>& prepared) {
+  auto fan_out =
+      std::make_shared<CommitFanOut>(this, static_cast<int>(prepared.size()));
+  {
+    platform::Guard lock(phase_two_->mu);
+    ++phase_two_->pending;
+  }
+  for (int machine_id : prepared) {
+    // In-process, on an idle channel (the usual case after the votes), the
+    // engine applies the commit on this thread before Commit() returns; the
+    // reply follows from the log once the COMMIT record is durable. Either
+    // way the session's next request runs after it on that machine, so the
+    // client reads its own writes.
+    net::RpcRequest request = TxnRequest(net::RpcType::kCommitPrepared);
+    request.may_run_inline = true;
+    SessionFor(machine_id)->CallAsync(
+        std::move(request),
+        [fan_out](net::RpcResponse /*reply*/) { fan_out->Ack(); });
+  }
 }
 
 Status Connection::Abort() {
@@ -1313,9 +1382,7 @@ Status Connection::AbortInternal(Status reason) {
   std::vector<int> participants(begun_machines_.begin(),
                                 begun_machines_.end());
   (void)CallAll(participants, net::RpcType::kAbort);
-  active_ = false;
-  controller_->aborted_.fetch_add(1, std::memory_order_relaxed);
-  FinishTxnObservation(/*committed=*/false);
+  FinishTxn(/*committed=*/false);
   if (!reason.ok()) {
     return Status::Aborted("transaction aborted: " + reason.ToString());
   }

@@ -158,6 +158,18 @@ class Connection {
   // Paces one retry loop under the controller's ThrottleRetryPolicy.
   class Backoff;
 
+  // This connection's committed transactions whose phase 2 still awaits a
+  // participant's reply. Shared with the reply handlers, which may finish
+  // after the connection is gone.
+  struct PhaseTwoCount {
+    platform::Mutex mu{"cluster/Connection::PhaseTwoCount::mu"};
+    platform::CondVar cv;
+    int pending MTDB_GUARDED_BY(mu) = 0;
+  };
+  // Phase 2 of one committed transaction, shared by its COMMIT PREPARED
+  // reply handlers; the last reply retires it.
+  struct CommitFanOut;
+
   Connection(ClusterController* controller, std::string db_name,
              uint64_t epoch);
 
@@ -208,18 +220,23 @@ class Connection {
   // a kBegin through CallBeginning, unless m has begun already.
   Status EnsureBegun(int machine_id);
   // Sends `type` for this transaction to every machine and waits for all
-  // replies. The last request carries RpcRequest::caller_waits, so
-  // in-process it runs on this thread while the others run on their
-  // sessions' threads. Returns each machine's reply status.
+  // replies. Every request carries RpcRequest::may_run_inline: none of
+  // these types blocks on a lock or a log, so in-process each runs on this
+  // thread when its channel is idle. Returns each machine's reply status.
   std::vector<std::pair<int, Status>> CallAll(const std::vector<int>& machines,
                                               net::RpcType type);
+  // Phase 2: sends COMMIT PREPARED to every prepared participant without
+  // waiting. The last reply retires the logged decision, the tenant pin
+  // and the mtdb_2pc_commit_us sample.
+  void SendCommitPrepared(const std::vector<int>& prepared);
   net::MachineClient::Session* SessionFor(int machine_id);
   void Poison(const Status& status);
   Status poison_status() const;
 
-  // Closes the transaction observability-wise: commit/abort counters,
-  // latency, LoadMonitor feedback, and the trace record.
-  void FinishTxnObservation(bool committed);
+  // Ends the transaction for the client: counts the commit or abort (the
+  // controller's totals and mtdb_txn_*_total), records its latency and the
+  // LoadMonitor feedback, and closes the trace.
+  void FinishTxn(bool committed);
 
   ClusterController* controller_;
   std::string db_name_;
@@ -240,8 +257,10 @@ class Connection {
   uint64_t trace_id_ = 0;
   int64_t txn_start_us_ = 0;
   int sticky_read_machine_ = -1;  // Option 2 anchor for the current txn
-  // Catalog pin held for the life of each transaction: a tenant with an
-  // in-flight transaction is never evicted from resident state.
+  // Catalog pin held for the life of each transaction, phase 2 included
+  // (a committed transaction hands it to its CommitFanOut): a tenant with
+  // an in-flight transaction is never evicted from resident state, and a
+  // copy's freeze drains it.
   catalog::TenantCatalog::TenantRef tenant_ref_;
   std::set<int> begun_machines_;
   // One RPC session (= ordered channel) per machine this connection talks
@@ -249,6 +268,10 @@ class Connection {
   // now owned by the transport layer.
   std::map<int, std::unique_ptr<net::MachineClient::Session>> sessions_;
   std::vector<std::shared_ptr<PendingWrite>> outstanding_;
+  // The destructor waits for it to drain, so no decision is retired by a
+  // channel torn down under its COMMIT PREPARED.
+  std::shared_ptr<PhaseTwoCount> phase_two_ =
+      std::make_shared<PhaseTwoCount>();
 
   mutable platform::Mutex poison_mu_{"cluster/Connection::poison_mu"};
   Status poison_ MTDB_GUARDED_BY(poison_mu_);
@@ -361,7 +384,8 @@ class ClusterController {
   // Simulates the primary controller crashing and the backup taking over:
   // existing connections are invalidated, in-flight 2PC transactions are
   // resolved from the mirrored decision log (commit if decision logged,
-  // abort otherwise).
+  // abort otherwise). It does not wait for phase 2: resolving the
+  // transactions whose phase 2 is still in flight is its job.
   void SimulateControllerFailover();
   uint64_t epoch() const { return epoch_.load(); }
 
@@ -371,7 +395,9 @@ class ClusterController {
   int64_t committed_transactions() const { return committed_.load(); }
   int64_t aborted_transactions() const { return aborted_.load(); }
   int64_t total_deadlocks() const;
-  // Per-site committed histories, for the serializability checker.
+  // Per-site committed histories, for the serializability checker. Waits
+  // for every logged commit decision's phase 2 first, so each acknowledged
+  // commit is in the histories of all its replicas.
   std::vector<std::vector<CommittedTxnRecord>> CollectHistories() const;
   // Audits the union of the per-site histories for a dependency cycle
   // (Bernstein et al.: with read-one-write-all, global one-copy
@@ -410,7 +436,8 @@ class ClusterController {
   friend class Connection;
 
   // Hot-standby mirror of controller state (the process pair's backup):
-  // the commit decisions SimulateControllerFailover resolves 2PC with.
+  // the commit decisions SimulateControllerFailover resolves 2PC with. A
+  // decision stays until the last participant acks its COMMIT PREPARED.
   struct BackupImage {
     std::set<uint64_t> commit_decisions;
   };
@@ -445,6 +472,8 @@ class ClusterController {
   Result<int> PickReadMachine(const std::string& db_name, int sticky);
   void LogCommitDecision(uint64_t txn_id);
   void ForgetCommitDecision(uint64_t txn_id);
+  // Blocks until every logged decision is forgotten: phase 2 has settled.
+  void SettleCommitDecisions() const;
   // In-flight replicated-write accounting (see WaitForQuiescentWrites).
   void BeginInflightWrite(const std::string& db_name,
                           const std::string& table);
@@ -453,6 +482,12 @@ class ClusterController {
                           int machine_id) const;
 
   ClusterControllerOptions options_;
+
+  // Owned transport when the options did not supply one. Declared before
+  // the machines, so it outlives them: a machine's log thread may still
+  // hand a late reply through it while the machine is destroyed.
+  std::unique_ptr<net::InProcTransport> owned_transport_;
+  net::Transport* transport_ = nullptr;
 
   mutable platform::Mutex mu_{"cluster/ClusterController::mu"};
   std::vector<std::unique_ptr<Machine>> machines_ MTDB_GUARDED_BY(mu_);
@@ -469,6 +504,8 @@ class ClusterController {
   // tenant count).
   std::map<std::vector<int>, uint64_t> replica_set_rr_ MTDB_GUARDED_BY(mu_);
   BackupImage backup_ MTDB_GUARDED_BY(mu_);
+  // Signalled when a decision is forgotten (SettleCommitDecisions).
+  mutable platform::CondVar decisions_cv_;
 
   std::atomic<uint64_t> next_txn_id_{1};
   std::atomic<uint64_t> epoch_{1};
@@ -491,6 +528,8 @@ class ClusterController {
   Histogram* m_txn_latency_us_ = nullptr;
   Histogram* m_2pc_prepare_us_ = nullptr;
   Histogram* m_2pc_commit_us_ = nullptr;
+  // Logged decisions that still await participant acks.
+  obs::Gauge* m_2pc_pending_ = nullptr;
 
   // The sharded tenant catalog: durable records (placement, quota, copy
   // state) plus evictable resident state (prepared registrations). Has its
@@ -506,9 +545,6 @@ class ClusterController {
   // mtdblint: allow(tenant-map)
   std::map<std::string, int64_t> inflight_writes_ MTDB_GUARDED_BY(inflight_mu_);
 
-  // Owned transport when the options did not supply one.
-  std::unique_ptr<net::InProcTransport> owned_transport_;
-  net::Transport* transport_ = nullptr;
   // Declared last: destroyed first, so the deadline watchdog and all control
   // channels wind down while machines and services are still alive.
   std::unique_ptr<net::MachineClient> client_;

@@ -5,7 +5,9 @@
 namespace mtdb {
 
 Machine::Machine(int id, MachineOptions options)
-    : id_(id), name_("m" + std::to_string(id)), options_(options) {
+    : id_(id),
+      name_(std::string("m").append(std::to_string(id))),
+      options_(options) {
   engine_ = std::make_shared<Engine>(name_, options_.engine_options);
   if (options_.max_concurrent_ops > 0) {
     qos::WeightedFairQueue::Options queue_options;

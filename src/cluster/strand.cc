@@ -33,6 +33,9 @@ void RunTask(const std::function<void()>& task) {
   }
 }
 
+// The strand whose queued task this thread is running, if any.
+thread_local const Strand* t_task_of = nullptr;
+
 }  // namespace
 
 Strand::~Strand() {
@@ -56,10 +59,29 @@ void Strand::Run() {
     running_ = true;
     lock.unlock();
     obs::GaugeAdd(QueueDepthGauge(), -1);
+    t_task_of = this;
     RunTask(task);
+    t_task_of = nullptr;
+    std::function<void()> after = std::move(after_task_);
+    after_task_ = nullptr;
     lock.lock();
     running_ = false;
+    if (after) {
+      // The strand is idle from here: a RunIfIdle caller may run its task
+      // inline while this one finishes; queued work waits for the loop.
+      lock.unlock();
+      RunTask(after);
+      lock.lock();
+    }
   }
+}
+
+bool Strand::InTaskOf(const Strand* strand) {
+  return strand != nullptr && t_task_of == strand;
+}
+
+void Strand::RunAfterTask(std::function<void()> after) {
+  after_task_ = std::move(after);
 }
 
 std::future<void> Strand::Submit(std::function<void()> task) {

@@ -18,9 +18,10 @@ namespace mtdb {
 // an *aggressive* controller acknowledge a write after one replica finishes
 // while the same write is still executing (queued) on another replica.
 //
-// Tasks never overlap. Queued tasks run on the strand's own thread, started
-// when a task is first queued: a strand used only through RunIfIdle by
-// callers that find it idle never owns a thread.
+// Tasks never overlap (a task's RunAfterTask hand-off may overlap the next
+// task). Queued tasks run on the strand's own thread, started when a task
+// is first queued: a strand used only through RunIfIdle by callers that
+// find it idle never owns a thread.
 class Strand {
  public:
   Strand() = default;
@@ -40,6 +41,19 @@ class Strand {
   // SubmitDetached. Either way it runs after every task submitted before.
   void RunIfIdle(std::function<void()> task) MTDB_EXCLUDES(mu_);
 
+  // Whether the calling thread is `strand`'s own thread, inside one of its
+  // queued tasks. Never dereferences `strand`, so a caller may ask about a
+  // strand that is gone.
+  static bool InTaskOf(const Strand* strand);
+
+  // From inside a queued task (InTaskOf(this)): runs `after` on the
+  // strand's thread once the task has returned and the strand no longer
+  // counts it as running. A task whose last act wakes a waiter (an
+  // in-process RPC reply) hands that act here, so whatever the waiter
+  // sends next through RunIfIdle finds the strand idle instead of queueing
+  // behind the task's final instructions.
+  void RunAfterTask(std::function<void()> after);
+
   // Blocks until every task submitted so far has run.
   void Drain() MTDB_EXCLUDES(mu_);
 
@@ -54,6 +68,8 @@ class Strand {
   // A task is executing, on the strand's thread or inline in RunIfIdle.
   bool running_ MTDB_GUARDED_BY(mu_) = false;
   bool stop_ MTDB_GUARDED_BY(mu_) = false;
+  // Set by RunAfterTask; only the strand's thread touches it.
+  std::function<void()> after_task_;
   std::thread thread_ MTDB_GUARDED_BY(mu_);
 };
 

@@ -29,10 +29,10 @@ class InProcTransport::InProcChannel : public Channel {
                     handler = std::move(handler)]() mutable {
       Deliver(*frame, std::move(handler));
     };
-    // A caller that blocks on the reply anyway may as well run the request
-    // itself: no thread hop there and back. Only when the channel is idle,
-    // so the request still runs after everything sent before it.
-    if (request.caller_waits) {
+    // A request that may run on the caller's thread does, instead of hopping
+    // to the strand's thread and back — but only when the channel is idle,
+    // so it still runs after everything sent before it.
+    if (request.may_run_inline) {
       strand_.RunIfIdle(std::move(deliver));
     } else {
       strand_.SubmitDetached(std::move(deliver));
@@ -64,20 +64,47 @@ class InProcTransport::InProcChannel : public Channel {
                    << " to machine " << machine_id_;
       return;  // the caller's deadline watchdog answers eventually
     }
+    // The reply half runs wherever the service answers: here, or later on
+    // the machine's log thread for a reply that waits for durability. It
+    // keeps no channel state but the strand's address, which it only
+    // dereferences on the strand's own thread, because the channel may be
+    // gone by then.
+    ResponseHandler reply = [transport = transport_, machine_id = machine_id_,
+                             type = request.type, fault, strand = &strand_,
+                             handler = std::move(handler)](
+                                RpcResponse response) {
+      if (!Strand::InTaskOf(strand)) {
+        Reply(transport, machine_id, type, fault, std::move(response),
+              handler);
+        return;
+      }
+      // Answered inside a queued task: hand the reply over once the strand
+      // is idle, so the caller's next inline request need not queue behind
+      // this task's tail.
+      strand->RunAfterTask([transport, machine_id, type, fault, handler,
+                            response = std::move(response)]() mutable {
+        Reply(transport, machine_id, type, fault, std::move(response),
+              handler);
+      });
+    };
     MachineService* service = transport_->Lookup(machine_id_);
-    RpcResponse response =
-        service == nullptr
-            ? RpcResponse::FromStatus(Status::Unavailable(
-                  "no machine " + std::to_string(machine_id_) +
-                  " attached to inproc transport"))
-            : service->Dispatch(request);
+    if (service == nullptr) {
+      reply(RpcResponse::FromStatus(Status::Unavailable(
+          "no machine " + std::to_string(machine_id_) +
+          " attached to inproc transport")));
+      return;
+    }
+    service->Dispatch(request, std::move(reply));
+  }
 
+  static void Reply(InProcTransport* transport, int machine_id, RpcType type,
+                    Fault fault, RpcResponse response,
+                    const ResponseHandler& handler) {
     if (fault == Fault::kDropReply) {
-      MTDB_LOG(kDebug) << "inproc: dropped reply for " << RpcTypeName(request.type)
-                   << " from machine " << machine_id_;
+      MTDB_LOG(kDebug) << "inproc: dropped reply for " << RpcTypeName(type)
+                   << " from machine " << machine_id;
       return;  // executed on the machine, but the coordinator never hears
     }
-
     // Round-trip the response through the codec too.
     std::string reply_frame;
     EncodeResponseFrame(response, &reply_frame);
@@ -94,7 +121,7 @@ class InProcTransport::InProcChannel : public Channel {
       handler(RpcResponse::FromStatus(response_or.status()));
       return;
     }
-    transport_->delivered_.fetch_add(1, std::memory_order_relaxed);
+    transport->delivered_.fetch_add(1, std::memory_order_relaxed);
     handler(std::move(*response_or));
   }
 

@@ -21,15 +21,18 @@ namespace mtdb::net {
 // strand — the same FIFO-per-(connection,machine) ordering a dedicated TCP
 // connection provides, with none of the scheduling nondeterminism.
 //
-// A request marked RpcRequest::caller_waits runs on the calling thread,
+// A request marked RpcRequest::may_run_inline runs on the calling thread,
 // inside Call, when nothing is queued or running on its channel; otherwise
 // (and for every unmarked request) it runs on the channel's strand thread,
 // which starts when the channel first queues a request. A channel whose
-// callers always wait therefore never owns a thread. An inline caller is
-// blocked in the machine's Dispatch until it returns, so an RPC deadline
-// cannot wake it earlier; in-process Dispatch always returns (its lock, WFQ
-// and WAL waits are bounded). A dropped request or reply returns from Call
-// at once and leaves the caller to the deadline watchdog.
+// requests all run inline therefore never owns a thread. An inline caller
+// is blocked in the machine's Dispatch until it returns, so an RPC deadline
+// cannot wake it earlier; in-process Dispatch always returns (its lock and
+// WFQ waits are bounded, and it never waits on a log). A reply that waits
+// for durability is decoded and handed over on the machine's log thread,
+// after the channel may have run later requests. A dropped request or
+// reply returns from Call at once and leaves the caller to the deadline
+// watchdog.
 //
 // Fault injection:
 //  * SetFaultHook decides per request whether to deliver it, drop it before
@@ -40,7 +43,7 @@ namespace mtdb::net {
 //    the client) until HealMachine.
 // Hooks run on the delivering thread (the caller's or the strand's), after
 // the request is already serialized, so they see exactly what would have
-// hit the wire.
+// hit the wire. A reply drop is applied wherever the reply is produced.
 class InProcTransport : public Transport {
  public:
   enum class Fault {

@@ -308,9 +308,12 @@ void MachineClient::CallWithDeadline(Channel* channel, int machine_id,
         state);
   }
 
-  // `this` outlives every reply: a channel drains before its owner (a
-  // Session, a control channel or a synchronous call) goes, and none of
-  // those outlives the client.
+  // `this` outlives every reply that finds the call pending: a channel
+  // drains before its owner (a Session, a control channel or a synchronous
+  // call) goes, a reply that waits for durability is waited for by whoever
+  // sent it (CallSync, Connection's fan-outs and its phase 2), and none of
+  // those outlives the client. A reply after the deadline returns below
+  // without touching `this`.
   channel->Call(request, [this, state](RpcResponse response) {
     ResponseHandler handler;
     {
@@ -341,7 +344,7 @@ void MachineClient::CallWithDeadline(Channel* channel, int machine_id,
 
 RpcResponse MachineClient::CallSync(Channel* channel, int machine_id,
                                     RpcRequest request) {
-  request.caller_waits = true;
+  request.may_run_inline = true;
   auto done = std::make_shared<std::promise<RpcResponse>>();
   auto future = done->get_future();
   CallWithDeadline(channel, machine_id, request,

@@ -64,11 +64,11 @@ class MachineClient {
     // Sends one transactional request (kBegin, kExecute, kPrepare, kCommit,
     // kCommitPrepared or kAbort) stamped with the session's trace id; `done`
     // hears the reply exactly once (reply or deadline). Set
-    // request.caller_waits when the caller blocks until `done` has run: an
-    // in-process transport may then run the request on the calling thread.
+    // request.may_run_inline to let an in-process transport run the request
+    // on the calling thread.
     void CallAsync(RpcRequest request, ResponseHandler done);
 
-    // CallAsync with caller_waits set; returns the reply.
+    // CallAsync with may_run_inline set; waits for and returns the reply.
     RpcResponse Call(RpcRequest request);
 
    private:
@@ -170,7 +170,7 @@ class MachineClient {
   // Issues the call on `channel` with the deadline armed.
   void CallWithDeadline(Channel* channel, int machine_id,
                         const RpcRequest& request, ResponseHandler handler);
-  // Issues the call with caller_waits set and blocks for the reply.
+  // Issues the call with may_run_inline set and blocks for the reply.
   RpcResponse CallSync(Channel* channel, int machine_id, RpcRequest request);
   // Control-plane convenience: sync call on the shared control channel.
   RpcResponse ControlCall(int machine_id, RpcRequest request);

@@ -1,6 +1,7 @@
 #include "src/net/machine_service.h"
 
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <utility>
 
@@ -55,33 +56,54 @@ void SleepMicros(int64_t us) {
 
 MachineService::MachineService(Machine* machine) : machine_(machine) {}
 
-RpcResponse MachineService::Dispatch(const RpcRequest& request) {
+void MachineService::Dispatch(const RpcRequest& request,
+                              ResponseHandler reply) {
   // The fail-stop model: a failed machine answers nothing but health probes.
   // (The liveness probe must keep answering so monitoring can distinguish
   // "machine declared failed" from "network partition".)
   if (request.type == RpcType::kHealth) {
-    return RpcResponse::FromStatus(
+    reply(RpcResponse::FromStatus(
         machine_->failed() ? Status::Unavailable("machine failed")
-                           : Status::OK());
+                           : Status::OK()));
+    return;
   }
   // Stats stay readable on failed machines too: post-mortem counters are
   // exactly what an operator wants from a dead machine.
   if (request.type == RpcType::kStats) {
     RpcResponse response;
     response.message = obs::MetricsRegistry::Global().TextDump();
-    return response;
+    reply(std::move(response));
+    return;
   }
   if (machine_->failed()) {
-    return RpcResponse::FromStatus(Status::Unavailable("machine failed"));
+    reply(RpcResponse::FromStatus(Status::Unavailable("machine failed")));
+    return;
   }
-  int64_t start_us = NowMicros();
-  RpcResponse response = IsTransactional(request.type)
-                             ? DispatchTransactional(request)
-                             : DispatchControl(request);
-  int64_t elapsed_us = NowMicros() - start_us;
-  response.server_duration_us = elapsed_us;
-  obs::Observe(ServerLatencyFor(request.type), elapsed_us);
-  return response;
+  // Service time runs from here to the reply, durability wait included.
+  auto finish = [type = request.type, start_us = NowMicros(),
+                 reply = std::move(reply)](RpcResponse response) {
+    int64_t elapsed_us = NowMicros() - start_us;
+    response.server_duration_us = elapsed_us;
+    obs::Observe(ServerLatencyFor(type), elapsed_us);
+    reply(std::move(response));
+  };
+  if (!IsTransactional(request.type)) {
+    finish(DispatchControl(request));
+    return;
+  }
+  uint64_t durable_lsn = 0;
+  std::shared_ptr<Engine> engine = machine_->engine();
+  RpcResponse response =
+      DispatchTransactional(engine.get(), request, &durable_lsn);
+  if (durable_lsn == 0) {
+    finish(std::move(response));
+    return;
+  }
+  // The completion captures no engine reference: the log thread must never
+  // be the one to destroy the engine that owns it.
+  engine->OnDurable(durable_lsn, [finish = std::move(finish)](Status status) {
+    finish(RpcResponse::FromStatus(status));
+  });
 }
 
 RpcResponse MachineService::Begin(Engine* engine, const RpcRequest& request) {
@@ -129,28 +151,34 @@ RpcResponse MachineService::Execute(Engine* engine,
   return response;
 }
 
-RpcResponse MachineService::DispatchTransactional(const RpcRequest& request) {
-  auto engine = machine_->engine();
+RpcResponse MachineService::DispatchTransactional(Engine* engine,
+                                                  const RpcRequest& request,
+                                                  uint64_t* durable_lsn) {
   switch (request.type) {
     case RpcType::kBegin:
-      return Begin(engine.get(), request);
+      return Begin(engine, request);
     case RpcType::kExecute: {
-      if (!request.begin) return Execute(engine.get(), request);
+      if (!request.begin) return Execute(engine, request);
       // The transaction's first request to this machine: begin it, then run
       // the statement, and answer both in one reply. A refused or failed
       // begin runs nothing.
-      RpcResponse begun = Begin(engine.get(), request);
+      RpcResponse begun = Begin(engine, request);
       if (!begun.ok()) return begun;
-      RpcResponse response = Execute(engine.get(), request);
+      RpcResponse response = Execute(engine, request);
       response.snapshot_ts = begun.snapshot_ts;
       return response;
     }
+    // The 2PC outcomes hand back their record's LSN instead of waiting on
+    // it; Dispatch answers once it is durable.
     case RpcType::kPrepare:
-      return RpcResponse::FromStatus(engine->Prepare(request.txn_id));
+      return RpcResponse::FromStatus(
+          engine->Prepare(request.txn_id, durable_lsn));
     case RpcType::kCommit:
-      return RpcResponse::FromStatus(engine->Commit(request.txn_id));
+      return RpcResponse::FromStatus(
+          engine->Commit(request.txn_id, durable_lsn));
     case RpcType::kCommitPrepared:
-      return RpcResponse::FromStatus(engine->CommitPrepared(request.txn_id));
+      return RpcResponse::FromStatus(
+          engine->CommitPrepared(request.txn_id, durable_lsn));
     case RpcType::kAbort:
       return RpcResponse::FromStatus(engine->Abort(request.txn_id));
     default:

@@ -99,11 +99,11 @@ struct RpcRequest {
   // reply carries snapshot_ts. Always on the wire, like wal_cursor.
   bool begin = false;
 
-  // Not a wire field: the codec never writes it. Set when the caller blocks
-  // until the reply arrives, which lets an in-process transport run the
-  // request on the calling thread (see InProcTransport). TcpTransport
-  // ignores it.
-  bool caller_waits = false;
+  // Not a wire field: the codec never writes it. Set when the request may
+  // run on the caller's thread: an in-process transport then runs it inside
+  // Call when its channel is idle (see InProcTransport). The caller need
+  // not wait for the reply. TcpTransport ignores it.
+  bool may_run_inline = false;
 };
 
 // A decoded response. `code`/`message` carry the operation Status; payload

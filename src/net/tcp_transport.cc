@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstring>
 #include <deque>
+#include <future>
 #include <utility>
 #include <vector>
 
@@ -191,7 +192,10 @@ void TcpServer::AcceptLoop() {
 
 void TcpServer::ServeConnection(int fd) {
   // Strictly sequential request/reply: this is what gives each connection
-  // (= Channel) its FIFO execution order on the machine.
+  // (= Channel) its FIFO execution order on the machine. A reply that waits
+  // for durability comes from the log's completion; the next request is
+  // read only after it, so replies stay in request order and the client
+  // needs no request ids.
   std::string payload;
   std::string reply;
   while (ReadFrame(fd, &payload)) {
@@ -200,7 +204,11 @@ void TcpServer::ServeConnection(int fd) {
     if (!request_or.ok()) {
       response = RpcResponse::FromStatus(request_or.status());
     } else {
-      response = service_->Dispatch(*request_or);
+      std::promise<RpcResponse> answered;
+      service_->Dispatch(*request_or, [&answered](RpcResponse r) {
+        answered.set_value(std::move(r));
+      });
+      response = answered.get_future().get();
     }
     reply.clear();
     EncodeResponseFrame(response, &reply);

@@ -16,8 +16,10 @@ namespace mtdb::net {
 // Machine-side socket server: accepts connections and answers framed
 // RpcRequests by dispatching them on a MachineService. Each accepted
 // connection is serviced by one thread that reads, dispatches, and replies
-// strictly in order — the FIFO-per-channel contract of Transport. Used by
-// the mtdbd daemon (tools/mtdbd.cc) and by in-process TCP tests.
+// strictly in order — the FIFO-per-channel contract of Transport. A reply
+// that waits for durability holds its connection until the log's
+// completion delivers it. Used by the mtdbd daemon (tools/mtdbd.cc) and by
+// in-process TCP tests.
 class TcpServer {
  public:
   explicit TcpServer(MachineService* service);

@@ -21,10 +21,12 @@ using ResponseHandler = std::function<void(RpcResponse)>;
 
 // An ordered, bidirectional message stream to one machine — the moral
 // equivalent of one client connection to a per-machine DBMS process.
-// Requests sent on one channel are executed by the machine in FIFO order;
-// delivered replies arrive in the same order. Call is thread-safe, and may
-// run the handler before it returns (on the calling thread, for a request
-// marked RpcRequest::caller_waits).
+// Requests sent on one channel are executed by the machine in FIFO order.
+// A reply that waits for durability (a logged PREPARE, COMMIT or COMMIT
+// PREPARED) may arrive after the replies to later requests on the same
+// channel; every other reply arrives in request order. Call is
+// thread-safe, and may run the handler before it returns (on the calling
+// thread, for a request marked RpcRequest::may_run_inline).
 class Channel {
  public:
   virtual ~Channel() = default;

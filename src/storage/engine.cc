@@ -327,11 +327,18 @@ Result<Transaction*> Engine::FindActive(uint64_t txn_id) const {
 }
 
 Status Engine::Prepare(uint64_t txn_id) {
+  uint64_t prepare_lsn = 0;
+  MTDB_RETURN_IF_ERROR(Prepare(txn_id, &prepare_lsn));
+  return AwaitDurable(prepare_lsn);
+}
+
+Status Engine::Prepare(uint64_t txn_id, uint64_t* durable_lsn) {
+  *durable_lsn = 0;
   MTDB_ASSIGN_OR_RETURN(Transaction * txn, FindActive(txn_id));
   // A write transaction's yes-vote is a durability promise: the PREPARE
   // record (and, by LSN order, every row image before it) must reach the
-  // log before we report kPrepared to the coordinator. The record is
-  // enqueued here and awaited *after* read-lock release, so concurrent
+  // log before the coordinator hears kPrepared. The record is enqueued here
+  // and waited for by the caller *after* read-lock release, so concurrent
   // PREPAREs on this machine ride the same group flush.
   uint64_t prepare_lsn = 0;
   if (wal_ != nullptr && !txn->undo_log.empty()) {
@@ -347,10 +354,20 @@ Status Engine::Prepare(uint64_t txn_id) {
   if (options_.release_read_locks_on_prepare && !txn->read_only) {
     lock_manager_.ReleaseReadLocks(txn_id);
   }
-  if (prepare_lsn != 0) {
-    MTDB_RETURN_IF_ERROR(wal_->AwaitDurable(prepare_lsn));
-  }
+  *durable_lsn = prepare_lsn;
   return Status::OK();
+}
+
+Status Engine::AwaitDurable(uint64_t lsn) {
+  return lsn == 0 || wal_ == nullptr ? Status::OK() : wal_->AwaitDurable(lsn);
+}
+
+void Engine::OnDurable(uint64_t lsn, wal::LogWriter::Completion done) {
+  if (lsn == 0 || wal_ == nullptr) {
+    done(Status::OK());
+    return;
+  }
+  wal_->writer()->OnDurable(lsn, std::move(done));
 }
 
 void Engine::RecordCommit(Transaction* txn) {
@@ -368,6 +385,13 @@ void Engine::RecordCommit(Transaction* txn) {
 }
 
 Status Engine::CommitPrepared(uint64_t txn_id) {
+  uint64_t commit_lsn = 0;
+  MTDB_RETURN_IF_ERROR(CommitPrepared(txn_id, &commit_lsn));
+  return AwaitDurable(commit_lsn);
+}
+
+Status Engine::CommitPrepared(uint64_t txn_id, uint64_t* durable_lsn) {
+  *durable_lsn = 0;
   MTDB_ASSIGN_OR_RETURN(Transaction * txn, Find(txn_id));
   if (txn->state != TxnState::kPrepared) {
     return Status::FailedPrecondition("txn " + std::to_string(txn_id) +
@@ -394,13 +418,18 @@ Status Engine::CommitPrepared(uint64_t txn_id) {
   }
   // The durability wait comes after lock release: the fsync (the slow part)
   // no longer extends the lock hold time, which is the group-commit win.
-  if (commit_lsn != 0) {
-    MTDB_RETURN_IF_ERROR(wal_->AwaitDurable(commit_lsn));
-  }
+  *durable_lsn = commit_lsn;
   return Status::OK();
 }
 
 Status Engine::Commit(uint64_t txn_id) {
+  uint64_t commit_lsn = 0;
+  MTDB_RETURN_IF_ERROR(Commit(txn_id, &commit_lsn));
+  return AwaitDurable(commit_lsn);
+}
+
+Status Engine::Commit(uint64_t txn_id, uint64_t* durable_lsn) {
+  *durable_lsn = 0;
   MTDB_ASSIGN_OR_RETURN(Transaction * txn, FindActive(txn_id));
   // Enqueue the commit record before any state changes: if the log is dead
   // the transaction can still be rolled back (locks and undo are intact),
@@ -435,13 +464,11 @@ Status Engine::Commit(uint64_t txn_id) {
     if (txn_checker_ != nullptr) txn_checker_->OnCommit(txn_id);
     txns_.erase(txn_id);
   }
-  // Block on durability only after locks are gone (see CommitPrepared). A
-  // failed wait is surfaced to the caller: in-memory state has advanced but
-  // the log is sticky-dead, so every later commit fails too — the machine
-  // is effectively write-dead rather than silently non-durable.
-  if (commit_lsn != 0) {
-    MTDB_RETURN_IF_ERROR(wal_->AwaitDurable(commit_lsn));
-  }
+  // The durability wait belongs after lock release (see CommitPrepared). A
+  // failed wait reaches the caller: in-memory state has advanced but the
+  // log is sticky-dead, so every later commit fails too — the machine is
+  // effectively write-dead rather than silently non-durable.
+  *durable_lsn = commit_lsn;
   return Status::OK();
 }
 

@@ -134,12 +134,25 @@ class Engine {
   Status Begin(uint64_t txn_id, bool read_only = false,
                uint64_t* snapshot_ts = nullptr);
   // First phase of 2PC. Votes yes by returning OK; per options, releases
-  // read locks.
+  // read locks. With a WAL, returns once the PREPARE record is durable.
   Status Prepare(uint64_t txn_id);
   // Second phase after a successful Prepare.
   Status CommitPrepared(uint64_t txn_id);
   // One-phase commit (single-participant or read-only transactions).
   Status Commit(uint64_t txn_id);
+  // The same three calls without the durability wait: *durable_lsn receives
+  // the LSN of the record the outcome waits on (0 when nothing was logged),
+  // for AwaitDurable or OnDurable. A yes-vote or a commit is only a promise
+  // once that LSN is durable. Each blocking form above is this call plus
+  // AwaitDurable.
+  Status Prepare(uint64_t txn_id, uint64_t* durable_lsn);
+  Status CommitPrepared(uint64_t txn_id, uint64_t* durable_lsn);
+  Status Commit(uint64_t txn_id, uint64_t* durable_lsn);
+  // Blocks until `lsn` is durable; OK at once for 0 (or without a WAL).
+  Status AwaitDurable(uint64_t lsn);
+  // Runs `done` once `lsn` is durable (wal::LogWriter::OnDurable): on the
+  // log thread, or at once on this one for 0 (or without a WAL).
+  void OnDurable(uint64_t lsn, wal::LogWriter::Completion done);
   Status Abort(uint64_t txn_id);
   std::optional<TxnState> GetTxnState(uint64_t txn_id) const;
   // Ids of transactions in kPrepared state (used by controller takeover).

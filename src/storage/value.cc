@@ -73,8 +73,10 @@ size_t Value::ByteSize() const {
 
 std::string Value::LockKey() const {
   if (is_null()) return "~null";
-  if (is_int()) return "i" + std::to_string(AsInt());
-  if (is_double()) return "d" + std::to_string(std::get<double>(data_));
+  if (is_int()) return std::string("i").append(std::to_string(AsInt()));
+  if (is_double()) {
+    return std::string("d").append(std::to_string(std::get<double>(data_)));
+  }
   return "s" + AsString();
 }
 

@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "src/common/clock.h"
@@ -104,19 +105,24 @@ Result<uint64_t> LogWriter::Append(std::string line) {
 
 Status LogWriter::AwaitDurable(uint64_t lsn) {
   platform::UniqueLock lock(mu_);
-  if (options_.sync_policy == SyncPolicy::kAsync) {
-    // Async durability: released once the record is handed to the OS; the
-    // background sync cadence bounds what a crash can lose.
-    while (io_status_.ok() && written_lsn_ < lsn) {
-      durable_cv_.Wait(lock);
-    }
-  } else {
-    while (io_status_.ok() && synced_lsn_ < lsn) {
-      durable_cv_.Wait(lock);
-    }
+  while (io_status_.ok() && DurableLsnLocked() < lsn) {
+    durable_cv_.Wait(lock);
   }
   // The frontier is a prefix: covering `lsn` covers everything below it.
   return io_status_;
+}
+
+void LogWriter::OnDurable(uint64_t lsn, Completion done) {
+  Status status;
+  {
+    platform::Guard guard(mu_);
+    if (io_status_.ok() && DurableLsnLocked() < lsn) {
+      completions_.emplace(lsn, std::move(done));
+      return;
+    }
+    status = io_status_;
+  }
+  done(status);
 }
 
 Status LogWriter::SyncAll() {
@@ -160,6 +166,24 @@ void LogWriter::CrashForTest() {
     MTDB_LOG(kError) << "wal: CrashForTest truncate(" << path_ << ", "
                      << keep_bytes << ") failed: " << std::strerror(errno);
   }
+}
+
+uint64_t LogWriter::DurableLsnLocked() const {
+  // Async durability releases a record once it is handed to the OS; the
+  // background sync cadence bounds what a crash can lose.
+  return options_.sync_policy == SyncPolicy::kAsync ? written_lsn_
+                                                    : synced_lsn_;
+}
+
+std::vector<LogWriter::Completion> LogWriter::TakeCompletionsLocked(
+    uint64_t through) {
+  std::vector<Completion> due;
+  auto end = completions_.upper_bound(through);
+  for (auto it = completions_.begin(); it != end; ++it) {
+    due.push_back(std::move(it->second));
+  }
+  completions_.erase(completions_.begin(), end);
+  return due;
 }
 
 bool LogWriter::NeedsSyncLocked() const {
@@ -269,7 +293,25 @@ void LogWriter::LogThreadMain() {
       if (offset_after_sync >= 0) synced_offset_ = offset_after_sync;
     }
     durable_cv_.NotifyAll();
+    // The completions this batch made durable, with the status a waiter
+    // would see (a crash racing the batch fails them like AwaitDurable).
+    std::vector<Completion> due = TakeCompletionsLocked(DurableLsnLocked());
+    if (!due.empty()) {
+      const Status status = io_status_;
+      lock.unlock();
+      for (Completion& done : due) done(status);
+      lock.lock();
+    }
   }
+  // The thread is done, so nothing pending will become durable: a dead log
+  // hands its error to every callback, a stopped one says it shut down.
+  std::vector<Completion> orphans =
+      TakeCompletionsLocked(std::numeric_limits<uint64_t>::max());
+  const Status status = io_status_.ok()
+                            ? Status::Unavailable("wal: log writer shut down")
+                            : io_status_;
+  lock.unlock();
+  for (Completion& done : orphans) done(status);
 }
 
 }  // namespace mtdb::wal

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -60,11 +62,12 @@ struct LogWriterOptions {
 // commit queue.
 //
 // Appenders enqueue one encoded record and receive its LSN (1-based, dense,
-// in file order); committers then call AwaitDurable(lsn). The log thread
-// drains the queue, coalesces everything it finds into one write+sync, and
-// releases waiters strictly in LSN order: the durable frontier advances
-// monotonically and covers a prefix of the log, so when AwaitDurable(n)
-// returns, every record with LSN <= n is durable too — never a hole.
+// in file order); committers then call AwaitDurable(lsn), or hand OnDurable
+// a callback and move on. The log thread drains the queue, coalesces
+// everything it finds into one write+sync, and releases waiters strictly in
+// LSN order: the durable frontier advances monotonically and covers a
+// prefix of the log, so when AwaitDurable(n) returns, every record with
+// LSN <= n is durable too — never a hole.
 //
 // Thread model: after Open returns, the file is touched ONLY by the log
 // thread (single-writer discipline; no lock is held across the sync, which
@@ -97,6 +100,17 @@ class LogWriter {
   // kPerCommit/kGroup, written (handed to the OS) for kAsync. Returns the
   // sticky I/O error if the log died before covering `lsn`.
   Status AwaitDurable(uint64_t lsn);
+
+  // Runs `done` once `lsn` is durable under the policy, with the status
+  // AwaitDurable(lsn) would return. Pending callbacks run on the log thread
+  // after the write+sync that covers them, in LSN order, with the log mutex
+  // released; when `lsn` is already durable (or the log is already dead),
+  // `done` runs at once on the calling thread. A sticky I/O error,
+  // CrashForTest and the destructor complete every pending callback with a
+  // status, so `done` runs exactly once. Keep it short and never wait on
+  // this log inside it: the next group's sync waits until it returns.
+  using Completion = std::function<void(Status)>;
+  void OnDurable(uint64_t lsn, Completion done);
 
   // Full durability barrier regardless of policy: returns once everything
   // appended so far is written AND synced (DDL, bulk-load tails).
@@ -133,6 +147,13 @@ class LogWriter {
   // Whether the log thread has sync work even with an empty queue
   // (async-lag threshold reached, SyncAll barrier, shutdown tail).
   bool NeedsSyncLocked() const MTDB_REQUIRES(mu_);
+  // The frontier AwaitDurable waits on: synced for kPerCommit/kGroup,
+  // written for kAsync.
+  uint64_t DurableLsnLocked() const MTDB_REQUIRES(mu_);
+  // Removes and returns, in LSN order, the completions at or below
+  // `through`. The log thread runs them after dropping mu_.
+  std::vector<Completion> TakeCompletionsLocked(uint64_t through)
+      MTDB_REQUIRES(mu_);
 
   const std::string path_;
   // Single-writer: owned by the log thread between Open and join (see class
@@ -150,6 +171,8 @@ class LogWriter {
   uint64_t synced_lsn_ MTDB_GUARDED_BY(mu_) = 0;
   // SyncAll barrier target: the log thread syncs until synced_lsn_ covers it.
   uint64_t force_sync_target_ MTDB_GUARDED_BY(mu_) = 0;
+  // OnDurable callbacks not yet covered by the durable frontier, by LSN.
+  std::multimap<uint64_t, Completion> completions_ MTDB_GUARDED_BY(mu_);
   // Byte offset of the file end at the last completed sync (CrashForTest
   // truncates to this).
   int64_t synced_offset_ MTDB_GUARDED_BY(mu_) = 0;

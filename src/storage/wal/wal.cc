@@ -121,7 +121,9 @@ Result<WalRecordType> ParseTypeTag(const std::string& tag) {
 
 std::string WriteAheadLog::EncodeValue(const Value& value) {
   if (value.is_null()) return "N";
-  if (value.is_int()) return "I" + std::to_string(value.AsInt());
+  if (value.is_int()) {
+    return std::string("I").append(std::to_string(value.AsInt()));
+  }
   if (value.is_double()) {
     std::ostringstream out;
     out.precision(17);

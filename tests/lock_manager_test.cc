@@ -176,8 +176,10 @@ TEST(LockManagerTest, ManyConcurrentDisjointLocks) {
     threads.emplace_back([&lm, &failures, t] {
       for (int i = 0; i < 200; ++i) {
         uint64_t txn = static_cast<uint64_t>(t) * 1000 + i;
-        std::string resource = "r" + std::to_string(t) + "_" +
-                               std::to_string(i % 10);
+        std::string resource = std::string("r")
+                                   .append(std::to_string(t))
+                                   .append("_")
+                                   .append(std::to_string(i % 10));
         if (!lm.Acquire(txn, resource, LockMode::kExclusive).ok()) {
           failures++;
         }

@@ -317,14 +317,14 @@ TEST(NetCodecTest, BeginRoundTripsAndTheHintIsNotEncoded) {
   execute.begin = false;
   EXPECT_FALSE(RoundTripRequest(execute).begin);
 
-  // caller_waits stays on the caller's side: the frame bytes do not change.
+  // may_run_inline stays on the caller's side: the frame bytes do not change.
   std::string plain;
   EncodeRequestFrame(execute, &plain);
-  execute.caller_waits = true;
+  execute.may_run_inline = true;
   std::string hinted;
   EncodeRequestFrame(execute, &hinted);
   EXPECT_EQ(plain, hinted);
-  EXPECT_FALSE(RoundTripRequest(execute).caller_waits);
+  EXPECT_FALSE(RoundTripRequest(execute).may_run_inline);
 }
 
 TEST(NetCodecTest, SnapshotTimestampRoundTrips) {

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
+#include <cstdio>
 #include <future>
 #include <memory>
 #include <string>
@@ -24,8 +27,8 @@ namespace {
 
 // One in-process "remote" machine: engine + RPC service + socket server.
 struct RemoteMachine {
-  explicit RemoteMachine(int id)
-      : machine(id, MachineOptions()), service(&machine), server(&service) {}
+  RemoteMachine(int id, MachineOptions options)
+      : machine(id, std::move(options)), service(&machine), server(&service) {}
   Machine machine;
   net::MachineService service;
   net::TcpServer server;
@@ -33,9 +36,21 @@ struct RemoteMachine {
 
 class NetTcpTest : public ::testing::Test {
  protected:
-  void StartCluster(int machines) {
+  // `wal_sync_delay_us` >= 0 gives every machine a group-commit WAL whose
+  // device sync takes that long.
+  void StartCluster(int machines, int64_t wal_sync_delay_us = -1) {
     for (int m = 0; m < machines; ++m) {
-      remotes_.push_back(std::make_unique<RemoteMachine>(m));
+      MachineOptions options;
+      if (wal_sync_delay_us >= 0) {
+        options.engine_options.wal_path =
+            ::testing::TempDir() + "mtdb_tcp_" +
+            std::to_string(static_cast<long long>(getpid())) + "_" +
+            std::to_string(m) + ".wal";
+        std::remove(options.engine_options.wal_path.c_str());
+        options.engine_options.wal_sync_delay_us = wal_sync_delay_us;
+        wal_paths_.push_back(options.engine_options.wal_path);
+      }
+      remotes_.push_back(std::make_unique<RemoteMachine>(m, options));
       ASSERT_TRUE(remotes_.back()->server.Start(/*port=*/0).ok());
       transport_.AddEndpoint(m, "127.0.0.1", remotes_.back()->server.port());
     }
@@ -50,11 +65,14 @@ class NetTcpTest : public ::testing::Test {
     // Controller (and its channels) first, then the servers.
     controller_.reset();
     for (auto& remote : remotes_) remote->server.Stop();
+    remotes_.clear();
+    for (const std::string& path : wal_paths_) std::remove(path.c_str());
   }
 
   net::TcpTransport transport_;
   std::vector<std::unique_ptr<RemoteMachine>> remotes_;
   std::unique_ptr<ClusterController> controller_;
+  std::vector<std::string> wal_paths_;
 };
 
 TEST_F(NetTcpTest, TpcwStyleTransactionCommitsOverSockets) {
@@ -101,6 +119,42 @@ TEST_F(NetTcpTest, TpcwStyleTransactionCommitsOverSockets) {
                              {Value(int64_t{7})});
   ASSERT_TRUE(check.ok());
   EXPECT_EQ(check->rows[0][0], Value(int64_t{99}));
+}
+
+TEST_F(NetTcpTest, ReplicatedWriteOnWalMachinesIsReadOnTheSameConnection) {
+  // Commit() answers before phase 2 ends. Over TCP each machine serves a
+  // connection's requests in order and holds it until a COMMIT PREPARED's
+  // record is durable, so the connection's next request on that machine
+  // runs after the commit applied there.
+  StartCluster(2, /*wal_sync_delay_us=*/20'000);
+  ASSERT_TRUE(controller_->CreateDatabaseOn("shop", {0, 1}).ok());
+  ASSERT_TRUE(controller_
+                  ->ExecuteDdl("shop",
+                               "CREATE TABLE item (i_id INT PRIMARY KEY, "
+                               "i_stock INT)")
+                  .ok());
+  ASSERT_TRUE(controller_
+                  ->BulkLoad("shop", "item",
+                             {{Value(int64_t{3}), Value(int64_t{100})}})
+                  .ok());
+  auto conn = controller_->Connect("shop");
+  ASSERT_TRUE(conn->Begin().ok());
+  ASSERT_TRUE(conn->Execute("UPDATE item SET i_stock = 55 WHERE i_id = 3")
+                  .ok());
+  Status commit = conn->Commit();
+  ASSERT_TRUE(commit.ok()) << commit.ToString();
+  // A snapshot read takes no locks: it sees the write only if the commit
+  // applied before it on the machine it reads from.
+  ASSERT_TRUE(conn->Begin(/*read_only=*/true).ok());
+  auto snapshot = conn->Execute("SELECT i_stock FROM item WHERE i_id = 3");
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ASSERT_EQ(snapshot->rows.size(), 1u);
+  EXPECT_EQ(snapshot->rows[0][0], Value(int64_t{55}));
+  ASSERT_TRUE(conn->Commit().ok());
+  auto locking = conn->Execute("SELECT i_stock FROM item WHERE i_id = 3");
+  ASSERT_TRUE(locking.ok()) << locking.status().ToString();
+  EXPECT_EQ(locking->rows[0][0], Value(int64_t{55}));
+  EXPECT_EQ(controller_->committed_transactions(), 3);
 }
 
 TEST_F(NetTcpTest, ReadOnlyTransactionTakesItsSnapshotFromTheFirstRead) {

@@ -313,6 +313,41 @@ TEST_F(NetTransportTest, WaitOnlySessionsStartNoThread) {
   EXPECT_LT(threads() - before, 5);
 }
 
+TEST_F(NetTransportTest, TwoPhaseCommitFanOutsRunOnTheCommittingThread) {
+  // No 2PC request blocks on a lock or a log, so PREPARE and COMMIT
+  // PREPARED each run on the committing thread when their channel is idle,
+  // as every channel is once a conservative write's replicas all answered:
+  // a session thread hands its reply over only after going idle.
+  Build(ClusterControllerOptions{});
+  std::mutex mu;
+  std::vector<std::pair<net::RpcType, std::thread::id>> executors;
+  controller_->inproc_transport()->SetFaultHook(
+      [&mu, &executors](int, const net::RpcRequest& request) {
+        if (request.type == net::RpcType::kPrepare ||
+            request.type == net::RpcType::kCommitPrepared) {
+          std::lock_guard<std::mutex> lock(mu);
+          executors.emplace_back(request.type, std::this_thread::get_id());
+        }
+        return net::InProcTransport::Fault::kDeliver;
+      });
+  auto conn = controller_->Connect("shop");
+  for (int64_t item = 1; item <= 3; ++item) {
+    ASSERT_TRUE(conn->Begin().ok());
+    ASSERT_TRUE(conn->Execute("UPDATE item SET i_stock = i_stock - 1 "
+                              "WHERE i_id = ?",
+                              {Value(item)})
+                    .ok());
+    ASSERT_TRUE(conn->Commit().ok());
+  }
+  controller_->inproc_transport()->SetFaultHook(nullptr);
+  std::lock_guard<std::mutex> lock(mu);
+  // Three transactions, two replicas, two phases.
+  ASSERT_EQ(executors.size(), 12u);
+  for (const auto& [type, executor] : executors) {
+    EXPECT_EQ(executor, std::this_thread::get_id()) << net::RpcTypeName(type);
+  }
+}
+
 TEST_F(NetTransportTest, QueuedWriteRunsBeforeALaterRead) {
   // Under aggressive ack the write is acknowledged by the fast replica while
   // the delayed one still has it queued on this connection's session. A

@@ -56,7 +56,8 @@ TEST(ObsMetricsTest, ConcurrentResolveAndRecordIsSafe) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&registry] {
       for (int i = 0; i < kOps; ++i) {
-        MetricLabels labels{.machine = "m" + std::to_string(i % 4)};
+        MetricLabels labels{
+            .machine = std::string("m").append(std::to_string(i % 4))};
         obs::Increment(registry.GetCounter("test_resolve_total", labels));
       }
     });
@@ -64,8 +65,9 @@ TEST(ObsMetricsTest, ConcurrentResolveAndRecordIsSafe) {
   for (auto& w : workers) w.join();
   int64_t total = 0;
   for (int m = 0; m < 4; ++m) {
-    total += registry.CounterValue("test_resolve_total",
-                                   {.machine = "m" + std::to_string(m)});
+    total += registry.CounterValue(
+        "test_resolve_total",
+        {.machine = std::string("m").append(std::to_string(m))});
   }
   EXPECT_EQ(total, int64_t{kThreads} * kOps);
   EXPECT_EQ(registry.SumCounter("test_resolve_total"), total);

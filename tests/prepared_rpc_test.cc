@@ -360,7 +360,11 @@ TEST_F(PreparedRpcTest, RetiredHandleRpcsAreRejected) {
     });
     EXPECT_EQ(reply.get().code, StatusCode::kInvalidArgument)
         << net::RpcTypeName(retired);
-    EXPECT_EQ(service.Dispatch(request).code, StatusCode::kInvalidArgument)
+    StatusCode dispatched = StatusCode::kOk;
+    service.Dispatch(request, [&dispatched](net::RpcResponse response) {
+      dispatched = response.code;
+    });
+    EXPECT_EQ(dispatched, StatusCode::kInvalidArgument)
         << net::RpcTypeName(retired);
   }
 }

@@ -64,11 +64,13 @@ rebalance::MigrationPlan MakePlan(const std::string& db, int source,
 class RebalanceTest : public ::testing::Test {
  protected:
   void BuildWal(const std::string& tag, int machines,
-                ClusterControllerOptions options = {}) {
+                ClusterControllerOptions options = {},
+                int64_t sync_delay_us = 0) {
     controller_ = std::make_unique<ClusterController>(options);
     wal_paths_.clear();
     for (int i = 0; i < machines; ++i) {
       MachineOptions machine = WalMachine(tag, i);
+      machine.engine_options.wal_sync_delay_us = sync_delay_us;
       wal_paths_.push_back(machine.engine_options.wal_path);
       controller_->AddMachine(machine);
     }
@@ -274,6 +276,26 @@ TEST_F(RebalanceTest, LiveMigrationUnderConcurrentWritesLosesNothing) {
     total += commits[id].load();
   }
   EXPECT_GT(total, 0);
+}
+
+TEST_F(RebalanceTest, MoveRightAfterACommitCarriesTheWrite) {
+  // Commit() answers while the source is still flushing the COMMIT record.
+  // The commit keeps its tenant pin until that flush is acked, so the
+  // move's freeze drains it and the target gets the write.
+  BuildWal("fresh", 2, {}, /*sync_delay_us=*/300'000);
+  SetUpCounters("hot", /*machine=*/0, /*rows=*/4);
+  auto conn = controller_->Connect("hot");
+  ASSERT_TRUE(conn->Execute("UPDATE counters SET v = 5 WHERE id = 2").ok());
+  EXPECT_EQ(controller_->tenant_catalog()->PinCount("hot"), 1)
+      << "phase 2 should still hold the pin";
+  ReplicaBuilder migrator(controller_.get());
+  Status migrated = migrator.Migrate(MakePlan("hot", 0, 1));
+  ASSERT_TRUE(migrated.ok()) << migrated.ToString();
+  EXPECT_EQ(controller_->ReplicasOf("hot"), std::vector<int>{1});
+  EXPECT_EQ(CounterValue(/*machine=*/1, "hot", 2), 5);
+  auto read = conn->Execute("SELECT v FROM counters WHERE id = 2");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->at(0, 0).AsInt(), 5);
 }
 
 TEST_F(RebalanceTest, SnapshotReadStaysOnSourceUntilTxnEnd) {

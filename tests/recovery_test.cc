@@ -22,7 +22,7 @@ class RecoveryTest : public ::testing::Test {
   void MakeDb(const std::string& name, int tables = 2, int rows = 5) {
     ASSERT_TRUE(controller_->CreateDatabase(name, 2).ok());
     for (int t = 0; t < tables; ++t) {
-      std::string table = "t" + std::to_string(t);
+      std::string table = std::string("t").append(std::to_string(t));
       ASSERT_TRUE(controller_
                       ->ExecuteDdl(name, "CREATE TABLE " + table +
                                              " (id INT PRIMARY KEY, v INT)")
@@ -89,7 +89,9 @@ TEST_F(RecoveryTest, AllTablesCopied) {
   ASSERT_NE(copy, nullptr);
   EXPECT_EQ(copy->table_count(), 4u);
   for (int t = 0; t < 4; ++t) {
-    EXPECT_EQ(copy->GetTable("t" + std::to_string(t))->row_count(), 7u);
+    EXPECT_EQ(
+        copy->GetTable(std::string("t").append(std::to_string(t)))->row_count(),
+        7u);
   }
 }
 

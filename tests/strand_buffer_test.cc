@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -119,6 +120,31 @@ TEST(StrandTest, ConcurrentSubmittersAllExecute) {
   for (auto& t : submitters) t.join();
   strand.Drain();
   EXPECT_EQ(executed, 200);
+}
+
+TEST(StrandTest, RunAfterTaskRunsOnceTheStrandIsIdle) {
+  std::promise<void> after_started;
+  std::promise<void> release_after;
+  std::shared_future<void> release = release_after.get_future().share();
+  std::atomic<bool> saw_own_task{false};
+  // Declared last: it joins its thread before the state above goes.
+  Strand strand;
+  strand.SubmitDetached([&] {
+    saw_own_task = Strand::InTaskOf(&strand);
+    strand.RunAfterTask([&] {
+      after_started.set_value();
+      release.wait();
+    });
+  });
+  after_started.get_future().wait();
+  EXPECT_TRUE(saw_own_task.load());
+  EXPECT_FALSE(Strand::InTaskOf(&strand));
+  // The hand-off is still running, yet the strand counts as idle: the next
+  // RunIfIdle runs on this thread instead of queueing behind it.
+  std::thread::id ran_on;
+  strand.RunIfIdle([&ran_on] { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  release_after.set_value();
 }
 
 TEST(StrandTest, RunIfIdleRunsOnCallerAndKeepsFifo) {

@@ -1,7 +1,8 @@
 // Group-commit WAL pipeline tests (DESIGN.md §15): LSN-ordered waiter
-// release under concurrent committers, flush coalescing across 2PC
-// PREPAREs, the async policy's bounded-loss contract, crash-artifact
-// recovery, and the durability-error path through Engine::Commit.
+// release under concurrent committers, the OnDurable completion contract,
+// flush coalescing across 2PC PREPAREs, the async policy's bounded-loss
+// contract, crash-artifact recovery, and the durability-error path through
+// Engine::Commit.
 // Runs in the TSan tier (label "wal") — the pipeline is exactly the kind
 // of cross-thread handoff the sanitizer exists for.
 #include <gtest/gtest.h>
@@ -9,12 +10,14 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/random.h"
 #include "src/obs/metrics.h"
+#include "src/platform/mutex.h"
 #include "src/storage/engine.h"
 #include "src/storage/wal/log_writer.h"
 #include "src/storage/wal/wal.h"
@@ -99,6 +102,169 @@ TEST_F(WalGroupCommitTest, LsnOrderedReleaseUnderConcurrentCommitters) {
   // overlapping a 200µs sync, a 1:1 ratio would mean no batching at all.
   EXPECT_LT(writer->syncs(), kThreads * kAppendsPerThread);
   EXPECT_GE(writer->syncs(), 1);
+}
+
+// One OnDurable callback's view of the log when it ran.
+struct CompletionRecord {
+  uint64_t lsn = 0;
+  uint64_t synced_at_run = 0;
+  std::thread::id thread;
+  Status status;
+};
+
+// Completions registered out of LSN order run in LSN order, on the log
+// thread, each after the sync that covers its record.
+TEST_F(WalGroupCommitTest, CompletionsRunInLsnOrderAfterTheirSync) {
+  constexpr int kRecords = 5;
+  wal::LogWriterOptions options;
+  options.sync_policy = wal::SyncPolicy::kGroup;
+  options.sync_delay_us = 200'000;  // every record is pending when registered
+  auto writer_or = wal::LogWriter::Open(path_.string(), options);
+  ASSERT_TRUE(writer_or.ok()) << writer_or.status().ToString();
+  std::unique_ptr<wal::LogWriter> writer = std::move(*writer_or);
+
+  std::vector<uint64_t> lsns;
+  for (int i = 0; i < kRecords; ++i) {
+    auto lsn_or = writer->Append("REC " + std::to_string(i));
+    ASSERT_TRUE(lsn_or.ok());
+    lsns.push_back(*lsn_or);
+  }
+  platform::Mutex mu{"test/completions"};
+  std::vector<CompletionRecord> ran;
+  std::promise<void> all_ran;
+  for (auto it = lsns.rbegin(); it != lsns.rend(); ++it) {
+    const uint64_t lsn = *it;
+    writer->OnDurable(lsn, [&, lsn](Status status) {
+      platform::Guard lock(mu);
+      ran.push_back({lsn, writer->synced_lsn(), std::this_thread::get_id(),
+                     status});
+      if (ran.size() == kRecords) all_ran.set_value();
+    });
+  }
+  all_ran.get_future().wait();
+
+  platform::Guard lock(mu);
+  ASSERT_EQ(ran.size(), static_cast<size_t>(kRecords));
+  for (int i = 0; i < kRecords; ++i) {
+    EXPECT_EQ(ran[i].lsn, lsns[i]) << "completion " << i << " out of order";
+    EXPECT_GE(ran[i].synced_at_run, ran[i].lsn)
+        << "completion ran before its record was synced";
+    EXPECT_NE(ran[i].thread, std::this_thread::get_id());
+    EXPECT_TRUE(ran[i].status.ok()) << ran[i].status.ToString();
+  }
+}
+
+TEST_F(WalGroupCommitTest, CompletionRunsAtOnceWhenAlreadyDurable) {
+  auto writer_or = wal::LogWriter::Open(path_.string());
+  ASSERT_TRUE(writer_or.ok()) << writer_or.status().ToString();
+  std::unique_ptr<wal::LogWriter> writer = std::move(*writer_or);
+  auto lsn_or = writer->Append("REC");
+  ASSERT_TRUE(lsn_or.ok());
+  ASSERT_TRUE(writer->AwaitDurable(*lsn_or).ok());
+
+  bool ran = false;
+  std::thread::id ran_on;
+  writer->OnDurable(*lsn_or, [&](Status status) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    ran = true;
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_TRUE(ran) << "a durable LSN's completion must run before OnDurable "
+                      "returns";
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+// A crash fails every pending completion with the sticky error, and a
+// completion registered afterwards hears it at once.
+TEST_F(WalGroupCommitTest, CrashFailsPendingCompletions) {
+  wal::LogWriterOptions options;
+  options.sync_delay_us = 300'000;
+  auto writer_or = wal::LogWriter::Open(path_.string(), options);
+  ASSERT_TRUE(writer_or.ok()) << writer_or.status().ToString();
+  std::unique_ptr<wal::LogWriter> writer = std::move(*writer_or);
+  std::vector<Status> statuses(3, Status::OK());
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 3; ++i) {
+    auto lsn_or = writer->Append("REC " + std::to_string(i));
+    ASSERT_TRUE(lsn_or.ok());
+    writer->OnDurable(*lsn_or, [&, i](Status status) {
+      statuses[i] = status;
+      ran.fetch_add(1);
+    });
+  }
+  writer->CrashForTest();
+  ASSERT_EQ(ran.load(), 3) << "CrashForTest left a completion pending";
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(statuses[i].code(), StatusCode::kUnavailable)
+        << "completion " << i << ": " << statuses[i].ToString();
+  }
+  Status late = Status::OK();
+  writer->OnDurable(1, [&](Status status) { late = status; });
+  EXPECT_EQ(late.code(), StatusCode::kUnavailable);
+}
+
+// Destroying the writer syncs what was appended and completes every
+// pending callback before the destructor returns.
+TEST_F(WalGroupCommitTest, DestructionCompletesPendingCallbacks) {
+  wal::LogWriterOptions options;
+  options.sync_delay_us = 50'000;
+  auto writer_or = wal::LogWriter::Open(path_.string(), options);
+  ASSERT_TRUE(writer_or.ok()) << writer_or.status().ToString();
+  std::unique_ptr<wal::LogWriter> writer = std::move(*writer_or);
+  std::atomic<int> ok{0};
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 4; ++i) {
+    auto lsn_or = writer->Append("REC " + std::to_string(i));
+    ASSERT_TRUE(lsn_or.ok());
+    writer->OnDurable(*lsn_or, [&](Status status) {
+      if (status.ok()) ok.fetch_add(1);
+      ran.fetch_add(1);
+    });
+  }
+  writer.reset();
+  EXPECT_EQ(ran.load(), 4);
+  EXPECT_EQ(ok.load(), 4) << "the final sync covers every appended record";
+}
+
+// The engine's no-wait forms hand back the record's LSN: the vote and the
+// commit return before their records are durable, and the blocking forms
+// are the same calls plus the wait.
+TEST_F(WalGroupCommitTest, EngineHandsBackTheLsnInsteadOfWaiting) {
+  EngineOptions options = EngineOptionsFor(wal::SyncPolicy::kGroup);
+  options.wal_sync_delay_us = 300'000;
+  Engine engine(Site(), options);
+  ASSERT_TRUE(engine.CreateDatabase("db").ok());
+  ASSERT_TRUE(engine.CreateTable("db", ItemsSchema()).ok());
+  ASSERT_TRUE(engine.Begin(1).ok());
+  ASSERT_TRUE(engine
+                  .Insert(1, "db", "items",
+                          {Value(int64_t{1}), Value("x"), Value(1.0)})
+                  .ok());
+  wal::LogWriter* writer = engine.wal()->writer();
+  uint64_t prepare_lsn = 0;
+  ASSERT_TRUE(engine.Prepare(1, &prepare_lsn).ok());
+  EXPECT_EQ(prepare_lsn, writer->last_appended_lsn());
+  EXPECT_LT(writer->synced_lsn(), prepare_lsn);
+  EXPECT_EQ(engine.GetTxnState(1), TxnState::kPrepared);
+  ASSERT_TRUE(engine.AwaitDurable(prepare_lsn).ok());
+  EXPECT_GE(writer->synced_lsn(), prepare_lsn);
+
+  uint64_t commit_lsn = 0;
+  ASSERT_TRUE(engine.CommitPrepared(1, &commit_lsn).ok());
+  EXPECT_GT(commit_lsn, prepare_lsn);
+  EXPECT_LT(writer->synced_lsn(), commit_lsn);
+  EXPECT_FALSE(engine.GetTxnState(1).has_value());
+  std::promise<Status> durable;
+  engine.OnDurable(commit_lsn,
+                   [&durable](Status status) { durable.set_value(status); });
+  EXPECT_TRUE(durable.get_future().get().ok());
+  EXPECT_GE(writer->synced_lsn(), commit_lsn);
+
+  // Nothing logged, nothing to wait for.
+  ASSERT_TRUE(engine.Begin(2).ok());
+  uint64_t readonly_lsn = 7;
+  ASSERT_TRUE(engine.Commit(2, &readonly_lsn).ok());
+  EXPECT_EQ(readonly_lsn, 0u);
 }
 
 // A crash artifact — truncated to the last completed sync, with a torn
