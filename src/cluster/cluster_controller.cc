@@ -651,6 +651,9 @@ void ClusterController::SimulateControllerFailover() {
     }
     decisions = backup_.commit_decisions;
   }
+  // The primary's calls still in flight die with it: their deadlines must
+  // not declare a machine failed after the backup has resolved their work.
+  client_->AbandonArmedCalls();
   for (int id : alive) {
     auto prepared = client_->ListPrepared(id);
     if (prepared.ok()) {

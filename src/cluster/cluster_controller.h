@@ -385,7 +385,9 @@ class ClusterController {
   // existing connections are invalidated, in-flight 2PC transactions are
   // resolved from the mirrored decision log (commit if decision logged,
   // abort otherwise). It does not wait for phase 2: resolving the
-  // transactions whose phase 2 is still in flight is its job.
+  // transactions whose phase 2 is still in flight is its job. The calls the
+  // primary left in flight complete with kUnavailable and never count as a
+  // missed deadline (MachineClient::AbandonArmedCalls).
   void SimulateControllerFailover();
   uint64_t epoch() const { return epoch_.load(); }
 

@@ -11,7 +11,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/platform/mutex.h"
-#include "src/storage/wal/wal.h"
+#include "src/storage/encoding.h"
 
 namespace mtdb {
 
@@ -30,9 +30,9 @@ uint64_t NextDumpTxn() { return kDumpTxnBase + dump_txn_seq.fetch_add(1); }
 // transaction.
 constexpr int64_t kDrainTimeoutUs = 5'000'000;
 constexpr int64_t kDrainPollUs = 200;
-// Delta catch-up stops when a round ships at most this many lines (the
+// Delta catch-up stops when a round ships at most this many records (the
 // remaining tail is shipped inside the freeze) or after this many rounds.
-constexpr size_t kDeltaSettleLines = 8;
+constexpr size_t kDeltaSettleRecords = 8;
 constexpr int kDeltaMaxRounds = 16;
 
 struct Metrics {
@@ -67,13 +67,16 @@ Metrics& GlobalMetrics() {
   return metrics;
 }
 
+// The copied rows' size in the storage encoding, the unit delta records
+// are counted in too.
 int64_t DumpBytes(const TableDump& dump) {
   int64_t bytes = 0;
+  std::string encoded;
   for (const auto& [row, version] : dump.rows) {
     (void)version;
-    for (const Value& value : row) {
-      bytes += static_cast<int64_t>(WriteAheadLog::EncodeValue(value).size());
-    }
+    encoded.clear();
+    encoding::AppendRow(&encoded, row);
+    bytes += static_cast<int64_t>(encoded.size());
   }
   return bytes;
 }
@@ -272,7 +275,7 @@ Status ReplicaBuilder::CopyTables(const Copy& copy) {
 
 Status ReplicaBuilder::CopyOnline(Copy& copy) {
   // Capability probe: UINT64_MAX returns the source's WAL frontier without
-  // shipping lines. Everything committed before it is covered by the dump
+  // shipping records. Everything committed before it is covered by the dump
   // too, and replaying the overlap is idempotent (upserts), so starting the
   // delta from here can lose nothing.
   uint64_t cursor = 0;
@@ -295,7 +298,7 @@ Status ReplicaBuilder::CopyOnline(Copy& copy) {
   phase_start_us = NowMicros();
   for (int round = 0; round < kDeltaMaxRounds; ++round) {
     MTDB_ASSIGN_OR_RETURN(size_t shipped, ShipDelta(copy, &cursor));
-    if (shipped <= kDeltaSettleLines) break;
+    if (shipped <= kDeltaSettleRecords) break;
   }
   RecordPhaseSpan(copy.trace_id, copy.source, "delta_catchup",
                   phase_start_us);
@@ -309,20 +312,21 @@ Result<size_t> ReplicaBuilder::ShipDelta(const Copy& copy, uint64_t* cursor) {
   net::MachineClient* client = controller_->machine_client();
   uint64_t frontier = 0;
   MTDB_ASSIGN_OR_RETURN(
-      std::vector<std::string> lines,
+      std::vector<std::string> records,
       client->WalDeltaRead(copy.source, copy.db, *cursor, &frontier));
   Metrics& metrics = GlobalMetrics();
   obs::Increment(metrics.delta_rounds);
-  if (!lines.empty()) {
+  if (!records.empty()) {
     int64_t bytes = 0;
-    for (const std::string& line : lines) {
-      bytes += static_cast<int64_t>(line.size());
+    for (const std::string& record : records) {
+      bytes += static_cast<int64_t>(record.size());
     }
     obs::Increment(metrics.bytes_copied, bytes);
-    MTDB_RETURN_IF_ERROR(client->WalDeltaApply(copy.target, copy.db, lines));
+    MTDB_RETURN_IF_ERROR(
+        client->WalDeltaApply(copy.target, copy.db, records));
   }
   *cursor = frontier;
-  return lines.size();
+  return records.size();
 }
 
 Status ReplicaBuilder::FreezeAndDrain(Copy& copy) {

@@ -1,129 +1,26 @@
 #include "src/net/codec.h"
 
-#include <cstring>
-
 #include "src/obs/metrics.h"
+#include "src/storage/encoding.h"
 
 namespace mtdb::net {
 
 namespace {
 
+using encoding::AppendRow;
+using encoding::BeginFrame;
+using encoding::EndFrame;
+using encoding::AppendSchema;
+using encoding::AppendString;
+using encoding::AppendU32;
+using encoding::AppendU64;
+using encoding::AppendU8;
+using encoding::AppendValue;
+using encoding::Reader;
+
 // Payload tags distinguishing the two message directions.
 constexpr uint8_t kRequestTag = 0xA1;
 constexpr uint8_t kResponseTag = 0xA2;
-
-void AppendU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void AppendU32(std::string* out, uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-void AppendString(std::string* out, const std::string& s) {
-  AppendU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-// Bounds-checked reader over a frame payload. After the first failed read
-// every subsequent read fails too, so decode functions can read
-// unconditionally and check ok() once.
-class Cursor {
- public:
-  explicit Cursor(std::string_view data) : data_(data) {}
-
-  bool ok() const { return ok_; }
-  size_t remaining() const { return data_.size(); }
-
-  uint8_t ReadU8() {
-    if (!Require(1)) return 0;
-    uint8_t v = static_cast<uint8_t>(data_[0]);
-    data_.remove_prefix(1);
-    return v;
-  }
-
-  uint32_t ReadU32() {
-    if (!Require(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[i])) << (8 * i);
-    }
-    data_.remove_prefix(4);
-    return v;
-  }
-
-  uint64_t ReadU64() {
-    if (!Require(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[i])) << (8 * i);
-    }
-    data_.remove_prefix(8);
-    return v;
-  }
-
-  std::string ReadString() {
-    uint32_t len = ReadU32();
-    if (!Require(len)) return {};
-    std::string s(data_.substr(0, len));
-    data_.remove_prefix(len);
-    return s;
-  }
-
-  Value ReadValue() {
-    if (!ok_) return Value::Null();
-    auto value = Value::DecodeFrom(&data_);
-    if (!value.ok()) {
-      ok_ = false;
-      return Value::Null();
-    }
-    return *std::move(value);
-  }
-
-  // Reads a u32 element count, bounded by the bytes actually remaining so a
-  // corrupt count cannot trigger a huge allocation (every element encodes to
-  // at least one byte).
-  uint32_t ReadCount() {
-    uint32_t n = ReadU32();
-    if (n > remaining()) ok_ = false;
-    return ok_ ? n : 0;
-  }
-
- private:
-  bool Require(size_t n) {
-    if (!ok_ || data_.size() < n) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-
-  std::string_view data_;
-  bool ok_ = true;
-};
-
-void AppendRow(std::string* out, const Row& row) {
-  AppendU32(out, static_cast<uint32_t>(row.size()));
-  for (const Value& v : row) v.EncodeTo(out);
-}
-
-Row ReadRow(Cursor* in) {
-  Row row;
-  uint32_t arity = in->ReadCount();
-  row.reserve(arity);
-  for (uint32_t i = 0; i < arity && in->ok(); ++i) {
-    row.push_back(in->ReadValue());
-  }
-  return row;
-}
 
 void AppendQueryResult(std::string* out, const sql::QueryResult& result) {
   AppendU32(out, static_cast<uint32_t>(result.columns.size()));
@@ -133,7 +30,7 @@ void AppendQueryResult(std::string* out, const sql::QueryResult& result) {
   AppendU64(out, static_cast<uint64_t>(result.affected_rows));
 }
 
-sql::QueryResult ReadQueryResult(Cursor* in) {
+sql::QueryResult ReadQueryResult(Reader* in) {
   sql::QueryResult result;
   uint32_t columns = in->ReadCount();
   result.columns.reserve(columns);
@@ -143,52 +40,10 @@ sql::QueryResult ReadQueryResult(Cursor* in) {
   uint32_t rows = in->ReadCount();
   result.rows.reserve(rows);
   for (uint32_t i = 0; i < rows && in->ok(); ++i) {
-    result.rows.push_back(ReadRow(in));
+    result.rows.push_back(in->ReadRow());
   }
   result.affected_rows = static_cast<int64_t>(in->ReadU64());
   return result;
-}
-
-void AppendSchema(std::string* out, const TableSchema& schema) {
-  AppendString(out, schema.name());
-  AppendU32(out, static_cast<uint32_t>(schema.columns().size()));
-  for (const Column& c : schema.columns()) {
-    AppendString(out, c.name);
-    AppendU8(out, static_cast<uint8_t>(c.type));
-    AppendU8(out, c.not_null ? 1 : 0);
-  }
-  AppendU32(out, static_cast<uint32_t>(schema.primary_key_index()));
-  AppendU32(out, static_cast<uint32_t>(schema.indexes().size()));
-  for (const IndexDef& index : schema.indexes()) {
-    AppendString(out, index.name);
-    AppendU32(out, static_cast<uint32_t>(index.column_index));
-  }
-}
-
-TableSchema ReadSchema(Cursor* in) {
-  std::string name = in->ReadString();
-  uint32_t num_columns = in->ReadCount();
-  std::vector<Column> columns;
-  columns.reserve(num_columns);
-  for (uint32_t i = 0; i < num_columns && in->ok(); ++i) {
-    Column c;
-    c.name = in->ReadString();
-    c.type = static_cast<ColumnType>(in->ReadU8());
-    c.not_null = in->ReadU8() != 0;
-    columns.push_back(std::move(c));
-  }
-  int pk = static_cast<int32_t>(in->ReadU32());
-  TableSchema schema(std::move(name), std::move(columns), pk);
-  uint32_t num_indexes = in->ReadCount();
-  for (uint32_t i = 0; i < num_indexes && in->ok(); ++i) {
-    std::string index_name = in->ReadString();
-    int column_index = static_cast<int32_t>(in->ReadU32());
-    if (column_index >= 0 &&
-        column_index < static_cast<int>(schema.columns().size())) {
-      (void)schema.AddIndex(index_name, schema.columns()[column_index].name);
-    }
-  }
-  return schema;
 }
 
 void AppendTableDump(std::string* out, const TableDump& dump) {
@@ -201,13 +56,13 @@ void AppendTableDump(std::string* out, const TableDump& dump) {
   AppendU64(out, dump.max_version);
 }
 
-TableDump ReadTableDump(Cursor* in) {
+TableDump ReadTableDump(Reader* in) {
   TableDump dump;
-  dump.schema = ReadSchema(in);
+  dump.schema = in->ReadSchema();
   uint32_t rows = in->ReadCount();
   dump.rows.reserve(rows);
   for (uint32_t i = 0; i < rows && in->ok(); ++i) {
-    Row row = ReadRow(in);
+    Row row = in->ReadRow();
     uint64_t version = in->ReadU64();
     dump.rows.emplace_back(std::move(row), version);
   }
@@ -275,8 +130,7 @@ obs::Counter* ResponseBytesCounter() {
 }  // namespace
 
 void EncodeRequestFrame(const RpcRequest& request, std::string* out) {
-  size_t frame_start = out->size();
-  AppendU32(out, 0);  // patched below
+  size_t frame = BeginFrame(out);
   AppendU8(out, kRequestTag);
   AppendU8(out, static_cast<uint8_t>(request.type));
   AppendU64(out, request.txn_id);
@@ -284,7 +138,7 @@ void EncodeRequestFrame(const RpcRequest& request, std::string* out) {
   AppendString(out, request.table);
   AppendString(out, request.sql);
   AppendU32(out, static_cast<uint32_t>(request.params.size()));
-  for (const Value& v : request.params) v.EncodeTo(out);
+  for (const Value& v : request.params) AppendValue(out, v);
   AppendU32(out, static_cast<uint32_t>(request.rows.size()));
   for (const Row& row : request.rows) AppendRow(out, row);
   AppendTableDump(out, request.dump);
@@ -293,20 +147,18 @@ void EncodeRequestFrame(const RpcRequest& request, std::string* out) {
   AppendU64(out, request.trace_id);
   AppendU8(out, request.read_only ? 1 : 0);
   AppendU64(out, request.wal_cursor);
-  AppendU32(out, static_cast<uint32_t>(request.lines.size()));
-  for (const std::string& line : request.lines) AppendString(out, line);
-  AppendU8(out, request.begin ? 1 : 0);
-  uint32_t payload = static_cast<uint32_t>(out->size() - frame_start - 4);
-  for (int i = 0; i < 4; ++i) {
-    (*out)[frame_start + i] = static_cast<char>((payload >> (8 * i)) & 0xff);
+  AppendU32(out, static_cast<uint32_t>(request.wal_records.size()));
+  for (const std::string& record : request.wal_records) {
+    AppendString(out, record);
   }
+  AppendU8(out, request.begin ? 1 : 0);
+  uint32_t payload = EndFrame(out, frame);
   obs::Increment(RequestBytesCounter(request.type),
                  static_cast<int64_t>(payload) + 4);
 }
 
 void EncodeResponseFrame(const RpcResponse& response, std::string* out) {
-  size_t frame_start = out->size();
-  AppendU32(out, 0);  // patched below
+  size_t frame = BeginFrame(out);
   AppendU8(out, kResponseTag);
   AppendU8(out, static_cast<uint8_t>(response.code));
   AppendString(out, response.message);
@@ -321,10 +173,7 @@ void EncodeResponseFrame(const RpcResponse& response, std::string* out) {
   AppendU64(out, static_cast<uint64_t>(response.retry_after_us));
   AppendU64(out, response.snapshot_ts);
   AppendU64(out, response.wal_lsn);
-  uint32_t payload = static_cast<uint32_t>(out->size() - frame_start - 4);
-  for (int i = 0; i < 4; ++i) {
-    (*out)[frame_start + i] = static_cast<char>((payload >> (8 * i)) & 0xff);
-  }
+  uint32_t payload = EndFrame(out, frame);
   obs::Increment(ResponseBytesCounter(), static_cast<int64_t>(payload) + 4);
 }
 
@@ -348,7 +197,7 @@ std::optional<std::string_view> ExtractFrame(std::string_view buffer,
 }
 
 Result<RpcRequest> DecodeRequest(std::string_view payload) {
-  Cursor in(payload);
+  Reader in(payload);
   if (in.ReadU8() != kRequestTag) {
     return Status::InvalidArgument("not a request frame");
   }
@@ -371,7 +220,7 @@ Result<RpcRequest> DecodeRequest(std::string_view payload) {
   uint32_t rows = in.ReadCount();
   request.rows.reserve(rows);
   for (uint32_t i = 0; i < rows && in.ok(); ++i) {
-    request.rows.push_back(ReadRow(&in));
+    request.rows.push_back(in.ReadRow());
   }
   request.dump = ReadTableDump(&in);
   request.per_row_delay_us = static_cast<int64_t>(in.ReadU64());
@@ -379,10 +228,10 @@ Result<RpcRequest> DecodeRequest(std::string_view payload) {
   request.trace_id = in.ReadU64();
   request.read_only = in.ReadU8() != 0;
   request.wal_cursor = in.ReadU64();
-  uint32_t lines = in.ReadCount();
-  request.lines.reserve(lines);
-  for (uint32_t i = 0; i < lines && in.ok(); ++i) {
-    request.lines.push_back(in.ReadString());
+  uint32_t wal_records = in.ReadCount();
+  request.wal_records.reserve(wal_records);
+  for (uint32_t i = 0; i < wal_records && in.ok(); ++i) {
+    request.wal_records.push_back(in.ReadString());
   }
   request.begin = in.ReadU8() != 0;
   if (!in.ok()) return Status::InvalidArgument("truncated request frame");
@@ -393,7 +242,7 @@ Result<RpcRequest> DecodeRequest(std::string_view payload) {
 }
 
 Result<RpcResponse> DecodeResponse(std::string_view payload) {
-  Cursor in(payload);
+  Reader in(payload);
   if (in.ReadU8() != kResponseTag) {
     return Status::InvalidArgument("not a response frame");
   }

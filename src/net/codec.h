@@ -16,11 +16,12 @@ namespace mtdb::net {
 //   frame   := u32 payload-length (little-endian) | payload
 //   payload := u8 message-tag | fields...
 //
-// Fields are fixed-width little-endian integers; strings and repeated fields
-// are u32-count-prefixed; SQL values use the tagged encoding of
-// Value::EncodeTo. Decoding is fully bounds-checked: a truncated frame, a
-// trailing byte, or an unknown tag yields an error Status, never a crash or
-// a partial message.
+// Fields use the storage encoding (src/storage/encoding.h), the same one the
+// WAL writes its records in: fixed-width little-endian integers,
+// u32-count-prefixed strings and repeated fields, tagged SQL values.
+// Decoding is fully bounds-checked: a truncated frame, a trailing byte, an
+// unknown tag or a schema naming no real column yields an error Status,
+// never a crash or a partial message.
 
 // Frames larger than this are rejected as corrupt before any allocation.
 inline constexpr uint32_t kMaxFrameBytes = 256u << 20;  // 256 MiB

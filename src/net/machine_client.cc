@@ -277,11 +277,11 @@ Result<std::vector<std::string>> MachineClient::WalDeltaRead(
 }
 
 Status MachineClient::WalDeltaApply(int machine_id, const std::string& db_name,
-                                    const std::vector<std::string>& lines) {
+                                    const std::vector<std::string>& records) {
   RpcRequest request;
   request.type = RpcType::kWalDeltaApply;
   request.db_name = db_name;
-  request.lines = lines;
+  request.wal_records = records;
   auto channel = transport_->OpenChannel(machine_id);
   return CallSync(channel.get(), machine_id, std::move(request)).ToStatus();
 }
@@ -315,13 +315,8 @@ void MachineClient::CallWithDeadline(Channel* channel, int machine_id,
   // those outlives the client. A reply after the deadline returns below
   // without touching `this`.
   channel->Call(request, [this, state](RpcResponse response) {
-    ResponseHandler handler;
-    {
-      platform::Guard lock(state->mu);
-      if (state->done) return;  // the deadline already answered
-      state->done = true;
-      handler = std::move(state->handler);
-    }
+    ResponseHandler handler = state->Take();
+    if (!handler) return;  // the deadline already answered
     Disarm(state.get());
     int64_t elapsed_us = NowMicros() - state->start_us;
     const ClientRpcMetrics& metrics = MetricsForType(state->type);
@@ -366,6 +361,22 @@ size_t MachineClient::armed_deadlines() const {
   return deadlines_.size();
 }
 
+void MachineClient::AbandonArmedCalls() {
+  DeadlineMap abandoned;
+  {
+    platform::Guard lock(watchdog_mu_);
+    abandoned.swap(deadlines_);
+    for (auto& [deadline, state] : abandoned) state->deadline.reset();
+  }
+  for (auto& [deadline, state] : abandoned) {
+    ResponseHandler handler = state->Take();
+    if (!handler) continue;  // the reply won the race
+    handler(RpcResponse::FromStatus(Status::Unavailable(
+        "rpc abandoned by a controller takeover (machine " +
+        std::to_string(state->machine_id) + ")")));
+  }
+}
+
 void MachineClient::WatchdogLoop() {
   const auto timeout = std::chrono::microseconds(options_.call_timeout_us);
   platform::UniqueLock lock(watchdog_mu_);
@@ -390,14 +401,9 @@ void MachineClient::WatchdogLoop() {
     if (expired.empty()) continue;
     lock.unlock();
     for (auto& state : expired) {
-      ResponseHandler handler;
+      ResponseHandler handler = state->Take();
+      if (!handler) continue;  // reply arrived in time
       int machine_id = state->machine_id;
-      {
-        platform::Guard state_lock(state->mu);
-        if (state->done) continue;  // reply arrived in time
-        state->done = true;
-        handler = std::move(state->handler);
-      }
       MTDB_LOG(kWarning) << "rpc to machine " << machine_id
                          << " missed its deadline; treating as failed";
       const ClientRpcMetrics& metrics = MetricsForType(state->type);

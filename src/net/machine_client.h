@@ -127,22 +127,28 @@ class MachineClient {
                    const TableDump& dump);
 
   // Live-migration delta calls (kWalDeltaRead / kWalDeltaApply); transient
-  // channels, like the dump calls. WalDeltaRead returns the raw WAL lines
-  // the target must replay to catch db_name up past `wal_cursor`, and sets
-  // `*frontier` to the source-WAL LSN the delta reaches (the next round's
-  // cursor). Cursor UINT64_MAX is a probe: frontier only, no lines; a
-  // source without a WAL answers kFailedPrecondition.
+  // channels, like the dump calls. WalDeltaRead returns the encoded WAL
+  // records the target must replay to catch db_name up past `wal_cursor`,
+  // and sets `*frontier` to the source-WAL LSN the delta reaches (the next
+  // round's cursor). Cursor UINT64_MAX is a probe: frontier only, no
+  // records; a source without a WAL answers kFailedPrecondition.
   Result<std::vector<std::string>> WalDeltaRead(int machine_id,
                                                 const std::string& db_name,
                                                 uint64_t wal_cursor,
                                                 uint64_t* frontier);
-  // Replays delta lines on the target (DDL idempotently, row images as
-  // upserts). Lines must come from WalDeltaRead against the same database.
+  // Replays delta records on the target (WriteAheadLog::Replay). Records
+  // must come from WalDeltaRead against the same database.
   Status WalDeltaApply(int machine_id, const std::string& db_name,
-                       const std::vector<std::string>& lines);
+                       const std::vector<std::string>& records);
 
   // Calls whose deadline is armed: sent and neither answered nor expired.
   size_t armed_deadlines() const;
+
+  // Completes every call armed now with kUnavailable, without the timeout
+  // listener: their sender is gone (a controller takeover), so their
+  // silence says nothing about the machines. A late reply finds the call
+  // done and is dropped.
+  void AbandonArmedCalls();
 
  private:
   struct CallState;
@@ -165,6 +171,15 @@ class MachineClient {
     // This call's entry in deadlines_ while armed (guarded by the client's
     // watchdog_mu_, which the analysis cannot name from here).
     std::optional<DeadlineMap::iterator> deadline;
+
+    // The handler, to whichever completion comes first (reply, deadline or
+    // abandonment); empty for every later one.
+    ResponseHandler Take() {
+      platform::Guard lock(mu);
+      if (done) return nullptr;
+      done = true;
+      return std::move(handler);
+    }
   };
 
   // Issues the call on `channel` with the deadline armed.

@@ -273,68 +273,22 @@ RpcResponse MachineService::DispatchControl(const RpcRequest& request) {
       // Push enqueued records to the file so the frontier covers them.
       Status sync_status = log->Sync();
       if (!sync_status.ok()) return RpcResponse::FromStatus(sync_status);
+      // A probe round (cursor UINT64_MAX) finds no record past its cursor:
+      // it returns the frontier alone.
       uint64_t frontier = 0;
-      if (request.wal_cursor == UINT64_MAX) {
-        // Probe round: frontier only, no lines.
-        auto probe_or = WriteAheadLog::ReadCommittedDeltaSince(
-            log->path(), request.db_name, UINT64_MAX, &frontier);
-        if (!probe_or.ok()) return RpcResponse::FromStatus(probe_or.status());
-        RpcResponse response;
-        response.wal_lsn = frontier;
-        return response;
-      }
-      auto lines_or = WriteAheadLog::ReadCommittedDeltaSince(
+      auto records_or = WriteAheadLog::ReadCommittedDeltaSince(
           log->path(), request.db_name, request.wal_cursor, &frontier);
-      if (!lines_or.ok()) return RpcResponse::FromStatus(lines_or.status());
+      if (!records_or.ok()) {
+        return RpcResponse::FromStatus(records_or.status());
+      }
       RpcResponse response;
-      response.names = std::move(*lines_or);
+      response.names = std::move(*records_or);
       response.wal_lsn = frontier;
       return response;
     }
-    case RpcType::kWalDeltaApply: {
-      std::vector<WalRecord> records =
-          WriteAheadLog::ParseDeltaLines(request.lines);
-      for (const WalRecord& record : records) {
-        Status status = Status::OK();
-        switch (record.type) {
-          case WalRecordType::kCreateDatabase:
-            status = engine->CreateDatabase(record.database);
-            break;
-          case WalRecordType::kCreateTable: {
-            auto schema_or = WriteAheadLog::DecodeSchema(record.aux);
-            if (!schema_or.ok()) {
-              status = schema_or.status();
-              break;
-            }
-            status = engine->CreateTable(record.database, *schema_or);
-            break;
-          }
-          case WalRecordType::kCreateIndex: {
-            // aux is "<index>:<column>", the AppendDdl encoding.
-            size_t colon = record.aux.find(':');
-            if (colon == std::string::npos) break;
-            status = engine->CreateIndex(record.database, record.table,
-                                         record.aux.substr(0, colon),
-                                         record.aux.substr(colon + 1));
-            break;
-          }
-          case WalRecordType::kInsert:
-          case WalRecordType::kUpdate:
-          case WalRecordType::kDelete:
-            status = engine->ApplyRedoRow(record.database, record.table,
-                                          record.type, record.primary_key,
-                                          record.row);
-            break;
-          default:
-            break;
-        }
-        // The bulk copy may already include this DDL: re-applying is fine.
-        if (!status.ok() && status.code() != StatusCode::kAlreadyExists) {
-          return RpcResponse::FromStatus(status);
-        }
-      }
-      return RpcResponse();
-    }
+    case RpcType::kWalDeltaApply:
+      return RpcResponse::FromStatus(
+          WriteAheadLog::Replay(request.wal_records, engine.get()));
     case RpcType::kListTables: {
       Database* db = engine->GetDatabase(request.db_name);
       if (db == nullptr) {

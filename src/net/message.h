@@ -45,7 +45,7 @@ enum class RpcType : uint8_t {
   kStats = 21,             // metrics dump (text exposition in the message)
   kSetQuota = 22,          // install a QoS quota for db_name on the machine
   kWalDeltaRead = 23,      // live migration: committed WAL delta since cursor
-  kWalDeltaApply = 24,     // live migration: replay delta lines on the target
+  kWalDeltaApply = 24,     // live migration: replay delta records on target
 };
 
 // Every wire number lies in [1, kRpcTypeLimit); IsLiveRpcType excludes the
@@ -87,11 +87,12 @@ struct RpcRequest {
   // decoding.
   bool read_only = false;
   // kWalDeltaRead: ship committed records for db_name past this source-WAL
-  // frontier (LSN). UINT64_MAX is a capability probe: no lines, frontier
-  // only. Always on the wire, like read_only.
+  // frontier (LSN). UINT64_MAX is a capability probe: no records,
+  // frontier only. Always on the wire, like read_only.
   uint64_t wal_cursor = 0;
-  // kWalDeltaApply: raw WAL lines to replay (as returned by kWalDeltaRead).
-  std::vector<std::string> lines;
+  // kWalDeltaApply: encoded WAL records to replay (as kWalDeltaRead
+  // returns them).
+  std::vector<std::string> wal_records;
   // kExecute: this is the transaction's first request to the machine, so the
   // machine runs QoS admission and starts txn_id (with `read_only`) before
   // the statement, exactly as a kBegin would. A refusal answers
@@ -129,10 +130,10 @@ struct RpcResponse {
   // begins and every other response). Always on the wire, like
   // retry_after_us.
   uint64_t snapshot_ts = 0;
-  // kWalDeltaRead: the source-WAL frontier (LSN of the last complete line)
+  // kWalDeltaRead: the source-WAL frontier (LSN of the last complete record)
   // the returned delta catches the caller up to; feed it back as the next
   // round's wal_cursor. 0 elsewhere. Always on the wire, like snapshot_ts.
-  // The delta lines themselves travel in `names`.
+  // The delta records themselves travel in `names`.
   uint64_t wal_lsn = 0;
 
   bool ok() const { return code == StatusCode::kOk; }

@@ -108,8 +108,8 @@ Status Engine::CreateDatabase(const std::string& db_name) {
       databases_.try_emplace(db_name, std::make_unique<Database>(db_name));
   if (!inserted) return Status::AlreadyExists("database " + db_name);
   if (wal_ != nullptr) {
-    MTDB_RETURN_IF_ERROR(
-        wal_->AppendDdl(WalRecordType::kCreateDatabase, db_name, "", ""));
+    MTDB_RETURN_IF_ERROR(wal_->AppendDdl(
+        {.type = WalRecordType::kCreateDatabase, .database = db_name}));
   }
   BumpSchemaVersion(db_name);
   return Status::OK();
@@ -131,7 +131,11 @@ Status Engine::DropDatabase(const std::string& db_name) {
   // this sweep.
   versions_.DropDatabase(db_name);
   SetGauge(m_mvcc_versions_, versions_.live_versions());
-  return Status::OK();
+  // Logged under the catalog latch, like the create, so the log orders a
+  // drop and a re-create as the catalog did.
+  if (wal_ == nullptr) return Status::OK();
+  return wal_->AppendDdl(
+      {.type = WalRecordType::kDropDatabase, .database = db_name});
 }
 
 bool Engine::HasDatabase(const std::string& db_name) const {
@@ -155,14 +159,15 @@ std::vector<std::string> Engine::DatabaseNames() const {
 Status Engine::CreateTable(const std::string& db_name, TableSchema schema) {
   Database* db = GetDatabase(db_name);
   if (db == nullptr) return Status::NotFound("database " + db_name);
-  std::string table_name = schema.name();
-  std::string encoded =
-      wal_ != nullptr ? WriteAheadLog::EncodeSchema(schema) : std::string();
-  MTDB_RETURN_IF_ERROR(db->CreateTable(std::move(schema)));
-  if (wal_ != nullptr) {
-    MTDB_RETURN_IF_ERROR(wal_->AppendDdl(WalRecordType::kCreateTable, db_name,
-                                         table_name, encoded));
+  if (schema.primary_key_index() < 0 ||
+      schema.primary_key_index() >= static_cast<int>(schema.num_columns())) {
+    return Status::InvalidArgument("table " + schema.name() +
+                                   " has no primary key column");
   }
+  WalRecord ddl{.type = WalRecordType::kCreateTable, .database = db_name};
+  if (wal_ != nullptr) ddl.schema = schema;
+  MTDB_RETURN_IF_ERROR(db->CreateTable(std::move(schema)));
+  if (wal_ != nullptr) MTDB_RETURN_IF_ERROR(wal_->AppendDdl(ddl));
   BumpSchemaVersion(db_name);
   return Status::OK();
 }
@@ -174,9 +179,11 @@ Status Engine::CreateIndex(const std::string& db_name,
   MTDB_ASSIGN_OR_RETURN(Table * table, ResolveTable(db_name, table_name));
   MTDB_RETURN_IF_ERROR(table->AddIndex(index_name, column_name));
   if (wal_ != nullptr) {
-    MTDB_RETURN_IF_ERROR(wal_->AppendDdl(WalRecordType::kCreateIndex, db_name,
-                                         table_name,
-                                         index_name + ":" + column_name));
+    MTDB_RETURN_IF_ERROR(wal_->AppendDdl({.type = WalRecordType::kCreateIndex,
+                                          .database = db_name,
+                                          .table = table_name,
+                                          .index = index_name,
+                                          .column = column_name}));
   }
   BumpSchemaVersion(db_name);
   return Status::OK();
@@ -184,9 +191,6 @@ Status Engine::CreateIndex(const std::string& db_name,
 
 Status Engine::DropTable(const std::string& db_name,
                          const std::string& table_name) {
-  // Like DropDatabase, drops are not WAL-logged (no drop record types); a
-  // recovered engine may resurrect a dropped table, which the re-copy path
-  // overwrites anyway.
   Database* db = GetDatabase(db_name);
   if (db == nullptr) return Status::NotFound("database " + db_name);
   MTDB_RETURN_IF_ERROR(db->DropTable(table_name));
@@ -195,7 +199,10 @@ Status Engine::DropTable(const std::string& db_name,
   versions_.DropTable(db_name, table_name);
   SetGauge(m_mvcc_versions_, versions_.live_versions());
   BumpSchemaVersion(db_name);
-  return Status::OK();
+  if (wal_ == nullptr) return Status::OK();
+  return wal_->AppendDdl({.type = WalRecordType::kDropTable,
+                          .database = db_name,
+                          .table = table_name});
 }
 
 // --- SQL planning ---

@@ -98,6 +98,7 @@ class Engine {
   bool HasDatabase(const std::string& db_name) const;
   Database* GetDatabase(const std::string& db_name) const;
   std::vector<std::string> DatabaseNames() const;
+  // Fails unless the schema's primary key names one of its columns.
   Status CreateTable(const std::string& db_name, TableSchema schema);
   Status CreateIndex(const std::string& db_name, const std::string& table_name,
                      const std::string& index_name,
@@ -203,12 +204,11 @@ class Engine {
   Status BulkInsertVersioned(const std::string& db_name,
                              const std::string& table_name,
                              const std::vector<std::pair<Row, uint64_t>>& rows);
-  // Applies one redo row image from a live-migration WAL delta (kInsert /
-  // kUpdate / kDelete). Upsert semantics: the same committed transaction may
-  // be shipped by more than one catch-up round only if the log is replayed
-  // from scratch, but an insert-then-update chain within a round must land
-  // on whatever the bulk copy already installed. Like BulkInsertVersioned,
-  // never WAL-logged — the migrated replica re-seeds by re-copy on restart.
+  // Applies one redo row image of the WAL replay (kInsert / kUpdate /
+  // kDelete; WriteAheadLog::Replay), for recovery and for live-migration
+  // deltas alike. Upsert semantics: an insert-then-update chain within a
+  // delta must land on whatever the bulk copy already installed. Like
+  // BulkInsertVersioned, never WAL-logged (ROADMAP 4(c)).
   Status ApplyRedoRow(const std::string& db_name, const std::string& table_name,
                       WalRecordType type, const Value& primary_key,
                       const Row& row);

@@ -1,6 +1,5 @@
 #include "src/storage/value.h"
 
-#include <cstring>
 #include <sstream>
 
 namespace mtdb {
@@ -78,107 +77,6 @@ std::string Value::LockKey() const {
     return std::string("d").append(std::to_string(std::get<double>(data_)));
   }
   return "s" + AsString();
-}
-
-namespace {
-
-// Wire tags. Values are stable on the wire; append-only.
-constexpr uint8_t kTagNull = 0;
-constexpr uint8_t kTagInt64 = 1;
-constexpr uint8_t kTagDouble = 2;
-constexpr uint8_t kTagString = 3;
-
-void AppendFixed64(std::string* out, uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-bool ReadFixed64(std::string_view* data, uint64_t* v) {
-  if (data->size() < 8) return false;
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<uint64_t>(static_cast<uint8_t>((*data)[i])) << (8 * i);
-  }
-  data->remove_prefix(8);
-  *v = out;
-  return true;
-}
-
-void AppendFixed32(std::string* out, uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-bool ReadFixed32(std::string_view* data, uint32_t* v) {
-  if (data->size() < 4) return false;
-  uint32_t out = 0;
-  for (int i = 0; i < 4; ++i) {
-    out |= static_cast<uint32_t>(static_cast<uint8_t>((*data)[i])) << (8 * i);
-  }
-  data->remove_prefix(4);
-  *v = out;
-  return true;
-}
-
-}  // namespace
-
-void Value::EncodeTo(std::string* out) const {
-  if (is_null()) {
-    out->push_back(static_cast<char>(kTagNull));
-  } else if (is_int()) {
-    out->push_back(static_cast<char>(kTagInt64));
-    AppendFixed64(out, static_cast<uint64_t>(AsInt()));
-  } else if (is_double()) {
-    out->push_back(static_cast<char>(kTagDouble));
-    uint64_t bits;
-    double d = std::get<double>(data_);
-    static_assert(sizeof(bits) == sizeof(d));
-    std::memcpy(&bits, &d, sizeof(bits));
-    AppendFixed64(out, bits);
-  } else {
-    const std::string& s = AsString();
-    out->push_back(static_cast<char>(kTagString));
-    AppendFixed32(out, static_cast<uint32_t>(s.size()));
-    out->append(s);
-  }
-}
-
-Result<Value> Value::DecodeFrom(std::string_view* data) {
-  if (data->empty()) return Status::InvalidArgument("truncated value");
-  uint8_t tag = static_cast<uint8_t>((*data)[0]);
-  data->remove_prefix(1);
-  uint64_t bits = 0;
-  switch (tag) {
-    case kTagNull:
-      return Value::Null();
-    case kTagInt64:
-      if (!ReadFixed64(data, &bits)) {
-        return Status::InvalidArgument("truncated INT64 value");
-      }
-      return Value(static_cast<int64_t>(bits));
-    case kTagDouble: {
-      if (!ReadFixed64(data, &bits)) {
-        return Status::InvalidArgument("truncated DOUBLE value");
-      }
-      double d;
-      std::memcpy(&d, &bits, sizeof(d));
-      return Value(d);
-    }
-    case kTagString: {
-      uint32_t len = 0;
-      if (!ReadFixed32(data, &len) || data->size() < len) {
-        return Status::InvalidArgument("truncated STRING value");
-      }
-      Value v(std::string(data->substr(0, len)));
-      data->remove_prefix(len);
-      return v;
-    }
-    default:
-      return Status::InvalidArgument("unknown value tag " +
-                                     std::to_string(tag));
-  }
 }
 
 }  // namespace mtdb

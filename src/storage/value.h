@@ -7,8 +7,6 @@
 #include <variant>
 #include <vector>
 
-#include "src/common/result.h"
-
 namespace mtdb {
 
 // SQL column types supported by the engine.
@@ -72,14 +70,6 @@ class Value {
 
   // Key suitable for building lock identifiers.
   std::string LockKey() const;
-
-  // Wire serialization (used by net::Codec): appends a 1-byte type tag
-  // followed by the payload (8-byte little-endian for INT64/DOUBLE, u32
-  // length + bytes for STRING, nothing for NULL).
-  void EncodeTo(std::string* out) const;
-  // Decodes one value from the front of *data, advancing it past the bytes
-  // consumed. Rejects truncated input and unknown tags.
-  static Result<Value> DecodeFrom(std::string_view* data);
 
  private:
   std::variant<std::monostate, int64_t, double, std::string> data_;

@@ -78,7 +78,7 @@ LogWriter::~LogWriter() {
   }
 }
 
-Result<uint64_t> LogWriter::Append(std::string line) {
+Result<uint64_t> LogWriter::Append(std::string record) {
   uint64_t lsn = 0;
   {
     platform::UniqueLock lock(mu_);
@@ -91,7 +91,7 @@ Result<uint64_t> LogWriter::Append(std::string line) {
     if (!io_status_.ok()) return io_status_;
     if (stop_) return Status::Unavailable("wal: log writer shut down");
     lsn = next_lsn_++;
-    queue_.push_back(std::move(line));
+    queue_.push_back(std::move(record));
     appended_.store(lsn, std::memory_order_release);
     if (m_queue_depth_ != nullptr) {
       m_queue_depth_->Set(static_cast<int64_t>(queue_.size()));
@@ -203,9 +203,8 @@ bool LogWriter::NeedsSyncLocked() const {
 
 Status LogWriter::WriteBatch(const std::vector<std::string>& batch, bool sync,
                              int64_t* file_offset_after_sync) {
-  for (const std::string& line : batch) {
-    if (std::fputs(line.c_str(), file_) < 0 ||
-        std::fputc('\n', file_) == EOF) {
+  for (const std::string& record : batch) {
+    if (std::fwrite(record.data(), 1, record.size(), file_) != record.size()) {
       return Status::Unavailable("wal: write failed on " + path_ + ": " +
                                  std::strerror(errno));
     }

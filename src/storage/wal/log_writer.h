@@ -91,10 +91,10 @@ class LogWriter {
   const std::string& path() const { return path_; }
   const Options& options() const { return options_; }
 
-  // Enqueues one record (a line, no trailing '\n') and returns its LSN.
-  // Blocks while the queue holds 4096 unwritten records (backpressure).
-  // Fails if the log has hit an I/O error.
-  Result<uint64_t> Append(std::string line);
+  // Enqueues one encoded record, written to the file as given, and returns
+  // its LSN. Blocks while the queue holds 4096 unwritten records
+  // (backpressure). Fails if the log has hit an I/O error.
+  Result<uint64_t> Append(std::string record);
 
   // Blocks until `lsn` is durable under the policy: written+synced for
   // kPerCommit/kGroup, written (handed to the OS) for kAsync. Returns the

@@ -15,43 +15,58 @@ namespace mtdb {
 
 class Engine;
 
-// Record kinds in the redo log.
-enum class WalRecordType {
-  kCreateDatabase,
-  kCreateTable,
-  kCreateIndex,
-  kInsert,
-  kUpdate,
-  kDelete,
-  kPrepare,
-  kCommit,
-  kAbort,
+// Record kinds in the redo log. The values are the records' type bytes:
+// stable on disk and on the wire, append-only.
+enum class WalRecordType : uint8_t {
+  kCreateDatabase = 1,
+  kCreateTable = 2,
+  kCreateIndex = 3,
+  kInsert = 4,
+  kUpdate = 5,
+  kDelete = 6,
+  kPrepare = 7,
+  kCommit = 8,
+  kAbort = 9,
+  kDropDatabase = 10,
+  kDropTable = 11,
 };
 
-// One parsed log record. Field usage depends on the type.
+// One decoded log record. Field usage depends on the type. Default member
+// initializers keep partial designated initialization clean under -Wextra.
 struct WalRecord {
-  WalRecordType type;
-  uint64_t txn_id = 0;       // row ops, prepare, commit, abort
-  std::string database;
-  std::string table;         // also index target
-  std::string aux;           // index name / serialized schema
-  Value primary_key;
-  Row row;                   // after-image for insert/update
+  WalRecordType type = WalRecordType::kCommit;
+  uint64_t txn_id = 0;      // row images (0 = bulk load) and decisions
+  std::string database{};   // everything but decisions
+  std::string table{};      // table DDL and row images
+  TableSchema schema{};     // kCreateTable
+  std::string index{};      // kCreateIndex: the index name
+  std::string column{};     // kCreateIndex: the indexed column
+  Value primary_key{};      // row images
+  Row row{};                // kInsert / kUpdate after-image
 };
 
-// A redo-only write-ahead log, line-oriented and human-greppable. The engine
-// appends row after-images as statements execute and a COMMIT record at
-// transaction commit; recovery replays the redo of committed transactions in
-// log order, discarding losers. (The in-memory tables are the volatile
-// buffer; this log is the persistent copy — a no-steal/redo-only regime, so
-// no undo is ever needed at recovery time.)
+// A redo-only write-ahead log. The engine appends row after-images as
+// statements execute and a COMMIT record at transaction commit; recovery
+// replays the redo of committed transactions in log order, discarding
+// losers. (The in-memory tables are the volatile buffer; this log is the
+// persistent copy — a no-steal/redo-only regime, so no undo is ever needed
+// at recovery time.)
+//
+// Each record is a u32 length (little-endian) and a payload in the storage
+// encoding (src/storage/encoding.h): a type byte, then the type's fields —
+//   kCreateDatabase, kDropDatabase  database
+//   kCreateTable                    database, schema
+//   kCreateIndex                    database, table, index, column
+//   kDropTable                      database, table
+//   kInsert, kUpdate, kDelete       txn id (u64), database, table, key, row
+//   kPrepare, kCommit, kAbort       txn id (u64)
+// The LSN of a record is its 1-based number in the file. A crash can leave
+// an incomplete last record, the torn tail; readers ignore it.
 //
 // Durability runs through the wal::LogWriter group-commit pipeline
 // (log_writer.h): appends enqueue onto a bounded queue and return an LSN, a
 // dedicated log thread coalesces queued records into one write+sync, and
-// AwaitDurable(lsn) releases committers in LSN order. The on-disk format is
-// unchanged — one escaped line per record — so ReadAll/Recover and the
-// dump/copy machinery read logs from either era.
+// AwaitDurable(lsn) releases committers in LSN order.
 //
 // Thread-safe: concurrent appends are serialized by the pipeline's queue;
 // record order in the file is LSN order.
@@ -70,10 +85,10 @@ class WriteAheadLog {
   const std::string& path() const { return writer_->path(); }
   const Options& options() const { return writer_->options(); }
 
-  // DDL is rare and structural: appended and synced before returning,
-  // regardless of policy.
-  Status AppendDdl(WalRecordType type, const std::string& database,
-                   const std::string& table, const std::string& aux);
+  // Appends a DDL record (create or drop of a database, table or index).
+  // DDL is rare and structural: synced before returning, regardless of
+  // policy.
+  Status AppendDdl(const WalRecord& record);
   // Row after-images are enqueued without waiting; the decision record that
   // follows them (same LSN order) carries their durability.
   Status AppendRowOp(WalRecordType type, uint64_t txn_id,
@@ -96,44 +111,42 @@ class WriteAheadLog {
   // The underlying pipeline (sync counters, crash injection for tests).
   wal::LogWriter* writer() { return writer_.get(); }
 
-  // Reads every well-formed record of a log file (a torn final line — the
-  // classic crash artifact — is ignored).
+  // Every complete record of a log file, decoded, in LSN order. The torn
+  // tail is ignored; a complete record that does not decode is an error.
   static Result<std::vector<WalRecord>> ReadAll(const std::string& path);
 
-  // Live-migration delta read (LSN = 1-based line number; the LogWriter
-  // appends exactly one line per record, so file order is LSN order).
-  // Returns, in log order, the raw lines a migration target must replay to
-  // catch `database` up past the `after_lsn` frontier:
-  //   * DDL lines for the database with LSN > after_lsn, and
-  //   * row-op lines of transactions whose COMMIT record has LSN >
-  //     after_lsn — the op lines themselves may be older (a transaction
-  //     in flight when the previous round read the log), which is why the
-  //     filter keys on the decision LSN, not the op LSN. Bulk-load lines
-  //     (pseudo-transaction 0, implicitly committed) key on their own LSN.
-  // Aborted and still-undecided transactions are excluded, so the returned
-  // lines are unconditionally applicable on the target. `frontier` receives
-  // the LSN of the last complete line; passing it back as the next round's
-  // after_lsn yields disjoint, gap-free rounds. Callers must Sync() the
-  // live log first so enqueued records have reached the file.
+  // The committed-record filter. Returns, in log order, the record payloads
+  // that catch `database` ("" = every database) up past the `after_lsn`
+  // frontier:
+  //   * DDL records with LSN > after_lsn, and
+  //   * row images of transactions whose COMMIT record has LSN >
+  //     after_lsn — the images themselves may be older (a transaction in
+  //     flight when the previous round read the log), which is why the
+  //     filter keys on the decision LSN, not the image LSN. Bulk-load
+  //     images (pseudo-transaction 0, implicitly committed) key on their
+  //     own LSN.
+  // Decisions never ship, and aborted and still-undecided transactions are
+  // left out, so Replay applies the result unconditionally. `frontier`
+  // receives the LSN of the last complete record; passing it back as the
+  // next round's after_lsn yields disjoint, gap-free rounds. Live-migration
+  // callers must Sync() the live log first so enqueued records have reached
+  // the file.
   static Result<std::vector<std::string>> ReadCommittedDeltaSince(
       const std::string& path, const std::string& database,
       uint64_t after_lsn, uint64_t* frontier);
 
-  // Parses raw delta lines (as returned by ReadCommittedDeltaSince) back
-  // into records; malformed lines are skipped, like ReadAll.
-  static std::vector<WalRecord> ParseDeltaLines(
-      const std::vector<std::string>& lines);
+  // The one replay, of record payloads as ReadCommittedDeltaSince returns
+  // them, in order. Row images go in as upserts (Engine::ApplyRedoRow), and
+  // a record whose object already exists, or is already gone, is skipped:
+  // that lets a migration target apply a delta on top of a bulk copy that
+  // already reflects part of it. A record that does not decode fails with
+  // kInvalidArgument.
+  static Status Replay(const std::vector<std::string>& records,
+                       Engine* engine);
 
-  // Rebuilds engine state from a log: replays DDL immediately and the row
-  // images of committed transactions in commit order. The engine must be
-  // fresh (no databases).
+  // Rebuilds engine state from a log: the replay of every committed record
+  // from LSN 0. The engine must be fresh (no databases).
   static Status Recover(const std::string& path, Engine* engine);
-
-  // --- Serialization helpers (exposed for tests) ---
-  static std::string EncodeValue(const Value& value);
-  static Result<Value> DecodeValue(const std::string& text);
-  static std::string EncodeSchema(const TableSchema& schema);
-  static Result<TableSchema> DecodeSchema(const std::string& text);
 
  private:
   explicit WriteAheadLog(std::unique_ptr<wal::LogWriter> writer);

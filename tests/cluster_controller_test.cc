@@ -507,6 +507,8 @@ TEST_F(ClusterTest, FailoverCommitsDecidedTransactions) {
   EXPECT_EQ(controller_->machine(lagging)->engine()->PreparedTxnIds().size(),
             1u);
   transport->SetFaultHook(nullptr);
+  const int64_t failovers_before = obs::MetricsRegistry::Global().CounterValue(
+      "mtdb_machine_failover_total", {});
 
   // The backup commits the in-doubt participant from the logged decision.
   controller_->SimulateControllerFailover();
@@ -518,6 +520,15 @@ TEST_F(ClusterTest, FailoverCommitsDecidedTransactions) {
     ASSERT_TRUE(row.has_value()) << "replica " << id;
     EXPECT_EQ(row->values[1].AsInt(), 12345) << "replica " << id;
   }
+  // The dropped COMMIT PREPARED died with the old primary: its deadline
+  // must not fail the healthy replica that the backup just committed.
+  EXPECT_EQ(controller_->machine_client()->armed_deadlines(), 0u);
+  for (int id : replicas) {
+    EXPECT_FALSE(controller_->machine(id)->failed()) << "replica " << id;
+  }
+  EXPECT_EQ(obs::MetricsRegistry::Global().CounterValue(
+                "mtdb_machine_failover_total", {}),
+            failovers_before);
 }
 
 TEST_F(ClusterTest, FailoverAbortsPreparedTransactionsWithoutADecision) {

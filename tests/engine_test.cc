@@ -50,6 +50,21 @@ TEST_F(EngineTest, CatalogOperations) {
   EXPECT_EQ(engine_->DropDatabase("other").code(), StatusCode::kNotFound);
 }
 
+TEST_F(EngineTest, CreateTableRequiresAKeyColumn) {
+  // A schema from outside the engine (a dump off the wire) may name no key
+  // column; rows of such a table would be indexed out of bounds.
+  EXPECT_EQ(engine_->CreateTable("shop", TableSchema()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine_
+                ->CreateTable("shop", TableSchema("t",
+                                                  {{"id", ColumnType::kInt64,
+                                                    true}},
+                                                  /*primary_key_index=*/5))
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine_->GetDatabase("shop")->TableNames().size(), 1u);
+}
+
 TEST_F(EngineTest, InsertReadCommit) {
   uint64_t txn = NewTxn();
   ASSERT_TRUE(engine_->Insert(txn, "shop", "items", ItemRow(1, "book", 3)).ok());

@@ -194,6 +194,37 @@ TEST(NetCodecTest, ApplyDumpRequestCarriesTableDump) {
   ExpectDumpsEqual(out.dump, request.dump);
 }
 
+TEST(NetCodecTest, SchemaNamingNoRealColumnIsRejected) {
+  // A key column past the end of a one-column table.
+  RpcRequest request;
+  request.type = RpcType::kApplyDump;
+  request.db_name = "shop";
+  request.dump.schema =
+      TableSchema("t", {{"id", ColumnType::kInt64, true}}, /*pk=*/5);
+  request.dump.rows.push_back({{Value(int64_t{1})}, 1});
+  std::string frame;
+  EncodeRequestFrame(request, &frame);
+  EXPECT_FALSE(DecodeRequest(PayloadOf(frame)).ok())
+      << "primary key naming column 5 of 1 decoded";
+
+  // An index on a column past the end: the index's u32 column number
+  // follows its name.
+  request.dump = MakeDump();
+  frame.clear();
+  EncodeRequestFrame(request, &frame);
+  std::string payload(PayloadOf(frame));
+  size_t at = payload.find("idx_title");
+  ASSERT_NE(at, std::string::npos);
+  payload[at + 9] = static_cast<char>(0x7f);
+  EXPECT_FALSE(DecodeRequest(payload).ok())
+      << "index on column 127 of 3 decoded";
+
+  // The unused dump every request carries has no columns and no key.
+  RpcRequest plain;
+  plain.type = RpcType::kHealth;
+  EXPECT_EQ(RoundTripRequest(plain).dump.schema.primary_key_index(), -1);
+}
+
 // --- response round trips ---
 
 TEST(NetCodecTest, EveryStatusCodeRoundTrips) {

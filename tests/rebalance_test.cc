@@ -29,6 +29,7 @@
 #include "src/net/inproc_transport.h"
 #include "src/net/message.h"
 #include "src/obs/load_monitor.h"
+#include "src/storage/wal/wal.h"
 
 namespace mtdb {
 namespace {
@@ -296,6 +297,98 @@ TEST_F(RebalanceTest, MoveRightAfterACommitCarriesTheWrite) {
   auto read = conn->Execute("SELECT v FROM counters WHERE id = 2");
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(read->at(0, 0).AsInt(), 5);
+}
+
+TEST_F(RebalanceTest, NulByteStringShipsWholeInTheDelta) {
+  BuildWal("nul", 2);
+  SetUpCounters("hot", /*machine=*/0, /*rows=*/4);
+  ASSERT_TRUE(controller_
+                  ->ExecuteDdl("hot",
+                               "CREATE TABLE notes (id INT PRIMARY KEY, "
+                               "body VARCHAR)")
+                  .ok());
+  const std::string body("ab\0cd", 5);
+  // The write commits after the move has probed the source's WAL frontier
+  // and before its first dump (held back until then), so a delta round
+  // must carry it.
+  std::atomic<bool> dumping{false};
+  std::atomic<bool> written{false};
+  std::atomic<bool> shipped{false};
+  controller_->inproc_transport()->SetFaultHook(
+      [&](int, const net::RpcRequest& request) {
+        if (request.type == net::RpcType::kDumpTable) {
+          dumping.store(true);
+          while (!written.load()) std::this_thread::yield();
+        }
+        if (request.type == net::RpcType::kWalDeltaApply) {
+          for (const std::string& record : request.wal_records) {
+            if (record.find(body) != std::string::npos) shipped.store(true);
+          }
+        }
+        return net::InProcTransport::Fault::kDeliver;
+      });
+  std::thread writer([&] {
+    while (!dumping.load()) std::this_thread::yield();
+    auto conn = controller_->Connect("hot");
+    auto write =
+        conn->Execute("INSERT INTO notes VALUES (1, ?)", {Value(body)});
+    EXPECT_TRUE(write.ok()) << write.status().ToString();
+    written.store(true);
+  });
+  ReplicaBuilder migrator(controller_.get());
+  Status migrated = migrator.Migrate(MakePlan("hot", 0, 1));
+  writer.join();
+  controller_->inproc_transport()->SetFaultHook(nullptr);
+  ASSERT_TRUE(migrated.ok()) << migrated.ToString();
+  EXPECT_TRUE(shipped.load()) << "no delta round carried the write";
+  auto row = controller_->machine(1)
+                 ->engine()
+                 ->GetDatabase("hot")
+                 ->GetTable("notes")
+                 ->Get(Value(int64_t{1}));
+  ASSERT_TRUE(row.has_value());
+  EXPECT_EQ(row->values[1].AsString(), body);
+  EXPECT_EQ(row->values[1].AsString().size(), 5u);
+}
+
+TEST_F(RebalanceTest, MalformedDeltaRecordIsRejectedAndTheMachineServes) {
+  BuildWal("malformed", 2);
+  SetUpCounters("hot", /*machine=*/1, /*rows=*/2);
+  net::MachineClient* client = controller_->machine_client();
+  // A real record of the tenant, to cut and extend below.
+  uint64_t frontier = 0;
+  auto records = client->WalDeltaRead(1, "hot", 0, &frontier);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  ASSERT_FALSE(records->empty());
+  const std::string& real = records->back();
+  for (const std::string& garbage :
+       {std::string("INS\x1f" "abc"), std::string(),
+        real.substr(0, real.size() - 1), real + '\0',
+        std::string(1, '\x7f') + real.substr(1)}) {
+    Status status = client->WalDeltaApply(1, "hot", {garbage});
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+  }
+  // The machine keeps serving.
+  EXPECT_TRUE(client->Health(1).ok());
+  auto conn = controller_->Connect("hot");
+  auto read = conn->Execute("SELECT v FROM counters WHERE id = 1");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->at(0, 0).AsInt(), 0);
+}
+
+TEST_F(RebalanceTest, SourceLogForgetsTheMovedTenant) {
+  BuildWal("forget", 2);
+  SetUpCounters("hot", /*machine=*/0, /*rows=*/4);
+  ReplicaBuilder migrator(controller_.get());
+  Status migrated = migrator.Migrate(MakePlan("hot", 0, 1));
+  ASSERT_TRUE(migrated.ok()) << migrated.ToString();
+  ASSERT_TRUE(controller_->machine(0)->engine()->wal()->Sync().ok());
+  Engine recovered("recovered-source");
+  Status status = WriteAheadLog::Recover(wal_paths_[0], &recovered);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_FALSE(recovered.HasDatabase("hot"))
+      << "the source's log still replays the moved tenant";
 }
 
 TEST_F(RebalanceTest, SnapshotReadStaysOnSourceUntilTxnEnd) {

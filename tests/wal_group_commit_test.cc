@@ -268,7 +268,7 @@ TEST_F(WalGroupCommitTest, EngineHandsBackTheLsnInsteadOfWaiting) {
 }
 
 // A crash artifact — truncated to the last completed sync, with a torn
-// half-line appended on top — must recover every acknowledged commit.
+// half-record appended on top — must recover every acknowledged commit.
 TEST_F(WalGroupCommitTest, TornTailCrashArtifactStillRecovers) {
   {
     Engine engine(Site(), EngineOptionsFor(wal::SyncPolicy::kGroup));
@@ -286,7 +286,10 @@ TEST_F(WalGroupCommitTest, TornTailCrashArtifactStillRecovers) {
   {
     std::FILE* f = std::fopen(path_.string().c_str(), "ab");
     ASSERT_NE(f, nullptr);
-    std::fputs("INS\x1f" "99\x1f" "db\x1f" "items\x1f" "I7", f);  // torn
+    // A length prefix promising 32 bytes, then only the kInsert type byte
+    // and the start of txn 99: torn.
+    const char torn[] = {32, 0, 0, 0, 4, 99, 0, 0};
+    ASSERT_EQ(std::fwrite(torn, 1, sizeof(torn), f), sizeof(torn));
     std::fclose(f);
   }
   Engine recovered(Site() + "_r");

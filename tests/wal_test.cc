@@ -42,21 +42,59 @@ class WalTest : public ::testing::Test {
 };
 
 TEST_F(WalTest, ValueCodecRoundTrip) {
-  for (const Value& v :
-       {Value(), Value(int64_t{-42}), Value(3.14159), Value("plain"),
-        Value("with\nnewline"), Value(std::string(1, '\x1f')),
-        Value("back\\slash"), Value(int64_t{INT64_MAX})}) {
-    auto decoded = WriteAheadLog::DecodeValue(WriteAheadLog::EncodeValue(v));
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(*decoded, v) << v.ToString();
+  // Each value is logged in a column of its type (NULL in all three) and
+  // must come back from Recover unchanged, NUL bytes included.
+  const std::vector<Value> values = {
+      Value(), Value(int64_t{-42}), Value(3.14159), Value("plain"),
+      Value("with\nnewline"), Value(std::string(1, '\x1f')),
+      Value("back\\slash"), Value(int64_t{INT64_MAX}),
+      Value(std::string("ab\0cd", 5))};
+  auto column_of = [](const Value& v) {
+    return v.is_int() ? 1 : (v.is_double() ? 2 : 3);
+  };
+  {
+    Engine engine("site", WalOptions());
+    ASSERT_TRUE(engine.CreateDatabase("db").ok());
+    TableSchema schema("vals",
+                       {{"id", ColumnType::kInt64, true},
+                        {"i", ColumnType::kInt64, false},
+                        {"d", ColumnType::kDouble, false},
+                        {"s", ColumnType::kString, false}},
+                       0);
+    ASSERT_TRUE(engine.CreateTable("db", schema).ok());
+    ASSERT_TRUE(engine.Begin(1).ok());
+    for (size_t k = 0; k < values.size(); ++k) {
+      Row row = {Value(static_cast<int64_t>(k)), Value(), Value(), Value()};
+      if (!values[k].is_null()) row[column_of(values[k])] = values[k];
+      ASSERT_TRUE(engine.Insert(1, "db", "vals", row).ok());
+    }
+    ASSERT_TRUE(engine.Commit(1).ok());
   }
+  Engine recovered("site2");
+  ASSERT_TRUE(WriteAheadLog::Recover(path_.string(), &recovered).ok());
+  Table* vals = recovered.GetDatabase("db")->GetTable("vals");
+  for (size_t k = 0; k < values.size(); ++k) {
+    const Value& v = values[k];
+    auto decoded = vals->Get(Value(static_cast<int64_t>(k)));
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->values[column_of(v)], v) << v.ToString();
+  }
+  EXPECT_EQ(vals->Get(Value(int64_t{8}))->values[3].AsString().size(), 5u);
 }
 
 TEST_F(WalTest, SchemaCodecRoundTrip) {
   TableSchema schema = ItemsSchema();
   ASSERT_TRUE(schema.AddIndex("idx_name", "name").ok());
-  auto decoded = WriteAheadLog::DecodeSchema(WriteAheadLog::EncodeSchema(schema));
-  ASSERT_TRUE(decoded.ok());
+  {
+    Engine engine("site", WalOptions());
+    ASSERT_TRUE(engine.CreateDatabase("db").ok());
+    ASSERT_TRUE(engine.CreateTable("db", schema).ok());
+  }
+  Engine recovered("site2");
+  ASSERT_TRUE(WriteAheadLog::Recover(path_.string(), &recovered).ok());
+  Table* table = recovered.GetDatabase("db")->GetTable("items");
+  ASSERT_NE(table, nullptr);
+  const TableSchema* decoded = &table->schema();
   EXPECT_EQ(decoded->name(), "items");
   EXPECT_EQ(decoded->num_columns(), 3u);
   EXPECT_EQ(decoded->primary_key_index(), 0);
@@ -176,11 +214,13 @@ TEST_F(WalTest, TornFinalRecordIgnored) {
                     .ok());
     ASSERT_TRUE(engine.Commit(1).ok());
   }
-  // Simulate a torn write: append garbage with no trailing newline.
+  // Simulate a torn write: a length prefix promising 32 bytes, then only
+  // the kInsert type byte and the start of txn 99.
   {
     std::FILE* f = std::fopen(path_.string().c_str(), "ab");
     ASSERT_NE(f, nullptr);
-    std::fputs("INS\x1f" "99\x1f" "db\x1f" "items\x1f" "I7", f);  // torn
+    const char torn[] = {32, 0, 0, 0, 4, 99, 0, 0};
+    ASSERT_EQ(std::fwrite(torn, 1, sizeof(torn), f), sizeof(torn));
     std::fclose(f);
   }
   Engine recovered("site2");
@@ -252,6 +292,97 @@ TEST_F(WalTest, ReadAllExposesRecordStream) {
   EXPECT_EQ((*records)[2].row.size(), 3u);
   EXPECT_EQ((*records)[3].type, WalRecordType::kCommit);
   EXPECT_EQ((*records)[3].txn_id, 1u);
+}
+
+TEST_F(WalTest, DropsReplaySoRecoveryEqualsTheLiveEngine) {
+  Engine engine("site", WalOptions());
+  ASSERT_TRUE(engine.CreateDatabase("db").ok());
+  ASSERT_TRUE(engine.CreateTable("db", ItemsSchema()).ok());
+  ASSERT_TRUE(engine
+                  .BulkInsert("db", "items",
+                              {{Value(int64_t{1}), Value("a"), Value(1.0)}})
+                  .ok());
+  ASSERT_TRUE(engine.CreateDatabase("gone").ok());
+  ASSERT_TRUE(engine.CreateTable("gone", ItemsSchema()).ok());
+  // Drop the table and re-create it under the same name with another
+  // schema, then drop the second database.
+  ASSERT_TRUE(engine.DropTable("db", "items").ok());
+  ASSERT_TRUE(engine
+                  .CreateTable("db", TableSchema(
+                                         "items",
+                                         {{"id", ColumnType::kInt64, true},
+                                          {"label", ColumnType::kString, false}},
+                                         0))
+                  .ok());
+  ASSERT_TRUE(engine.Begin(1).ok());
+  ASSERT_TRUE(
+      engine.Insert(1, "db", "items", {Value(int64_t{7}), Value("new")}).ok());
+  ASSERT_TRUE(engine.Commit(1).ok());
+  ASSERT_TRUE(engine.DropDatabase("gone").ok());
+
+  Engine recovered("site2");
+  Status status = WriteAheadLog::Recover(path_.string(), &recovered);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(recovered.DatabaseNames(), engine.DatabaseNames());
+  Table* live = engine.GetDatabase("db")->GetTable("items");
+  Table* items = recovered.GetDatabase("db")->GetTable("items");
+  ASSERT_NE(items, nullptr);
+  EXPECT_EQ(items->schema().num_columns(), 2u);
+  EXPECT_EQ(items->ContentFingerprint(), live->ContentFingerprint());
+}
+
+TEST_F(WalTest, EveryCutOfTheLogRecoversACommittedPrefix) {
+  constexpr int64_t kTxns = 6;
+  {
+    Engine engine("site", WalOptions());
+    ASSERT_TRUE(engine.CreateDatabase("db").ok());
+    ASSERT_TRUE(engine.CreateTable("db", ItemsSchema()).ok());
+    for (int64_t id = 1; id <= kTxns; ++id) {
+      uint64_t txn = static_cast<uint64_t>(id);
+      ASSERT_TRUE(engine.Begin(txn).ok());
+      ASSERT_TRUE(engine
+                      .Insert(txn, "db", "items",
+                              {Value(id), Value(std::string("n\0l", 3)),
+                               Value(0.5 * static_cast<double>(id))})
+                      .ok());
+      ASSERT_TRUE(engine.Commit(txn).ok());
+    }
+  }
+  std::string log;
+  {
+    std::FILE* f = std::fopen(path_.string().c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    char buffer[4096];
+    size_t n;
+    while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
+      log.append(buffer, n);
+    }
+    std::fclose(f);
+  }
+  const std::string cut_path = path_.string() + ".cut";
+  for (size_t len = 0; len <= log.size(); ++len) {
+    std::FILE* f = std::fopen(cut_path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(log.data(), 1, len, f), len);
+    std::fclose(f);
+    Engine recovered("cut");
+    Status status = WriteAheadLog::Recover(cut_path, &recovered);
+    ASSERT_TRUE(status.ok()) << "cut at " << len << ": " << status.ToString();
+    Database* db = recovered.GetDatabase("db");
+    Table* items = db == nullptr ? nullptr : db->GetTable("items");
+    const int64_t rows =
+        items == nullptr ? 0 : static_cast<int64_t>(items->row_count());
+    // A committed prefix: transactions 1..rows and nothing else.
+    for (int64_t id = 1; id <= kTxns; ++id) {
+      EXPECT_EQ(items != nullptr && items->Get(Value(id)).has_value(),
+                id <= rows)
+          << "cut at " << len << ", row " << id;
+    }
+    if (len == log.size()) {
+      EXPECT_EQ(rows, kTxns);
+    }
+  }
+  std::filesystem::remove(cut_path);
 }
 
 }  // namespace
