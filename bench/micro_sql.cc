@@ -13,7 +13,8 @@
 //     transaction driven over the in-proc RPC path through
 //     Connection::Execute and through Connection::ExecutePrepared. Both ship
 //     the same SQL text; ExecutePrepared only skips the controller's routing
-//     parse. The machine latency model is zeroed so the SQL path dominates.
+//     lookup in its parse cache. The machine latency model is zeroed so the
+//     SQL path dominates.
 //
 // Exits non-zero unless text-cached throughput is strictly above unprepared
 // — CI runs this as a smoke test of the plan cache.
@@ -207,7 +208,7 @@ int Run() {
   // --- Section 3: cluster round trip (information only) ---
   ClusterPair cluster = MeasureClusterRoundTrip(duration_ms);
   PrintRow({"cluster variant", "txns/sec"});
-  PrintRow({"Execute (routing parse per call)", Fmt(cluster.execute_tps, 0)});
+  PrintRow({"Execute (routing via parse cache)", Fmt(cluster.execute_tps, 0)});
   PrintRow({"ExecutePrepared (routing cached)", Fmt(cluster.prepared_tps, 0)});
 
   // --- Section 4: what the metrics registry saw across the whole run ---
@@ -268,8 +269,8 @@ int Run() {
   }
 
   // CI gate: the plan cache must pay — a hit skips parse+plan per call. The
-  // cluster pair differs only by the controller's routing parse, well inside
-  // run-to-run noise, so it is reported but not gated.
+  // cluster pair differs only by the controller's routing lookup, well
+  // inside run-to-run noise, so it is reported but not gated.
   bool ok = text_cached > unprepared;
   std::printf("gate: text-cached > unprepared (engine %.2fx): %s\n",
               unprepared > 0 ? text_cached / unprepared : 0,

@@ -10,15 +10,19 @@
 //   create   N databases (one table, one row each) on a 4-machine cluster
 //            with replication 2; per-create latency percentiles + RSS
 //            growth per tenant.
-//   cold     evict ALL resident catalog state, then run one point read on a
-//            sample of tenants. It is each sampled tenant's first query:
-//            a first catalog materialization, a prepared registration and
-//            a first plan on the serving machine.
+//   cold     evict ALL resident catalog state, then run one point read
+//            (Connection::Execute) on a sample of tenants. It is each
+//            sampled tenant's first query: a first catalog
+//            materialization, a routing lookup in the controller's parse
+//            cache and a first plan on the serving machine, from that
+//            machine's parse cache (the text parses once per machine, not
+//            once per tenant).
 //   warm     the same reads again with everything resident.
-//   reload   evict again and verify every sampled tenant still answers —
-//            the "eviction is invisible to correctness" invariant. Catalog
-//            eviction frees only prepared registrations, so these reads
-//            reload the catalog's state but hit the machines' plan caches.
+//   reload   evict again, time the reads again and verify every sampled
+//            tenant still answers — the "eviction is invisible to
+//            correctness" invariant. Catalog eviction frees only prepared
+//            registrations, so these reads reload the catalog's state but
+//            hit the machines' plan caches.
 //
 // Prints one JSON object; exits non-zero if a sampled first query fails or
 // if --baseline=<file> is given and create p99 or bytes/tenant regress more
@@ -136,7 +140,7 @@ int main(int argc, char** argv) {
         static_cast<int64_t>(s) * databases / sample)));
   }
 
-  auto run_reads = [&](Histogram* hist) -> bool {
+  auto run_reads = [&](Histogram& hist) -> bool {
     for (const std::string& db : sampled) {
       int64_t t0 = NowMicros();
       auto conn = controller.Connect(db);
@@ -147,7 +151,7 @@ int main(int argc, char** argv) {
                      db.c_str(), result.status().ToString().c_str());
         return false;
       }
-      if (hist != nullptr) hist->Record(NowMicros() - t0);
+      hist.Record(NowMicros() - t0);
     }
     return true;
   };
@@ -156,15 +160,16 @@ int main(int argc, char** argv) {
   auto* catalog = controller.tenant_catalog();
   (void)catalog->EvictResidentDownTo(0);
   Histogram cold_us;
-  if (!run_reads(&cold_us)) return 1;
+  if (!run_reads(cold_us)) return 1;
 
   // --- warm: everything the sample touched is resident ---
   Histogram warm_us;
-  if (!run_reads(&warm_us)) return 1;
+  if (!run_reads(warm_us)) return 1;
 
   // --- reload: evict again, every tenant must still answer ---
   (void)catalog->EvictResidentDownTo(0);
-  if (!run_reads(nullptr)) return 1;
+  Histogram reload_us;
+  if (!run_reads(reload_us)) return 1;
 
   catalog::CatalogStats stats = catalog->Stats();
 
@@ -202,6 +207,8 @@ int main(int argc, char** argv) {
       "  \"cold_first_query_p99_us\": %" PRId64 ",\n"
       "  \"warm_query_p50_us\": %" PRId64 ",\n"
       "  \"warm_query_p99_us\": %" PRId64 ",\n"
+      "  \"reload_first_query_p50_us\": %" PRId64 ",\n"
+      "  \"reload_first_query_p99_us\": %" PRId64 ",\n"
       "  \"catalog_tenants\": %" PRId64 ",\n"
       "  \"catalog_resident\": %" PRId64 ",\n"
       "  \"catalog_evictions\": %" PRId64 ",\n"
@@ -212,7 +219,7 @@ int main(int argc, char** argv) {
       databases, create_total_s, create_us.Percentile(50),
       create_us.Percentile(99), bytes_per_tenant, cold_us.Percentile(50),
       cold_us.Percentile(99), warm_us.Percentile(50), warm_us.Percentile(99),
-      stats.tenants, stats.resident, stats.evictions, stats.reloads,
+      reload_us.Percentile(50), reload_us.Percentile(99), stats.tenants, stats.resident, stats.evictions, stats.reloads,
       stats.prepared_evicted, pass ? "true" : "false");
   if (!pass) {
     std::fprintf(stderr, "tenant_scale: GATE FAILED: %s\n", gate.c_str());

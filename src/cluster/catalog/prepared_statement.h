@@ -10,8 +10,8 @@ class ClusterController;
 class Connection;
 
 // A cluster-level prepared statement: one SQL text plus the routing facts the
-// controller derived from it once (read vs. write, which table a write
-// touches), so executing it skips the controller's routing parse. The
+// controller derived from it (read vs. write, which table a write touches),
+// so executing it skips the routing parse of Connection::Execute. The
 // machines see exactly what Connection::Execute sends — SQL text plus
 // parameters — and serve the parse + plan from their engine plan cache; DDL
 // bumps the engine's schema version and the next execution re-plans
@@ -24,7 +24,9 @@ class Connection;
 // registry entry lives in the tenant catalog's evictable resident state:
 // evicting an idle tenant drops the registration, but outstanding shared_ptr
 // holders keep executing through their instance unaffected — the next
-// Prepare of the same text simply makes a fresh registration.
+// Prepare of the same text simply makes a fresh registration, from the parse
+// the controller shares across tenants (sql::StatementCache), so a
+// re-registration does not parse again.
 class PreparedStatement {
  public:
   const std::string& database() const { return db_name_; }

@@ -1,6 +1,7 @@
 #include "src/cluster/catalog/tenant_catalog.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "src/common/clock.h"
@@ -14,6 +15,12 @@ size_t RoundUpPowerOfTwo(size_t n) {
   while (p < n) p <<= 1;
   return p;
 }
+
+// Where a sweep for either cap stops: ~90% of the cap, so one sweep's scan
+// and sort buy many pins or registrations before the next.
+size_t LowWater(size_t cap) { return cap - cap / 10; }
+
+constexpr size_t kNoLimit = std::numeric_limits<size_t>::max();
 
 }  // namespace
 
@@ -301,13 +308,10 @@ std::shared_ptr<PreparedStatement> TenantCatalog::InternPrepared(
       obs::Increment(m_prepared_evicted_);
     }
   }
-  // Global cap: shed whole idle tenants (their registrations are the bulk
-  // of resident memory) until under the limit or nothing is evictable.
-  while (prepared_count_.load(std::memory_order_relaxed) >
-         static_cast<int64_t>(options_.max_prepared)) {
-    size_t resident =
-        static_cast<size_t>(resident_count_.load(std::memory_order_relaxed));
-    if (resident == 0 || SweepResident(resident - 1) == 0) break;
+  // Global cap: one sweep sheds whole idle tenants (their registrations are
+  // the bulk of resident memory), oldest first, down to the low-water mark.
+  if (prepared_count() > options_.max_prepared) {
+    Sweep(kNoLimit, LowWater(options_.max_prepared));
   }
   return winner;
 }
@@ -319,19 +323,19 @@ void TenantCatalog::MaybeEvict() {
       static_cast<int64_t>(options_.max_resident)) {
     return;
   }
-  // Evict down to ~90% of the cap so one sweep buys many Acquires.
-  SweepResident(options_.max_resident - options_.max_resident / 10);
+  Sweep(LowWater(options_.max_resident), kNoLimit);
 }
 
 size_t TenantCatalog::EvictResidentDownTo(size_t target) {
-  return SweepResident(target);
+  return Sweep(target, kNoLimit);
 }
 
-size_t TenantCatalog::SweepResident(size_t target) {
-  if (resident_count_.load(std::memory_order_relaxed) <=
-      static_cast<int64_t>(target)) {
-    return 0;
-  }
+size_t TenantCatalog::Sweep(size_t max_resident, size_t max_prepared) {
+  auto done = [&] {
+    return resident_count() <= max_resident &&
+           prepared_count() <= max_prepared;
+  };
+  if (done()) return 0;
   // Pass 1: collect (last_active, name) of evictable tenants, one shard
   // lock at a time (never two shard locks held together).
   std::vector<std::pair<int64_t, std::string>> candidates;
@@ -350,10 +354,7 @@ size_t TenantCatalog::SweepResident(size_t target) {
   // because pins only change under the shard lock we re-check beneath.
   std::vector<std::unique_ptr<PreparedMap>> victims;
   for (auto& [last_active, name] : candidates) {
-    if (resident_count_.load(std::memory_order_relaxed) <=
-        static_cast<int64_t>(target)) {
-      break;
-    }
+    if (done()) break;
     Shard& shard = ShardFor(name);
     platform::Guard lock(shard.mu);
     auto it = shard.tenants.find(name);

@@ -3,7 +3,7 @@
 
 // Sharded, lazily-loaded tenant catalog — the authoritative per-tenant
 // metadata store for a cluster sized "a large number of small applications"
-// (the paper's 10^5-10^6 tenants, ROADMAP item 5).
+// (the paper's 10^5-10^6 tenants, ROADMAP item 10).
 //
 // The design splits each tenant's state in two:
 //
@@ -14,10 +14,17 @@
 //
 //  * Resident state (materialized on first use, LRU-evicted when idle):
 //    the tenant's prepared-statement registrations, nothing else. They
-//    rebuild on demand from the SQL text, so eviction is invisible to
-//    correctness: the next pin reloads. Other layers bound their own
-//    per-tenant state where it lives (DESIGN.md §14); the catalog tells
+//    rebuild on demand from the SQL text, whose parse the controller
+//    shares across tenants, so eviction is invisible to correctness and a
+//    reload parses nothing: the next pin reloads. Other layers bound their
+//    own per-tenant state where it lives (DESIGN.md §14); the catalog tells
 //    them nothing.
+//
+// One sweep rule serves both caps: a pin that pushes the resident count
+// past max_resident, or a registration that pushes the prepared count past
+// max_prepared, runs one sweep of idle tenants, oldest first, down to ~90%
+// of that cap (its low-water mark), so one scan-and-sort buys many pins or
+// registrations instead of one.
 //
 // Concurrency: tenants are sharded by name hash; each shard has its own
 // mutex guarding its map and every entry in it. Catalog methods take at
@@ -109,7 +116,9 @@ class TenantCatalog {
     // resident state. Eviction frees down to ~90% of the cap in one sweep
     // so the sweep cost amortizes across many pins.
     size_t max_resident = 1024;
-    // Global cap on prepared-statement registrations across all tenants.
+    // Global cap on prepared-statement registrations across all tenants,
+    // enforced like max_resident: one sweep of whole idle tenants down to
+    // ~90% of the cap.
     size_t max_prepared = 4096;
     // Per-tenant cap on prepared registrations (a single tenant preparing
     // distinct texts in a loop evicts its own LRU statement, not other
@@ -203,8 +212,9 @@ class TenantCatalog {
   // which is an earlier racing registration if one won. A statement for an
   // unknown/reserved tenant is returned unregistered (it still executes;
   // it just is not cached). Counts toward the per-tenant and global
-  // prepared caps; exceeding them evicts LRU registrations and bumps
-  // mtdb_prepared_evicted.
+  // prepared caps; exceeding the per-tenant cap evicts the tenant's LRU
+  // registration, and exceeding the global cap sweeps idle tenants down to
+  // its low-water mark; both bump mtdb_prepared_evicted.
   std::shared_ptr<PreparedStatement> InternPrepared(
       const std::string& tenant, const std::string& sql,
       std::shared_ptr<PreparedStatement> stmt);
@@ -255,10 +265,12 @@ class TenantCatalog {
   // Materializes resident state for an entry (shard lock held), updating
   // the resident/reload counters.
   void MaterializeLocked(Entry& entry);
-  // Sweeps unpinned resident tenants, oldest first, until the resident
-  // count is <= target. No shard lock held on entry; takes them one at a
-  // time, and frees the victims' registrations after releasing the last.
-  size_t SweepResident(size_t target);
+  // Sweeps unpinned resident tenants, oldest first, until at most
+  // `max_resident` tenants stay resident and at most `max_prepared`
+  // registrations stay cached. No shard lock held on entry; takes them one
+  // at a time, and frees the victims' registrations after releasing the
+  // last. Returns the number evicted.
+  size_t Sweep(size_t max_resident, size_t max_prepared);
   void Unpin(const std::string& name);
   void MaybeEvict();
 

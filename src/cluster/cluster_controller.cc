@@ -280,16 +280,18 @@ Result<std::shared_ptr<PreparedStatement>> ClusterController::PrepareStatement(
   if (auto hit = catalog_.FindPrepared(db_name, sql); hit != nullptr) {
     return hit;
   }
-  // Parse locally for routing facts only (read vs. write, target table); the
-  // machines parse and plan the text themselves, through their plan cache.
-  MTDB_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
-  if (stmt.explain) {
+  // Routing facts only (read vs. write, target table), from the parse every
+  // tenant shares: re-registering after an eviction parses nothing. The
+  // machines plan the text themselves, through their plan cache.
+  MTDB_ASSIGN_OR_RETURN(std::shared_ptr<const sql::Statement> stmt,
+                        statements_.Parse(sql));
+  if (stmt->explain) {
     return Status::InvalidArgument("cannot prepare an EXPLAIN statement");
   }
-  bool is_read = IsReadStatement(stmt);
+  bool is_read = IsReadStatement(*stmt);
   std::string write_table;
   if (!is_read) {
-    const std::string* table = WriteTargetTable(stmt);
+    const std::string* table = WriteTargetTable(*stmt);
     if (table == nullptr) {
       return Status::InvalidArgument(
           "only SELECT and DML statements can be prepared");
@@ -1003,15 +1005,17 @@ std::vector<std::pair<int, Status>> Connection::CallAll(
 
 Result<sql::QueryResult> Connection::Execute(const std::string& sql,
                                              const std::vector<Value>& params) {
-  // Parse for routing only (read vs. write, which table): the statement
-  // itself travels to the machines as SQL text.
-  MTDB_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
+  // Parse for routing only (read vs. write, which table), through the
+  // controller's shared parse cache: the statement itself travels to the
+  // machines as SQL text.
+  MTDB_ASSIGN_OR_RETURN(std::shared_ptr<const sql::Statement> stmt,
+                        controller_->statements_.Parse(sql));
   // EXPLAIN never mutates — whatever statement it wraps, only the plan text
   // comes back — so it routes like a read.
-  if (stmt.explain || IsReadStatement(stmt)) {
+  if (stmt->explain || IsReadStatement(*stmt)) {
     return ExecuteStatement(sql, /*write_table=*/nullptr, params);
   }
-  const std::string* table = WriteTargetTable(stmt);
+  const std::string* table = WriteTargetTable(*stmt);
   if (table == nullptr) {
     return Status::InvalidArgument(
         "DDL must go through ClusterController::ExecuteDdl");

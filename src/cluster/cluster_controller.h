@@ -26,6 +26,7 @@
 #include "src/platform/mutex.h"
 #include "src/qos/qos.h"
 #include "src/sql/executor.h"
+#include "src/sql/statement_cache.h"
 
 namespace mtdb {
 
@@ -337,8 +338,11 @@ class ClusterController {
   std::unique_ptr<Connection> Connect(const std::string& db_name);
 
   // --- Prepared statements ---
-  // Parses `sql` once for routing facts and registers it in the shared
-  // (database, sql) -> PreparedStatement registry. No RPC: the machines plan
+  // Derives `sql`'s routing facts and registers it in the shared
+  // (database, sql) -> PreparedStatement registry. The facts come from the
+  // controller's parse cache (keyed by text alone), so preparing a text
+  // another tenant already prepared — or re-registering it after the
+  // catalog evicted this tenant — parses nothing. No RPC: the machines plan
   // the text through their plan cache when it first executes. Only SELECT
   // and DML can be prepared (DDL goes through ExecuteDdl; EXPLAIN is
   // rejected because its output is the plan, not data).
@@ -539,6 +543,10 @@ class ClusterController {
   // (and the catalog never calls the controller), so the two lock layers
   // cannot order-invert.
   catalog::TenantCatalog catalog_;
+
+  // Parses for routing (PrepareStatement, Connection::Execute), shared by
+  // every tenant that sends the same text.
+  sql::StatementCache statements_;
 
   mutable platform::Mutex inflight_mu_{"cluster/ClusterController::inflight_mu"};
   platform::CondVar inflight_cv_;

@@ -27,6 +27,11 @@ namespace mtdb::sql {
 // Expressions: OR / AND / NOT, comparisons (= <> < <= > >=, LIKE, IN (...),
 // IS [NOT] NULL, BETWEEN a AND b), + - * / %, unary -, literals, ?, column
 // refs, aggregate functions COUNT/SUM/AVG/MIN/MAX.
+//
+// Every call parses afresh and counts in mtdb_sql_parse_total. Paths that see
+// the same text again and again (engine plan-cache misses, the controller's
+// routing and prepared registrations) parse through sql::StatementCache,
+// which keeps one shared AST per '?' text.
 Result<Statement> Parse(const std::string& sql);
 
 }  // namespace mtdb::sql

@@ -1,5 +1,6 @@
 #include "src/sql/planner.h"
 
+#include <string_view>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -104,7 +105,9 @@ void PlanAccessPath(const TableSchema& schema, const Source& source,
     const Expr* rhs = conjunct->children[1].get();
     int column = column_of_source(*lhs);
     const Expr* const_side = rhs;
-    std::string effective_op = op;
+    // A view, not a copy: GCC 12 at -O3 misreads the short string
+    // assignments below as overlapping copies (-Wrestrict).
+    std::string_view effective_op = op;
     if (column < 0) {
       column = column_of_source(*rhs);
       const_side = lhs;
@@ -433,8 +436,15 @@ std::string ExprToString(const Expr& expr) {
     case ExprKind::kUnary:
       return expr.op + "(" + ExprToString(*expr.children[0]) + ")";
     case ExprKind::kBinary:
-      return "(" + ExprToString(*expr.children[0]) + " " + expr.op + " " +
-             ExprToString(*expr.children[1]) + ")";
+      // Appends, not "(" + ...: GCC 12 at -O3 reports a false -Wrestrict
+      // on a literal-first concatenation.
+      return std::string("(")
+          .append(ExprToString(*expr.children[0]))
+          .append(" ")
+          .append(expr.op)
+          .append(" ")
+          .append(ExprToString(*expr.children[1]))
+          .append(")");
     case ExprKind::kFunction: {
       if (expr.star) return expr.function + "(*)";
       std::string args;
@@ -582,12 +592,12 @@ void CountPlanned() {
 }  // namespace
 
 Result<std::shared_ptr<const PlannedStatement>> Planner::Plan(
-    const std::string& db_name, Statement stmt) {
+    const std::string& db_name, std::shared_ptr<const Statement> stmt) {
   CountPlanned();
   auto plan = std::make_shared<PlannedStatement>();
-  plan->owned_stmt = std::move(stmt);
-  plan->stmt = &plan->owned_stmt;
-  MTDB_RETURN_IF_ERROR(PlanInto(db_name, plan->owned_stmt, plan.get()));
+  plan->shared_stmt = std::move(stmt);
+  plan->stmt = plan->shared_stmt.get();
+  MTDB_RETURN_IF_ERROR(PlanInto(db_name, *plan->stmt, plan.get()));
   return std::shared_ptr<const PlannedStatement>(std::move(plan));
 }
 

@@ -20,7 +20,7 @@ namespace mtdb::sql {
 //
 // A plan is derived once from an AST plus a schema snapshot and can then be
 // executed many times with different `?` parameters. Plans hold raw `const
-// Expr*` pointers into the statement AST (owned by or outliving the
+// Expr*` pointers into the statement AST (shared by or outliving the
 // PlannedStatement) and *copies* of everything schema-derived — names,
 // column indexes, row layouts — so a cached plan never dangles after DDL;
 // staleness is handled by the engine's schema-version check, and a dropped
@@ -112,14 +112,16 @@ struct MutatePlan {
 };
 
 // A planned statement: the physical plan plus the AST it points into. When
-// produced by Planner::Plan the AST is owned (`owned_stmt`); when produced by
-// PlanBorrowed it borrows the caller's AST, which must outlive execution.
-// Immutable after planning — safe to execute from many threads at once via
-// shared_ptr<const PlannedStatement> (the engine plan cache does exactly
-// that).
+// produced by Planner::Plan the plan shares the immutable AST
+// (`shared_stmt`) with the parse cache and with every other database's plan
+// of the same text, so it stays valid after the parse cache evicts the text;
+// when produced by PlanBorrowed it borrows the caller's AST, which must
+// outlive execution. Immutable after planning — safe to execute from many
+// threads at once via shared_ptr<const PlannedStatement> (the engine plan
+// cache does exactly that).
 struct PlannedStatement {
-  Statement owned_stmt;
-  const Statement* stmt = nullptr;  // always valid; == &owned_stmt when owned
+  std::shared_ptr<const Statement> shared_stmt;  // null when borrowed
+  const Statement* stmt = nullptr;  // always valid; == shared_stmt when shared
 
   StatementKind kind = StatementKind::kSelect;
   bool explain = false;
@@ -141,9 +143,10 @@ class Planner {
  public:
   explicit Planner(Engine* engine) : engine_(engine) {}
 
-  // Takes ownership of the AST; the result is self-contained and cacheable.
+  // Shares the AST (`stmt` must not be null); the result is
+  // self-contained and cacheable.
   Result<std::shared_ptr<const PlannedStatement>> Plan(
-      const std::string& db_name, Statement stmt);
+      const std::string& db_name, std::shared_ptr<const Statement> stmt);
 
   // Borrows the caller's AST (which must outlive the returned plan) — the
   // one-shot path used when a statement is executed directly from an AST.

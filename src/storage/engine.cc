@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "src/common/logging.h"
-#include "src/sql/parser.h"
 #include "src/sql/planner.h"
 
 namespace mtdb {
@@ -246,8 +245,11 @@ Result<std::shared_ptr<const sql::PlannedStatement>> Engine::GetPlan(
   }
   plan_cache_misses_.fetch_add(1, std::memory_order_relaxed);
   obs::Increment(m_plan_miss_);
-  MTDB_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
-  const bool explain = stmt.explain;
+  // A miss plans from the shared parse: every database's plan of this text
+  // points into one AST.
+  MTDB_ASSIGN_OR_RETURN(std::shared_ptr<const sql::Statement> stmt,
+                        statements_.Parse(sql));
+  const bool explain = stmt->explain;
   sql::Planner planner(this);
   MTDB_ASSIGN_OR_RETURN(std::shared_ptr<const sql::PlannedStatement> plan,
                         planner.Plan(db_name, std::move(stmt)));

@@ -15,6 +15,7 @@
 #include "src/platform/mutex.h"
 #include "src/common/result.h"
 #include "src/obs/metrics.h"
+#include "src/sql/statement_cache.h"
 #include "src/storage/buffer_cache.h"
 #include "src/storage/database.h"
 #include "src/storage/lock_manager.h"
@@ -112,8 +113,11 @@ class Engine {
   // database's schema version — any DDL invalidates, and a statement whose
   // table was dropped surfaces kNotFound. Only '?'-parameterized,
   // non-EXPLAIN statements are cached (literal-bearing one-shot statements
-  // would only churn the cache). This cache is the engine's only statement
-  // state: a client "prepares" a statement by sending the same text again.
+  // would only churn the cache). A miss plans from the engine's parse
+  // cache (sql::StatementCache, keyed by text alone), so a text parses
+  // once however many databases plan it. These caches are the engine's only
+  // statement state: a client "prepares" a statement by sending the same
+  // text again.
   Result<std::shared_ptr<const sql::PlannedStatement>> GetPlan(
       const std::string& db_name, const std::string& sql);
 
@@ -325,6 +329,9 @@ class Engine {
   std::list<const PlanKey*> plan_lru_ MTDB_GUARDED_BY(plan_mu_);
   std::atomic<int64_t> plan_cache_hits_{0};
   std::atomic<int64_t> plan_cache_misses_{0};
+  // Parses shared by every database's plans of one text: a plan-cache miss
+  // re-plans without re-parsing.
+  sql::StatementCache statements_;
 
   // --- MVCC state (DESIGN.md §13) ---
   mvcc::TimestampOracle oracle_;

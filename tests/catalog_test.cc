@@ -1,11 +1,14 @@
 // Tests for the sharded lazy tenant catalog (src/cluster/catalog/):
-// lazy materialization, LRU eviction with pin protection, and the
-// eviction-is-invisible reload invariant — plus a threaded pin/sweep race
+// lazy materialization, LRU eviction with pin protection, the low-water
+// sweep of both caps, and the eviction-is-invisible reload invariant (a
+// reload parses nothing) — plus threaded pin/sweep and prepare/sweep races
 // for the TSan job (ctest -L catalog under the tsan preset).
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -227,6 +230,47 @@ TEST(TenantCatalogTest, ConcurrentAcquireAndSweep) {
   }
 }
 
+TEST(TenantCatalogTest, PreparedCapSweepsToLowWater) {
+  ClusterControllerOptions options;
+  options.default_replicas = 1;
+  options.catalog.shards = 1;  // strict cross-tenant LRU order
+  options.catalog.max_prepared = 20;
+  ClusterController controller(options);
+  controller.AddMachine({});
+  auto* cat = controller.tenant_catalog();
+  constexpr int kTenants = 21;
+  for (int i = 0; i < kTenants; ++i) {
+    ASSERT_TRUE(controller.CreateDatabase("app" + std::to_string(i)).ok());
+  }
+  const std::string text = "SELECT v FROM t WHERE id = ?";
+  // app0 is the oldest registration, but a transaction pins it.
+  TenantCatalog::TenantRef pinned = Pin(*cat, "app0");
+  for (int i = 0; i + 1 < kTenants; ++i) {
+    ASSERT_TRUE(
+        controller.PrepareStatement("app" + std::to_string(i), text).ok());
+    // Distinct last_active_us timestamps even on a coarse clock.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(cat->prepared_count(), 20u);
+  ASSERT_EQ(cat->Stats().evictions, 0);
+
+  // The registration that crosses the cap runs one sweep down to 90% of
+  // it: the three oldest idle tenants go, the pinned one stays.
+  ASSERT_TRUE(controller.PrepareStatement("app20", text).ok());
+  EXPECT_EQ(cat->prepared_count(), 18u);
+  EXPECT_EQ(cat->Stats().evictions, 3);
+  EXPECT_EQ(cat->Stats().prepared_evicted, 3);
+  EXPECT_NE(cat->FindPrepared("app0", text), nullptr);
+  for (int i = 1; i <= 3; ++i) {
+    EXPECT_EQ(cat->FindPrepared("app" + std::to_string(i), text), nullptr)
+        << i;
+  }
+  for (int i = 4; i < kTenants; ++i) {
+    EXPECT_NE(cat->FindPrepared("app" + std::to_string(i), text), nullptr)
+        << i;
+  }
+}
+
 // --- Controller-level coverage: the catalog wired into the real stack ---
 
 class ControllerCatalogTest : public ::testing::Test {
@@ -303,6 +347,154 @@ TEST_F(ControllerCatalogTest, EvictionIsInvisibleToQueries) {
     EXPECT_EQ(read_v("app" + std::to_string(i)), i);
   }
   EXPECT_GE(cat->Stats().reloads, 4);
+}
+
+TEST_F(ControllerCatalogTest, ReloadedTenantsParseNothing) {
+  ClusterControllerOptions options;
+  options.default_replicas = 2;
+  ClusterController controller(options);
+  controller.AddMachine({});
+  controller.AddMachine({});
+  constexpr int kTenants = 8;
+  for (int i = 0; i < kTenants; ++i) {
+    std::string db = "app" + std::to_string(i);
+    ASSERT_TRUE(controller.CreateDatabase(db).ok());
+    ASSERT_TRUE(
+        controller.ExecuteDdl(db, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+            .ok());
+    ASSERT_TRUE(controller
+                    .BulkLoad(db, "t",
+                              {{Value(int64_t{0}), Value(int64_t{i})},
+                               {Value(int64_t{1}), Value(int64_t{10 + i})}})
+                    .ok());
+  }
+  // The same texts on every tenant; the write runs first and sets what it
+  // finds, so both rounds see the same rows.
+  const std::vector<std::string> texts = {
+      "UPDATE t SET v = ? WHERE id = ?",
+      "SELECT v FROM t WHERE id = ?",
+      "SELECT id, v FROM t WHERE v >= ? ORDER BY id",
+  };
+  // One round: each tenant, on a fresh connection, prepares the texts and
+  // runs each once; returns every result's rows and affected-row count.
+  auto round = [&] {
+    std::vector<std::pair<std::vector<Row>, int64_t>> results;
+    for (int i = 0; i < kTenants; ++i) {
+      auto conn = controller.Connect("app" + std::to_string(i));
+      std::vector<std::shared_ptr<PreparedStatement>> stmts;
+      for (const std::string& text : texts) {
+        auto stmt = conn->Prepare(text);
+        EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+        if (!stmt.ok()) return results;
+        stmts.push_back(*stmt);
+      }
+      const std::vector<std::vector<Value>> params = {
+          {Value(int64_t{10 + i}), Value(int64_t{1})},
+          {Value(int64_t{1})},
+          {Value(int64_t{0})}};
+      for (size_t s = 0; s < stmts.size(); ++s) {
+        auto result = conn->ExecutePrepared(stmts[s], params[s]);
+        EXPECT_TRUE(result.ok()) << result.status().ToString();
+        if (!result.ok()) return results;
+        results.emplace_back(result->rows, result->affected_rows);
+      }
+    }
+    return results;
+  };
+  auto first = round();
+  ASSERT_EQ(first.size(), kTenants * texts.size());
+
+  // DDL drops every machine's plans of these tenants, so the second round
+  // also misses each plan cache; then every tenant leaves the catalog.
+  for (int i = 0; i < kTenants; ++i) {
+    ASSERT_TRUE(controller
+                    .ExecuteDdl("app" + std::to_string(i),
+                                "CREATE INDEX idx_v ON t (v)")
+                    .ok());
+  }
+  auto* cat = controller.tenant_catalog();
+  (void)cat->EvictResidentDownTo(0);
+  ASSERT_EQ(cat->resident_count(), 0u);
+
+  auto& registry = obs::MetricsRegistry::Global();
+  const int64_t parses = registry.SumCounter("mtdb_sql_parse_total");
+  const int64_t plan_misses = registry.SumCounter("mtdb_plan_cache_miss_total");
+  const int64_t reloads = cat->Stats().reloads;
+  auto second = round();
+  EXPECT_EQ(second, first);
+  // Every registration and every plan came from a shared parse.
+  EXPECT_EQ(registry.SumCounter("mtdb_sql_parse_total"), parses);
+  EXPECT_GE(registry.SumCounter("mtdb_plan_cache_miss_total") - plan_misses,
+            static_cast<int64_t>(kTenants * texts.size()));
+  EXPECT_EQ(cat->Stats().reloads - reloads, kTenants);
+}
+
+// Threads prepare and run one shared text and a few distinct ones across
+// tenants, through both statement paths, while a sweeper evicts every idle
+// tenant in a loop: registrations and parses are shared across tenants,
+// racing their eviction (ctest -L catalog under TSan).
+TEST_F(ControllerCatalogTest, ConcurrentPrepareExecuteAndEvict) {
+  ClusterControllerOptions options;
+  options.default_replicas = 1;
+  ClusterController controller(options);
+  controller.AddMachine({});
+  controller.AddMachine({});
+  constexpr int kTenants = 4;
+  for (int i = 0; i < kTenants; ++i) {
+    std::string db = "app" + std::to_string(i);
+    ASSERT_TRUE(controller.CreateDatabase(db).ok());
+    ASSERT_TRUE(
+        controller.ExecuteDdl(db, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+            .ok());
+    ASSERT_TRUE(
+        controller.BulkLoad(db, "t", {{Value(int64_t{0}), Value(int64_t{i})}})
+            .ok());
+  }
+
+  std::atomic<int> wrong{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&, t] {
+      for (int n = 0; n < 40; ++n) {
+        const int tenant = (n + t) % kTenants;
+        const int64_t k = (n * 7 + t) % 5;
+        auto conn = controller.Connect("app" + std::to_string(tenant));
+        auto shared = conn->Prepare("SELECT v FROM t WHERE id = ?");
+        std::string distinct = "SELECT v + ";
+        distinct += std::to_string(k);
+        distinct += " FROM t WHERE id = ?";
+        auto own = conn->Prepare(distinct);
+        if (!shared.ok() || !own.ok()) {
+          wrong++;
+          continue;
+        }
+        auto a = conn->ExecutePrepared(*shared, {Value(int64_t{0})});
+        auto b = conn->ExecutePrepared(*own, {Value(int64_t{0})});
+        auto c = conn->Execute(distinct, {Value(int64_t{0})});
+        if (!a.ok() || !b.ok() || !c.ok() || a->rows.size() != 1 ||
+            b->rows.size() != 1 || c->rows.size() != 1 ||
+            a->at(0, 0).AsInt() != tenant ||
+            b->at(0, 0).AsInt() != tenant + k ||
+            c->at(0, 0).AsInt() != tenant + k) {
+          wrong++;
+        }
+      }
+    });
+  }
+  auto* cat = controller.tenant_catalog();
+  threads.emplace_back([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      (void)cat->EvictResidentDownTo(0);
+      std::this_thread::yield();
+    }
+  });
+  for (size_t t = 0; t + 1 < threads.size(); ++t) threads[t].join();
+  stop.store(true, std::memory_order_relaxed);
+  threads.back().join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(cat->Stats().pinned, 0);
 }
 
 TEST_F(ControllerCatalogTest, InFlightTransactionPinsTenant) {
