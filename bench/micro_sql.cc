@@ -9,6 +9,9 @@
 //  2. Engine throughput — statements/second for the same statement executed
 //     (a) unprepared: Parse + PlanBorrowed + ExecutePlan on every call, and
 //     (b) text-cached: ExecuteSql with a '?' statement (plan-cache hit).
+//     Two scan-heavy TPC-W browse statements follow in ns/statement, at
+//     perfbench browse_hot's data scale: BestSellers (a 250-row PK range
+//     scan grouped by item) and SearchByTitle (LIKE over all 100 items).
 //  3. Cluster round trip (information only) — a TPC-W home-interaction
 //     transaction driven over the in-proc RPC path through
 //     Connection::Execute and through Connection::ExecutePrepared. Both ship
@@ -40,6 +43,56 @@ namespace {
 constexpr int64_t kItems = 1000;
 const char* kPointSelect =
     "SELECT i_title, i_cost FROM item WHERE i_id = ?";
+
+// BestSellers and SearchByTitle as the TPC-W driver prepares them.
+const char* kBestSellers =
+    "SELECT ol_i_id, SUM(ol_qty) AS sold FROM order_line WHERE ol_id < ? "
+    "GROUP BY ol_i_id ORDER BY sold DESC LIMIT 10";
+const char* kSearchByTitle =
+    "SELECT i_id, i_title FROM item WHERE i_title LIKE ? LIMIT 50";
+constexpr int64_t kBrowseItems = 100;
+constexpr int64_t kBrowseOrderLines = 250;
+
+// Database "browse": TPC-W's item and order_line tables at browse_hot's
+// scale (100 items; 100 orders of 1-4 lines, 250 lines in all).
+void LoadBrowseTables(Engine* engine) {
+  (void)engine->CreateDatabase("browse");
+  (void)engine->CreateTable(
+      "browse", TableSchema("item",
+                            {{"i_id", ColumnType::kInt64, true},
+                             {"i_title", ColumnType::kString, false},
+                             {"i_a_id", ColumnType::kInt64, false},
+                             {"i_subject", ColumnType::kString, false},
+                             {"i_cost", ColumnType::kDouble, false},
+                             {"i_stock", ColumnType::kInt64, false},
+                             {"i_pub_date", ColumnType::kInt64, false},
+                             {"i_total_sold", ColumnType::kInt64, false}},
+                            0));
+  (void)engine->CreateTable(
+      "browse", TableSchema("order_line",
+                            {{"ol_id", ColumnType::kInt64, true},
+                             {"ol_o_id", ColumnType::kInt64, false},
+                             {"ol_i_id", ColumnType::kInt64, false},
+                             {"ol_qty", ColumnType::kInt64, false},
+                             {"ol_discount", ColumnType::kDouble, false}},
+                            0));
+  Random rng(3);
+  std::vector<Row> items;
+  for (int64_t i = 0; i < kBrowseItems; ++i) {
+    items.push_back({Value(i), Value("title_" + rng.AlphaString(12)),
+                     Value(i % 25), Value("ARTS"), Value(10.0),
+                     Value(int64_t{50}), Value(i), Value(int64_t{0})});
+  }
+  (void)engine->BulkInsert("browse", "item", items);
+  std::vector<Row> lines;
+  for (int64_t l = 0; l < kBrowseOrderLines; ++l) {
+    lines.push_back({Value(l), Value(l * 2 / 5),
+                     Value(static_cast<int64_t>(rng.Uniform(kBrowseItems))),
+                     Value(static_cast<int64_t>(1 + rng.Uniform(5))),
+                     Value(0.0)});
+  }
+  (void)engine->BulkInsert("browse", "order_line", lines);
+}
 
 std::unique_ptr<Engine> MakeLoadedEngine() {
   auto engine = std::make_unique<Engine>("bench");
@@ -110,7 +163,7 @@ ClusterPair MeasureClusterRoundTrip(int64_t duration_ms) {
 
   auto conn = controller->Connect("shop");
   const std::string customer_sql =
-      "SELECT c_id, c_uname, c_discount FROM customer WHERE c_id = ?";
+      "SELECT c_id, c_uname, c_fname FROM customer WHERE c_id = ?";
   const std::string item_sql =
       "SELECT i_id, i_title, i_cost FROM item WHERE i_id = ?";
   Random rng(7);
@@ -205,6 +258,32 @@ int Run() {
   PrintRow({"unprepared (parse+plan+execute)", Fmt(unprepared, 0)});
   PrintRow({"text-cached (plan-cache hit)", Fmt(text_cached, 0)});
 
+  // The scan-heavy browse statements, each in its own transaction.
+  LoadBrowseTables(engine.get());
+  const Value best_sellers_window(int64_t{300});  // covers every line
+  double best_sellers_ns = MeasureNs(duration_ms, [&](int64_t) {
+    (void)engine->Begin(txn);
+    auto r = executor.ExecuteSql(txn, "browse", kBestSellers,
+                                 {best_sellers_window});
+    if (!r.ok() || r->rows.size() != 10) std::abort();
+    (void)engine->Commit(txn);
+    ++txn;
+  });
+  double search_by_title_ns = MeasureNs(duration_ms, [&](int64_t) {
+    (void)engine->Begin(txn);
+    std::string prefix("title_");
+    prefix += static_cast<char>('a' + rng.Uniform(26));
+    auto r = executor.ExecuteSql(txn, "browse", kSearchByTitle,
+                                 {Value(prefix + "%")});
+    if (!r.ok()) std::abort();
+    (void)engine->Commit(txn);
+    ++txn;
+  });
+  PrintRow({"engine statement shape", "ns/stmt"});
+  PrintRow({"BestSellers (250-row range, GROUP BY)",
+            Fmt(best_sellers_ns, 0)});
+  PrintRow({"SearchByTitle (100-row LIKE scan)", Fmt(search_by_title_ns, 0)});
+
   // --- Section 3: cluster round trip (information only) ---
   ClusterPair cluster = MeasureClusterRoundTrip(duration_ms);
   PrintRow({"cluster variant", "txns/sec"});
@@ -246,6 +325,8 @@ int Run() {
         "\"execute_cached\": %.0f},\n"
         "  \"engine_stmts_per_sec\": {\"unprepared\": %.0f, "
         "\"text_cached\": %.0f},\n"
+        "  \"engine_stmt_ns\": {\"best_sellers\": %.0f, "
+        "\"search_by_title\": %.0f},\n"
         "  \"cluster_txns_per_sec\": {\"execute\": %.0f, "
         "\"execute_prepared\": %.0f},\n"
         "  \"speedup\": {\"engine_text_cached_over_unprepared\": %.2f, "
@@ -256,7 +337,8 @@ int Run() {
         "\"execute\": %lld}\n"
         "}\n",
         static_cast<long long>(duration_ms), parse_ns, plan_ns, execute_ns,
-        unprepared, text_cached, cluster.execute_tps, cluster.prepared_tps,
+        unprepared, text_cached, best_sellers_ns, search_by_title_ns,
+        cluster.execute_tps, cluster.prepared_tps,
         unprepared > 0 ? text_cached / unprepared : 0,
         cluster.execute_tps > 0 ? cluster.prepared_tps / cluster.execute_tps
                                 : 0,

@@ -1,7 +1,7 @@
 #include "src/sql/executor.h"
 
 #include <algorithm>
-#include <map>
+#include <functional>
 #include <optional>
 #include <utility>
 
@@ -12,21 +12,276 @@ namespace mtdb::sql {
 namespace {
 
 // Evaluates a row-independent expression.
-Result<Value> EvalConst(const Expr& expr, const std::vector<Value>& params) {
-  RowLayout empty;
-  ExprEvaluator evaluator(&empty, &params);
-  Row no_row;
-  return evaluator.Eval(expr, no_row);
+Result<Value> EvalConst(const CompiledExpr& expr,
+                        const std::vector<Value>& params) {
+  return Evaluator(params).Eval(expr, Row());
 }
 
-std::string GroupKeyOf(const std::vector<Value>& values) {
-  std::string key;
-  for (const Value& v : values) {
-    key += v.LockKey();
-    key += '\x01';
+// A hash consistent with Value::Compare equality, the `=` of WHERE: ints
+// and doubles that compare equal hash alike, and all NULLs hash alike.
+uint64_t HashOf(const Value& v) {
+  if (v.is_null()) return 0x9E3779B97F4A7C15ULL;
+  if (v.is_numeric()) {
+    double d = v.AsDouble();
+    if (d == 0.0) d = 0.0;  // -0.0 == 0.0
+    return std::hash<double>{}(d);
   }
-  return key;
+  return std::hash<std::string>{}(v.AsString());
 }
+
+// The rest of one SELECT after its rows are fetched. Consume() takes each
+// row as it is scanned (for a single-table query, the stored row in place,
+// under the table latch) and copies only what survives WHERE: the projected
+// row and its sort keys, or, when aggregating, a new group's key values and
+// first row. Groups are keyed by Value equality and keep one accumulator
+// per aggregate slot. Finish() turns groups into rows, sorts, and cuts at
+// LIMIT.
+class SelectPipeline {
+ public:
+  SelectPipeline(const SelectPlan& plan, const std::vector<Value>& params)
+      : plan_(plan), params_(params), evaluator_(params) {
+    key_scratch_.resize(plan.group_by.size());
+    key_refs_.resize(plan.group_by.size());
+  }
+
+  // False stops the scan: LIMIT reached, or an error (status()).
+  bool Consume(const Row& row) {
+    if (Full()) return false;
+    if (plan_.where) {
+      Result<bool> keep = evaluator_.Test(*plan_.where, row);
+      if (!keep.ok()) return Fail(keep.status());
+      if (!*keep) return true;
+    }
+    if (plan_.aggregating) return Accumulate(row);
+    return Emit(evaluator_, row) && !Full();
+  }
+
+  const Status& status() const { return status_; }
+
+  Result<QueryResult> Finish() {
+    if (plan_.aggregating) MTDB_RETURN_IF_ERROR(EmitGroups());
+    QueryResult result;
+    for (const OutputColumn& out : plan_.outputs) {
+      result.columns.push_back(out.name);
+    }
+    size_t limit = plan_.limit < 0
+                       ? rows_.size()
+                       : std::min(rows_.size(), static_cast<size_t>(plan_.limit));
+    const size_t num_keys = plan_.order_by.size();
+    if (num_keys == 0) {
+      rows_.resize(limit);
+      result.rows = std::move(rows_);
+      return result;
+    }
+    // The first `limit` row indexes in key order, arrival order breaking
+    // ties (what a stable sort gives).
+    std::vector<size_t> order(rows_.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::partial_sort(order.begin(), order.begin() + limit, order.end(),
+                      [this, num_keys](size_t a, size_t b) {
+                        for (size_t k = 0; k < num_keys; ++k) {
+                          int cmp = sort_keys_[a * num_keys + k].Compare(
+                              sort_keys_[b * num_keys + k]);
+                          if (cmp != 0) {
+                            return plan_.order_by[k].descending ? cmp > 0
+                                                                : cmp < 0;
+                          }
+                        }
+                        return a < b;
+                      });
+    result.rows.reserve(limit);
+    for (size_t i = 0; i < limit; ++i) {
+      result.rows.push_back(std::move(rows_[order[i]]));
+    }
+    return result;
+  }
+
+ private:
+  // One aggregate slot of one group.
+  struct Accumulator {
+    int64_t count = 0;
+    int64_t int_sum = 0;
+    double sum = 0;
+    bool all_int = true;
+    Value extreme;  // MIN / MAX so far; NULL until a non-NULL input
+  };
+
+  bool Fail(Status status) {
+    status_ = std::move(status);
+    return false;
+  }
+
+  // A LIMIT without ORDER BY or grouping is reached: the scan may stop.
+  bool Full() const {
+    return plan_.limit >= 0 && !plan_.aggregating && plan_.order_by.empty() &&
+           rows_.size() >= static_cast<size_t>(plan_.limit);
+  }
+
+  // Projects `row` (a scanned row, or a group's representative) into rows_
+  // and its ORDER BY keys into sort_keys_.
+  bool Emit(const Evaluator& eval, const Row& row) {
+    Row projected;
+    projected.reserve(plan_.outputs.size());
+    for (const OutputColumn& out : plan_.outputs) {
+      Result<Value> v = eval.Eval(out.expr, row);
+      if (!v.ok()) return Fail(v.status());
+      projected.push_back(std::move(v).value());
+    }
+    for (const OrderKey& key : plan_.order_by) {
+      if (key.alias_slot >= 0) {
+        sort_keys_.push_back(projected[key.alias_slot]);
+        continue;
+      }
+      Result<Value> v = eval.Eval(key.expr, row);
+      if (!v.ok()) return Fail(v.status());
+      sort_keys_.push_back(std::move(v).value());
+    }
+    rows_.push_back(std::move(projected));
+    return true;
+  }
+
+  // --- Grouping ---
+
+  bool Accumulate(const Row& row) {
+    const size_t num_keys = plan_.group_by.size();
+    uint64_t hash = 0;
+    for (size_t i = 0; i < num_keys; ++i) {
+      key_refs_[i] = evaluator_.Ref(plan_.group_by[i], row, &key_scratch_[i],
+                                    &status_);
+      if (key_refs_[i] == nullptr) return false;
+      hash = hash * 31 + HashOf(*key_refs_[i]);
+    }
+    size_t group = FindOrAddGroup(hash, row);
+    const size_t num_aggs = plan_.aggregates.size();
+    for (size_t a = 0; a < num_aggs; ++a) {
+      const CompiledAggregate& agg = plan_.aggregates[a];
+      Accumulator& acc = accumulators_[group * num_aggs + a];
+      if (agg.fn == AggregateFn::kCountStar) {
+        ++acc.count;
+        continue;
+      }
+      Value scratch;
+      const Value* v = evaluator_.Ref(agg.arg, row, &scratch, &status_);
+      if (v == nullptr) return false;
+      if (v->is_null()) continue;
+      ++acc.count;
+      if (v->is_int()) {
+        acc.int_sum += v->AsInt();
+        acc.sum += v->AsDouble();
+      } else {
+        acc.all_int = false;
+        if (v->is_double()) acc.sum += v->AsDouble();
+      }
+      if ((agg.fn == AggregateFn::kMin &&
+           (acc.extreme.is_null() || *v < acc.extreme)) ||
+          (agg.fn == AggregateFn::kMax &&
+           (acc.extreme.is_null() || *v > acc.extreme))) {
+        acc.extreme = *v;
+      }
+    }
+    return true;
+  }
+
+  // The group whose keys equal key_refs_, added (with `row` as its
+  // representative) if there is none. Open addressing over group indexes,
+  // at most half full.
+  size_t FindOrAddGroup(uint64_t hash, const Row& row) {
+    const size_t num_keys = plan_.group_by.size();
+    if ((hashes_.size() + 1) * 2 > buckets_.size()) Rehash();
+    size_t mask = buckets_.size() - 1;
+    for (size_t b = hash & mask;; b = (b + 1) & mask) {
+      int32_t group = buckets_[b];
+      if (group < 0) {
+        buckets_[b] = static_cast<int32_t>(hashes_.size());
+        break;
+      }
+      if (hashes_[group] != hash) continue;
+      bool equal = true;
+      for (size_t i = 0; i < num_keys && equal; ++i) {
+        equal = keys_[group * num_keys + i] == *key_refs_[i];
+      }
+      if (equal) return static_cast<size_t>(group);
+    }
+    hashes_.push_back(hash);
+    for (size_t i = 0; i < num_keys; ++i) keys_.push_back(*key_refs_[i]);
+    representatives_.push_back(row);
+    accumulators_.resize(accumulators_.size() + plan_.aggregates.size());
+    return hashes_.size() - 1;
+  }
+
+  void Rehash() {
+    buckets_.assign(std::max<size_t>(16, buckets_.size() * 2), -1);
+    size_t mask = buckets_.size() - 1;
+    for (size_t g = 0; g < hashes_.size(); ++g) {
+      size_t b = hashes_[g] & mask;
+      while (buckets_[b] >= 0) b = (b + 1) & mask;
+      buckets_[b] = static_cast<int32_t>(g);
+    }
+  }
+
+  Value Final(const CompiledAggregate& agg, const Accumulator& acc) const {
+    switch (agg.fn) {
+      case AggregateFn::kCountStar:
+      case AggregateFn::kCount:
+        return Value(acc.count);
+      case AggregateFn::kSum:
+        if (acc.count == 0) return Value();
+        return acc.all_int ? Value(acc.int_sum) : Value(acc.sum);
+      case AggregateFn::kAvg:
+        if (acc.count == 0) return Value();
+        return Value(acc.sum / static_cast<double>(acc.count));
+      case AggregateFn::kMin:
+      case AggregateFn::kMax:
+        return acc.extreme;
+    }
+    return Value();
+  }
+
+  // HAVING, projection and sort keys per group, in first-seen order. A
+  // query without GROUP BY has one group even over no rows, represented by
+  // a row of NULLs.
+  Status EmitGroups() {
+    if (plan_.group_by.empty() && representatives_.empty()) {
+      representatives_.push_back(Row(plan_.width, Value()));
+      accumulators_.resize(plan_.aggregates.size());
+    }
+    const size_t num_aggs = plan_.aggregates.size();
+    std::vector<Value> finals(num_aggs);
+    Evaluator group_eval(params_, &finals);
+    for (size_t g = 0; g < representatives_.size(); ++g) {
+      for (size_t a = 0; a < num_aggs; ++a) {
+        finals[a] =
+            Final(plan_.aggregates[a], accumulators_[g * num_aggs + a]);
+      }
+      const Row& representative = representatives_[g];
+      if (plan_.having) {
+        MTDB_ASSIGN_OR_RETURN(bool keep,
+                              group_eval.Test(*plan_.having, representative));
+        if (!keep) continue;
+      }
+      if (!Emit(group_eval, representative)) return status_;
+    }
+    return Status::OK();
+  }
+
+  const SelectPlan& plan_;
+  const std::vector<Value>& params_;
+  const Evaluator evaluator_;
+  Status status_;
+  // Projected rows in arrival order, and order_by.size() sort keys per row.
+  std::vector<Row> rows_;
+  std::vector<Value> sort_keys_;
+
+  // Per row: the group key values, in place or computed into key_scratch_.
+  std::vector<Value> key_scratch_;
+  std::vector<const Value*> key_refs_;
+  // Per group, in first-seen order.
+  std::vector<uint64_t> hashes_;
+  std::vector<Value> keys_;  // group_by.size() per group
+  std::vector<Row> representatives_;
+  std::vector<Accumulator> accumulators_;  // aggregates.size() per group
+  std::vector<int32_t> buckets_;           // group index, or -1
+};
 
 }  // namespace
 
@@ -117,54 +372,48 @@ Result<QueryResult> SqlExecutor::ExecDdl(const std::string& db_name,
 
 // --- Access paths ---
 
-Result<std::vector<Row>> SqlExecutor::ExecScan(
-    uint64_t txn_id, const std::string& db_name, const ScanNode& scan,
-    const std::vector<Value>& params) {
-  std::vector<Row> rows;
+Status SqlExecutor::ScanRows(uint64_t txn_id, const std::string& db_name,
+                             const ScanNode& scan,
+                             const std::vector<Value>& params,
+                             const Engine::RowVisitor& visit) {
   switch (scan.path) {
     case AccessPathKind::kPkPoint: {
-      MTDB_ASSIGN_OR_RETURN(Value key, EvalConst(*scan.key, params));
+      MTDB_ASSIGN_OR_RETURN(Value key, EvalConst(scan.key, params));
       MTDB_ASSIGN_OR_RETURN(std::optional<Row> row,
                             engine_->Read(txn_id, db_name, scan.table, key));
-      if (row.has_value()) rows.push_back(std::move(*row));
-      return rows;
+      if (row.has_value()) visit(*row);
+      return Status::OK();
     }
     case AccessPathKind::kIndexProbe: {
-      MTDB_ASSIGN_OR_RETURN(Value key, EvalConst(*scan.key, params));
+      MTDB_ASSIGN_OR_RETURN(Value key, EvalConst(scan.key, params));
       MTDB_ASSIGN_OR_RETURN(std::vector<Value> pks,
                             engine_->IndexLookup(txn_id, db_name, scan.table,
                                                  scan.index_column, key));
       for (const Value& pk : pks) {
         MTDB_ASSIGN_OR_RETURN(std::optional<Row> row,
                               engine_->Read(txn_id, db_name, scan.table, pk));
-        if (row.has_value()) rows.push_back(std::move(*row));
+        if (row.has_value() && !visit(*row)) break;
       }
-      return rows;
+      return Status::OK();
     }
     case AccessPathKind::kPkRange: {
       // Keep the tightest of the (inclusive) bounds; strict comparisons are
       // re-applied by the residual WHERE filter.
       std::optional<Value> range_lo, range_hi;
-      for (const Expr* bound : scan.lo) {
-        MTDB_ASSIGN_OR_RETURN(Value v, EvalConst(*bound, params));
+      for (const CompiledExpr& bound : scan.lo) {
+        MTDB_ASSIGN_OR_RETURN(Value v, EvalConst(bound, params));
         if (!range_lo || v > *range_lo) range_lo = std::move(v);
       }
-      for (const Expr* bound : scan.hi) {
-        MTDB_ASSIGN_OR_RETURN(Value v, EvalConst(*bound, params));
+      for (const CompiledExpr& bound : scan.hi) {
+        MTDB_ASSIGN_OR_RETURN(Value v, EvalConst(bound, params));
         if (!range_hi || v < *range_hi) range_hi = std::move(v);
       }
-      MTDB_ASSIGN_OR_RETURN(auto scanned,
-                            engine_->ScanRange(txn_id, db_name, scan.table,
-                                               range_lo, range_hi));
-      for (auto& [key, row] : scanned) rows.push_back(std::move(row));
-      return rows;
+      return engine_->Scan(txn_id, db_name, scan.table, range_lo, range_hi,
+                           visit);
     }
-    case AccessPathKind::kFullScan: {
-      MTDB_ASSIGN_OR_RETURN(auto scanned,
-                            engine_->ScanTable(txn_id, db_name, scan.table));
-      for (auto& [key, row] : scanned) rows.push_back(std::move(row));
-      return rows;
-    }
+    case AccessPathKind::kFullScan:
+      return engine_->Scan(txn_id, db_name, scan.table, std::nullopt,
+                           std::nullopt, visit);
   }
   return Status::Internal("unhandled access path");
 }
@@ -175,261 +424,88 @@ Result<QueryResult> SqlExecutor::ExecSelect(uint64_t txn_id,
                                             const std::string& db_name,
                                             const SelectPlan& plan,
                                             const std::vector<Value>& params) {
-  MTDB_ASSIGN_OR_RETURN(std::vector<Row> combined,
-                        ExecScan(txn_id, db_name, plan.driver, params));
+  SelectPipeline pipeline(plan, params);
+  auto consume = [&pipeline](const Row& row) { return pipeline.Consume(row); };
+  if (plan.joins.empty()) {
+    MTDB_RETURN_IF_ERROR(
+        ScanRows(txn_id, db_name, plan.driver, params, consume));
+    MTDB_RETURN_IF_ERROR(pipeline.status());
+    return pipeline.Finish();
+  }
+
+  // A join probes the engine per outer row, which the scan visitor must not
+  // do under the driver's table latch: copy the driver's rows out first.
+  auto collect = [](std::vector<Row>* rows) {
+    return [rows](const Row& row) {
+      rows->push_back(row);
+      return true;
+    };
+  };
+  std::vector<Row> combined;
+  MTDB_RETURN_IF_ERROR(
+      ScanRows(txn_id, db_name, plan.driver, params, collect(&combined)));
 
   // Fold in each join, probing the inner side per outer row when the plan
-  // chose a probe strategy.
+  // chose a probe strategy, and keeping the joined rows that pass the ON
+  // condition.
+  Evaluator evaluator(params);
   for (const JoinNode& join : plan.joins) {
-    ExprEvaluator outer_eval(&join.outer_layout, &params);
     std::vector<Row> next;
+    auto emit = [&](const Row& outer_row, const Row& inner) -> Status {
+      Row joined;
+      joined.reserve(outer_row.size() + inner.size());
+      joined.insert(joined.end(), outer_row.begin(), outer_row.end());
+      joined.insert(joined.end(), inner.begin(), inner.end());
+      if (join.residual) {
+        MTDB_ASSIGN_OR_RETURN(bool keep,
+                              evaluator.Test(*join.residual, joined));
+        if (!keep) return Status::OK();
+      }
+      next.push_back(std::move(joined));
+      return Status::OK();
+    };
 
     if (join.strategy != JoinStrategy::kScan) {
       for (const Row& outer_row : combined) {
         MTDB_ASSIGN_OR_RETURN(Value key,
-                              outer_eval.Eval(*join.probe_key, outer_row));
+                              evaluator.Eval(join.probe_key, outer_row));
         if (key.is_null()) continue;
-        std::vector<Row> inner_rows;
+        std::vector<Value> inner_pks;
         if (join.strategy == JoinStrategy::kPkProbe) {
-          MTDB_ASSIGN_OR_RETURN(
-              std::optional<Row> row,
-              engine_->Read(txn_id, db_name, join.table, key));
-          if (row.has_value()) inner_rows.push_back(std::move(*row));
+          inner_pks.push_back(std::move(key));
         } else {
-          MTDB_ASSIGN_OR_RETURN(std::vector<Value> pks,
+          MTDB_ASSIGN_OR_RETURN(inner_pks,
                                 engine_->IndexLookup(txn_id, db_name,
                                                      join.table,
                                                      join.probe_column, key));
-          for (const Value& inner_pk : pks) {
-            MTDB_ASSIGN_OR_RETURN(
-                std::optional<Row> row,
-                engine_->Read(txn_id, db_name, join.table, inner_pk));
-            if (row.has_value()) inner_rows.push_back(std::move(*row));
-          }
         }
-        for (Row& inner : inner_rows) {
-          Row joined = outer_row;
-          joined.insert(joined.end(), inner.begin(), inner.end());
-          next.push_back(std::move(joined));
+        for (const Value& inner_pk : inner_pks) {
+          MTDB_ASSIGN_OR_RETURN(
+              std::optional<Row> inner,
+              engine_->Read(txn_id, db_name, join.table, inner_pk));
+          if (inner.has_value()) MTDB_RETURN_IF_ERROR(emit(outer_row, *inner));
         }
       }
     } else {
       // Full scan of the inner side, fetched once.
-      ScanNode inner_scan;
-      inner_scan.alias = join.alias;
-      inner_scan.table = join.table;
-      MTDB_ASSIGN_OR_RETURN(std::vector<Row> inner_rows,
-                            ExecScan(txn_id, db_name, inner_scan, params));
+      std::vector<Row> inner_rows;
+      MTDB_RETURN_IF_ERROR(engine_->Scan(txn_id, db_name, join.table,
+                                         std::nullopt, std::nullopt,
+                                         collect(&inner_rows)));
       for (const Row& outer_row : combined) {
         for (const Row& inner : inner_rows) {
-          Row joined = outer_row;
-          joined.insert(joined.end(), inner.begin(), inner.end());
-          next.push_back(std::move(joined));
+          MTDB_RETURN_IF_ERROR(emit(outer_row, inner));
         }
       }
-    }
-
-    // Apply the full ON condition as a residual filter.
-    if (join.residual != nullptr) {
-      ExprEvaluator joined_eval(&join.post_layout, &params);
-      std::vector<Row> filtered;
-      for (Row& row : next) {
-        MTDB_ASSIGN_OR_RETURN(Value keep,
-                              joined_eval.Eval(*join.residual, row));
-        if (ExprEvaluator::IsTruthy(keep)) filtered.push_back(std::move(row));
-      }
-      next = std::move(filtered);
     }
     combined = std::move(next);
   }
 
-  // Residual WHERE over the full layout.
-  ExprEvaluator evaluator(&plan.layout, &params);
-  if (plan.where != nullptr) {
-    std::vector<Row> filtered;
-    for (Row& row : combined) {
-      MTDB_ASSIGN_OR_RETURN(Value keep, evaluator.Eval(*plan.where, row));
-      if (ExprEvaluator::IsTruthy(keep)) filtered.push_back(std::move(row));
-    }
-    combined = std::move(filtered);
+  for (const Row& row : combined) {
+    if (!pipeline.Consume(row)) break;
   }
-
-  QueryResult result;
-  for (const OutputColumn& out : plan.outputs) {
-    result.columns.push_back(out.name);
-  }
-
-  // Rows paired with their pre-projection source row (for ORDER BY on
-  // non-projected columns). For aggregating queries, produced_aggregates[i]
-  // carries group i's aggregate values for ORDER BY re-evaluation.
-  std::vector<std::pair<Row, Row>> produced;  // (projected, source/rep row)
-  std::vector<std::map<std::string, Value>> produced_aggregates;
-
-  if (!plan.aggregating) {
-    for (Row& row : combined) {
-      Row projected;
-      projected.reserve(plan.outputs.size());
-      for (const OutputColumn& out : plan.outputs) {
-        if (out.expr == nullptr) {
-          projected.push_back(row[out.slot]);
-        } else {
-          MTDB_ASSIGN_OR_RETURN(Value v, evaluator.Eval(*out.expr, row));
-          projected.push_back(std::move(v));
-        }
-      }
-      produced.emplace_back(std::move(projected), std::move(row));
-    }
-  } else {
-    // Group rows.
-    std::map<std::string, std::vector<Row>> groups;
-    std::vector<std::string> group_order;
-    if (plan.group_by.empty()) {
-      groups[""] = std::move(combined);
-      group_order.push_back("");
-    } else {
-      for (Row& row : combined) {
-        std::vector<Value> key_values;
-        for (const Expr* key_expr : plan.group_by) {
-          MTDB_ASSIGN_OR_RETURN(Value v, evaluator.Eval(*key_expr, row));
-          key_values.push_back(std::move(v));
-        }
-        std::string key = GroupKeyOf(key_values);
-        if (groups.find(key) == groups.end()) group_order.push_back(key);
-        groups[key].push_back(std::move(row));
-      }
-    }
-
-    for (const std::string& key : group_order) {
-      std::vector<Row>& group_rows = groups[key];
-      if (group_rows.empty() && !plan.group_by.empty()) continue;
-      std::map<std::string, Value> aggregates;
-      for (const Expr* agg : plan.agg_nodes) {
-        std::string fingerprint = agg->Fingerprint();
-        if (aggregates.count(fingerprint) > 0) continue;
-        // COUNT(*) / COUNT(e) / SUM / AVG / MIN / MAX
-        if (agg->function == "COUNT" && agg->star) {
-          aggregates[fingerprint] =
-              Value(static_cast<int64_t>(group_rows.size()));
-          continue;
-        }
-        int64_t count = 0;
-        bool all_int = true;
-        double sum = 0;
-        int64_t int_sum = 0;
-        std::optional<Value> min_v, max_v;
-        for (const Row& row : group_rows) {
-          MTDB_ASSIGN_OR_RETURN(Value v,
-                                evaluator.Eval(*agg->children[0], row));
-          if (v.is_null()) continue;
-          ++count;
-          if (v.is_numeric()) {
-            sum += v.AsDouble();
-            if (v.is_int()) int_sum += v.AsInt();
-            else all_int = false;
-          } else {
-            all_int = false;
-          }
-          if (!min_v || v < *min_v) min_v = v;
-          if (!max_v || v > *max_v) max_v = v;
-        }
-        if (agg->function == "COUNT") {
-          aggregates[fingerprint] = Value(count);
-        } else if (agg->function == "SUM") {
-          aggregates[fingerprint] =
-              count == 0 ? Value()
-                         : (all_int ? Value(int_sum) : Value(sum));
-        } else if (agg->function == "AVG") {
-          aggregates[fingerprint] =
-              count == 0 ? Value() : Value(sum / static_cast<double>(count));
-        } else if (agg->function == "MIN") {
-          aggregates[fingerprint] = min_v.value_or(Value());
-        } else if (agg->function == "MAX") {
-          aggregates[fingerprint] = max_v.value_or(Value());
-        }
-      }
-
-      Row representative = group_rows.empty()
-                               ? Row(plan.layout.size(), Value())
-                               : group_rows.front();
-      if (plan.having != nullptr) {
-        MTDB_ASSIGN_OR_RETURN(
-            Value keep, evaluator.EvalWithAggregates(*plan.having,
-                                                     representative,
-                                                     aggregates));
-        if (!ExprEvaluator::IsTruthy(keep)) continue;
-      }
-      Row projected;
-      for (const OutputColumn& out : plan.outputs) {
-        if (out.expr == nullptr) {
-          projected.push_back(representative[out.slot]);
-        } else {
-          MTDB_ASSIGN_OR_RETURN(
-              Value v, evaluator.EvalWithAggregates(*out.expr, representative,
-                                                    aggregates));
-          projected.push_back(std::move(v));
-        }
-      }
-      // Store the representative row and aggregate map alongside so ORDER BY
-      // can re-evaluate expressions against this group below.
-      produced.emplace_back(std::move(projected), std::move(representative));
-      produced_aggregates.push_back(std::move(aggregates));
-    }
-  }
-
-  // ORDER BY.
-  if (!plan.order_by.empty()) {
-    // Precompute sort keys.
-    struct Keyed {
-      std::vector<Value> keys;
-      size_t index;
-    };
-    std::vector<Keyed> keyed;
-    keyed.reserve(produced.size());
-    for (size_t i = 0; i < produced.size(); ++i) {
-      std::vector<Value> keys;
-      for (const OrderKey& item : plan.order_by) {
-        if (item.alias_slot >= 0) {
-          keys.push_back(produced[i].first[item.alias_slot]);
-        } else if (plan.aggregating) {
-          MTDB_ASSIGN_OR_RETURN(
-              Value v, evaluator.EvalWithAggregates(*item.expr,
-                                                    produced[i].second,
-                                                    produced_aggregates[i]));
-          keys.push_back(std::move(v));
-        } else {
-          MTDB_ASSIGN_OR_RETURN(Value v,
-                                evaluator.Eval(*item.expr, produced[i].second));
-          keys.push_back(std::move(v));
-        }
-      }
-      keyed.push_back(Keyed{std::move(keys), i});
-    }
-    std::stable_sort(keyed.begin(), keyed.end(),
-                     [&plan](const Keyed& a, const Keyed& b) {
-                       for (size_t k = 0; k < a.keys.size(); ++k) {
-                         int cmp = a.keys[k].Compare(b.keys[k]);
-                         if (cmp != 0) {
-                           return plan.order_by[k].descending ? cmp > 0
-                                                              : cmp < 0;
-                         }
-                       }
-                       return false;
-                     });
-    std::vector<std::pair<Row, Row>> sorted;
-    sorted.reserve(produced.size());
-    for (const Keyed& k : keyed) sorted.push_back(std::move(produced[k.index]));
-    produced = std::move(sorted);
-  }
-
-  // LIMIT + emit.
-  int64_t limit = plan.limit < 0
-                      ? static_cast<int64_t>(produced.size())
-                      : std::min<int64_t>(plan.limit, produced.size());
-  result.rows.reserve(limit);
-  for (int64_t i = 0; i < limit; ++i) {
-    result.rows.push_back(std::move(produced[i].first));
-  }
-  return result;
+  MTDB_RETURN_IF_ERROR(pipeline.status());
+  return pipeline.Finish();
 }
 
 // --- INSERT / UPDATE / DELETE ---
@@ -439,17 +515,12 @@ Result<QueryResult> SqlExecutor::ExecInsert(uint64_t txn_id,
                                             const PlannedStatement& plan,
                                             const std::vector<Value>& params) {
   const InsertPlan& insert = plan.insert;
-  const InsertStatement& stmt = plan.stmt->insert;
-
   QueryResult result;
-  for (const std::vector<ExprPtr>& value_exprs : stmt.rows) {
-    if (value_exprs.size() != insert.column_map.size()) {
-      return Status::InvalidArgument("VALUES arity mismatch");
-    }
+  for (const std::vector<CompiledExpr>& values : insert.rows) {
     Row row(insert.row_width, Value());
-    for (size_t i = 0; i < value_exprs.size(); ++i) {
-      MTDB_ASSIGN_OR_RETURN(Value v, EvalConst(*value_exprs[i], params));
-      row[insert.column_map[i]] = std::move(v);
+    for (size_t i = 0; i < values.size(); ++i) {
+      MTDB_ASSIGN_OR_RETURN(row[insert.column_map[i]],
+                            EvalConst(values[i], params));
     }
     MTDB_RETURN_IF_ERROR(engine_->Insert(txn_id, db_name, insert.table, row));
     result.affected_rows++;
@@ -462,7 +533,7 @@ Result<QueryResult> SqlExecutor::ExecMutate(uint64_t txn_id,
                                             const MutatePlan& plan,
                                             bool is_update,
                                             const std::vector<Value>& params) {
-  ExprEvaluator evaluator(&plan.layout, &params);
+  Evaluator evaluator(params);
 
   // Anything but a provable PK point escalates to a table X lock before
   // scanning (the executor's simple, correct protocol for predicate writes —
@@ -472,20 +543,31 @@ Result<QueryResult> SqlExecutor::ExecMutate(uint64_t txn_id,
         engine_->LockTableExclusive(txn_id, db_name, plan.table));
   }
 
-  MTDB_ASSIGN_OR_RETURN(std::vector<Row> candidates,
-                        ExecScan(txn_id, db_name, plan.scan, params));
+  // WHERE runs in the scan; the rows it keeps are copied out, and written
+  // after the scan, since a write calls the engine.
+  std::vector<Row> matches;
+  Status filter_status;
+  MTDB_RETURN_IF_ERROR(ScanRows(
+      txn_id, db_name, plan.scan, params, [&](const Row& row) {
+        if (plan.where) {
+          Result<bool> keep = evaluator.Test(*plan.where, row);
+          if (!keep.ok()) {
+            filter_status = keep.status();
+            return false;
+          }
+          if (!*keep) return true;
+        }
+        matches.push_back(row);
+        return true;
+      }));
+  MTDB_RETURN_IF_ERROR(filter_status);
 
   QueryResult result;
-  for (const Row& old_row : candidates) {
-    if (plan.where != nullptr) {
-      MTDB_ASSIGN_OR_RETURN(Value keep, evaluator.Eval(*plan.where, old_row));
-      if (!ExprEvaluator::IsTruthy(keep)) continue;
-    }
+  for (const Row& old_row : matches) {
     if (is_update) {
       Row new_row = old_row;
       for (const auto& [index, expr] : plan.assignments) {
-        MTDB_ASSIGN_OR_RETURN(Value v, evaluator.Eval(*expr, old_row));
-        new_row[index] = std::move(v);
+        MTDB_ASSIGN_OR_RETURN(new_row[index], evaluator.Eval(expr, old_row));
       }
       MTDB_RETURN_IF_ERROR(engine_->Update(txn_id, db_name, plan.table,
                                            old_row[plan.pk], new_row));

@@ -14,13 +14,20 @@
 namespace mtdb::sql {
 
 // Executes physical plans against an Engine within a caller-managed
-// transaction. Planning lives in Planner (src/sql/planner.h); this class
-// only walks plan trees:
+// transaction. Planning, including the compilation of every expression,
+// lives in Planner (src/sql/planner.h); this class only walks plans:
 //  * ScanNode access paths: PK point lookup, PK range scan, secondary
 //    index lookup, full scan;
 //  * left-deep nested-loop joins, probing the inner side by PK or
 //    secondary index when the plan says so;
 //  * grouping/aggregation, HAVING, ORDER BY, LIMIT.
+//
+// Every SELECT runs one pipeline: WHERE and grouping run on each scanned
+// row as the engine's scan visitor hands it over (in place, under the
+// table latch), a LIMIT without ORDER BY stops the scan, and only the rows
+// or groups that survive are copied. The visitor never calls the engine;
+// a join therefore copies its driver's surviving rows out of the scan
+// before it probes.
 //
 // Locking is delegated to the engine: point reads take row S locks, scans
 // take table S locks, point writes take row X locks, and non-PK-predicate
@@ -59,12 +66,13 @@ class SqlExecutor {
   Result<QueryResult> ExecDdl(const std::string& db_name,
                               const Statement& stmt);
 
-  // Fetches the rows of one table along the plan's access path. Rows come
-  // back as full table rows.
-  Result<std::vector<Row>> ExecScan(uint64_t txn_id,
-                                    const std::string& db_name,
-                                    const ScanNode& scan,
-                                    const std::vector<Value>& params);
+  // Hands `visit` the full table rows along the access path, until it
+  // returns false: stored rows in place for range and full scans (under the
+  // table latch, see Engine::Scan), the row a read returned for point and
+  // index probes.
+  Status ScanRows(uint64_t txn_id, const std::string& db_name,
+                  const ScanNode& scan, const std::vector<Value>& params,
+                  const Engine::RowVisitor& visit);
 
   Engine* engine_;
 };

@@ -76,10 +76,10 @@ struct Source {
 
 // Chooses the best access path the predicate conjuncts allow. Selection is
 // purely structural (which column, which operator, row-independent other
-// side) — constants are evaluated at execution time.
-void PlanAccessPath(const TableSchema& schema, const Source& source,
-                    const std::vector<const Expr*>& conjuncts,
-                    ScanNode* scan) {
+// side) — constants are compiled here and evaluated at execution time.
+Status PlanAccessPath(const TableSchema& schema, const Source& source,
+                      const std::vector<const Expr*>& conjuncts,
+                      ScanNode* scan) {
   scan->alias = source.alias;
   scan->table = source.table_name;
   scan->path = AccessPathKind::kFullScan;
@@ -138,18 +138,35 @@ void PlanAccessPath(const TableSchema& schema, const Source& source,
     }
   }
 
+  // Row-independent: compiled against no columns at all.
+  const RowLayout no_columns;
   if (point_key != nullptr) {
     scan->path = AccessPathKind::kPkPoint;
-    scan->key = point_key;
+    MTDB_ASSIGN_OR_RETURN(scan->key, Compile(*point_key, no_columns));
   } else if (index_key != nullptr) {
     scan->path = AccessPathKind::kIndexProbe;
-    scan->key = index_key;
+    MTDB_ASSIGN_OR_RETURN(scan->key, Compile(*index_key, no_columns));
     scan->index_column = std::move(index_column);
   } else if (!lo.empty() || !hi.empty()) {
     scan->path = AccessPathKind::kPkRange;
-    scan->lo = std::move(lo);
-    scan->hi = std::move(hi);
+    for (const Expr* bound : lo) {
+      MTDB_ASSIGN_OR_RETURN(CompiledExpr compiled, Compile(*bound, no_columns));
+      scan->lo.push_back(std::move(compiled));
+    }
+    for (const Expr* bound : hi) {
+      MTDB_ASSIGN_OR_RETURN(CompiledExpr compiled, Compile(*bound, no_columns));
+      scan->hi.push_back(std::move(compiled));
+    }
   }
+  return Status::OK();
+}
+
+// A star expansion's output: the joined row's column `slot`.
+CompiledExpr ColumnAt(size_t slot) {
+  CompiledExpr column;
+  column.op = OpCode::kColumn;
+  column.slot = static_cast<int>(slot);
+  return column;
 }
 
 Status PlanSelect(Database* db, const SelectStatement& select,
@@ -181,20 +198,16 @@ Status PlanSelect(Database* db, const SelectStatement& select,
   // Seed with the first source, choosing its access path from WHERE.
   RowLayout layout;
   layout.Append(sources[0].alias, *sources[0].schema);
-  PlanAccessPath(*sources[0].schema, sources[0], where_conjuncts,
-                 &plan->driver);
+  MTDB_RETURN_IF_ERROR(PlanAccessPath(*sources[0].schema, sources[0],
+                                      where_conjuncts, &plan->driver));
 
   // Fold in each remaining source with a nested-loop (index-assisted when
-  // possible) join.
+  // possible) join. `layout` is the outer side until the inner is appended.
   for (size_t s = 1; s < sources.size(); ++s) {
     const Source& source = sources[s];
     JoinNode node;
     node.alias = source.alias;
     node.table = source.table_name;
-    node.residual = source.on;
-    node.outer_layout = layout;
-    layout.Append(source.alias, *source.schema);
-    node.post_layout = layout;
 
     std::vector<const Expr*> on_conjuncts;
     SplitConjuncts(source.on, &on_conjuncts);
@@ -219,10 +232,10 @@ Status PlanSelect(Database* db, const SelectStatement& select,
         // Qualified-name collision guard: an unqualified column that also
         // resolves in the outer layout is ambiguous; skip the fast path.
         if (col_side->table.empty() &&
-            node.outer_layout.Resolve("", col_side->column).ok()) {
+            layout.Resolve("", col_side->column).ok()) {
           continue;
         }
-        if (!ResolvesInLayout(*other, node.outer_layout)) continue;
+        if (!ResolvesInLayout(*other, layout)) continue;
         if (column == pk || schema.IndexOnColumn(column) != nullptr) {
           // Prefer PK probes over secondary-index probes.
           if (probe_column < 0 || column == pk) {
@@ -238,19 +251,35 @@ Status PlanSelect(Database* db, const SelectStatement& select,
     if (probe_expr != nullptr) {
       node.strategy = probe_column == pk ? JoinStrategy::kPkProbe
                                          : JoinStrategy::kIndexProbe;
-      node.probe_key = probe_expr;
+      MTDB_ASSIGN_OR_RETURN(node.probe_key, Compile(*probe_expr, layout));
       if (node.strategy == JoinStrategy::kIndexProbe) {
         node.probe_column = schema.columns()[probe_column].name;
       }
     }
+    layout.Append(source.alias, *source.schema);
+    if (source.on != nullptr) {
+      MTDB_ASSIGN_OR_RETURN(node.residual, Compile(*source.on, layout));
+    }
     plan->joins.push_back(std::move(node));
   }
 
-  plan->layout = layout;
-  plan->where = select.where.get();
+  plan->width = layout.size();
+  if (select.where != nullptr) {
+    MTDB_ASSIGN_OR_RETURN(plan->where, Compile(*select.where, layout));
+  }
+
+  bool any_aggregate = false;
+  for (const SelectItem& item : select.items) {
+    if (!item.star && item.expr->ContainsAggregate()) any_aggregate = true;
+  }
+  plan->aggregating = any_aggregate || !select.group_by.empty() ||
+                      (select.having != nullptr);
+  // Aggregate calls compile to slots only where an aggregating query can
+  // evaluate them: the projection, HAVING and ORDER BY.
+  std::vector<CompiledAggregate>* aggregates =
+      plan->aggregating ? &plan->aggregates : nullptr;
 
   // Expand the projection list (stars) and name output columns.
-  bool any_aggregate = false;
   for (const SelectItem& item : select.items) {
     if (item.star) {
       for (size_t i = 0; i < layout.size(); ++i) {
@@ -258,38 +287,28 @@ Status PlanSelect(Database* db, const SelectStatement& select,
             layout.qualifier_at(i) != item.star_table) {
           continue;
         }
-        plan->outputs.push_back(
-            OutputColumn{nullptr, static_cast<int>(i), layout.name_at(i)});
+        plan->outputs.push_back(OutputColumn{ColumnAt(i), layout.name_at(i)});
       }
       continue;
     }
-    if (item.expr->ContainsAggregate()) any_aggregate = true;
+    MTDB_ASSIGN_OR_RETURN(CompiledExpr compiled,
+                          Compile(*item.expr, layout, aggregates));
     plan->outputs.push_back(OutputColumn{
-        item.expr.get(), -1,
+        std::move(compiled),
         item.alias.empty() ? DeriveAlias(*item.expr) : item.alias});
-  }
-  plan->aggregating = any_aggregate || !select.group_by.empty() ||
-                      (select.having != nullptr);
-
-  // Aggregates needed anywhere in the statement.
-  for (const OutputColumn& out : plan->outputs) {
-    if (out.expr != nullptr) CollectAggregates(*out.expr, &plan->agg_nodes);
-  }
-  if (select.having != nullptr) {
-    CollectAggregates(*select.having, &plan->agg_nodes);
-  }
-  for (const OrderByItem& item : select.order_by) {
-    CollectAggregates(*item.expr, &plan->agg_nodes);
   }
 
   for (const ExprPtr& key : select.group_by) {
-    plan->group_by.push_back(key.get());
+    MTDB_ASSIGN_OR_RETURN(CompiledExpr compiled, Compile(*key, layout));
+    plan->group_by.push_back(std::move(compiled));
   }
-  plan->having = select.having.get();
+  if (select.having != nullptr) {
+    MTDB_ASSIGN_OR_RETURN(plan->having,
+                          Compile(*select.having, layout, aggregates));
+  }
 
   for (const OrderByItem& item : select.order_by) {
     OrderKey key;
-    key.expr = item.expr.get();
     key.descending = item.descending;
     // Alias reference into the projected row?
     if (item.expr->kind == ExprKind::kColumnRef && item.expr->table.empty()) {
@@ -300,7 +319,13 @@ Status PlanSelect(Database* db, const SelectStatement& select,
         }
       }
     }
-    plan->order_by.push_back(key);
+    if (key.alias_slot >= 0) {
+      key.expr.source = item.expr.get();
+    } else {
+      MTDB_ASSIGN_OR_RETURN(key.expr,
+                            Compile(*item.expr, layout, aggregates));
+    }
+    plan->order_by.push_back(std::move(key));
   }
   plan->limit = select.limit;
   return Status::OK();
@@ -326,6 +351,19 @@ Status PlanInsert(Database* db, const InsertStatement& insert,
       plan->column_map.push_back(index);
     }
   }
+  const RowLayout no_columns;
+  for (const std::vector<ExprPtr>& value_exprs : insert.rows) {
+    if (value_exprs.size() != plan->column_map.size()) {
+      return Status::InvalidArgument("VALUES arity mismatch");
+    }
+    std::vector<CompiledExpr> values;
+    values.reserve(value_exprs.size());
+    for (const ExprPtr& value : value_exprs) {
+      MTDB_ASSIGN_OR_RETURN(CompiledExpr compiled, Compile(*value, no_columns));
+      values.push_back(std::move(compiled));
+    }
+    plan->rows.push_back(std::move(values));
+  }
   return Status::OK();
 }
 
@@ -338,16 +376,20 @@ Status PlanMutate(
   const TableSchema& schema = table->schema();
 
   plan->table = table_name;
-  plan->layout.Append(table_name, schema);
-  plan->where = where;
   plan->pk = schema.primary_key_index();
+  RowLayout layout;
+  layout.Append(table_name, schema);
+  if (where != nullptr) {
+    MTDB_ASSIGN_OR_RETURN(plan->where, Compile(*where, layout));
+  }
 
   // Resolve assignment targets once (UPDATE only).
   if (set_assignments != nullptr) {
     for (const auto& [column, expr] : *set_assignments) {
       int index = schema.ColumnIndex(column);
       if (index < 0) return Status::InvalidArgument("unknown column " + column);
-      plan->assignments.emplace_back(index, expr.get());
+      MTDB_ASSIGN_OR_RETURN(CompiledExpr value, Compile(*expr, layout));
+      plan->assignments.emplace_back(index, std::move(value));
     }
   }
 
@@ -372,8 +414,7 @@ Status PlanMutate(
   }
 
   Source source{table_name, table_name, &schema, nullptr};
-  PlanAccessPath(schema, source, conjuncts, &plan->scan);
-  return Status::OK();
+  return PlanAccessPath(schema, source, conjuncts, &plan->scan);
 }
 
 std::string PathLabel(const ScanNode& scan) {
@@ -421,6 +462,12 @@ std::string JoinExprs(const std::vector<const Expr*>& exprs) {
     out += ExprToString(*e);
   }
   return out;
+}
+
+std::string JoinExprs(const std::vector<CompiledExpr>& exprs) {
+  std::vector<const Expr*> sources;
+  for (const CompiledExpr& e : exprs) sources.push_back(e.source);
+  return JoinExprs(sources);
 }
 
 }  // namespace
@@ -481,25 +528,35 @@ std::string PlannedStatement::Explain() const {
       line("select");
       line("  " + ScanLine(select.driver));
       for (const JoinNode& join : select.joins) line("  " + JoinLine(join));
-      if (select.where != nullptr) {
-        line("  filter " + ExprToString(*select.where));
+      if (select.where) {
+        line("  filter " + ExprToString(*select.where->source));
       }
       if (select.aggregating) {
+        // Every aggregate call as written, repeats included.
+        const SelectStatement& ast = stmt->select;
+        std::vector<const Expr*> calls;
+        for (const SelectItem& item : ast.items) {
+          if (!item.star) CollectAggregates(*item.expr, &calls);
+        }
+        if (ast.having != nullptr) CollectAggregates(*ast.having, &calls);
+        for (const OrderByItem& item : ast.order_by) {
+          CollectAggregates(*item.expr, &calls);
+        }
         std::string agg = "  aggregate";
-        if (!select.agg_nodes.empty()) agg += " " + JoinExprs(select.agg_nodes);
+        if (!calls.empty()) agg += " " + JoinExprs(calls);
         if (!select.group_by.empty()) {
           agg += " group-by " + JoinExprs(select.group_by);
         }
         line(agg);
       }
-      if (select.having != nullptr) {
-        line("  having " + ExprToString(*select.having));
+      if (select.having) {
+        line("  having " + ExprToString(*select.having->source));
       }
       if (!select.order_by.empty()) {
         std::string sort = "  sort ";
         for (size_t i = 0; i < select.order_by.size(); ++i) {
           if (i > 0) sort += ", ";
-          sort += ExprToString(*select.order_by[i].expr);
+          sort += ExprToString(*select.order_by[i].expr.source);
           if (select.order_by[i].descending) sort += " desc";
         }
         line(sort);
@@ -526,12 +583,13 @@ std::string PlannedStatement::Explain() const {
       head += " " + plan.table + " [" + PathLabel(plan.scan) + "]";
       if (!plan.pk_point) head += " [table-x-lock]";
       line(head);
-      for (const auto& [index, expr] : plan.assignments) {
-        line("  set " + plan.layout.name_at(index) + " = " +
-             ExprToString(*expr));
+      if (kind == StatementKind::kUpdate) {
+        for (const auto& [column, expr] : stmt->update.assignments) {
+          line("  set " + column + " = " + ExprToString(*expr));
+        }
       }
-      if (plan.where != nullptr) {
-        line("  filter " + ExprToString(*plan.where));
+      if (plan.where) {
+        line("  filter " + ExprToString(*plan.where->source));
       }
       break;
     }

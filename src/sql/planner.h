@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/result.h"
@@ -19,10 +21,12 @@ namespace mtdb::sql {
 // ---- Physical plan nodes ----
 //
 // A plan is derived once from an AST plus a schema snapshot and can then be
-// executed many times with different `?` parameters. Plans hold raw `const
-// Expr*` pointers into the statement AST (shared by or outliving the
-// PlannedStatement) and *copies* of everything schema-derived — names,
-// column indexes, row layouts — so a cached plan never dangles after DDL;
+// executed many times with different `?` parameters. Every expression is
+// compiled at plan time (sql/expression.h): names resolved to row slots,
+// operators to op codes, aggregate calls to aggregate slots. Compiled nodes
+// point into the statement AST (shared by or outliving the
+// PlannedStatement); everything else schema-derived (names, column indexes,
+// row widths) is copied, so a cached plan never dangles after DDL;
 // staleness is handled by the engine's schema-version check, and a dropped
 // table surfaces as kNotFound from the row operations at execution time.
 
@@ -30,21 +34,21 @@ namespace mtdb::sql {
 enum class AccessPathKind {
   kPkPoint,     // PK = const: single Read
   kIndexProbe,  // indexed col = const: IndexLookup + Read per pk
-  kPkRange,     // PK range: ScanRange with inclusive bounds
-  kFullScan,    // ScanTable
+  kPkRange,     // PK range: Engine::Scan with inclusive bounds
+  kFullScan,    // Engine::Scan without bounds
 };
 
 struct ScanNode {
   std::string alias;
   std::string table;
   AccessPathKind path = AccessPathKind::kFullScan;
-  const Expr* key = nullptr;      // kPkPoint / kIndexProbe: constant-side expr
+  CompiledExpr key;               // kPkPoint / kIndexProbe: constant side
   std::string index_column;       // kIndexProbe: indexed column name
   // kPkRange: all usable bound expressions; the executor evaluates each and
   // keeps the tightest (inclusive — strict comparisons are re-applied by the
   // residual WHERE filter).
-  std::vector<const Expr*> lo;
-  std::vector<const Expr*> hi;
+  std::vector<CompiledExpr> lo;
+  std::vector<CompiledExpr> hi;
 };
 
 // How the inner side of one nested-loop join is matched per outer row.
@@ -58,35 +62,39 @@ struct JoinNode {
   std::string alias;
   std::string table;
   JoinStrategy strategy = JoinStrategy::kScan;
-  const Expr* probe_key = nullptr;  // evaluated against the outer row
-  std::string probe_column;         // kIndexProbe: indexed column name
-  const Expr* residual = nullptr;   // full ON clause, re-checked after joining
-  RowLayout outer_layout;           // layout before this join (probe scope)
-  RowLayout post_layout;            // layout after appending the inner table
+  CompiledExpr probe_key;     // over the outer row (probe strategies)
+  std::string probe_column;   // kIndexProbe: indexed column name
+  // Full ON clause over the joined row, re-checked after joining.
+  std::optional<CompiledExpr> residual;
 };
 
 struct OutputColumn {
-  const Expr* expr = nullptr;  // null => direct slot copy (star expansion)
-  int slot = -1;
+  CompiledExpr expr;  // a star expansion is a plain column
   std::string name;
 };
 
 struct OrderKey {
-  const Expr* expr = nullptr;
+  // alias_slot >= 0: sort on that projected output column, and `expr` only
+  // names the key (its source, for EXPLAIN); else evaluate `expr`.
+  CompiledExpr expr;
   bool descending = false;
-  int alias_slot = -1;  // >= 0: sort on this projected output column
+  int alias_slot = -1;
 };
 
+// One SELECT runs as one pipeline (executor.h): the driver's rows stream
+// through WHERE and grouping as they are scanned; joins, ORDER BY and the
+// projection see only the rows (or groups) that survive.
 struct SelectPlan {
   ScanNode driver;              // first FROM entry, access path from WHERE
   std::vector<JoinNode> joins;  // remaining sources, left-deep
-  RowLayout layout;             // final joined layout
-  const Expr* where = nullptr;  // residual filter over the full layout
+  size_t width = 0;             // columns of the final joined row
+  std::optional<CompiledExpr> where;  // residual filter over the joined row
   std::vector<OutputColumn> outputs;
   bool aggregating = false;
-  std::vector<const Expr*> agg_nodes;  // every aggregate call in the stmt
-  std::vector<const Expr*> group_by;
-  const Expr* having = nullptr;
+  // Aggregating queries: one slot per distinct aggregate call.
+  std::vector<CompiledAggregate> aggregates;
+  std::vector<CompiledExpr> group_by;
+  std::optional<CompiledExpr> having;
   std::vector<OrderKey> order_by;
   int64_t limit = -1;
 };
@@ -95,6 +103,7 @@ struct InsertPlan {
   std::string table;
   std::vector<int> column_map;  // value position -> schema column index
   size_t row_width = 0;         // schema.num_columns()
+  std::vector<std::vector<CompiledExpr>> rows;  // VALUES, row-independent
 };
 
 // UPDATE / DELETE share a shape: pick rows, filter, mutate by PK.
@@ -105,10 +114,9 @@ struct MutatePlan {
   // the executor escalates to a table X lock before fetching.
   bool pk_point = false;
   int pk = -1;
-  const Expr* where = nullptr;
-  RowLayout layout;
-  // Resolved SET targets (UPDATE only): schema column index + value expr.
-  std::vector<std::pair<int, const Expr*>> assignments;
+  std::optional<CompiledExpr> where;
+  // Resolved SET targets (UPDATE only): schema column index + value.
+  std::vector<std::pair<int, CompiledExpr>> assignments;
 };
 
 // A planned statement: the physical plan plus the AST it points into. When

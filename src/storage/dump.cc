@@ -14,11 +14,16 @@ TableDump SnapshotTable(Engine* source, const std::string& db_name,
   Table* table = source->GetDatabase(db_name)->GetTable(table_name);
   TableDump dump;
   dump.schema = table->schema();
-  for (auto& [pk, stored] : table->ScanAll()) {
-    (void)pk;
-    dump.max_version = std::max(dump.max_version, stored.version);
-    dump.rows.emplace_back(std::move(stored.values), stored.version);
-    if (options.per_row_delay_us > 0) {
+  table->VisitRange(std::nullopt, std::nullopt,
+                    [&dump](const Value&, const StoredRow& stored) {
+                      dump.max_version =
+                          std::max(dump.max_version, stored.version);
+                      dump.rows.emplace_back(stored.values, stored.version);
+                      return true;
+                    });
+  // The modelled per-row copy cost, paid after the table latch is released.
+  if (options.per_row_delay_us > 0) {
+    for (size_t i = 0; i < dump.rows.size(); ++i) {
       std::this_thread::sleep_for(
           std::chrono::microseconds(options.per_row_delay_us));
     }

@@ -564,16 +564,48 @@ size_t Engine::ActiveTxnCount() const {
 
 // --- Row operations ---
 
+uint64_t Engine::PageOf(const std::string& db_name,
+                        const std::string& table_name, const Value& pk) const {
+  uint64_t key_hash =
+      std::hash<std::string>{}(db_name + "/" + table_name + "/" + pk.LockKey());
+  return key_hash / static_cast<uint64_t>(options_.rows_per_page);
+}
+
 void Engine::ChargeCacheAccess(const std::string& db_name,
                                const std::string& table_name,
                                const Value& pk) {
   if (options_.buffer_pool_pages == 0) return;
-  uint64_t key_hash =
-      std::hash<std::string>{}(db_name + "/" + table_name + "/" + pk.LockKey());
-  uint64_t page_id = key_hash / static_cast<uint64_t>(options_.rows_per_page);
-  if (!buffer_cache_.Touch(page_id) && options_.cache_miss_penalty_us > 0) {
+  if (!buffer_cache_.Touch(PageOf(db_name, table_name, pk)) &&
+      options_.cache_miss_penalty_us > 0) {
     std::this_thread::sleep_for(
         std::chrono::microseconds(options_.cache_miss_penalty_us));
+  }
+}
+
+void Engine::NoteScanRead(Transaction* txn, const std::string& db_name,
+                          const std::string& table_name, const Value& pk,
+                          uint64_t version, std::vector<uint64_t>* pages) {
+  if (options_.buffer_pool_pages > 0) {
+    pages->push_back(PageOf(db_name, table_name, pk));
+  }
+  txn->read_ops++;
+  if (options_.record_history) {
+    txn->reads.push_back({RowLockId(db_name, table_name, pk), version});
+  }
+}
+
+void Engine::ChargeScanPages(const std::vector<uint64_t>& pages) {
+  // Scans read pages sequentially: misses are counted against the buffer
+  // pool as usual but charged at a fraction of the random-access penalty,
+  // in one sleep after the pass (sequential I/O model).
+  int64_t scan_misses = 0;
+  for (uint64_t page : pages) {
+    if (!buffer_cache_.Touch(page)) ++scan_misses;
+  }
+  if (scan_misses > 0 && options_.cache_miss_penalty_us > 0) {
+    constexpr int64_t kSequentialDiscount = 8;
+    std::this_thread::sleep_for(std::chrono::microseconds(
+        scan_misses * options_.cache_miss_penalty_us / kSequentialDiscount));
   }
 }
 
@@ -750,107 +782,77 @@ Status Engine::Delete(uint64_t txn_id, const std::string& db_name,
   return Status::OK();
 }
 
-Result<std::vector<std::pair<Value, Row>>> Engine::ScanTable(
-    uint64_t txn_id, const std::string& db_name,
-    const std::string& table_name) {
-  return ScanRange(txn_id, db_name, table_name, std::nullopt, std::nullopt);
-}
-
-Result<std::vector<std::pair<Value, Row>>> Engine::ScanRange(
-    uint64_t txn_id, const std::string& db_name,
-    const std::string& table_name, const std::optional<Value>& lo,
-    const std::optional<Value>& hi) {
+Status Engine::Scan(uint64_t txn_id, const std::string& db_name,
+                    const std::string& table_name,
+                    const std::optional<Value>& lo,
+                    const std::optional<Value>& hi, const RowVisitor& visit) {
   MTDB_ASSIGN_OR_RETURN(Transaction * txn, FindActive(txn_id));
   if (txn->read_only) {
-    return SnapshotScanRange(txn, db_name, table_name, lo, hi);
+    return SnapshotScan(txn, db_name, table_name, lo, hi, visit);
   }
   MTDB_ASSIGN_OR_RETURN(Table * table, ResolveTable(db_name, table_name));
   MTDB_RETURN_IF_ERROR(lock_manager_.Acquire(
       txn_id, TableLockId(db_name, table_name), LockMode::kShared));
-  std::vector<std::pair<Value, StoredRow>> stored = table->ScanRange(lo, hi);
-  std::vector<std::pair<Value, Row>> out;
-  out.reserve(stored.size());
-  // Scans read pages sequentially: misses are counted against the buffer
-  // pool as usual but charged at a fraction of the random-access penalty,
-  // in one sleep after the pass (sequential I/O model).
-  int64_t scan_misses = 0;
-  for (auto& [pk, stored_row] : stored) {
-    if (options_.buffer_pool_pages > 0) {
-      uint64_t key_hash = std::hash<std::string>{}(db_name + "/" + table_name +
-                                                   "/" + pk.LockKey());
-      uint64_t page_id =
-          key_hash / static_cast<uint64_t>(options_.rows_per_page);
-      if (!buffer_cache_.Touch(page_id)) ++scan_misses;
-    }
-    txn->read_ops++;
-    if (options_.record_history) {
-      txn->reads.push_back(
-          {RowLockId(db_name, table_name, pk), stored_row.version});
-    }
-    out.emplace_back(std::move(pk), std::move(stored_row.values));
-  }
-  if (scan_misses > 0 && options_.cache_miss_penalty_us > 0) {
-    constexpr int64_t kSequentialDiscount = 8;
-    std::this_thread::sleep_for(std::chrono::microseconds(
-        scan_misses * options_.cache_miss_penalty_us / kSequentialDiscount));
-  }
-  return out;
+  // Under the table latch: count the read, note its page and hand the
+  // stored row to the visitor. The pages are charged after the latch is
+  // released, since a charge may sleep.
+  std::vector<uint64_t> pages;
+  table->VisitRange(lo, hi, [&](const Value& pk, const StoredRow& stored) {
+    NoteScanRead(txn, db_name, table_name, pk, stored.version, &pages);
+    return visit(stored.values);
+  });
+  ChargeScanPages(pages);
+  return Status::OK();
 }
 
-Result<std::vector<std::pair<Value, Row>>> Engine::SnapshotScanRange(
-    Transaction* txn, const std::string& db_name,
-    const std::string& table_name, const std::optional<Value>& lo,
-    const std::optional<Value>& hi) {
+Status Engine::SnapshotScan(Transaction* txn, const std::string& db_name,
+                            const std::string& table_name,
+                            const std::optional<Value>& lo,
+                            const std::optional<Value>& hi,
+                            const RowVisitor& visit) {
   MTDB_ASSIGN_OR_RETURN(Table * table, ResolveTable(db_name, table_name));
   obs::Increment(m_mvcc_snapshot_reads_);
   // Live pass first, overlay second (same ordering argument as
   // SnapshotRead): any key chained after its live value was copied is
   // resolved from the overlay, so an in-flight writer's uncommitted image
   // can never leak into the result.
-  std::vector<std::pair<Value, StoredRow>> stored = table->ScanRange(lo, hi);
+  std::vector<std::pair<Value, StoredRow>> live;
+  table->VisitRange(lo, hi, [&live](const Value& pk, const StoredRow& stored) {
+    live.emplace_back(pk, stored);
+    return true;
+  });
   std::map<Value, mvcc::RowVersion> overlay =
       versions_.Overlay(db_name, table_name, lo, hi, txn->snapshot_ts);
-  // Merge: chained keys take the snapshot image (tombstone = invisible,
-  // covers rows inserted after the snapshot); unchained keys keep the live
-  // value; chained keys missing from the live scan are rows deleted after
-  // the snapshot, still visible here.
-  std::map<Value, std::pair<Row, uint64_t>> merged;
-  int64_t scan_misses = 0;
-  auto touch = [&](const Value& pk) {
-    if (options_.buffer_pool_pages == 0) return;
-    uint64_t key_hash = std::hash<std::string>{}(db_name + "/" + table_name +
-                                                 "/" + pk.LockKey());
-    uint64_t page_id = key_hash / static_cast<uint64_t>(options_.rows_per_page);
-    if (!buffer_cache_.Touch(page_id)) ++scan_misses;
+  // Merge in PK order: chained keys take the snapshot image (tombstone =
+  // invisible, covers rows inserted after the snapshot); unchained keys keep
+  // the live value; chained keys missing from the live scan are rows
+  // deleted after the snapshot, still visible here.
+  std::vector<uint64_t> pages;
+  auto emit = [&](const Value& pk, const Row& row, uint64_t version) {
+    NoteScanRead(txn, db_name, table_name, pk, version, &pages);
+    return visit(row);
   };
-  for (auto& [pk, stored_row] : stored) {
-    if (overlay.find(pk) != overlay.end()) continue;
-    touch(pk);
-    merged.emplace(std::move(pk), std::make_pair(std::move(stored_row.values),
-                                                 stored_row.version));
-  }
-  for (auto& [pk, version] : overlay) {
-    if (!version.values) continue;
-    touch(pk);
-    merged.emplace(pk, std::make_pair(std::move(*version.values),
-                                      version.row_version));
-  }
-  std::vector<std::pair<Value, Row>> out;
-  out.reserve(merged.size());
-  for (auto& [pk, row_and_version] : merged) {
-    txn->read_ops++;
-    if (options_.record_history) {
-      txn->reads.push_back(
-          {RowLockId(db_name, table_name, pk), row_and_version.second});
+  auto live_it = live.begin();
+  auto chain_it = overlay.begin();
+  bool more = true;
+  while (more && (live_it != live.end() || chain_it != overlay.end())) {
+    if (chain_it == overlay.end() ||
+        (live_it != live.end() && live_it->first < chain_it->first)) {
+      more = emit(live_it->first, live_it->second.values,
+                  live_it->second.version);
+      ++live_it;
+      continue;
     }
-    out.emplace_back(pk, std::move(row_and_version.first));
+    // A chained key: the chain decides, whatever the live row says.
+    if (live_it != live.end() && live_it->first == chain_it->first) ++live_it;
+    const mvcc::RowVersion& version = chain_it->second;
+    if (version.values) {
+      more = emit(chain_it->first, *version.values, version.row_version);
+    }
+    ++chain_it;
   }
-  if (scan_misses > 0 && options_.cache_miss_penalty_us > 0) {
-    constexpr int64_t kSequentialDiscount = 8;
-    std::this_thread::sleep_for(std::chrono::microseconds(
-        scan_misses * options_.cache_miss_penalty_us / kSequentialDiscount));
-  }
-  return out;
+  ChargeScanPages(pages);
+  return Status::OK();
 }
 
 void Engine::MvccStageWrite(Transaction* txn, const std::string& db_name,

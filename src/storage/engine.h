@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -179,15 +180,18 @@ class Engine {
                 const std::string& table_name, const Value& pk, const Row& row);
   Status Delete(uint64_t txn_id, const std::string& db_name,
                 const std::string& table_name, const Value& pk);
-  // Full-table read under a table S lock; returns (pk, row) pairs.
-  Result<std::vector<std::pair<Value, Row>>> ScanTable(
-      uint64_t txn_id, const std::string& db_name,
-      const std::string& table_name);
-  // PK-range read under a table S lock.
-  Result<std::vector<std::pair<Value, Row>>> ScanRange(
-      uint64_t txn_id, const std::string& db_name,
-      const std::string& table_name, const std::optional<Value>& lo,
-      const std::optional<Value>& hi);
+  // Visits the rows whose PK lies in [lo, hi] (either bound optional) in PK
+  // order until `visit` returns false; every visited row counts as read
+  // (history, buffer-pool model). A locking transaction takes the table S
+  // lock first and visits the stored rows in place, under the table latch.
+  // A read-only one merges the live rows with the version store at its
+  // snapshot, then visits the merged rows. Either way `visit` may evaluate,
+  // accumulate and copy, but must not call into the engine or block: a row
+  // it needs after returning, it copies.
+  using RowVisitor = std::function<bool(const Row& row)>;
+  Status Scan(uint64_t txn_id, const std::string& db_name,
+              const std::string& table_name, const std::optional<Value>& lo,
+              const std::optional<Value>& hi, const RowVisitor& visit);
   // Secondary-index probe (IS lock on table); caller Reads each pk after.
   Result<std::vector<Value>> IndexLookup(uint64_t txn_id,
                                          const std::string& db_name,
@@ -246,9 +250,19 @@ class Engine {
   // Finds an active transaction, or error.
   Result<Transaction*> FindActive(uint64_t txn_id) const;
   Result<Transaction*> Find(uint64_t txn_id) const;
+  // The buffer-cache model's page of a row.
+  uint64_t PageOf(const std::string& db_name, const std::string& table_name,
+                  const Value& pk) const;
   // Charges the buffer-cache model for touching a row.
   void ChargeCacheAccess(const std::string& db_name,
                          const std::string& table_name, const Value& pk);
+  // Counts one row a scan visits as read (read_ops, history) and notes its
+  // page in *pages; takes no lock, so it may run under the table latch.
+  void NoteScanRead(Transaction* txn, const std::string& db_name,
+                    const std::string& table_name, const Value& pk,
+                    uint64_t version, std::vector<uint64_t>* pages);
+  // Charges the pages a scan touched, at the sequential-read discount.
+  void ChargeScanPages(const std::vector<uint64_t>& pages);
   void RecordCommit(Transaction* txn);
   // Applies the undo log in reverse; requires the txn's X locks still held.
   void ApplyUndo(Transaction* txn);
@@ -261,11 +275,12 @@ class Engine {
                                           const std::string& table_name,
                                           const Value& pk);
   // Lock-free snapshot range scan (live rows overlaid with the version
-  // store, plus rows deleted after the snapshot).
-  Result<std::vector<std::pair<Value, Row>>> SnapshotScanRange(
-      Transaction* txn, const std::string& db_name,
-      const std::string& table_name, const std::optional<Value>& lo,
-      const std::optional<Value>& hi);
+  // store, plus rows deleted after the snapshot), merged, then visited.
+  Status SnapshotScan(Transaction* txn, const std::string& db_name,
+                      const std::string& table_name,
+                      const std::optional<Value>& lo,
+                      const std::optional<Value>& hi,
+                      const RowVisitor& visit);
   // Captures the committed pre-image of (db, table, pk) into the version
   // store (base version, ts 0) if the key has no chain yet, and stages the
   // post-image on the txn for publication at commit. Caller holds the row's

@@ -100,24 +100,6 @@ bool Table::Delete(const Value& pk, uint64_t tombstone_version) {
   return true;
 }
 
-std::vector<std::pair<Value, StoredRow>> Table::ScanAll() const {
-  platform::ReaderGuard lock(latch_);
-  std::vector<std::pair<Value, StoredRow>> out;
-  out.reserve(rows_.size());
-  for (const auto& [pk, stored] : rows_) out.emplace_back(pk, stored);
-  return out;
-}
-
-std::vector<std::pair<Value, StoredRow>> Table::ScanRange(
-    const std::optional<Value>& lo, const std::optional<Value>& hi) const {
-  platform::ReaderGuard lock(latch_);
-  auto begin = lo.has_value() ? rows_.lower_bound(*lo) : rows_.begin();
-  auto end = hi.has_value() ? rows_.upper_bound(*hi) : rows_.end();
-  std::vector<std::pair<Value, StoredRow>> out;
-  for (auto it = begin; it != end; ++it) out.emplace_back(it->first, it->second);
-  return out;
-}
-
 Result<std::vector<Value>> Table::IndexLookup(int column_index,
                                               const Value& key) const {
   platform::ReaderGuard lock(latch_);

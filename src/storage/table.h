@@ -49,12 +49,22 @@ class Table {
   bool Update(const Value& pk, const Row& row, uint64_t version);
   bool Delete(const Value& pk, uint64_t tombstone_version);
 
-  // Snapshot of all rows in PK order. (Copy; safe to use without locks held
-  // afterwards, though transactional callers keep their table S lock.)
-  std::vector<std::pair<Value, StoredRow>> ScanAll() const;
-  // Snapshot of rows whose PK lies in [lo, hi] (either bound optional).
-  std::vector<std::pair<Value, StoredRow>> ScanRange(
-      const std::optional<Value>& lo, const std::optional<Value>& hi) const;
+  // Calls visit(pk, stored) for each row whose PK lies in [lo, hi] (either
+  // bound optional; an empty range when lo > hi), in PK order, until it
+  // returns false. Runs under the table's read latch and hands out rows in
+  // place, so `visit` must not block or call back into this table; a caller
+  // that needs a row afterwards copies it.
+  template <typename Visit>
+  void VisitRange(const std::optional<Value>& lo,
+                  const std::optional<Value>& hi, Visit&& visit) const {
+    if (lo.has_value() && hi.has_value() && *hi < *lo) return;
+    platform::ReaderGuard lock(latch_);
+    auto it = lo.has_value() ? rows_.lower_bound(*lo) : rows_.begin();
+    auto end = hi.has_value() ? rows_.upper_bound(*hi) : rows_.end();
+    for (; it != end; ++it) {
+      if (!visit(it->first, it->second)) return;
+    }
+  }
 
   // Primary keys of rows whose `column_index` equals `key`, via the secondary
   // index on that column. Status error if no such index exists.

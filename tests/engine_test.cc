@@ -38,6 +38,20 @@ class EngineTest : public ::testing::Test {
     EXPECT_TRUE(engine_->Begin(id).ok());
     return id;
   }
+  // Copies out the rows Engine::Scan visits in [lo, hi].
+  std::vector<Row> ScanAll(uint64_t txn,
+                           const std::optional<Value>& lo = std::nullopt,
+                           const std::optional<Value>& hi = std::nullopt) {
+    std::vector<Row> rows;
+    EXPECT_TRUE(engine_
+                    ->Scan(txn, "shop", "items", lo, hi,
+                           [&rows](const Row& row) {
+                             rows.push_back(row);
+                             return true;
+                           })
+                    .ok());
+    return rows;
+  }
 };
 
 TEST_F(EngineTest, CatalogOperations) {
@@ -142,10 +156,17 @@ TEST_F(EngineTest, ScanTableSeesCommittedRows) {
                                 ItemRow(3, "c", 3)})
                   .ok());
   uint64_t txn = NewTxn();
-  auto scan = engine_->ScanTable(txn, "shop", "items");
-  ASSERT_TRUE(scan.ok());
-  EXPECT_EQ(scan->size(), 3u);
-  EXPECT_EQ((*scan)[0].first.AsInt(), 1);  // PK order
+  std::vector<Row> rows = ScanAll(txn);
+  EXPECT_EQ(rows.size(), 3u);
+  ASSERT_FALSE(rows.empty());
+  EXPECT_EQ(rows[0][0].AsInt(), 1);  // PK order
+  // The scan stops when the visitor says so.
+  int visited = 0;
+  ASSERT_TRUE(engine_
+                  ->Scan(txn, "shop", "items", std::nullopt, std::nullopt,
+                         [&visited](const Row&) { return ++visited < 2; })
+                  .ok());
+  EXPECT_EQ(visited, 2);
   ASSERT_TRUE(engine_->Commit(txn).ok());
 }
 
@@ -156,12 +177,12 @@ TEST_F(EngineTest, ScanRangeRespectsBounds) {
                                 ItemRow(3, "c", 3), ItemRow(4, "d", 4)})
                   .ok());
   uint64_t txn = NewTxn();
-  auto scan = engine_->ScanRange(txn, "shop", "items", Value(int64_t{2}),
-                                 Value(int64_t{3}));
-  ASSERT_TRUE(scan.ok());
-  ASSERT_EQ(scan->size(), 2u);
-  EXPECT_EQ((*scan)[0].first.AsInt(), 2);
-  EXPECT_EQ((*scan)[1].first.AsInt(), 3);
+  std::vector<Row> rows = ScanAll(txn, Value(int64_t{2}), Value(int64_t{3}));
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0][0].AsInt(), 2);
+  EXPECT_EQ(rows[1][0].AsInt(), 3);
+  // An inverted range is empty.
+  EXPECT_TRUE(ScanAll(txn, Value(int64_t{3}), Value(int64_t{2})).empty());
   ASSERT_TRUE(engine_->Commit(txn).ok());
 }
 
@@ -351,9 +372,7 @@ TEST_F(EngineTest, ConcurrentDisjointTransactions) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(commits, 200);
   uint64_t check = NewTxn();
-  auto scan = engine_->ScanTable(check, "shop", "items");
-  ASSERT_TRUE(scan.ok());
-  EXPECT_EQ(scan->size(), 200u);
+  EXPECT_EQ(ScanAll(check).size(), 200u);
   ASSERT_TRUE(engine_->Commit(check).ok());
 }
 

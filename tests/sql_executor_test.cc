@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <memory>
 
 #include "src/sql/executor.h"
@@ -12,6 +14,7 @@ class SqlTest : public ::testing::Test {
  protected:
   void SetUp() override {
     EngineOptions options;
+    options.record_history = true;
     options.lock_options.lock_timeout_us = 500'000;
     engine_ = std::make_unique<Engine>("site", options);
     executor_ = std::make_unique<SqlExecutor>(engine_.get());
@@ -80,6 +83,9 @@ TEST_F(SqlTest, IndexLookup) {
 TEST_F(SqlTest, RangeScanOnPk) {
   QueryResult r = Exec("SELECT id FROM items WHERE id >= 2 AND id < 5");
   ASSERT_EQ(r.rows.size(), 3u);
+  // Bounds that cross give an empty range.
+  EXPECT_EQ(Exec("SELECT id FROM items WHERE id > 4 AND id < 2").rows.size(),
+            0u);
 }
 
 TEST_F(SqlTest, PredicateCombinations) {
@@ -156,6 +162,70 @@ TEST_F(SqlTest, AggregateOverEmptySet) {
   EXPECT_EQ(r.at(0, 0).AsInt(), 0);
   EXPECT_TRUE(r.at(0, 1).is_null());
   EXPECT_TRUE(r.at(0, 2).is_null());
+  // Over a full scan too, and for every aggregate: without GROUP BY there
+  // is one group even over no rows.
+  QueryResult whole = Exec(
+      "SELECT COUNT(price), AVG(price), MAX(name) FROM items WHERE qty > 100");
+  ASSERT_EQ(whole.rows.size(), 1u);
+  EXPECT_EQ(whole.at(0, 0).AsInt(), 0);
+  EXPECT_TRUE(whole.at(0, 1).is_null());
+  EXPECT_TRUE(whole.at(0, 2).is_null());
+  // HAVING can still drop that one group.
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM items WHERE qty > 100 "
+                 "HAVING COUNT(*) > 0")
+                .rows.size(),
+            0u);
+  // With GROUP BY, no rows means no groups.
+  EXPECT_EQ(Exec("SELECT cat, COUNT(*) FROM items WHERE qty > 100 "
+                 "GROUP BY cat")
+                .rows.size(),
+            0u);
+}
+
+TEST_F(SqlTest, GroupByDoubleKeysUsesValueEquality) {
+  // Keys that agree to six decimals are still different values.
+  Exec("CREATE TABLE m (id INT PRIMARY KEY, x DOUBLE)");
+  Exec("INSERT INTO m VALUES (1, 0.1000001), (2, 0.1000002), (3, 0.1000002)");
+  QueryResult r = Exec("SELECT x, COUNT(*) FROM m GROUP BY x ORDER BY x");
+  ASSERT_EQ(r.rows.size(), 2u);
+  EXPECT_DOUBLE_EQ(r.at(0, 0).AsDouble(), 0.1000001);
+  EXPECT_EQ(r.at(0, 1).AsInt(), 1);
+  EXPECT_DOUBLE_EQ(r.at(1, 0).AsDouble(), 0.1000002);
+  EXPECT_EQ(r.at(1, 1).AsInt(), 2);
+  // NULL keys form one group, as they do under every GROUP BY.
+  Exec("INSERT INTO m (id) VALUES (4), (5)");
+  QueryResult nulls =
+      Exec("SELECT COUNT(*) FROM m WHERE x IS NULL GROUP BY x");
+  ASSERT_EQ(nulls.rows.size(), 1u);
+  EXPECT_EQ(nulls.at(0, 0).AsInt(), 2);
+}
+
+TEST_F(SqlTest, HavingAndOrderByOnAggregatesAbsentFromSelectList) {
+  // book: qty 5, max price 20; toy: qty 9, max 40; food: qty 9, max 5.5.
+  QueryResult r = Exec(
+      "SELECT cat FROM items GROUP BY cat HAVING SUM(qty) > 5 "
+      "ORDER BY MAX(price) DESC");
+  ASSERT_EQ(r.columns.size(), 1u);
+  ASSERT_EQ(r.rows.size(), 2u);
+  EXPECT_EQ(r.at(0, 0).AsString(), "toy");
+  EXPECT_EQ(r.at(1, 0).AsString(), "food");
+}
+
+TEST_F(SqlTest, LimitWithoutOrderByStopsAFilteredScan) {
+  uint64_t txn = next_txn_++;
+  ASSERT_TRUE(engine_->Begin(txn).ok());
+  auto r = executor_->ExecuteSql(txn, "app",
+                                 "SELECT id FROM items WHERE qty > 1 LIMIT 2");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_TRUE(engine_->Commit(txn).ok());
+  ASSERT_EQ(r->rows.size(), 2u);
+  EXPECT_EQ(r->at(0, 0).AsInt(), 1);  // qty 5
+  EXPECT_EQ(r->at(1, 0).AsInt(), 3);  // qty 7; id 2 (qty 0) is filtered
+  // The scan stopped at the second match: rows 4 and 5 were never read.
+  std::vector<CommittedTxnRecord> history = engine_->GetHistory();
+  ASSERT_FALSE(history.empty());
+  EXPECT_EQ(history.back().txn_id, txn);
+  EXPECT_EQ(history.back().reads.size(), 3u);
 }
 
 TEST_F(SqlTest, GroupByWithHaving) {
@@ -202,6 +272,60 @@ TEST_F(SqlTest, JoinViaSecondaryIndex) {
   ASSERT_EQ(r.rows.size(), 3u);
   EXPECT_EQ(r.at(0, 0).AsString(), "book");
   EXPECT_EQ(r.at(0, 1).AsInt(), 2);
+}
+
+TEST_F(SqlTest, JoinProbeWaitsOnARowLockOutsideTheScanLatch) {
+  // A generous lock timeout: the reader below waits on purpose.
+  EngineOptions options;
+  options.lock_options.lock_timeout_us = 10'000'000;
+  Engine engine("site", options);
+  SqlExecutor executor(&engine);
+  ASSERT_TRUE(engine.CreateDatabase("app").ok());
+  auto run = [&](uint64_t txn, const std::string& sql) {
+    return executor.ExecuteSql(txn, "app", sql);
+  };
+  ASSERT_TRUE(engine.Begin(1).ok());
+  ASSERT_TRUE(run(1, "CREATE TABLE items (id INT PRIMARY KEY, qty INT)").ok());
+  ASSERT_TRUE(run(1, "CREATE TABLE orders (oid INT PRIMARY KEY, item INT)")
+                  .ok());
+  ASSERT_TRUE(run(1, "INSERT INTO items VALUES (1, 5), (3, 7)").ok());
+  ASSERT_TRUE(run(1, "INSERT INTO orders VALUES (100, 1), (101, 3)").ok());
+  ASSERT_TRUE(engine.Commit(1).ok());
+
+  // The writer holds item 3's row X lock.
+  ASSERT_TRUE(engine.Begin(2).ok());
+  ASSERT_TRUE(run(2, "UPDATE items SET qty = 70 WHERE id = 3").ok());
+
+  // The reader scans orders, then probes items by PK: its probe of item 3
+  // waits for the writer.
+  ASSERT_TRUE(engine.Begin(3).ok());
+  auto reader = std::async(std::launch::async, [&] {
+    return run(3,
+               "SELECT o.oid, i.qty FROM orders o JOIN items i "
+               "ON o.item = i.id ORDER BY o.oid");
+  });
+  EXPECT_EQ(reader.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout);
+
+  // While the probe waits, the scanned table's latch is free: a write that
+  // takes only the latch (no lock) goes through.
+  Table* orders = engine.GetDatabase("app")->GetTable("orders");
+  auto latch_write = std::async(std::launch::async, [orders] {
+    return orders->Insert({Value(int64_t{102}), Value(int64_t{1})},
+                          orders->NextVersion());
+  });
+  ASSERT_EQ(latch_write.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  EXPECT_TRUE(latch_write.get());
+
+  ASSERT_TRUE(engine.Commit(2).ok());
+  auto result = reader.get();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(engine.Commit(3).ok());
+  // Row 102 arrived after the reader's scan and is not in its answer.
+  ASSERT_EQ(result->rows.size(), 2u);
+  EXPECT_EQ(result->at(0, 1).AsInt(), 5);
+  EXPECT_EQ(result->at(1, 1).AsInt(), 70);
 }
 
 TEST_F(SqlTest, CommaJoinWithWhere) {
