@@ -5,8 +5,8 @@ namespace mtdb {
 Status Database::CreateTable(TableSchema schema) {
   platform::WriterGuard lock(latch_);
   std::string table_name = schema.name();
-  auto [it, inserted] =
-      tables_.try_emplace(table_name, std::make_unique<Table>(std::move(schema)));
+  auto [it, inserted] = tables_.try_emplace(
+      table_name, std::make_unique<Table>(std::move(schema), versions_live_));
   if (!inserted) {
     return Status::AlreadyExists("table " + table_name + " in database " +
                                  name_);
@@ -46,6 +46,15 @@ size_t Database::ApproxByteSize() const {
   size_t total = 0;
   for (const auto& [name, table] : tables_) total += table->byte_size();
   return total;
+}
+
+size_t Database::SettleVersions(uint64_t watermark) {
+  platform::ReaderGuard lock(latch_);
+  size_t dropped = 0;
+  for (const auto& [name, table] : tables_) {
+    dropped += table->SettleAll(watermark);
+  }
+  return dropped;
 }
 
 }  // namespace mtdb

@@ -1,6 +1,8 @@
 #ifndef MTDB_STORAGE_DATABASE_H_
 #define MTDB_STORAGE_DATABASE_H_
 
+#include <atomic>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -17,7 +19,10 @@ namespace mtdb {
 // protected by each Table's own latch plus the engine's lock manager.
 class Database {
  public:
-  explicit Database(std::string name) : name_(std::move(name)) {}
+  // `versions_live` counts the MVCC versions of every table created here
+  // (Table's constructor).
+  Database(std::string name, std::atomic<int64_t>* versions_live)
+      : name_(std::move(name)), versions_live_(versions_live) {}
 
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
@@ -35,8 +40,12 @@ class Database {
   // Total approximate data bytes across tables.
   size_t ApproxByteSize() const;
 
+  // Table::SettleAll over every table; returns the versions dropped.
+  size_t SettleVersions(uint64_t watermark);
+
  private:
   std::string name_;
+  std::atomic<int64_t>* const versions_live_;
   // Untracked like Table::latch_: a leaf latch held only for map lookups.
   mutable platform::SharedMutex latch_{"storage/Database::latch", nullptr};
   // Keyed by table name within ONE database: bounded by the tenant's own

@@ -81,11 +81,4 @@ Status ApplyTableDump(Engine* target, const std::string& db_name,
   return target->BulkInsertVersioned(db_name, dump.schema.name(), dump.rows);
 }
 
-Status ApplyDatabaseDump(Engine* target, const DatabaseDump& dump) {
-  for (const TableDump& table_dump : dump.tables) {
-    MTDB_RETURN_IF_ERROR(ApplyTableDump(target, dump.database_name, table_dump));
-  }
-  return Status::OK();
-}
-
 }  // namespace mtdb

@@ -56,8 +56,6 @@ Result<DatabaseDump> DumpDatabaseCoarse(Engine* source,
 Status ApplyTableDump(Engine* target, const std::string& db_name,
                       const TableDump& dump);
 
-Status ApplyDatabaseDump(Engine* target, const DatabaseDump& dump);
-
 }  // namespace mtdb
 
 #endif  // MTDB_STORAGE_DUMP_H_

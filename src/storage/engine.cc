@@ -16,8 +16,8 @@ namespace {
 // plan at a time instead of wiping every tenant's warm plans.
 constexpr size_t kMaxCachedPlans = 512;
 
-// Amortized GC trigger: run a version-store prune once per this many
-// completed snapshot transactions (plus on-demand via Engine::MvccGc).
+// Amortized GC trigger: settle every chain once per this many completed
+// snapshot transactions (plus on-demand via Engine::MvccGc).
 constexpr uint64_t kMvccGcInterval = 64;
 
 // Gauge analogue of the obs::Increment/Observe helpers (null-safe,
@@ -104,7 +104,8 @@ std::string Engine::RowLockId(const std::string& db_name,
 Status Engine::CreateDatabase(const std::string& db_name) {
   platform::WriterGuard lock(catalog_latch_);
   auto [it, inserted] =
-      databases_.try_emplace(db_name, std::make_unique<Database>(db_name));
+      databases_.try_emplace(db_name, std::make_unique<Database>(
+                                          db_name, &mvcc_versions_));
   if (!inserted) return Status::AlreadyExists("database " + db_name);
   if (wal_ != nullptr) {
     MTDB_RETURN_IF_ERROR(wal_->AppendDdl(
@@ -126,10 +127,6 @@ Status Engine::DropDatabase(const std::string& db_name) {
     schema_versions_.erase(db_name);
     ErasePlansLocked(db_name);
   }
-  // Under the catalog latch, so a re-created database's chains never meet
-  // this sweep.
-  versions_.DropDatabase(db_name);
-  SetGauge(m_mvcc_versions_, versions_.live_versions());
   // Logged under the catalog latch, like the create, so the log orders a
   // drop and a re-create as the catalog did.
   if (wal_ == nullptr) return Status::OK();
@@ -193,10 +190,6 @@ Status Engine::DropTable(const std::string& db_name,
   Database* db = GetDatabase(db_name);
   if (db == nullptr) return Status::NotFound("database " + db_name);
   MTDB_RETURN_IF_ERROR(db->DropTable(table_name));
-  // Chains are authoritative over live rows, so a re-created table must not
-  // inherit them.
-  versions_.DropTable(db_name, table_name);
-  SetGauge(m_mvcc_versions_, versions_.live_versions());
   BumpSchemaVersion(db_name);
   if (wal_ == nullptr) return Status::OK();
   return wal_->AppendDdl({.type = WalRecordType::kDropTable,
@@ -382,7 +375,8 @@ void Engine::OnDurable(uint64_t lsn, wal::LogWriter::Completion done) {
 void Engine::RecordCommit(Transaction* txn) {
   // Version publication happens here, the single funnel both Commit and
   // CommitPrepared pass through *before* lock release: the txn still holds
-  // its X locks, so no competing writer can interleave with the append.
+  // its X locks, so no competing writer can interleave with the append or
+  // the settle.
   // (The commit WAL record was already enqueued by the caller — its
   // durability wait happens after lock release, in the caller.)
   MvccPublish(txn);
@@ -489,7 +483,7 @@ void Engine::ApplyUndo(Transaction* txn) {
     Table* table = *table_or;
     switch (undo.type) {
       case UndoRecord::Type::kInsert:
-        table->Delete(undo.primary_key, table->NextVersion());
+        table->Delete(undo.primary_key, undo.old_version);
         break;
       case UndoRecord::Type::kUpdate:
         table->Update(undo.primary_key, undo.old_row, undo.old_version);
@@ -507,6 +501,7 @@ Status Engine::Abort(uint64_t txn_id) {
     return Status::FailedPrecondition("txn already committed");
   }
   ApplyUndo(txn);
+  MvccSettle(txn);
   if (wal_ != nullptr && !txn->undo_log.empty()) {
     // The abort itself must complete regardless — undo is applied and the
     // locks must come off. An ABT record is only a recovery hint (losers
@@ -640,29 +635,14 @@ Result<std::optional<Row>> Engine::SnapshotRead(Transaction* txn,
   ChargeCacheAccess(db_name, table_name, pk);
   txn->read_ops++;
   obs::Increment(m_mvcc_snapshot_reads_);
-  // Live row first, chain second. The first writer of a key seeds its chain
-  // *before* the in-place table mutation, so finding no chain after this
-  // Get proves the value read was the committed (bulk-loaded) image; when a
-  // chain exists it is authoritative and the live row is ignored entirely.
-  std::optional<StoredRow> stored = table->Get(pk);
-  std::optional<mvcc::RowVersion> version =
-      versions_.Get(db_name, table_name, pk, txn->snapshot_ts);
-  std::optional<Row> visible;
-  uint64_t observed_version = 0;
-  if (version) {
-    visible = std::move(version->values);
-    observed_version = version->row_version;
-  } else if (stored) {
-    visible = std::move(stored->values);
-    observed_version = stored->version;
-  } else {
-    observed_version = table->LastVersion(pk);
-  }
+  // One latch section decides what the snapshot sees: the key's chain if
+  // it has one, else its live row or absence.
+  RowVersion visible = table->GetAt(pk, txn->snapshot_ts);
   if (options_.record_history) {
     txn->reads.push_back(
-        {RowLockId(db_name, table_name, pk), observed_version});
+        {RowLockId(db_name, table_name, pk), visible.row_version});
   }
-  return visible;
+  return std::move(visible.values);
 }
 
 Status Engine::Insert(uint64_t txn_id, const std::string& db_name,
@@ -681,22 +661,15 @@ Status Engine::Insert(uint64_t txn_id, const std::string& db_name,
   MTDB_RETURN_IF_ERROR(lock_manager_.Acquire(
       txn_id, RowLockId(db_name, table_name, pk), LockMode::kExclusive));
   ChargeCacheAccess(db_name, table_name, pk);
-  // Existence check up front (safe under the X lock) so the version chain
-  // is only seeded for an insert that will actually apply.
-  std::optional<StoredRow> old = table->Get(pk);
-  if (old) {
-    return Status::AlreadyExists("duplicate primary key " + pk.ToString() +
-                                 " in " + db_name + "." + table_name);
-  }
   uint64_t version = table->NextVersion();
-  MvccStageWrite(txn, db_name, table_name, pk, old, row, version, table);
-  if (!table->Insert(row, version)) {
+  StoredRow old;
+  if (!table->Insert(row, version, &old)) {
     return Status::AlreadyExists("duplicate primary key " + pk.ToString() +
                                  " in " + db_name + "." + table_name);
   }
   txn->write_ops++;
   txn->undo_log.push_back(UndoRecord{UndoRecord::Type::kInsert, db_name,
-                                     table_name, pk, Row{}, 0});
+                                     table_name, pk, Row{}, old.version});
   if (options_.record_history) {
     txn->writes.push_back({RowLockId(db_name, table_name, pk), version});
   }
@@ -723,18 +696,16 @@ Status Engine::Update(uint64_t txn_id, const std::string& db_name,
   MTDB_RETURN_IF_ERROR(lock_manager_.Acquire(
       txn_id, RowLockId(db_name, table_name, pk), LockMode::kExclusive));
   ChargeCacheAccess(db_name, table_name, pk);
-  std::optional<StoredRow> old = table->Get(pk);
-  if (!old) {
+  uint64_t version = table->NextVersion();
+  StoredRow old;
+  if (!table->Update(pk, row, version, &old)) {
     return Status::NotFound("no row with pk " + pk.ToString() + " in " +
                             db_name + "." + table_name);
   }
-  uint64_t version = table->NextVersion();
-  MvccStageWrite(txn, db_name, table_name, pk, old, row, version, table);
-  table->Update(pk, row, version);
   txn->write_ops++;
   txn->undo_log.push_back(UndoRecord{UndoRecord::Type::kUpdate, db_name,
-                                     table_name, pk, std::move(old->values),
-                                     old->version});
+                                     table_name, pk, std::move(old.values),
+                                     old.version});
   if (options_.record_history) {
     txn->writes.push_back({RowLockId(db_name, table_name, pk), version});
   }
@@ -759,19 +730,16 @@ Status Engine::Delete(uint64_t txn_id, const std::string& db_name,
   MTDB_RETURN_IF_ERROR(lock_manager_.Acquire(
       txn_id, RowLockId(db_name, table_name, pk), LockMode::kExclusive));
   ChargeCacheAccess(db_name, table_name, pk);
-  std::optional<StoredRow> old = table->Get(pk);
-  if (!old) {
+  uint64_t version = table->NextVersion();
+  StoredRow old;
+  if (!table->Delete(pk, version, &old)) {
     return Status::NotFound("no row with pk " + pk.ToString() + " in " +
                             db_name + "." + table_name);
   }
-  uint64_t version = table->NextVersion();
-  MvccStageWrite(txn, db_name, table_name, pk, old, std::nullopt, version,
-                 table);
-  table->Delete(pk, version);
   txn->write_ops++;
   txn->undo_log.push_back(UndoRecord{UndoRecord::Type::kDelete, db_name,
-                                     table_name, pk, std::move(old->values),
-                                     old->version});
+                                     table_name, pk, std::move(old.values),
+                                     old.version});
   if (options_.record_history) {
     txn->writes.push_back({RowLockId(db_name, table_name, pk), version});
   }
@@ -787,115 +755,57 @@ Status Engine::Scan(uint64_t txn_id, const std::string& db_name,
                     const std::optional<Value>& lo,
                     const std::optional<Value>& hi, const RowVisitor& visit) {
   MTDB_ASSIGN_OR_RETURN(Transaction * txn, FindActive(txn_id));
-  if (txn->read_only) {
-    return SnapshotScan(txn, db_name, table_name, lo, hi, visit);
-  }
   MTDB_ASSIGN_OR_RETURN(Table * table, ResolveTable(db_name, table_name));
-  MTDB_RETURN_IF_ERROR(lock_manager_.Acquire(
-      txn_id, TableLockId(db_name, table_name), LockMode::kShared));
-  // Under the table latch: count the read, note its page and hand the
-  // stored row to the visitor. The pages are charged after the latch is
+  // Under the table latch: count the read, note its page and hand the row
+  // to the visitor in place. The pages are charged after the latch is
   // released, since a charge may sleep.
   std::vector<uint64_t> pages;
-  table->VisitRange(lo, hi, [&](const Value& pk, const StoredRow& stored) {
-    NoteScanRead(txn, db_name, table_name, pk, stored.version, &pages);
-    return visit(stored.values);
-  });
-  ChargeScanPages(pages);
-  return Status::OK();
-}
-
-Status Engine::SnapshotScan(Transaction* txn, const std::string& db_name,
-                            const std::string& table_name,
-                            const std::optional<Value>& lo,
-                            const std::optional<Value>& hi,
-                            const RowVisitor& visit) {
-  MTDB_ASSIGN_OR_RETURN(Table * table, ResolveTable(db_name, table_name));
-  obs::Increment(m_mvcc_snapshot_reads_);
-  // Live pass first, overlay second (same ordering argument as
-  // SnapshotRead): any key chained after its live value was copied is
-  // resolved from the overlay, so an in-flight writer's uncommitted image
-  // can never leak into the result.
-  std::vector<std::pair<Value, StoredRow>> live;
-  table->VisitRange(lo, hi, [&live](const Value& pk, const StoredRow& stored) {
-    live.emplace_back(pk, stored);
-    return true;
-  });
-  std::map<Value, mvcc::RowVersion> overlay =
-      versions_.Overlay(db_name, table_name, lo, hi, txn->snapshot_ts);
-  // Merge in PK order: chained keys take the snapshot image (tombstone =
-  // invisible, covers rows inserted after the snapshot); unchained keys keep
-  // the live value; chained keys missing from the live scan are rows
-  // deleted after the snapshot, still visible here.
-  std::vector<uint64_t> pages;
-  auto emit = [&](const Value& pk, const Row& row, uint64_t version) {
+  auto note = [&](const Value& pk, const Row& row, uint64_t version) {
     NoteScanRead(txn, db_name, table_name, pk, version, &pages);
     return visit(row);
   };
-  auto live_it = live.begin();
-  auto chain_it = overlay.begin();
-  bool more = true;
-  while (more && (live_it != live.end() || chain_it != overlay.end())) {
-    if (chain_it == overlay.end() ||
-        (live_it != live.end() && live_it->first < chain_it->first)) {
-      more = emit(live_it->first, live_it->second.values,
-                  live_it->second.version);
-      ++live_it;
-      continue;
-    }
-    // A chained key: the chain decides, whatever the live row says.
-    if (live_it != live.end() && live_it->first == chain_it->first) ++live_it;
-    const mvcc::RowVersion& version = chain_it->second;
-    if (version.values) {
-      more = emit(chain_it->first, *version.values, version.row_version);
-    }
-    ++chain_it;
+  if (!txn->read_only) {
+    MTDB_RETURN_IF_ERROR(lock_manager_.Acquire(
+        txn_id, TableLockId(db_name, table_name), LockMode::kShared));
+    table->VisitRange(lo, hi, [&note](const Value& pk, const StoredRow& row) {
+      return note(pk, row.values, row.version);
+    });
+  } else {
+    obs::Increment(m_mvcc_snapshot_reads_);
+    table->VisitRangeAt(lo, hi, txn->snapshot_ts, note);
   }
   ChargeScanPages(pages);
   return Status::OK();
 }
 
-void Engine::MvccStageWrite(Transaction* txn, const std::string& db_name,
-                            const std::string& table_name, const Value& pk,
-                            const std::optional<StoredRow>& old,
-                            std::optional<Row> new_values, uint64_t new_version,
-                            const Table* table) {
-  // First transactional writer of a key seeds the chain base with the
-  // committed pre-image while holding the row X lock and *before* mutating
-  // the live table, so snapshot readers that find the chain never need the
-  // (possibly dirty) live row.
-  std::optional<Row> base_values;
-  uint64_t base_version = 0;
-  if (old) {
-    base_values = old->values;
-    base_version = old->version;
-  } else {
-    base_version = table->LastVersion(pk);
+void Engine::MvccPublish(Transaction* txn) {
+  if (txn->undo_log.empty()) return;
+  {
+    // Reserve -> install -> publish, serialized so that a snapshot taken at
+    // LastPublished() never observes a torn commit: ts becomes visible to
+    // BeginSnapshot only after every image of this txn is in its chain.
+    platform::Guard lock(mvcc_commit_mu_);
+    const uint64_t ts = oracle_.ReserveCommit();
+    for (const UndoRecord& undo : txn->undo_log) {
+      auto table = ResolveTable(undo.database, undo.table);
+      if (table.ok()) (*table)->AppendCommitted(undo.primary_key, ts);
+    }
+    oracle_.Publish(ts);
   }
-  if (versions_.SeedBase(db_name, table_name, pk, std::move(base_values),
-                         base_version)) {
-    SetGauge(m_mvcc_versions_, versions_.live_versions());
-  }
-  txn->mvcc_pending[{db_name, table_name}][pk] = {std::move(new_values),
-                                                  new_version};
+  MvccSettle(txn);
 }
 
-void Engine::MvccPublish(Transaction* txn) {
-  if (txn->mvcc_pending.empty()) return;
-  // Reserve -> install -> publish, serialized so that a snapshot taken at
-  // LastPublished() never observes a torn commit: ts becomes visible to
-  // BeginSnapshot only after every version of this txn is installed.
-  platform::Guard lock(mvcc_commit_mu_);
-  uint64_t ts = oracle_.ReserveCommit();
-  for (auto& [table_key, rows] : txn->mvcc_pending) {
-    for (auto& [pk, image] : rows) {
-      versions_.Append(table_key.first, table_key.second, pk, ts,
-                       std::move(image.first), image.second);
-    }
+void Engine::MvccSettle(Transaction* txn) {
+  if (txn->undo_log.empty()) return;
+  // After a commit's publish with no snapshot open, the watermark covers
+  // the commit; after an undo, the live rows show the seeded images again.
+  // Either way each chain goes unless a snapshot still needs it.
+  const uint64_t watermark = oracle_.Watermark();
+  for (const UndoRecord& undo : txn->undo_log) {
+    auto table = ResolveTable(undo.database, undo.table);
+    if (table.ok()) (*table)->Settle(undo.primary_key, watermark);
   }
-  oracle_.Publish(ts);
-  txn->mvcc_pending.clear();
-  SetGauge(m_mvcc_versions_, versions_.live_versions());
+  SetGauge(m_mvcc_versions_, mvcc_versions_.load(std::memory_order_relaxed));
 }
 
 void Engine::MvccEndSnapshot(Transaction* txn) {
@@ -911,10 +821,17 @@ void Engine::MvccEndSnapshot(Transaction* txn) {
 }
 
 size_t Engine::MvccGc() {
-  size_t pruned = versions_.PruneBelow(oracle_.Watermark());
+  const uint64_t watermark = oracle_.Watermark();
+  size_t pruned = 0;
+  {
+    platform::ReaderGuard lock(catalog_latch_);
+    for (const auto& [name, db] : databases_) {
+      pruned += db->SettleVersions(watermark);
+    }
+  }
   if (pruned > 0) {
     obs::Increment(m_mvcc_gc_pruned_, static_cast<int64_t>(pruned));
-    SetGauge(m_mvcc_versions_, versions_.live_versions());
+    SetGauge(m_mvcc_versions_, mvcc_versions_.load(std::memory_order_relaxed));
   }
   return pruned;
 }

@@ -21,7 +21,6 @@
 #include "src/storage/database.h"
 #include "src/storage/lock_manager.h"
 #include "src/storage/mvcc/timestamp_oracle.h"
-#include "src/storage/mvcc/version_store.h"
 #include "src/storage/transaction.h"
 #include "src/storage/wal/wal.h"
 
@@ -94,8 +93,9 @@ class Engine {
 
   // --- Catalog ---
   Status CreateDatabase(const std::string& db_name);
-  // Drops the database with everything this engine keeps for it: tables,
-  // cached plans, its schema-version entry and its MVCC version chains.
+  // Drops the database with everything this engine keeps for it: tables
+  // (their MVCC versions die with them), cached plans and its schema-version
+  // entry.
   Status DropDatabase(const std::string& db_name);
   bool HasDatabase(const std::string& db_name) const;
   Database* GetDatabase(const std::string& db_name) const;
@@ -105,7 +105,7 @@ class Engine {
   Status CreateIndex(const std::string& db_name, const std::string& table_name,
                      const std::string& index_name,
                      const std::string& column_name);
-  // Drops the table and its MVCC version chains.
+  // Drops the table; its MVCC versions die with it.
   Status DropTable(const std::string& db_name, const std::string& table_name);
 
   // --- SQL planning (DESIGN.md §9) ---
@@ -135,8 +135,8 @@ class Engine {
   // txn_id is assigned by the coordinator and must be unique engine-wide.
   // A read_only transaction pins a snapshot timestamp at begin — reported
   // through *snapshot_ts when non-null — and serves every read from the
-  // version store without touching the lock manager; its write ops are
-  // rejected with kFailedPrecondition.
+  // tables' version chains and live rows without touching the lock manager;
+  // its write ops are rejected with kFailedPrecondition.
   Status Begin(uint64_t txn_id, bool read_only = false,
                uint64_t* snapshot_ts = nullptr);
   // First phase of 2PC. Votes yes by returning OK; per options, releases
@@ -184,8 +184,8 @@ class Engine {
   // order until `visit` returns false; every visited row counts as read
   // (history, buffer-pool model). A locking transaction takes the table S
   // lock first and visits the stored rows in place, under the table latch.
-  // A read-only one merges the live rows with the version store at its
-  // snapshot, then visits the merged rows. Either way `visit` may evaluate,
+  // A read-only one visits, in place under the latch too, the rows its
+  // snapshot sees (Table::VisitRangeAt). Either way `visit` may evaluate,
   // accumulate and copy, but must not call into the engine or block: a row
   // it needs after returning, it copies.
   using RowVisitor = std::function<bool(const Row& row)>;
@@ -223,11 +223,15 @@ class Engine {
 
   // --- MVCC (DESIGN.md §13) ---
   const mvcc::TimestampOracle& timestamp_oracle() const { return oracle_; }
-  const mvcc::VersionStore& version_store() const { return versions_; }
+  // Versions held in every table's chains (mtdb_mvcc_versions_live). With
+  // no snapshot open, 0 whenever no writer is in flight.
+  int64_t mvcc_versions_live() const {
+    return mvcc_versions_.load(std::memory_order_relaxed);
+  }
   // Run one garbage-collection pass at the current watermark (min active
-  // snapshot, or the published frontier when idle). Also triggered
-  // automatically every kMvccGcInterval snapshot completions. Returns the
-  // number of versions pruned.
+  // snapshot, or the published frontier when idle): settles every chain
+  // (Table::SettleAll). Also triggered automatically every kMvccGcInterval
+  // snapshot completions. Returns the number of versions pruned.
   size_t MvccGc();
 
   // --- History & stats ---
@@ -274,25 +278,13 @@ class Engine {
                                           const std::string& db_name,
                                           const std::string& table_name,
                                           const Value& pk);
-  // Lock-free snapshot range scan (live rows overlaid with the version
-  // store, plus rows deleted after the snapshot), merged, then visited.
-  Status SnapshotScan(Transaction* txn, const std::string& db_name,
-                      const std::string& table_name,
-                      const std::optional<Value>& lo,
-                      const std::optional<Value>& hi,
-                      const RowVisitor& visit);
-  // Captures the committed pre-image of (db, table, pk) into the version
-  // store (base version, ts 0) if the key has no chain yet, and stages the
-  // post-image on the txn for publication at commit. Caller holds the row's
-  // X lock and has NOT yet applied the in-place table mutation.
-  void MvccStageWrite(Transaction* txn, const std::string& db_name,
-                      const std::string& table_name, const Value& pk,
-                      const std::optional<StoredRow>& old,
-                      std::optional<Row> new_values, uint64_t new_version,
-                      const Table* table);
-  // Publishes the txn's staged post-images under one reserved commit
-  // timestamp. Called from RecordCommit, before lock release.
+  // Appends the live image of every key the txn wrote (its undo log names
+  // them) under one reserved commit timestamp, publishes it, then settles
+  // the chains. Called from RecordCommit, before lock release.
   void MvccPublish(Transaction* txn);
+  // Settles the chain of every key the txn wrote at the current watermark,
+  // while the txn still holds its X locks: after commit and after undo.
+  void MvccSettle(Transaction* txn);
   // Closes out a read-only txn's snapshot and occasionally runs GC.
   void MvccEndSnapshot(Transaction* txn);
 
@@ -300,6 +292,10 @@ class Engine {
   EngineOptions options_;
   LockManager lock_manager_;
   BufferCache buffer_cache_;
+
+  // Versions held in every table's chains, counted by the tables
+  // themselves; declared before databases_ so it outlives every table.
+  std::atomic<int64_t> mvcc_versions_{0};
 
   mutable platform::SharedMutex catalog_latch_{
       "storage/Engine::catalog_latch"};
@@ -350,10 +346,9 @@ class Engine {
 
   // --- MVCC state (DESIGN.md §13) ---
   mvcc::TimestampOracle oracle_;
-  mvcc::VersionStore versions_;
   // Serializes reserve→install→publish so snapshot timestamps never expose
-  // a half-installed commit. Held only across version-store appends (no
-  // lock-manager or table-latch interaction).
+  // a half-installed commit. Held only across the chain appends (the
+  // catalog and table latches nest under it; no lock-manager interaction).
   platform::Mutex mvcc_commit_mu_{"storage/Engine::mvcc_commit_mu"};
   std::atomic<uint64_t> snapshots_since_gc_{0};
 

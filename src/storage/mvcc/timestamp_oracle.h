@@ -10,8 +10,8 @@
 
 namespace mtdb::mvcc {
 
-// Engine-wide commit-timestamp authority for the MVCC version store
-// (DESIGN.md §13). Two jobs:
+// Engine-wide commit-timestamp authority for the tables' MVCC version
+// chains (DESIGN.md §13). Two jobs:
 //
 //  1. Mint strictly increasing commit timestamps for writers. A commit
 //     *reserves* a timestamp, installs its versions, and then *publishes*

@@ -2,10 +2,7 @@
 #define MTDB_STORAGE_TRANSACTION_H_
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/storage/value.h"
@@ -31,7 +28,9 @@ struct UndoRecord {
   std::string table;
   Value primary_key;
   Row old_row;           // pre-image for kUpdate / kDelete
-  uint64_t old_version;  // version to restore for kUpdate / kDelete
+  // Version to restore: the row's for kUpdate / kDelete, and for kInsert
+  // the version of the delete that had removed the key (0 if never written).
+  uint64_t old_version;
 };
 
 // A read or write observation used for a-posteriori serializability checking:
@@ -57,11 +56,6 @@ struct Transaction {
   // option is set.
   std::vector<VersionObservation> reads;
   std::vector<VersionObservation> writes;
-  // Post-images captured by write ops for publication into the MVCC version
-  // store at commit, keyed "db\0table" -> pk -> image. nullopt = tombstone.
-  std::map<std::pair<std::string, std::string>,
-           std::map<Value, std::pair<std::optional<Row>, uint64_t>>>
-      mvcc_pending;
   // Count of row-level write operations (used by stats and by the cluster
   // controller to distinguish read-only transactions).
   int64_t write_ops = 0;

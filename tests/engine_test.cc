@@ -430,7 +430,9 @@ TEST_F(EngineTest, DumpDatabaseCoarseLocksAllTables) {
   EXPECT_EQ(dump->tables.size(), 2u);
 
   Engine target("site-c");
-  ASSERT_TRUE(ApplyDatabaseDump(&target, *dump).ok());
+  for (const TableDump& table : dump->tables) {
+    ASSERT_TRUE(ApplyTableDump(&target, dump->database_name, table).ok());
+  }
   EXPECT_EQ(target.GetDatabase("shop")->table_count(), 2u);
 }
 

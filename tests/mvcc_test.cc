@@ -1,8 +1,9 @@
-// MVCC version store tests (DESIGN.md §13): timestamp oracle invariants,
-// version-chain visibility and GC, and the engine-level snapshot-read
-// contract — read-only transactions see a committed snapshot, never block on
-// (or take) locks, and are rejected on write. The concurrent tests carry the
-// "mvcc" ctest label so CI runs them under TSan (`ctest -L mvcc`).
+// MVCC tests (DESIGN.md §13): timestamp oracle invariants, the tables'
+// version chains (seeding, visibility, settling), the bound on what they
+// keep, and the engine-level snapshot-read contract — read-only
+// transactions see a committed snapshot, never block on (or take) locks,
+// and are rejected on write. The concurrent tests carry the "mvcc" ctest
+// label so CI runs them under TSan (`ctest -L mvcc`).
 
 #include <atomic>
 #include <thread>
@@ -11,17 +12,16 @@
 #include <gtest/gtest.h>
 
 #include "src/analysis/history.h"
+#include "src/obs/metrics.h"
 #include "src/storage/engine.h"
 #include "src/storage/mvcc/timestamp_oracle.h"
-#include "src/storage/mvcc/version_store.h"
+#include "src/storage/table.h"
 
 namespace mtdb {
 namespace {
 
 using analysis::AuditHistories;
-using mvcc::RowVersion;
 using mvcc::TimestampOracle;
-using mvcc::VersionStore;
 
 // --- TimestampOracle ---
 
@@ -63,103 +63,175 @@ TEST(TimestampOracleTest, WatermarkTracksOldestActiveSnapshot) {
   EXPECT_EQ(oracle.Watermark(), 3u);
 }
 
-// --- VersionStore ---
+// --- The version store: each table's chains, beside its live rows ---
 
 Row MakeRow(int64_t k, int64_t v) { return {Value(k), Value(v)}; }
 
+TableSchema KvSchema(const std::string& name) {
+  return TableSchema(name,
+                     {{"k", ColumnType::kInt64, true},
+                      {"v", ColumnType::kInt64, false}},
+                     0);
+}
+
+// The value column a snapshot at `ts` reads for `k`, or -1 when the row
+// did not exist then.
+int64_t ValueAt(const Table& table, int64_t k, uint64_t ts) {
+  RowVersion version = table.GetAt(Value(k), ts);
+  return version.values ? (*version.values)[1].AsInt() : -1;
+}
+
 TEST(VersionStoreTest, SeedBaseCreatesChainOnlyOnce) {
-  VersionStore store;
-  EXPECT_TRUE(store.SeedBase("db", "t", Value(int64_t{1}), MakeRow(1, 10), 3));
-  // Later writers of the same key must not clobber the original pre-image.
-  EXPECT_FALSE(store.SeedBase("db", "t", Value(int64_t{1}), MakeRow(1, 99), 9));
-  auto base = store.Get("db", "t", Value(int64_t{1}), 0);
-  ASSERT_TRUE(base.has_value());
-  ASSERT_TRUE(base->values.has_value());
-  EXPECT_EQ((*base->values)[1], Value(int64_t{10}));
-  EXPECT_EQ(base->row_version, 3u);
-  EXPECT_EQ(store.live_versions(), 1);
+  std::atomic<int64_t> versions{0};
+  Table table(KvSchema("t"), &versions);
+  Value pk(int64_t{1});
+  ASSERT_TRUE(table.Insert(MakeRow(1, 10), 3));  // bulk: no chain
+  EXPECT_EQ(versions.load(), 0);
+  StoredRow pre;
+  ASSERT_TRUE(table.Update(pk, MakeRow(1, 99), 4, &pre));
+  EXPECT_EQ(pre.values[1], Value(int64_t{10}));
+  EXPECT_EQ(pre.version, 3u);
+  // A later write of the same key must not clobber the committed pre-image.
+  ASSERT_TRUE(table.Update(pk, MakeRow(1, 98), 5, &pre));
+  RowVersion base = table.GetAt(pk, 0);
+  ASSERT_TRUE(base.values.has_value());
+  EXPECT_EQ((*base.values)[1], Value(int64_t{10}));
+  EXPECT_EQ(base.row_version, 3u);
+  EXPECT_EQ(versions.load(), 1);
 }
 
 TEST(VersionStoreTest, GetReturnsNewestVersionAtOrBelowSnapshot) {
-  VersionStore store;
+  std::atomic<int64_t> versions{0};
+  Table table(KvSchema("t"), &versions);
   Value pk(int64_t{1});
-  store.SeedBase("db", "t", pk, MakeRow(1, 0), 1);
-  store.Append("db", "t", pk, 10, MakeRow(1, 100), 2);
-  store.Append("db", "t", pk, 20, MakeRow(1, 200), 3);
-  auto at = [&](uint64_t ts) {
-    auto v = store.Get("db", "t", pk, ts);
-    EXPECT_TRUE(v.has_value() && v->values.has_value());
-    return (*v->values)[1];
-  };
-  EXPECT_EQ(at(0), Value(int64_t{0}));
-  EXPECT_EQ(at(9), Value(int64_t{0}));
-  EXPECT_EQ(at(10), Value(int64_t{100}));
-  EXPECT_EQ(at(19), Value(int64_t{100}));
-  EXPECT_EQ(at(20), Value(int64_t{200}));
-  EXPECT_EQ(at(1'000'000), Value(int64_t{200}));
-  // Unchained key: nullopt tells the caller to fall back to the live row.
-  EXPECT_FALSE(store.Get("db", "t", Value(int64_t{2}), 20).has_value());
+  ASSERT_TRUE(table.Insert(MakeRow(1, 0), 1));
+  StoredRow pre;
+  ASSERT_TRUE(table.Update(pk, MakeRow(1, 100), 2, &pre));
+  table.AppendCommitted(pk, 10);
+  ASSERT_TRUE(table.Update(pk, MakeRow(1, 200), 3, &pre));
+  table.AppendCommitted(pk, 20);
+  EXPECT_EQ(ValueAt(table, 1, 0), 0);
+  EXPECT_EQ(ValueAt(table, 1, 9), 0);
+  EXPECT_EQ(ValueAt(table, 1, 10), 100);
+  EXPECT_EQ(ValueAt(table, 1, 19), 100);
+  EXPECT_EQ(ValueAt(table, 1, 20), 200);
+  EXPECT_EQ(ValueAt(table, 1, 1'000'000), 200);
+  EXPECT_EQ(table.GetAt(pk, 20).row_version, 3u);
+  EXPECT_EQ(versions.load(), 3);
+  // A key with no chain reads its live row, or nothing at version 0.
+  ASSERT_TRUE(table.Insert(MakeRow(2, 7), 4));
+  EXPECT_EQ(ValueAt(table, 2, 0), 7);
+  EXPECT_EQ(table.GetAt(Value(int64_t{2}), 0).row_version, 4u);
+  RowVersion never = table.GetAt(Value(int64_t{3}), 20);
+  EXPECT_FALSE(never.values.has_value());
+  EXPECT_EQ(never.row_version, 0u);
 }
 
 TEST(VersionStoreTest, TombstonesRecordDeletesAndPreInsertAbsence) {
-  VersionStore store;
+  std::atomic<int64_t> versions{0};
+  Table table(KvSchema("t"), &versions);
   Value pk(int64_t{7});
   // Insert path: the key did not exist before the first writer.
-  store.SeedBase("db", "t", pk, std::nullopt, 0);
-  store.Append("db", "t", pk, 5, MakeRow(7, 70), 1);
-  store.Append("db", "t", pk, 9, std::nullopt, 2);  // delete
-  auto before = store.Get("db", "t", pk, 3);
-  ASSERT_TRUE(before.has_value());
-  EXPECT_FALSE(before->values.has_value());  // not yet inserted
-  auto alive = store.Get("db", "t", pk, 5);
-  ASSERT_TRUE(alive.has_value());
-  ASSERT_TRUE(alive->values.has_value());
-  auto deleted = store.Get("db", "t", pk, 9);
-  ASSERT_TRUE(deleted.has_value());
-  EXPECT_FALSE(deleted->values.has_value());  // deleted again
+  StoredRow pre;
+  ASSERT_TRUE(table.Insert(MakeRow(7, 70), 1, &pre));
+  EXPECT_EQ(pre.version, 0u);
+  table.AppendCommitted(pk, 5);
+  ASSERT_TRUE(table.Delete(pk, 2, &pre));
+  EXPECT_EQ(pre.version, 1u);
+  table.AppendCommitted(pk, 9);
+  RowVersion before = table.GetAt(pk, 3);
+  EXPECT_FALSE(before.values.has_value());  // not yet inserted
+  EXPECT_EQ(before.row_version, 0u);
+  EXPECT_EQ(ValueAt(table, 7, 5), 70);
+  RowVersion deleted = table.GetAt(pk, 9);
+  EXPECT_FALSE(deleted.values.has_value());  // deleted again
+  EXPECT_EQ(deleted.row_version, 2u);
+  // Settled, the chain goes and the delete's version stays.
+  EXPECT_EQ(table.Settle(pk, 9), 3u);
+  EXPECT_EQ(versions.load(), 0);
+  EXPECT_EQ(table.LastVersion(pk), 2u);
+  EXPECT_EQ(table.GetAt(pk, 9).row_version, 2u);
+  // A later insert reads the tombstone as its pre-image's version.
+  ASSERT_TRUE(table.Insert(MakeRow(7, 71), 3, &pre));
+  EXPECT_EQ(pre.version, 2u);
+  EXPECT_EQ(table.GetAt(pk, 9).row_version, 2u);
 }
 
 TEST(VersionStoreTest, OverlayRespectsBoundsAndSnapshot) {
-  VersionStore store;
+  std::atomic<int64_t> versions{0};
+  Table table(KvSchema("t"), &versions);
+  StoredRow pre;
   for (int64_t k = 1; k <= 5; ++k) {
-    store.SeedBase("db", "t", Value(k), MakeRow(k, k * 10), 1);
-    store.Append("db", "t", Value(k), 10 + static_cast<uint64_t>(k),
-                 MakeRow(k, k * 100), 2);
+    ASSERT_TRUE(table.Insert(MakeRow(k, k * 10), 1));
+    ASSERT_TRUE(table.Update(Value(k), MakeRow(k, k * 100), 2, &pre));
+    table.AppendCommitted(Value(k), 10 + static_cast<uint64_t>(k));
   }
-  auto overlay = store.Overlay("db", "t", Value(int64_t{2}), Value(int64_t{4}),
-                               12);
-  ASSERT_EQ(overlay.size(), 3u);
+  ASSERT_TRUE(table.Insert(MakeRow(6, 60), 1));  // unchained
+  ASSERT_TRUE(table.Insert(MakeRow(7, 70), 2, &pre));
+  table.AppendCommitted(Value(int64_t{7}), 20);  // inserted at ts 20
+  using Seen = std::vector<std::pair<int64_t, int64_t>>;
+  auto visit = [&table](const std::optional<Value>& lo,
+                        const std::optional<Value>& hi, uint64_t ts) {
+    Seen seen;
+    table.VisitRangeAt(lo, hi, ts,
+                       [&seen](const Value& pk, const Row& row, uint64_t) {
+                         seen.emplace_back(pk.AsInt(), row[1].AsInt());
+                         return true;
+                       });
+    return seen;
+  };
   // k=2 committed at ts 12 (visible), k=3 at 13, k=4 at 14 (base visible).
-  EXPECT_EQ((*overlay.at(Value(int64_t{2})).values)[1], Value(int64_t{200}));
-  EXPECT_EQ((*overlay.at(Value(int64_t{3})).values)[1], Value(int64_t{30}));
-  EXPECT_EQ((*overlay.at(Value(int64_t{4})).values)[1], Value(int64_t{40}));
-  // Open bounds cover every chained key.
-  EXPECT_EQ(store.Overlay("db", "t", std::nullopt, std::nullopt, 0).size(), 5u);
-  EXPECT_TRUE(store.Overlay("db", "other", std::nullopt, std::nullopt, 0)
-                  .empty());
+  EXPECT_EQ(visit(Value(int64_t{2}), Value(int64_t{4}), 12),
+            (Seen{{2, 200}, {3, 30}, {4, 40}}));
+  // Open bounds cover every key: the unchained one live, the one inserted
+  // after the snapshot not at all, then at a later snapshot.
+  EXPECT_EQ(visit(std::nullopt, std::nullopt, 0).size(), 6u);
+  EXPECT_EQ(visit(std::nullopt, std::nullopt, 20).size(), 7u);
+  EXPECT_EQ(visit(Value(int64_t{6}), std::nullopt, 20),
+            (Seen{{6, 60}, {7, 70}}));
+  EXPECT_TRUE(visit(Value(int64_t{4}), Value(int64_t{2}), 20).empty());
 }
 
 TEST(VersionStoreTest, PruneKeepsWatermarkFloorAndEverythingAbove) {
-  VersionStore store;
+  std::atomic<int64_t> versions{0};
+  Table table(KvSchema("t"), &versions);
   Value pk(int64_t{1});
-  store.SeedBase("db", "t", pk, MakeRow(1, 0), 1);
+  ASSERT_TRUE(table.Insert(MakeRow(1, 0), 1));
+  StoredRow pre;
   for (uint64_t ts = 10; ts <= 50; ts += 10) {
-    store.Append("db", "t", pk, ts, MakeRow(1, static_cast<int64_t>(ts)), 2);
+    ASSERT_TRUE(
+        table.Update(pk, MakeRow(1, static_cast<int64_t>(ts)), ts, &pre));
+    table.AppendCommitted(pk, ts);
   }
-  EXPECT_EQ(store.live_versions(), 6);
+  EXPECT_EQ(versions.load(), 6);
   // Watermark 30: the ts-30 floor plus ts 40/50 survive; base, 10, 20 go.
-  EXPECT_EQ(store.PruneBelow(30), 3u);
-  EXPECT_EQ(store.live_versions(), 3);
-  auto floor = store.Get("db", "t", pk, 30);
-  ASSERT_TRUE(floor.has_value());
-  EXPECT_EQ((*floor->values)[1], Value(int64_t{30}));
-  auto newest = store.Get("db", "t", pk, 99);
-  ASSERT_TRUE(newest.has_value());
-  EXPECT_EQ((*newest->values)[1], Value(int64_t{50}));
-  // Idempotent at the same watermark; chains are never dropped whole.
-  EXPECT_EQ(store.PruneBelow(30), 0u);
-  EXPECT_EQ(store.PruneBelow(1'000), 2u);
-  EXPECT_EQ(store.live_versions(), 1);
+  EXPECT_EQ(table.Settle(pk, 30), 3u);
+  EXPECT_EQ(versions.load(), 3);
+  EXPECT_EQ(ValueAt(table, 1, 30), 30);
+  EXPECT_EQ(ValueAt(table, 1, 99), 50);
+  // Idempotent at the same watermark. Past the newest version only the
+  // live image is left, and the chain goes.
+  EXPECT_EQ(table.Settle(pk, 30), 0u);
+  EXPECT_EQ(table.Settle(pk, 1'000), 3u);
+  EXPECT_EQ(versions.load(), 0);
+  EXPECT_EQ(ValueAt(table, 1, 99), 50);
+  // A writer in flight keeps its seeded pre-image at any watermark.
+  ASSERT_TRUE(table.Update(pk, MakeRow(1, 60), 60, &pre));
+  EXPECT_EQ(table.SettleAll(1'000'000), 0u);
+  EXPECT_EQ(versions.load(), 1);
+  EXPECT_EQ(ValueAt(table, 1, 1'000'000), 50);
+}
+
+TEST(VersionStoreTest, VersionsLeaveTheCountWithTheirTable) {
+  std::atomic<int64_t> versions{0};
+  {
+    Table table(KvSchema("t"), &versions);
+    StoredRow pre;
+    ASSERT_TRUE(table.Insert(MakeRow(1, 10), 1, &pre));
+    table.AppendCommitted(Value(int64_t{1}), 5);
+    EXPECT_EQ(versions.load(), 2);
+  }
+  EXPECT_EQ(versions.load(), 0);
 }
 
 // --- Engine-level snapshot reads ---
@@ -261,7 +333,8 @@ TEST_F(MvccEngineTest, SnapshotScanMergesUpdateDeleteInsert) {
   ASSERT_TRUE(engine_->Insert(2, "db", "kv", MakeRow(4, 40)).ok());
   ASSERT_TRUE(engine_->Commit(2).ok());
 
-  // Snapshot scans merge the live rows with the version store, then visit.
+  // Snapshot scans visit the live rows, with each chained key's visible
+  // image in its place, in place.
   auto scan = [this](uint64_t txn) {
     std::vector<Row> rows;
     Status status = engine_->Scan(txn, "db", "kv", std::nullopt, std::nullopt,
@@ -295,8 +368,11 @@ TEST_F(MvccEngineTest, SnapshotScanMergesUpdateDeleteInsert) {
 }
 
 TEST_F(MvccEngineTest, GcPrunesSupersededVersions) {
+  // Two snapshots hold versions: one from before every update, one from
+  // after the third.
+  ASSERT_TRUE(engine_->Begin(1, /*read_only=*/true).ok());
   uint64_t txn = 10;
-  for (int64_t v = 1; v <= 5; ++v) {
+  auto update = [&](int64_t v) {
     ASSERT_TRUE(engine_->Begin(txn).ok());
     ASSERT_TRUE(engine_
                     ->Update(txn, "db", "kv", Value(int64_t{1}),
@@ -304,29 +380,146 @@ TEST_F(MvccEngineTest, GcPrunesSupersededVersions) {
                     .ok());
     ASSERT_TRUE(engine_->Commit(txn).ok());
     ++txn;
-  }
-  // base + 5 committed images, no snapshot pinning any of them.
-  EXPECT_EQ(engine_->version_store().live_versions(), 6);
-  EXPECT_EQ(engine_->MvccGc(), 5u);
-  EXPECT_EQ(engine_->version_store().live_versions(), 1);
-  // The surviving floor is exactly what a fresh snapshot reads.
+  };
+  for (int64_t v = 1; v <= 3; ++v) update(v);
+  ASSERT_TRUE(engine_->Begin(2, /*read_only=*/true).ok());
+  for (int64_t v = 4; v <= 5; ++v) update(v);
+  // base + 5 committed images, all above the oldest snapshot.
+  EXPECT_EQ(engine_->mvcc_versions_live(), 6);
+  EXPECT_EQ(ReadV(1, 1), 10);
+  ASSERT_TRUE(engine_->Commit(1).ok());
+  // The second snapshot's floor (the third image) and what follows stay.
+  EXPECT_EQ(engine_->MvccGc(), 3u);
+  EXPECT_EQ(engine_->mvcc_versions_live(), 3);
+  EXPECT_EQ(ReadV(2, 1), 103);
+  ASSERT_TRUE(engine_->Commit(2).ok());
+  // With no snapshot left, the live row holds the one image anyone reads.
+  EXPECT_EQ(engine_->MvccGc(), 3u);
+  EXPECT_EQ(engine_->mvcc_versions_live(), 0);
   ASSERT_TRUE(engine_->Begin(txn, /*read_only=*/true).ok());
   EXPECT_EQ(ReadV(txn, 1), 105);
   ASSERT_TRUE(engine_->Commit(txn).ok());
 }
 
-// A dropped database takes its version chains along: chains are
-// authoritative over live rows, so one left behind would answer a snapshot
-// read of the re-created database with the dropped row.
+// With no snapshot open, a committed write keeps no version: its commit
+// settles the chain its write seeded.
+TEST_F(MvccEngineTest, CommittedWritesLeaveNoVersionsWithoutASnapshot) {
+  for (uint64_t txn = 10; txn < 15; ++txn) {
+    ASSERT_TRUE(engine_->Begin(txn).ok());
+    ASSERT_TRUE(engine_
+                    ->Update(txn, "db", "kv", Value(int64_t{1}),
+                             MakeRow(1, static_cast<int64_t>(txn)))
+                    .ok());
+    EXPECT_EQ(engine_->mvcc_versions_live(), 1);  // the seeded pre-image
+    ASSERT_TRUE(engine_->Commit(txn).ok());
+    EXPECT_EQ(engine_->mvcc_versions_live(), 0);
+  }
+  if (obs::MetricsRegistry::enabled()) {
+    EXPECT_EQ(obs::MetricsRegistry::Global().GaugeValue(
+                  "mtdb_mvcc_versions_live", {.machine = "site-a"}),
+              0);
+  }
+  ASSERT_TRUE(engine_->Begin(20, /*read_only=*/true).ok());
+  EXPECT_EQ(ReadV(20, 1), 14);
+  ASSERT_TRUE(engine_->Commit(20).ok());
+}
+
+// An abort settles what its writes seeded once undo has restored the rows.
+TEST_F(MvccEngineTest, AbortedWritesLeaveNoVersions) {
+  ASSERT_TRUE(engine_->Begin(1).ok());
+  ASSERT_TRUE(engine_->Insert(1, "db", "kv", MakeRow(9, 90)).ok());
+  EXPECT_EQ(engine_->mvcc_versions_live(), 1);
+  ASSERT_TRUE(engine_->Abort(1).ok());
+  EXPECT_EQ(engine_->mvcc_versions_live(), 0);
+
+  ASSERT_TRUE(engine_->Begin(2).ok());
+  ASSERT_TRUE(engine_->Update(2, "db", "kv", Value(int64_t{1}), MakeRow(1, 11))
+                  .ok());
+  ASSERT_TRUE(engine_->Abort(2).ok());
+  EXPECT_EQ(engine_->mvcc_versions_live(), 0);
+
+  ASSERT_TRUE(engine_->Begin(3).ok());
+  ASSERT_TRUE(engine_->Delete(3, "db", "kv", Value(int64_t{2})).ok());
+  ASSERT_TRUE(engine_->Abort(3).ok());
+  EXPECT_EQ(engine_->mvcc_versions_live(), 0);
+
+  Table* table = engine_->GetDatabase("db")->GetTable("kv");
+  EXPECT_FALSE(table->Get(Value(int64_t{9})).has_value());
+  EXPECT_EQ(table->LastVersion(Value(int64_t{9})), 0u);
+  ASSERT_TRUE(engine_->Begin(4, /*read_only=*/true).ok());
+  EXPECT_EQ(ReadV(4, 1), 10);
+  EXPECT_EQ(ReadV(4, 2), 20);
+  ASSERT_TRUE(engine_->Commit(4).ok());
+}
+
+// A snapshot keeps exactly what it can read, and only while it is open.
+TEST_F(MvccEngineTest, SnapshotKeepsVersionsOnlyWhileOpen) {
+  ASSERT_TRUE(engine_->Begin(1, /*read_only=*/true).ok());
+  for (uint64_t txn = 10; txn < 15; ++txn) {
+    ASSERT_TRUE(engine_->Begin(txn).ok());
+    ASSERT_TRUE(engine_
+                    ->Update(txn, "db", "kv", Value(int64_t{1}),
+                             MakeRow(1, static_cast<int64_t>(txn)))
+                    .ok());
+    ASSERT_TRUE(engine_->Commit(txn).ok());
+  }
+  EXPECT_EQ(ReadV(1, 1), 10);
+  EXPECT_EQ(engine_->mvcc_versions_live(), 6);
+  ASSERT_TRUE(engine_->Commit(1).ok());
+  EXPECT_EQ(engine_->MvccGc(), 6u);
+  EXPECT_EQ(engine_->mvcc_versions_live(), 0);
+  ASSERT_TRUE(engine_->Begin(2, /*read_only=*/true).ok());
+  EXPECT_EQ(ReadV(2, 1), 14);
+  ASSERT_TRUE(engine_->Commit(2).ok());
+}
+
+// A read that finds no row records the version of the delete that removed
+// it, or 0 for a key never written, on the locking and snapshot paths
+// alike; an aborted insert puts the delete's version back.
+TEST_F(MvccEngineTest, HistoryRecordsReadMissVersions) {
+  ASSERT_TRUE(engine_->Begin(1).ok());
+  ASSERT_TRUE(engine_->Delete(1, "db", "kv", Value(int64_t{2})).ok());
+  ASSERT_TRUE(engine_->Commit(1).ok());
+  ASSERT_TRUE(engine_->Begin(2).ok());
+  ASSERT_TRUE(engine_->Insert(2, "db", "kv", MakeRow(2, 21)).ok());
+  ASSERT_TRUE(engine_->Abort(2).ok());
+  for (uint64_t txn : {3, 4}) {
+    ASSERT_TRUE(engine_->Begin(txn, /*read_only=*/txn == 4).ok());
+    for (int64_t k : {2, 99}) {
+      auto row = engine_->Read(txn, "db", "kv", Value(k));
+      ASSERT_TRUE(row.ok()) << row.status().ToString();
+      EXPECT_FALSE(row->has_value());
+    }
+    ASSERT_TRUE(engine_->Commit(txn).ok());
+  }
+  auto history = engine_->GetHistory();
+  ASSERT_EQ(history.size(), 3u);
+  ASSERT_EQ(history[0].writes.size(), 1u);
+  const uint64_t delete_version = history[0].writes[0].version;
+  EXPECT_GT(delete_version, 0u);
+  for (size_t i : {1, 2}) {
+    ASSERT_EQ(history[i].reads.size(), 2u);
+    EXPECT_EQ(history[i].reads[0].object_id,
+              Engine::RowLockId("db", "kv", Value(int64_t{2})));
+    EXPECT_EQ(history[i].reads[0].version, delete_version);
+    EXPECT_EQ(history[i].reads[1].version, 0u);
+  }
+}
+
+// A dropped database takes its version chains along: a chain decides a
+// snapshot read over the live row, so one left behind would answer a
+// snapshot read of the re-created database with the dropped row. A snapshot
+// held open keeps the chain there until the drop.
 TEST_F(MvccEngineTest, DropDatabaseDropsItsVersions) {
+  ASSERT_TRUE(engine_->Begin(10, /*read_only=*/true).ok());
   ASSERT_TRUE(engine_->Begin(1).ok());
   ASSERT_TRUE(engine_->Update(1, "db", "kv", Value(int64_t{1}), MakeRow(1, 11))
                   .ok());
   ASSERT_TRUE(engine_->Commit(1).ok());
-  ASSERT_EQ(engine_->version_store().live_versions(), 2);
+  ASSERT_EQ(engine_->mvcc_versions_live(), 2);
 
   ASSERT_TRUE(engine_->DropDatabase("db").ok());
-  EXPECT_EQ(engine_->version_store().live_versions(), 0);
+  EXPECT_EQ(engine_->mvcc_versions_live(), 0);
   ASSERT_TRUE(engine_->CreateDatabase("db").ok());
   ASSERT_TRUE(engine_
                   ->CreateTable("db", TableSchema(
@@ -343,6 +536,7 @@ TEST_F(MvccEngineTest, DropDatabaseDropsItsVersions) {
   ASSERT_TRUE(engine_->Begin(3).ok());
   EXPECT_EQ(ReadV(3, 1), 12);
   ASSERT_TRUE(engine_->Commit(3).ok());
+  ASSERT_TRUE(engine_->Commit(10).ok());
 }
 
 // The same for one table; its neighbours keep their chains.
@@ -354,15 +548,20 @@ TEST_F(MvccEngineTest, DropTableDropsItsVersions) {
                                            {"v", ColumnType::kInt64, false}},
                                           0))
                   .ok());
+  ASSERT_TRUE(engine_->Begin(10, /*read_only=*/true).ok());
   ASSERT_TRUE(engine_->Begin(1).ok());
   ASSERT_TRUE(engine_->Update(1, "db", "kv", Value(int64_t{1}), MakeRow(1, 11))
                   .ok());
   ASSERT_TRUE(engine_->Insert(1, "db", "other", MakeRow(1, 5)).ok());
   ASSERT_TRUE(engine_->Commit(1).ok());
-  ASSERT_EQ(engine_->version_store().live_versions(), 4);
+  ASSERT_EQ(engine_->mvcc_versions_live(), 4);
 
   ASSERT_TRUE(engine_->DropTable("db", "kv").ok());
-  EXPECT_EQ(engine_->version_store().live_versions(), 2);
+  EXPECT_EQ(engine_->mvcc_versions_live(), 2);
+  // The open snapshot still reads the neighbour as it was.
+  auto other = engine_->Read(10, "db", "other", Value(int64_t{1}));
+  ASSERT_TRUE(other.ok());
+  EXPECT_FALSE(other->has_value());
   ASSERT_TRUE(engine_
                   ->CreateTable("db", TableSchema(
                                           "kv",
@@ -378,6 +577,7 @@ TEST_F(MvccEngineTest, DropTableDropsItsVersions) {
   ASSERT_TRUE(engine_->Begin(3).ok());
   EXPECT_EQ(ReadV(3, 1), 12);
   ASSERT_TRUE(engine_->Commit(3).ok());
+  ASSERT_TRUE(engine_->Commit(10).ok());
 }
 
 TEST_F(MvccEngineTest, HistoryMarksReadOnlyTransactions) {
@@ -462,9 +662,10 @@ TEST_F(MvccEngineTest, ConcurrentSnapshotReadersSeeConsistentTotals) {
   EXPECT_TRUE(report.serializable) << report.ToString();
   EXPECT_FALSE(report.read_only_in_cycle);
 
-  // GC after quiescence leaves one floor version per written key.
+  // GC after quiescence leaves no version: the live rows are all anyone
+  // reads.
   (void)engine_->MvccGc();
-  EXPECT_EQ(engine_->version_store().live_versions(), 3);
+  EXPECT_EQ(engine_->mvcc_versions_live(), 0);
 }
 
 }  // namespace

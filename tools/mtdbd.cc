@@ -137,8 +137,8 @@ int RunSmokeClient(const std::string& host, uint16_t port) {
   }
 
   // A read-only snapshot transaction over the same wire: the first read
-  // carries the begin with the read_only flag, the reads come from the MVCC
-  // version store (bumping mtdb_mvcc_snapshot_reads_total, asserted by
+  // carries the begin with the read_only flag, the reads are MVCC snapshot
+  // reads (bumping mtdb_mvcc_snapshot_reads_total, asserted by
   // mtdbd_smoke.sh), and the committed decrement must be visible in the
   // snapshot. Every transaction here starts with a read, so the daemon
   // serves no kBegin (also asserted by mtdbd_smoke.sh).

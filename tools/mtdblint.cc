@@ -10,10 +10,10 @@
 //                    paths that must not recurse into the instrumentation):
 //                    a comment `mtdblint: allow(raw-mutex)` on the line or
 //                    one of the three lines above it. In src/storage/mvcc
-//                    the escape is NOT honored: the version store and
-//                    timestamp oracle are part of the compile-time
-//                    concurrency-proof surface, so their synchronization
-//                    must stay on the annotated vocabulary unconditionally.
+//                    the escape is NOT honored: the timestamp oracle is
+//                    part of the compile-time concurrency-proof surface,
+//                    so its synchronization must stay on the annotated
+//                    vocabulary unconditionally.
 //
 //   snapshot-lock    A lock-manager call on a path guarded by a *set*
 //                    read-only flag (`if (txn->read_only) ... lock_manager_

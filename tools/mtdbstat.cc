@@ -9,8 +9,8 @@
 // (vmstat-style), which is what an operator actually wants when watching a
 // live machine: rates, not lifetime totals. --count bounds the number of
 // windows (default: poll forever). --grep keeps only metric lines whose
-// name starts with PREFIX (e.g. --grep mtdb_mvcc_ to watch the version
-// store), in both one-shot and interval mode. --top N keeps only the N
+// name starts with PREFIX (e.g. --grep mtdb_mvcc_ to watch the MVCC
+// versions), in both one-shot and interval mode. --top N keeps only the N
 // largest scalar series — by value one-shot, by per-window delta with
 // --interval — which is how you find the busiest machines and operations
 // (histogram lines are dropped in --top mode). Series carry machine and
