@@ -1,6 +1,7 @@
 #include "src/cluster/machine.h"
 
 #include "src/common/clock.h"
+#include "src/common/logging.h"
 
 namespace mtdb {
 
@@ -31,6 +32,15 @@ void Machine::Fail() { failed_.store(true, std::memory_order_release); }
 
 void Machine::Recover() {
   platform::Guard lock(engine_mu_);
+  // The replacement starts an empty log. In-flight work may still hold the
+  // failed engine, whose log keeps writing into the discarded file.
+  const std::string& wal_path = options_.engine_options.wal_path;
+  if (!wal_path.empty()) {
+    Status discarded = WriteAheadLog::Discard(wal_path);
+    if (!discarded.ok()) {
+      MTDB_LOG(kError) << name_ << ": " << discarded.ToString();
+    }
+  }
   engine_ = std::make_shared<Engine>(name_, options_.engine_options);
   failed_.store(false, std::memory_order_release);
 }

@@ -62,7 +62,7 @@ class Machine {
   // Simulates a machine crash: contents are lost, in-flight work is moot.
   void Fail();
 
-  // Brings the machine back with a fresh, empty engine.
+  // Brings the machine back with a fresh, empty engine on an empty log.
   void Recover();
 
   // Bounded worker pool with per-database weighted fair queueing (nullptr =

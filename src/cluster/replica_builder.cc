@@ -11,7 +11,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/platform/mutex.h"
-#include "src/storage/encoding.h"
 
 namespace mtdb {
 
@@ -65,20 +64,6 @@ Metrics& GlobalMetrics() {
     return m;
   }();
   return metrics;
-}
-
-// The copied rows' size in the storage encoding, the unit delta records
-// are counted in too.
-int64_t DumpBytes(const TableDump& dump) {
-  int64_t bytes = 0;
-  std::string encoded;
-  for (const auto& [row, version] : dump.rows) {
-    (void)version;
-    encoded.clear();
-    encoding::AppendRow(&encoded, row);
-    bytes += static_cast<int64_t>(encoded.size());
-  }
-  return bytes;
 }
 
 void RecordPhaseSpan(uint64_t trace_id, int machine_id,
@@ -231,27 +216,17 @@ Status ReplicaBuilder::CopyTables(const Copy& copy) {
   // without tables is copied too.
   MTDB_RETURN_IF_ERROR(client->CreateDatabase(copy.target, copy.db));
   const bool gated = !copy.move;
-  auto install = [&](const TableDump& dump) -> Status {
-    if (copy.move) {
-      obs::Increment(GlobalMetrics().bytes_copied, DumpBytes(dump));
-    }
-    MTDB_RETURN_IF_ERROR(client->ApplyDump(copy.target, copy.db, dump));
-    // Algorithm 1: from here on the table's writes reach the target too.
-    return gated ? controller_->MarkTableCopied(copy.db, dump.schema.name())
-                 : Status::OK();
-  };
-
   if (gated && options_.granularity == CopyGranularity::kDatabase) {
     // Every write to the database is rejected for the whole copy; the dump
-    // keeps its read lock on every table.
+    // keeps its read lock on every table. No write reaches the target
+    // before CompleteCopy ends the "*" window, so no table is marked copied.
     MTDB_RETURN_IF_ERROR(controller_->SetCopyInProgress(copy.db, "*"));
     controller_->WaitForQuiescentWrites(copy.db, "*");
-    MTDB_ASSIGN_OR_RETURN(std::vector<TableDump> dumps,
+    MTDB_ASSIGN_OR_RETURN(std::vector<std::string> records,
                           client->DumpDatabase(copy.source, copy.db,
                                                NextDumpTxn(),
                                                copy.per_row_delay_us));
-    for (const TableDump& dump : dumps) MTDB_RETURN_IF_ERROR(install(dump));
-    return Status::OK();
+    return Install(copy, records);
   }
   MTDB_ASSIGN_OR_RETURN(std::vector<std::string> tables,
                         client->ListTables(copy.source, copy.db));
@@ -264,11 +239,15 @@ Status ReplicaBuilder::CopyTables(const Copy& copy) {
       MTDB_RETURN_IF_ERROR(controller_->SetCopyInProgress(copy.db, table));
       controller_->WaitForQuiescentWrites(copy.db, table);
     }
-    MTDB_ASSIGN_OR_RETURN(TableDump dump,
+    MTDB_ASSIGN_OR_RETURN(std::vector<std::string> records,
                           client->DumpTable(copy.source, copy.db, table,
                                             NextDumpTxn(),
                                             copy.per_row_delay_us));
-    MTDB_RETURN_IF_ERROR(install(dump));
+    MTDB_RETURN_IF_ERROR(Install(copy, records));
+    // Algorithm 1: from here on the table's writes reach the target too.
+    if (gated) {
+      MTDB_RETURN_IF_ERROR(controller_->MarkTableCopied(copy.db, table));
+    }
   }
   return Status::OK();
 }
@@ -309,24 +288,27 @@ Status ReplicaBuilder::CopyOnline(Copy& copy) {
 }
 
 Result<size_t> ReplicaBuilder::ShipDelta(const Copy& copy, uint64_t* cursor) {
-  net::MachineClient* client = controller_->machine_client();
   uint64_t frontier = 0;
-  MTDB_ASSIGN_OR_RETURN(
-      std::vector<std::string> records,
-      client->WalDeltaRead(copy.source, copy.db, *cursor, &frontier));
-  Metrics& metrics = GlobalMetrics();
-  obs::Increment(metrics.delta_rounds);
-  if (!records.empty()) {
+  MTDB_ASSIGN_OR_RETURN(std::vector<std::string> records,
+                        controller_->machine_client()->WalDeltaRead(
+                            copy.source, copy.db, *cursor, &frontier));
+  obs::Increment(GlobalMetrics().delta_rounds);
+  if (!records.empty()) MTDB_RETURN_IF_ERROR(Install(copy, records));
+  *cursor = frontier;
+  return records.size();
+}
+
+Status ReplicaBuilder::Install(const Copy& copy,
+                               const std::vector<std::string>& records) {
+  if (copy.move) {
     int64_t bytes = 0;
     for (const std::string& record : records) {
       bytes += static_cast<int64_t>(record.size());
     }
-    obs::Increment(metrics.bytes_copied, bytes);
-    MTDB_RETURN_IF_ERROR(
-        client->WalDeltaApply(copy.target, copy.db, records));
+    obs::Increment(GlobalMetrics().bytes_copied, bytes);
   }
-  *cursor = frontier;
-  return records.size();
+  return controller_->machine_client()->ApplyRecords(copy.target, copy.db,
+                                                     records);
 }
 
 Status ReplicaBuilder::FreezeAndDrain(Copy& copy) {

@@ -12,8 +12,11 @@
 //             CopyState; a second copy of the same tenant is refused until
 //             this one completes or aborts, whichever kind it is.
 //   copy      the database is created on the target, then every table is
-//             dumped on the source and installed on the target, in one of
-//             three modes:
+//             dumped on the source and installed on the target. A dump
+//             ships as the log's own records (a kCreateTable, then one
+//             kInsert per row), and the target replays it, and every
+//             delta, through the one replay that logs what it applies.
+//             There are three modes:
 //               table-locked     Algorithm 1: writes to the table being
 //                                copied are rejected; once installed, the
 //                                table's writes also reach the target.
@@ -130,6 +133,9 @@ class ReplicaBuilder {
   Status CopyOnline(Copy& copy);
   // Ships the source's committed WAL suffix past *cursor to the target.
   Result<size_t> ShipDelta(const Copy& copy, uint64_t* cursor);
+  // Replays records on the target (kApplyRecords), a bulk copy's or a
+  // delta's alike, counting a move's shipped bytes.
+  Status Install(const Copy& copy, const std::vector<std::string>& records);
   // New begins back off, no write is routed to the target, and the
   // transactions already pinning the tenant drain.
   Status FreezeAndDrain(Copy& copy);

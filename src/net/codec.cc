@@ -10,7 +10,6 @@ namespace {
 using encoding::AppendRow;
 using encoding::BeginFrame;
 using encoding::EndFrame;
-using encoding::AppendSchema;
 using encoding::AppendString;
 using encoding::AppendU32;
 using encoding::AppendU64;
@@ -22,9 +21,24 @@ using encoding::Reader;
 constexpr uint8_t kRequestTag = 0xA1;
 constexpr uint8_t kResponseTag = 0xA2;
 
+// A u32-count-prefixed list of strings.
+void AppendStrings(std::string* out, const std::vector<std::string>& strings) {
+  AppendU32(out, static_cast<uint32_t>(strings.size()));
+  for (const std::string& s : strings) AppendString(out, s);
+}
+
+std::vector<std::string> ReadStrings(Reader* in) {
+  std::vector<std::string> strings;
+  uint32_t count = in->ReadCount();
+  strings.reserve(count);
+  for (uint32_t i = 0; i < count && in->ok(); ++i) {
+    strings.push_back(in->ReadString());
+  }
+  return strings;
+}
+
 void AppendQueryResult(std::string* out, const sql::QueryResult& result) {
-  AppendU32(out, static_cast<uint32_t>(result.columns.size()));
-  for (const std::string& c : result.columns) AppendString(out, c);
+  AppendStrings(out, result.columns);
   AppendU32(out, static_cast<uint32_t>(result.rows.size()));
   for (const Row& row : result.rows) AppendRow(out, row);
   AppendU64(out, static_cast<uint64_t>(result.affected_rows));
@@ -32,11 +46,7 @@ void AppendQueryResult(std::string* out, const sql::QueryResult& result) {
 
 sql::QueryResult ReadQueryResult(Reader* in) {
   sql::QueryResult result;
-  uint32_t columns = in->ReadCount();
-  result.columns.reserve(columns);
-  for (uint32_t i = 0; i < columns && in->ok(); ++i) {
-    result.columns.push_back(in->ReadString());
-  }
+  result.columns = ReadStrings(in);
   uint32_t rows = in->ReadCount();
   result.rows.reserve(rows);
   for (uint32_t i = 0; i < rows && in->ok(); ++i) {
@@ -44,30 +54,6 @@ sql::QueryResult ReadQueryResult(Reader* in) {
   }
   result.affected_rows = static_cast<int64_t>(in->ReadU64());
   return result;
-}
-
-void AppendTableDump(std::string* out, const TableDump& dump) {
-  AppendSchema(out, dump.schema);
-  AppendU32(out, static_cast<uint32_t>(dump.rows.size()));
-  for (const auto& [row, version] : dump.rows) {
-    AppendRow(out, row);
-    AppendU64(out, version);
-  }
-  AppendU64(out, dump.max_version);
-}
-
-TableDump ReadTableDump(Reader* in) {
-  TableDump dump;
-  dump.schema = in->ReadSchema();
-  uint32_t rows = in->ReadCount();
-  dump.rows.reserve(rows);
-  for (uint32_t i = 0; i < rows && in->ok(); ++i) {
-    Row row = in->ReadRow();
-    uint64_t version = in->ReadU64();
-    dump.rows.emplace_back(std::move(row), version);
-  }
-  dump.max_version = in->ReadU64();
-  return dump;
 }
 
 }  // namespace
@@ -88,7 +74,6 @@ std::string_view RpcTypeName(RpcType type) {
     case RpcType::kBulkLoad: return "BulkLoad";
     case RpcType::kDumpTable: return "DumpTable";
     case RpcType::kDumpDatabase: return "DumpDatabase";
-    case RpcType::kApplyDump: return "ApplyDump";
     case RpcType::kListPrepared: return "ListPrepared";
     case RpcType::kListActive: return "ListActive";
     case RpcType::kListTables: return "ListTables";
@@ -97,7 +82,7 @@ std::string_view RpcTypeName(RpcType type) {
     case RpcType::kStats: return "Stats";
     case RpcType::kSetQuota: return "SetQuota";
     case RpcType::kWalDeltaRead: return "WalDeltaRead";
-    case RpcType::kWalDeltaApply: return "WalDeltaApply";
+    case RpcType::kApplyRecords: return "ApplyRecords";
   }
   return "?";
 }
@@ -141,16 +126,12 @@ void EncodeRequestFrame(const RpcRequest& request, std::string* out) {
   for (const Value& v : request.params) AppendValue(out, v);
   AppendU32(out, static_cast<uint32_t>(request.rows.size()));
   for (const Row& row : request.rows) AppendRow(out, row);
-  AppendTableDump(out, request.dump);
   AppendU64(out, static_cast<uint64_t>(request.per_row_delay_us));
   AppendU64(out, static_cast<uint64_t>(request.debug_delay_us));
   AppendU64(out, request.trace_id);
   AppendU8(out, request.read_only ? 1 : 0);
   AppendU64(out, request.wal_cursor);
-  AppendU32(out, static_cast<uint32_t>(request.wal_records.size()));
-  for (const std::string& record : request.wal_records) {
-    AppendString(out, record);
-  }
+  AppendStrings(out, request.records);
   AppendU8(out, request.begin ? 1 : 0);
   uint32_t payload = EndFrame(out, frame);
   obs::Increment(RequestBytesCounter(request.type),
@@ -163,12 +144,10 @@ void EncodeResponseFrame(const RpcResponse& response, std::string* out) {
   AppendU8(out, static_cast<uint8_t>(response.code));
   AppendString(out, response.message);
   AppendQueryResult(out, response.result);
-  AppendU32(out, static_cast<uint32_t>(response.dumps.size()));
-  for (const TableDump& dump : response.dumps) AppendTableDump(out, dump);
+  AppendStrings(out, response.records);
   AppendU32(out, static_cast<uint32_t>(response.txn_ids.size()));
   for (uint64_t id : response.txn_ids) AppendU64(out, id);
-  AppendU32(out, static_cast<uint32_t>(response.names.size()));
-  for (const std::string& name : response.names) AppendString(out, name);
+  AppendStrings(out, response.names);
   AppendU64(out, static_cast<uint64_t>(response.server_duration_us));
   AppendU64(out, static_cast<uint64_t>(response.retry_after_us));
   AppendU64(out, response.snapshot_ts);
@@ -222,17 +201,12 @@ Result<RpcRequest> DecodeRequest(std::string_view payload) {
   for (uint32_t i = 0; i < rows && in.ok(); ++i) {
     request.rows.push_back(in.ReadRow());
   }
-  request.dump = ReadTableDump(&in);
   request.per_row_delay_us = static_cast<int64_t>(in.ReadU64());
   request.debug_delay_us = static_cast<int64_t>(in.ReadU64());
   request.trace_id = in.ReadU64();
   request.read_only = in.ReadU8() != 0;
   request.wal_cursor = in.ReadU64();
-  uint32_t wal_records = in.ReadCount();
-  request.wal_records.reserve(wal_records);
-  for (uint32_t i = 0; i < wal_records && in.ok(); ++i) {
-    request.wal_records.push_back(in.ReadString());
-  }
+  request.records = ReadStrings(&in);
   request.begin = in.ReadU8() != 0;
   if (!in.ok()) return Status::InvalidArgument("truncated request frame");
   if (in.remaining() != 0) {
@@ -255,21 +229,13 @@ Result<RpcResponse> DecodeResponse(std::string_view payload) {
   response.code = static_cast<StatusCode>(code);
   response.message = in.ReadString();
   response.result = ReadQueryResult(&in);
-  uint32_t dumps = in.ReadCount();
-  response.dumps.reserve(dumps);
-  for (uint32_t i = 0; i < dumps && in.ok(); ++i) {
-    response.dumps.push_back(ReadTableDump(&in));
-  }
+  response.records = ReadStrings(&in);
   uint32_t txns = in.ReadCount();
   response.txn_ids.reserve(txns);
   for (uint32_t i = 0; i < txns && in.ok(); ++i) {
     response.txn_ids.push_back(in.ReadU64());
   }
-  uint32_t names = in.ReadCount();
-  response.names.reserve(names);
-  for (uint32_t i = 0; i < names && in.ok(); ++i) {
-    response.names.push_back(in.ReadString());
-  }
+  response.names = ReadStrings(&in);
   response.server_duration_us = static_cast<int64_t>(in.ReadU64());
   response.retry_after_us = static_cast<int64_t>(in.ReadU64());
   response.snapshot_ts = in.ReadU64();

@@ -18,10 +18,11 @@ namespace mtdb::net {
 //
 // Fields use the storage encoding (src/storage/encoding.h), the same one the
 // WAL writes its records in: fixed-width little-endian integers,
-// u32-count-prefixed strings and repeated fields, tagged SQL values.
-// Decoding is fully bounds-checked: a truncated frame, a trailing byte, an
-// unknown tag or a schema naming no real column yields an error Status,
-// never a crash or a partial message.
+// u32-count-prefixed strings and repeated fields, tagged SQL values. Copies
+// travel as WAL record payloads, opaque strings here that the target
+// decodes when it replays them. Decoding is fully bounds-checked: a
+// truncated frame, a trailing byte or an unknown tag yields an error
+// Status, never a crash or a partial message.
 
 // Frames larger than this are rejected as corrupt before any allocation.
 inline constexpr uint32_t kMaxFrameBytes = 256u << 20;  // 256 MiB

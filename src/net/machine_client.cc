@@ -105,6 +105,11 @@ RpcResponse MachineClient::ControlCall(int machine_id, RpcRequest request) {
   return CallSync(ControlChannel(machine_id), machine_id, std::move(request));
 }
 
+RpcResponse MachineClient::CopyCall(int machine_id, RpcRequest request) {
+  auto channel = transport_->OpenChannel(machine_id);
+  return CallSync(channel.get(), machine_id, std::move(request));
+}
+
 Status MachineClient::Health(int machine_id) {
   RpcRequest request;
   request.type = RpcType::kHealth;
@@ -212,29 +217,21 @@ Status MachineClient::SetQuota(int machine_id, const std::string& db_name,
   return ControlCall(machine_id, std::move(request)).ToStatus();
 }
 
-Result<TableDump> MachineClient::DumpTable(int machine_id,
-                                           const std::string& db_name,
-                                           const std::string& table,
-                                           uint64_t dump_txn_id,
-                                           int64_t per_row_delay_us) {
+Result<std::vector<std::string>> MachineClient::DumpTable(
+    int machine_id, const std::string& db_name, const std::string& table,
+    uint64_t dump_txn_id, int64_t per_row_delay_us) {
   RpcRequest request;
   request.type = RpcType::kDumpTable;
   request.txn_id = dump_txn_id;
   request.db_name = db_name;
   request.table = table;
   request.per_row_delay_us = per_row_delay_us;
-  auto channel = transport_->OpenChannel(machine_id);
-  RpcResponse response =
-      CallSync(channel.get(), machine_id, std::move(request));
+  RpcResponse response = CopyCall(machine_id, std::move(request));
   if (!response.ok()) return response.ToStatus();
-  if (response.dumps.size() != 1) {
-    return Status::Internal("DumpTable reply carried " +
-                            std::to_string(response.dumps.size()) + " dumps");
-  }
-  return std::move(response.dumps[0]);
+  return std::move(response.records);
 }
 
-Result<std::vector<TableDump>> MachineClient::DumpDatabase(
+Result<std::vector<std::string>> MachineClient::DumpDatabase(
     int machine_id, const std::string& db_name, uint64_t dump_txn_id,
     int64_t per_row_delay_us) {
   RpcRequest request;
@@ -242,21 +239,9 @@ Result<std::vector<TableDump>> MachineClient::DumpDatabase(
   request.txn_id = dump_txn_id;
   request.db_name = db_name;
   request.per_row_delay_us = per_row_delay_us;
-  auto channel = transport_->OpenChannel(machine_id);
-  RpcResponse response =
-      CallSync(channel.get(), machine_id, std::move(request));
+  RpcResponse response = CopyCall(machine_id, std::move(request));
   if (!response.ok()) return response.ToStatus();
-  return std::move(response.dumps);
-}
-
-Status MachineClient::ApplyDump(int machine_id, const std::string& db_name,
-                                const TableDump& dump) {
-  RpcRequest request;
-  request.type = RpcType::kApplyDump;
-  request.db_name = db_name;
-  request.dump = dump;
-  auto channel = transport_->OpenChannel(machine_id);
-  return CallSync(channel.get(), machine_id, std::move(request)).ToStatus();
+  return std::move(response.records);
 }
 
 Result<std::vector<std::string>> MachineClient::WalDeltaRead(
@@ -266,24 +251,19 @@ Result<std::vector<std::string>> MachineClient::WalDeltaRead(
   request.type = RpcType::kWalDeltaRead;
   request.db_name = db_name;
   request.wal_cursor = wal_cursor;
-  // Transient channel, like the dump calls: a delta round can be large and
-  // must not head-of-line-block the control channel.
-  auto channel = transport_->OpenChannel(machine_id);
-  RpcResponse response =
-      CallSync(channel.get(), machine_id, std::move(request));
+  RpcResponse response = CopyCall(machine_id, std::move(request));
   if (!response.ok()) return response.ToStatus();
   *frontier = response.wal_lsn;
-  return std::move(response.names);
+  return std::move(response.records);
 }
 
-Status MachineClient::WalDeltaApply(int machine_id, const std::string& db_name,
-                                    const std::vector<std::string>& records) {
+Status MachineClient::ApplyRecords(int machine_id, const std::string& db_name,
+                                   const std::vector<std::string>& records) {
   RpcRequest request;
-  request.type = RpcType::kWalDeltaApply;
+  request.type = RpcType::kApplyRecords;
   request.db_name = db_name;
-  request.wal_records = records;
-  auto channel = transport_->OpenChannel(machine_id);
-  return CallSync(channel.get(), machine_id, std::move(request)).ToStatus();
+  request.records = records;
+  return CopyCall(machine_id, std::move(request)).ToStatus();
 }
 
 // --- Deadline machinery ---

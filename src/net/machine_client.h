@@ -113,33 +113,35 @@ class MachineClient {
   Status SetQuota(int machine_id, const std::string& db_name, double rate_tps,
                   double burst, int weight);
 
-  // Copy-tool calls run on a transient channel of their own: a dump can
+  // Copy calls run on a transient channel of their own: a dump can
   // legitimately take seconds (per_row_delay_us models the paper's copy
-  // cost) and must not head-of-line-block the control channel.
-  Result<TableDump> DumpTable(int machine_id, const std::string& db_name,
-                              const std::string& table, uint64_t dump_txn_id,
-                              int64_t per_row_delay_us);
-  Result<std::vector<TableDump>> DumpDatabase(int machine_id,
-                                              const std::string& db_name,
-                                              uint64_t dump_txn_id,
-                                              int64_t per_row_delay_us);
-  Status ApplyDump(int machine_id, const std::string& db_name,
-                   const TableDump& dump);
-
-  // Live-migration delta calls (kWalDeltaRead / kWalDeltaApply); transient
-  // channels, like the dump calls. WalDeltaRead returns the encoded WAL
-  // records the target must replay to catch db_name up past `wal_cursor`,
-  // and sets `*frontier` to the source-WAL LSN the delta reaches (the next
-  // round's cursor). Cursor UINT64_MAX is a probe: frontier only, no
-  // records; a source without a WAL answers kFailedPrecondition.
+  // cost), and a delta round can be large, so neither may head-of-line-block
+  // the control channel. Every copy moves as log record payloads
+  // (AppendCopyRecords, dump.h): DumpTable returns one table's, and
+  // DumpDatabase every table's in turn, read under one lock on them all.
+  Result<std::vector<std::string>> DumpTable(int machine_id,
+                                             const std::string& db_name,
+                                             const std::string& table,
+                                             uint64_t dump_txn_id,
+                                             int64_t per_row_delay_us);
+  Result<std::vector<std::string>> DumpDatabase(int machine_id,
+                                                const std::string& db_name,
+                                                uint64_t dump_txn_id,
+                                                int64_t per_row_delay_us);
+  // Returns the committed WAL records the target must replay to catch
+  // db_name up past `wal_cursor`, and sets `*frontier` to the source-WAL LSN
+  // the delta reaches (the next round's cursor). Cursor UINT64_MAX is a
+  // probe: frontier only, no records; a source without a WAL answers
+  // kFailedPrecondition.
   Result<std::vector<std::string>> WalDeltaRead(int machine_id,
                                                 const std::string& db_name,
                                                 uint64_t wal_cursor,
                                                 uint64_t* frontier);
-  // Replays delta records on the target (WriteAheadLog::Replay). Records
-  // must come from WalDeltaRead against the same database.
-  Status WalDeltaApply(int machine_id, const std::string& db_name,
-                       const std::vector<std::string>& records);
+  // Installs records on the machine through the one replay
+  // (kApplyRecords, WriteAheadLog::Replay): a bulk copy as the dump calls
+  // return it, or a delta as WalDeltaRead returns it.
+  Status ApplyRecords(int machine_id, const std::string& db_name,
+                      const std::vector<std::string>& records);
 
   // Calls whose deadline is armed: sent and neither answered nor expired.
   size_t armed_deadlines() const;
@@ -189,6 +191,8 @@ class MachineClient {
   RpcResponse CallSync(Channel* channel, int machine_id, RpcRequest request);
   // Control-plane convenience: sync call on the shared control channel.
   RpcResponse ControlCall(int machine_id, RpcRequest request);
+  // A copy call: sync, on a transient channel of its own.
+  RpcResponse CopyCall(int machine_id, RpcRequest request);
   Channel* ControlChannel(int machine_id);
 
   // Removes an answered call's deadline, if the watchdog has not taken it.

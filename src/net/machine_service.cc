@@ -219,7 +219,8 @@ RpcResponse MachineService::DispatchControl(const RpcRequest& request) {
                                request.txn_id, options);
       if (!dump_or.ok()) return RpcResponse::FromStatus(dump_or.status());
       RpcResponse response;
-      response.dumps.push_back(std::move(*dump_or));
+      AppendCopyRecords(request.db_name, std::move(*dump_or),
+                        &response.records);
       return response;
     }
     case RpcType::kDumpDatabase: {
@@ -229,12 +230,12 @@ RpcResponse MachineService::DispatchControl(const RpcRequest& request) {
                                         request.txn_id, options);
       if (!dump_or.ok()) return RpcResponse::FromStatus(dump_or.status());
       RpcResponse response;
-      response.dumps = std::move(dump_or->tables);
+      for (TableDump& table : dump_or->tables) {
+        AppendCopyRecords(request.db_name, std::move(table),
+                          &response.records);
+      }
       return response;
     }
-    case RpcType::kApplyDump:
-      return RpcResponse::FromStatus(
-          ApplyTableDump(engine.get(), request.db_name, request.dump));
     case RpcType::kListPrepared: {
       RpcResponse response;
       response.txn_ids = engine->PreparedTxnIds();
@@ -282,13 +283,13 @@ RpcResponse MachineService::DispatchControl(const RpcRequest& request) {
         return RpcResponse::FromStatus(records_or.status());
       }
       RpcResponse response;
-      response.names = std::move(*records_or);
+      response.records = std::move(*records_or);
       response.wal_lsn = frontier;
       return response;
     }
-    case RpcType::kWalDeltaApply:
+    case RpcType::kApplyRecords:
       return RpcResponse::FromStatus(
-          WriteAheadLog::Replay(request.wal_records, engine.get()));
+          WriteAheadLog::Replay(request.records, engine.get()));
     case RpcType::kListTables: {
       Database* db = engine->GetDatabase(request.db_name);
       if (db == nullptr) {

@@ -8,7 +8,6 @@
 
 #include "src/common/status.h"
 #include "src/sql/query_result.h"
-#include "src/storage/dump.h"
 #include "src/storage/value.h"
 
 namespace mtdb::net {
@@ -30,9 +29,10 @@ enum class RpcType : uint8_t {
   kHasDatabase = 10,   // catalog probe (recovery target selection)
   kExecuteDdl = 11,    // DDL statement, run outside client transactions
   kBulkLoad = 12,      // non-transactional bulk insert (setup / data gen)
-  kDumpTable = 13,     // copy-tool source side (Algorithm 1 recovery)
-  kDumpDatabase = 14,  // database-granularity dump
-  kApplyDump = 15,     // copy-tool target side: install one table dump
+  kDumpTable = 13,     // copy-tool source side: one table as log records
+  kDumpDatabase = 14,  // database-granularity dump: every table's records
+  // 15 is retired: it installed a table dump, a second copy format that
+  // kApplyRecords replaced. DecodeRequest rejects it.
   kListPrepared = 16,  // prepared txn ids (process-pair takeover)
   kListActive = 17,    // active txn ids (process-pair takeover)
   kListTables = 18,    // table names of one database (recovery work list)
@@ -45,16 +45,16 @@ enum class RpcType : uint8_t {
   kStats = 21,             // metrics dump (text exposition in the message)
   kSetQuota = 22,          // install a QoS quota for db_name on the machine
   kWalDeltaRead = 23,      // live migration: committed WAL delta since cursor
-  kWalDeltaApply = 24,     // live migration: replay delta records on target
+  kApplyRecords = 24,      // copy target: replay a bulk copy or a delta
 };
 
 // Every wire number lies in [1, kRpcTypeLimit); IsLiveRpcType excludes the
 // retired ones. Per-type tables and the decoder all size and validate
 // against this one range.
-constexpr int kRpcTypeLimit = static_cast<int>(RpcType::kWalDeltaApply) + 1;
+constexpr int kRpcTypeLimit = static_cast<int>(RpcType::kApplyRecords) + 1;
 constexpr bool IsLiveRpcType(int raw) {
   return raw >= static_cast<int>(RpcType::kHealth) && raw < kRpcTypeLimit &&
-         raw != static_cast<int>(RpcType::kPrepareStatement) &&
+         raw != 15 && raw != static_cast<int>(RpcType::kPrepareStatement) &&
          raw != static_cast<int>(RpcType::kExecutePrepared);
 }
 
@@ -72,7 +72,6 @@ struct RpcRequest {
   // [rate_tps (double), burst (double), weight (int)] here.
   std::vector<Value> params;
   std::vector<Row> rows;          // kBulkLoad
-  TableDump dump;                 // kApplyDump
   int64_t per_row_delay_us = 0;   // kDumpTable / kDumpDatabase copy-cost model
   // Test instrumentation: extra service delay applied before execution (the
   // controller's latency injector rides the wire so fault schedules stay
@@ -90,9 +89,9 @@ struct RpcRequest {
   // frontier (LSN). UINT64_MAX is a capability probe: no records,
   // frontier only. Always on the wire, like read_only.
   uint64_t wal_cursor = 0;
-  // kWalDeltaApply: encoded WAL records to replay (as kWalDeltaRead
-  // returns them).
-  std::vector<std::string> wal_records;
+  // kApplyRecords: log record payloads to replay, as a dump or a
+  // kWalDeltaRead reply carries them.
+  std::vector<std::string> records;
   // kExecute: this is the transaction's first request to the machine, so the
   // machine runs QoS admission and starts txn_id (with `read_only`) before
   // the statement, exactly as a kBegin would. A refusal answers
@@ -113,7 +112,9 @@ struct RpcResponse {
   StatusCode code = StatusCode::kOk;
   std::string message;
   sql::QueryResult result;         // kExecute / kExecuteDdl
-  std::vector<TableDump> dumps;    // kDumpTable (one) / kDumpDatabase (all)
+  // kDumpTable / kDumpDatabase / kWalDeltaRead: log record payloads
+  // (WriteAheadLog::Encode), for the target's kApplyRecords.
+  std::vector<std::string> records;
   std::vector<uint64_t> txn_ids;   // kListPrepared / kListActive
   std::vector<std::string> names;  // kListTables
   // Service time measured machine-side (dispatch entry to reply), echoed to
@@ -133,7 +134,6 @@ struct RpcResponse {
   // kWalDeltaRead: the source-WAL frontier (LSN of the last complete record)
   // the returned delta catches the caller up to; feed it back as the next
   // round's wal_cursor. 0 elsewhere. Always on the wire, like snapshot_ts.
-  // The delta records themselves travel in `names`.
   uint64_t wal_lsn = 0;
 
   bool ok() const { return code == StatusCode::kOk; }

@@ -16,8 +16,6 @@ TableDump SnapshotTable(Engine* source, const std::string& db_name,
   dump.schema = table->schema();
   table->VisitRange(std::nullopt, std::nullopt,
                     [&dump](const Value&, const StoredRow& stored) {
-                      dump.max_version =
-                          std::max(dump.max_version, stored.version);
                       dump.rows.emplace_back(stored.values, stored.version);
                       return true;
                     });
@@ -72,13 +70,20 @@ Result<DatabaseDump> DumpDatabaseCoarse(Engine* source,
   return dump;
 }
 
-Status ApplyTableDump(Engine* target, const std::string& db_name,
-                      const TableDump& dump) {
-  if (!target->HasDatabase(db_name)) {
-    MTDB_RETURN_IF_ERROR(target->CreateDatabase(db_name));
+void AppendCopyRecords(const std::string& db_name, TableDump dump,
+                       std::vector<std::string>* records) {
+  WalRecord record{.type = WalRecordType::kCreateTable,
+                   .database = db_name,
+                   .schema = std::move(dump.schema)};
+  records->push_back(WriteAheadLog::Encode(record));
+  record.type = WalRecordType::kInsert;
+  record.table = record.schema.name();
+  const int key = record.schema.primary_key_index();
+  for (auto& [row, version] : dump.rows) {
+    record.primary_key = row[key];
+    record.row = std::move(row);
+    records->push_back(WriteAheadLog::Encode(record));
   }
-  MTDB_RETURN_IF_ERROR(target->CreateTable(db_name, dump.schema));
-  return target->BulkInsertVersioned(db_name, dump.schema.name(), dump.rows);
 }
 
 }  // namespace mtdb

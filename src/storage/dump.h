@@ -11,17 +11,18 @@
 namespace mtdb {
 
 // The off-the-shelf database copy tool of Section 3.2 (mysqldump in the
-// paper's prototype): copies tables under table-granularity read locks.
+// paper's prototype, which writes a replayable script): copies tables under
+// table-granularity read locks, and ships them in the log's own records.
 //
 // The crucial behaviour the correctness argument relies on: the tool obtains
 // a read (S) lock on the table, copies the contents, and releases the lock at
-// the end of the copy. Row versions are preserved so the new replica's
-// version history lines up with the source.
+// the end of the copy. The target installs the records through the one
+// replay (WriteAheadLog::Replay), so the copied rows take the target's own
+// versions and land in its log.
 
 struct TableDump {
   TableSchema schema;
   std::vector<std::pair<Row, uint64_t>> rows;  // (values, version)
-  uint64_t max_version = 0;
 };
 
 struct DatabaseDump {
@@ -50,11 +51,12 @@ Result<DatabaseDump> DumpDatabaseCoarse(Engine* source,
                                         uint64_t dump_txn_id,
                                         const DumpOptions& options = {});
 
-// Installs a dumped table on the target engine: creates the database if
-// needed, creates the table (with its indexes), and bulk-loads the rows with
-// their original versions. Fails if the table already exists on the target.
-Status ApplyTableDump(Engine* target, const std::string& db_name,
-                      const TableDump& dump);
+// Appends the dumped table to *records in the log's record encoding
+// (WriteAheadLog::Encode), as a copy target replays it: a kCreateTable
+// record (the schema with its indexes), then one kInsert image per row under
+// the bulk pseudo-transaction 0. The target must hold db_name already.
+void AppendCopyRecords(const std::string& db_name, TableDump dump,
+                       std::vector<std::string>* records);
 
 }  // namespace mtdb
 

@@ -99,9 +99,7 @@ TableSchema Reader::ReadSchema() {
     columns.push_back(std::move(c));
   }
   int pk = static_cast<int32_t>(ReadU32());
-  bool pk_ok = columns.empty() ? pk == -1
-                               : pk >= 0 && pk < static_cast<int>(num_columns);
-  if (!pk_ok) ok_ = false;
+  if (pk < 0 || pk >= static_cast<int>(num_columns)) ok_ = false;
   TableSchema schema(std::move(name), std::move(columns), pk);
   uint32_t num_indexes = ReadCount();
   for (uint32_t i = 0; i < num_indexes && ok_; ++i) {

@@ -121,8 +121,6 @@ class Reader {
   Row ReadRow();
   // Fails the read unless every column has a known type, the primary key
   // names a column and every index names a column under a name of its own.
-  // Only an empty schema may have no key: the unused dump every request
-  // carries.
   TableSchema ReadSchema();
 
  private:

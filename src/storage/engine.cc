@@ -907,44 +907,30 @@ Status Engine::BulkInsert(const std::string& db_name,
   return Status::OK();
 }
 
-Status Engine::BulkInsertVersioned(
-    const std::string& db_name, const std::string& table_name,
-    const std::vector<std::pair<Row, uint64_t>>& rows) {
-  MTDB_ASSIGN_OR_RETURN(Table * table, ResolveTable(db_name, table_name));
-  for (const auto& [row, version] : rows) {
-    MTDB_RETURN_IF_ERROR(table->schema().ValidateRow(row));
-    if (!table->Insert(row, version)) {
-      return Status::AlreadyExists(
-          "duplicate primary key during versioned bulk load into " +
-          table_name);
-    }
-    table->AdvanceVersionCounter(version);
-  }
-  return Status::OK();
-}
-
 Status Engine::ApplyRedoRow(const std::string& db_name,
                             const std::string& table_name, WalRecordType type,
                             const Value& primary_key, const Row& row) {
   MTDB_ASSIGN_OR_RETURN(Table * table, ResolveTable(db_name, table_name));
   switch (type) {
     case WalRecordType::kInsert:
-    case WalRecordType::kUpdate: {
+    case WalRecordType::kUpdate:
       MTDB_RETURN_IF_ERROR(table->schema().ValidateRow(row));
-      if (table->Update(primary_key, row, table->NextVersion())) {
-        return Status::OK();
+      if (!table->Update(primary_key, row, table->NextVersion()) &&
+          !table->Insert(row, table->NextVersion())) {
+        return Status::Internal("redo apply failed for " + db_name + "." +
+                                table_name);
       }
-      if (table->Insert(row, table->NextVersion())) return Status::OK();
-      return Status::Internal("redo apply failed for " + db_name + "." +
-                              table_name);
-    }
+      break;
     case WalRecordType::kDelete:
       // Deleting an absent row is fine: the bulk copy may already reflect it.
       (void)table->Delete(primary_key, table->NextVersion());
-      return Status::OK();
+      break;
     default:
       return Status::InvalidArgument("not a redo row record");
   }
+  if (wal_ == nullptr) return Status::OK();
+  return wal_->AppendRowOp(type, /*txn_id=*/0, db_name, table_name,
+                           primary_key, row);
 }
 
 // --- History ---

@@ -204,19 +204,17 @@ class Engine {
   Status LockTableShared(uint64_t txn_id, const std::string& db_name,
                          const std::string& table_name);
 
-  // --- Bulk, non-transactional load (setup / dump application only; caller
-  // guarantees no concurrent transactions touch the table). ---
+  // --- Bulk, non-transactional writes (setup, copies and recovery only;
+  // the caller guarantees no concurrent transaction touches the table). ---
   Status BulkInsert(const std::string& db_name, const std::string& table_name,
                     const std::vector<Row>& rows);
-  // Bulk load preserving explicit row versions (dump application).
-  Status BulkInsertVersioned(const std::string& db_name,
-                             const std::string& table_name,
-                             const std::vector<std::pair<Row, uint64_t>>& rows);
   // Applies one redo row image of the WAL replay (kInsert / kUpdate /
-  // kDelete; WriteAheadLog::Replay), for recovery and for live-migration
-  // deltas alike. Upsert semantics: an insert-then-update chain within a
-  // delta must land on whatever the bulk copy already installed. Like
-  // BulkInsertVersioned, never WAL-logged (ROADMAP 4(c)).
+  // kDelete; WriteAheadLog::Replay), for recovery, bulk copies and
+  // live-migration deltas alike. Upsert semantics: an insert-then-update
+  // chain within a delta must land on whatever the bulk copy already
+  // installed. The row takes this engine's own version. With a WAL, the
+  // image is logged like a bulk load, under pseudo-transaction 0, and
+  // enqueued only: Replay syncs once its records are applied.
   Status ApplyRedoRow(const std::string& db_name, const std::string& table_name,
                       WalRecordType type, const Value& primary_key,
                       const Row& row);

@@ -157,15 +157,6 @@ class Table {
   // Fresh version for a write to this table. Monotonic per table, which makes
   // versions monotonic per row.
   uint64_t NextVersion() { return version_counter_.fetch_add(1) + 1; }
-  // Ensures future NextVersion() results exceed `version`. Called when rows
-  // with explicit versions are installed (dump application), preserving
-  // per-object version monotonicity on the new replica.
-  void AdvanceVersionCounter(uint64_t version) {
-    uint64_t current = version_counter_.load();
-    while (current < version &&
-           !version_counter_.compare_exchange_weak(current, version)) {
-    }
-  }
   // The version a read of pk observes: its row's, or, with no row, the
   // version of the delete that removed it (read-miss observation); 0 if
   // never written.

@@ -24,64 +24,58 @@ bool IsDecision(WalRecordType type) {
          type == WalRecordType::kAbort;
 }
 
-// Starts a record: its frame and the type byte. FinishRecord closes the
-// frame once the type's fields are appended.
-std::string BeginRecord(WalRecordType type) {
+// Appends a row image's payload: its type byte, then its fields.
+void AppendRowImage(std::string* out, WalRecordType type, uint64_t txn_id,
+                    const std::string& database, const std::string& table,
+                    const Value& primary_key, const Row& row) {
+  encoding::AppendU8(out, static_cast<uint8_t>(type));
+  encoding::AppendU64(out, txn_id);
+  encoding::AppendString(out, database);
+  encoding::AppendString(out, table);
+  encoding::AppendValue(out, primary_key);
+  encoding::AppendRow(out, row);
+}
+
+// Appends one record's payload: its type byte, then the type's fields.
+void AppendPayload(std::string* out, const WalRecord& record) {
+  if (IsRowImage(record.type)) {
+    AppendRowImage(out, record.type, record.txn_id, record.database,
+                   record.table, record.primary_key, record.row);
+    return;
+  }
+  encoding::AppendU8(out, static_cast<uint8_t>(record.type));
+  if (IsDecision(record.type)) {
+    encoding::AppendU64(out, record.txn_id);
+    return;
+  }
+  encoding::AppendString(out, record.database);
+  switch (record.type) {
+    case WalRecordType::kCreateTable:
+      encoding::AppendSchema(out, record.schema);
+      break;
+    case WalRecordType::kCreateIndex:
+      encoding::AppendString(out, record.table);
+      encoding::AppendString(out, record.index);
+      encoding::AppendString(out, record.column);
+      break;
+    case WalRecordType::kDropTable:
+      encoding::AppendString(out, record.table);
+      break;
+    default:  // kCreateDatabase, kDropDatabase: the database alone
+      break;
+  }
+}
+
+// A record as the log file holds it is its payload behind a u32 length:
+// NewFrame starts one, and FinishRecord patches the length in.
+std::string NewFrame() {
   std::string record;
   encoding::BeginFrame(&record);
-  encoding::AppendU8(&record, static_cast<uint8_t>(type));
   return record;
 }
 
 std::string FinishRecord(std::string record) {
   encoding::EndFrame(&record, 0);
-  return record;
-}
-
-// Decodes one record payload (without its length prefix). Malformed input
-// yields kInvalidArgument.
-Result<WalRecord> DecodeRecord(std::string_view payload) {
-  encoding::Reader in(payload);
-  uint8_t type = in.ReadU8();
-  if (type < static_cast<uint8_t>(WalRecordType::kCreateDatabase) ||
-      type > static_cast<uint8_t>(WalRecordType::kDropTable)) {
-    return Status::InvalidArgument("unknown WAL record type " +
-                                   std::to_string(type));
-  }
-  WalRecord record;
-  record.type = static_cast<WalRecordType>(type);
-  if (IsDecision(record.type)) {
-    record.txn_id = in.ReadU64();
-  } else if (IsRowImage(record.type)) {
-    record.txn_id = in.ReadU64();
-    record.database = in.ReadString();
-    record.table = in.ReadString();
-    record.primary_key = in.ReadValue();
-    record.row = in.ReadRow();
-  } else {
-    // DDL, laid out as AppendDdl writes it.
-    record.database = in.ReadString();
-    switch (record.type) {
-      case WalRecordType::kCreateTable:
-        record.schema = in.ReadSchema();
-        record.table = record.schema.name();
-        break;
-      case WalRecordType::kCreateIndex:
-        record.table = in.ReadString();
-        record.index = in.ReadString();
-        record.column = in.ReadString();
-        break;
-      case WalRecordType::kDropTable:
-        record.table = in.ReadString();
-        break;
-      default:  // kCreateDatabase, kDropDatabase: the database alone
-        break;
-    }
-  }
-  if (!in.ok()) return Status::InvalidArgument("truncated WAL record");
-  if (in.remaining() != 0) {
-    return Status::InvalidArgument("trailing bytes after WAL record");
-  }
   return record;
 }
 
@@ -115,6 +109,51 @@ Result<std::vector<std::string>> ReadPayloads(const std::string& path) {
 
 }  // namespace
 
+Result<WalRecord> WriteAheadLog::Decode(std::string_view payload) {
+  encoding::Reader in(payload);
+  uint8_t type = in.ReadU8();
+  if (type < static_cast<uint8_t>(WalRecordType::kCreateDatabase) ||
+      type > static_cast<uint8_t>(WalRecordType::kDropTable)) {
+    return Status::InvalidArgument("unknown WAL record type " +
+                                   std::to_string(type));
+  }
+  WalRecord record;
+  record.type = static_cast<WalRecordType>(type);
+  if (IsDecision(record.type)) {
+    record.txn_id = in.ReadU64();
+  } else if (IsRowImage(record.type)) {
+    record.txn_id = in.ReadU64();
+    record.database = in.ReadString();
+    record.table = in.ReadString();
+    record.primary_key = in.ReadValue();
+    record.row = in.ReadRow();
+  } else {
+    // DDL, laid out as AppendPayload writes it.
+    record.database = in.ReadString();
+    switch (record.type) {
+      case WalRecordType::kCreateTable:
+        record.schema = in.ReadSchema();
+        record.table = record.schema.name();
+        break;
+      case WalRecordType::kCreateIndex:
+        record.table = in.ReadString();
+        record.index = in.ReadString();
+        record.column = in.ReadString();
+        break;
+      case WalRecordType::kDropTable:
+        record.table = in.ReadString();
+        break;
+      default:  // kCreateDatabase, kDropDatabase: the database alone
+        break;
+    }
+  }
+  if (!in.ok()) return Status::InvalidArgument("truncated WAL record");
+  if (in.remaining() != 0) {
+    return Status::InvalidArgument("trailing bytes after WAL record");
+  }
+  return record;
+}
+
 WriteAheadLog::WriteAheadLog(std::unique_ptr<wal::LogWriter> writer)
     : writer_(std::move(writer)) {}
 
@@ -127,27 +166,26 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
   return std::unique_ptr<WriteAheadLog>(new WriteAheadLog(std::move(writer)));
 }
 
-Status WriteAheadLog::AppendDdl(const WalRecord& ddl) {
-  std::string record = BeginRecord(ddl.type);
-  encoding::AppendString(&record, ddl.database);
-  switch (ddl.type) {
-    case WalRecordType::kCreateDatabase:
-    case WalRecordType::kDropDatabase:
-      break;
-    case WalRecordType::kCreateTable:
-      encoding::AppendSchema(&record, ddl.schema);
-      break;
-    case WalRecordType::kCreateIndex:
-      encoding::AppendString(&record, ddl.table);
-      encoding::AppendString(&record, ddl.index);
-      encoding::AppendString(&record, ddl.column);
-      break;
-    case WalRecordType::kDropTable:
-      encoding::AppendString(&record, ddl.table);
-      break;
-    default:
-      return Status::InvalidArgument("not a DDL record");
+Status WriteAheadLog::Discard(const std::string& path) {
+  if (std::remove(path.c_str()) != 0 && errno != ENOENT) {
+    return Status::Unavailable("wal: cannot remove " + path + ": " +
+                               std::strerror(errno));
   }
+  return Status::OK();
+}
+
+std::string WriteAheadLog::Encode(const WalRecord& record) {
+  std::string payload;
+  AppendPayload(&payload, record);
+  return payload;
+}
+
+Status WriteAheadLog::AppendDdl(const WalRecord& ddl) {
+  if (IsRowImage(ddl.type) || IsDecision(ddl.type)) {
+    return Status::InvalidArgument("not a DDL record");
+  }
+  std::string record = NewFrame();
+  AppendPayload(&record, ddl);
   MTDB_ASSIGN_OR_RETURN(uint64_t lsn,
                         writer_->Append(FinishRecord(std::move(record))));
   (void)lsn;
@@ -159,12 +197,8 @@ Status WriteAheadLog::AppendRowOp(WalRecordType type, uint64_t txn_id,
                                   const std::string& database,
                                   const std::string& table,
                                   const Value& primary_key, const Row& row) {
-  std::string record = BeginRecord(type);
-  encoding::AppendU64(&record, txn_id);
-  encoding::AppendString(&record, database);
-  encoding::AppendString(&record, table);
-  encoding::AppendValue(&record, primary_key);
-  encoding::AppendRow(&record, row);
+  std::string record = NewFrame();
+  AppendRowImage(&record, type, txn_id, database, table, primary_key, row);
   // Enqueue only: the decision record appended after this one has a higher
   // LSN, so awaiting the decision covers every row image of the txn.
   MTDB_ASSIGN_OR_RETURN(uint64_t lsn,
@@ -175,8 +209,8 @@ Status WriteAheadLog::AppendRowOp(WalRecordType type, uint64_t txn_id,
 
 Result<uint64_t> WriteAheadLog::AppendDecisionAsync(WalRecordType type,
                                                     uint64_t txn_id) {
-  std::string record = BeginRecord(type);
-  encoding::AppendU64(&record, txn_id);
+  std::string record = NewFrame();
+  AppendPayload(&record, {.type = type, .txn_id = txn_id});
   return writer_->Append(FinishRecord(std::move(record)));
 }
 
@@ -193,7 +227,7 @@ Result<std::vector<WalRecord>> WriteAheadLog::ReadAll(
   std::vector<WalRecord> records;
   records.reserve(payloads.size());
   for (const std::string& payload : payloads) {
-    MTDB_ASSIGN_OR_RETURN(WalRecord record, DecodeRecord(payload));
+    MTDB_ASSIGN_OR_RETURN(WalRecord record, Decode(payload));
     records.push_back(std::move(record));
   }
   return records;
@@ -208,7 +242,7 @@ Result<std::vector<std::string>> WriteAheadLog::ReadCommittedDeltaSince(
   records.reserve(payloads.size());
   std::map<uint64_t, uint64_t> commit_lsn;
   for (const std::string& payload : payloads) {
-    MTDB_ASSIGN_OR_RETURN(WalRecord record, DecodeRecord(payload));
+    MTDB_ASSIGN_OR_RETURN(WalRecord record, Decode(payload));
     if (record.type == WalRecordType::kCommit) {
       commit_lsn[record.txn_id] = records.size() + 1;
     }
@@ -239,7 +273,7 @@ Result<std::vector<std::string>> WriteAheadLog::ReadCommittedDeltaSince(
 Status WriteAheadLog::Replay(const std::vector<std::string>& records,
                              Engine* engine) {
   for (const std::string& payload : records) {
-    MTDB_ASSIGN_OR_RETURN(WalRecord record, DecodeRecord(payload));
+    MTDB_ASSIGN_OR_RETURN(WalRecord record, Decode(payload));
     Status status;
     switch (record.type) {
       case WalRecordType::kCreateDatabase:
@@ -278,7 +312,10 @@ Status WriteAheadLog::Replay(const std::vector<std::string>& records,
       return status;
     }
   }
-  return Status::OK();
+  // The applied row images sit in the engine's log queue: make them as
+  // durable as the DDL around them.
+  WriteAheadLog* log = engine->wal();
+  return log == nullptr ? Status::OK() : log->Sync();
 }
 
 Status WriteAheadLog::Recover(const std::string& path, Engine* engine) {

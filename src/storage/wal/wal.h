@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/result.h"
@@ -35,7 +36,7 @@ enum class WalRecordType : uint8_t {
 // initializers keep partial designated initialization clean under -Wextra.
 struct WalRecord {
   WalRecordType type = WalRecordType::kCommit;
-  uint64_t txn_id = 0;      // row images (0 = bulk load) and decisions
+  uint64_t txn_id = 0;      // row images (0 = bulk load or copy) and decisions
   std::string database{};   // everything but decisions
   std::string table{};      // table DDL and row images
   TableSchema schema{};     // kCreateTable
@@ -61,7 +62,10 @@ struct WalRecord {
 //   kInsert, kUpdate, kDelete       txn id (u64), database, table, key, row
 //   kPrepare, kCommit, kAbort       txn id (u64)
 // The LSN of a record is its 1-based number in the file. A crash can leave
-// an incomplete last record, the torn tail; readers ignore it.
+// an incomplete last record, the torn tail; readers ignore it. The payload
+// is also the one form in which rows move between machines outside a
+// client transaction: bulk copies and migration deltas ship payloads, and
+// the target replays them.
 //
 // Durability runs through the wal::LogWriter group-commit pipeline
 // (log_writer.h): appends enqueue onto a bounded queue and return an LSN, a
@@ -77,6 +81,10 @@ class WriteAheadLog {
   // Opens (appending) or creates the log file and starts the log thread.
   static Result<std::unique_ptr<WriteAheadLog>> Open(const std::string& path,
                                                      Options options = {});
+  // Unlinks the log file at `path`, so the next Open starts an empty log. A
+  // log still open on the old file keeps writing into that unlinked file,
+  // never into the new one. A missing file is fine.
+  static Status Discard(const std::string& path);
   ~WriteAheadLog();
 
   WriteAheadLog(const WriteAheadLog&) = delete;
@@ -111,6 +119,14 @@ class WriteAheadLog {
   // The underlying pipeline (sync counters, crash injection for tests).
   wal::LogWriter* writer() { return writer_.get(); }
 
+  // One record's payload, as the log writes it (after its length prefix)
+  // and as ReadCommittedDeltaSince returns it: the one encoding of rows that
+  // move between machines outside a client transaction.
+  static std::string Encode(const WalRecord& record);
+  // The inverse of Encode. Malformed input, a kCreateTable schema naming no
+  // key column among them, yields kInvalidArgument.
+  static Result<WalRecord> Decode(std::string_view payload);
+
   // Every complete record of a log file, decoded, in LSN order. The torn
   // tail is ignored; a complete record that does not decode is an error.
   static Result<std::vector<WalRecord>> ReadAll(const std::string& path);
@@ -135,17 +151,22 @@ class WriteAheadLog {
       const std::string& path, const std::string& database,
       uint64_t after_lsn, uint64_t* frontier);
 
-  // The one replay, of record payloads as ReadCommittedDeltaSince returns
-  // them, in order. Row images go in as upserts (Engine::ApplyRedoRow), and
-  // a record whose object already exists, or is already gone, is skipped:
-  // that lets a migration target apply a delta on top of a bulk copy that
-  // already reflects part of it. A record that does not decode fails with
-  // kInvalidArgument.
+  // The one replay, of record payloads in order: a delta as
+  // ReadCommittedDeltaSince returns it, or a bulk copy as AppendCopyRecords
+  // (dump.h) encodes it. Row images go in as upserts (Engine::ApplyRedoRow),
+  // and a record whose object already exists, or is already gone, is
+  // skipped: that lets a migration target apply a delta on top of a bulk
+  // copy that already reflects part of it, and makes installing a copy
+  // twice leave one copy. On an engine with a log, everything applied is
+  // logged (row images under pseudo-transaction 0) and synced before Replay
+  // returns, so the copy is as durable as a bulk load. A record that does
+  // not decode fails with kInvalidArgument.
   static Status Replay(const std::vector<std::string>& records,
                        Engine* engine);
 
   // Rebuilds engine state from a log: the replay of every committed record
-  // from LSN 0. The engine must be fresh (no databases).
+  // from LSN 0. The engine must be fresh (no databases) and have no log of
+  // its own.
   static Status Recover(const std::string& path, Engine* engine);
 
  private:

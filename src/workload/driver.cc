@@ -11,6 +11,7 @@ void WorkloadStats::Merge(const WorkloadStats& other) {
   aborted += other.aborted;
   deadlock_aborts += other.deadlock_aborts;
   timeout_aborts += other.timeout_aborts;
+  read_lock_aborts += other.read_lock_aborts;
   rejected += other.rejected;
   unavailable += other.unavailable;
   write_committed += other.write_committed;
@@ -20,7 +21,9 @@ void WorkloadStats::Merge(const WorkloadStats& other) {
 
 namespace {
 
-void ClassifyFailure(const Status& status, WorkloadStats* stats) {
+// Counts a failed transaction by cause. Returns whether it was a lock victim
+// (a deadlock or a lock-wait timeout).
+bool ClassifyFailure(const Status& status, WorkloadStats* stats) {
   stats->aborted++;
   // Poisoned transactions surface as kAborted with the root cause in the
   // message; match on both the raw and wrapped forms.
@@ -30,20 +33,20 @@ void ClassifyFailure(const Status& status, WorkloadStats* stats) {
   };
   if (status.code() == StatusCode::kDeadlock || contains("Deadlock")) {
     stats->deadlock_aborts++;
-    return;
+    return true;
   }
   if (status.code() == StatusCode::kLockTimeout || contains("LockTimeout")) {
     stats->timeout_aborts++;
-    return;
+    return true;
   }
   if (status.code() == StatusCode::kRejected || contains("Rejected")) {
     stats->rejected++;
-    return;
+    return false;
   }
   if (status.code() == StatusCode::kUnavailable || contains("Unavailable")) {
     stats->unavailable++;
-    return;
   }
+  return false;
 }
 
 WorkloadStats RunSession(ClusterController* controller,
@@ -56,7 +59,7 @@ WorkloadStats RunSession(ClusterController* controller,
   // skips the controller's routing parse.
   auto stmts_or = PrepareTpcwStatements(conn.get());
   if (!stmts_or.ok()) {
-    ClassifyFailure(stmts_or.status(), &stats);
+    (void)ClassifyFailure(stmts_or.status(), &stats);
     return stats;
   }
   const TpcwStatements& stmts = *stmts_or;
@@ -70,8 +73,8 @@ WorkloadStats RunSession(ClusterController* controller,
       stats.committed++;
       if (result.was_write) stats.write_committed++;
       stats.latency_us.Record(txn_watch.ElapsedMicros());
-    } else {
-      ClassifyFailure(result.status, &stats);
+    } else if (ClassifyFailure(result.status, &stats) && !result.was_write) {
+      stats.read_lock_aborts++;
     }
   }
   stats.elapsed_seconds = watch.ElapsedSeconds();

@@ -28,6 +28,9 @@ struct WorkloadStats {
   int64_t aborted = 0;          // all aborted transactions
   int64_t deadlock_aborts = 0;  // subset: deadlock victims
   int64_t timeout_aborts = 0;   // subset: lock-wait timeouts
+  // Subset of deadlock_aborts + timeout_aborts: the read-only interactions'
+  // lock victims, the rest being writers'.
+  int64_t read_lock_aborts = 0;
   int64_t rejected = 0;         // proactively rejected (copy windows)
   int64_t unavailable = 0;
   double elapsed_seconds = 0;

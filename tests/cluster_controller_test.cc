@@ -11,6 +11,7 @@
 #include "src/cluster/cluster_controller.h"
 #include "src/cluster/replica_builder.h"
 #include "src/obs/metrics.h"
+#include "src/storage/dump.h"
 
 namespace mtdb {
 namespace {
@@ -327,9 +328,11 @@ TEST_F(ClusterTest, WritesToCopiedTableReachCopyTarget) {
   auto source = controller_->machine(controller_->ReplicasOf("bank")[0]);
   auto dump = DumpTable(source->engine().get(), "bank", "accounts", 12345);
   ASSERT_TRUE(dump.ok());
-  ASSERT_TRUE(ApplyTableDump(controller_->machine(2)->engine().get(), "bank",
-                             *dump)
-                  .ok());
+  Engine* target = controller_->machine(2)->engine().get();
+  ASSERT_TRUE(target->CreateDatabase("bank").ok());
+  std::vector<std::string> records;
+  AppendCopyRecords("bank", std::move(*dump), &records);
+  ASSERT_TRUE(WriteAheadLog::Replay(records, target).ok());
   ASSERT_TRUE(controller_->BeginCopy("bank", 2).ok());
   ASSERT_TRUE(controller_->MarkTableCopied("bank", "accounts").ok());
 

@@ -15,6 +15,7 @@
 
 #include "src/net/codec.h"
 #include "src/net/message.h"
+#include "src/storage/dump.h"
 
 namespace mtdb::net {
 namespace {
@@ -59,42 +60,55 @@ void ExpectPrefixAndSuffixRejected(const std::string& frame, DecodeFn decode) {
   EXPECT_FALSE(decode(extended).ok()) << "trailing byte accepted";
 }
 
-TableDump MakeDump() {
+TableSchema ItemSchema() {
   TableSchema schema("item",
                      {{"i_id", ColumnType::kInt64, true},
                       {"i_title", ColumnType::kString, false},
                       {"i_cost", ColumnType::kDouble, false}},
                      /*primary_key_index=*/0);
   EXPECT_TRUE(schema.AddIndex("idx_title", "i_title").ok());
-  TableDump dump;
-  dump.schema = schema;
-  dump.rows.push_back({{Value(int64_t{1}), Value("book"), Value(9.5)}, 3});
-  dump.rows.push_back({{Value(int64_t{2}), Value::Null(), Value::Null()}, 7});
-  dump.max_version = 7;
-  return dump;
+  return schema;
 }
 
-void ExpectDumpsEqual(const TableDump& a, const TableDump& b) {
-  EXPECT_EQ(a.schema.name(), b.schema.name());
-  ASSERT_EQ(a.schema.num_columns(), b.schema.num_columns());
-  for (size_t i = 0; i < a.schema.num_columns(); ++i) {
-    EXPECT_EQ(a.schema.columns()[i].name, b.schema.columns()[i].name);
-    EXPECT_EQ(a.schema.columns()[i].type, b.schema.columns()[i].type);
-    EXPECT_EQ(a.schema.columns()[i].not_null, b.schema.columns()[i].not_null);
+// A copy of a two-row table as a dump reply carries it: log records.
+std::vector<std::string> MakeCopyRecords() {
+  TableDump dump;
+  dump.schema = ItemSchema();
+  dump.rows.push_back({{Value(int64_t{1}), Value("book"), Value(9.5)}, 3});
+  dump.rows.push_back({{Value(int64_t{2}), Value::Null(), Value::Null()}, 7});
+  std::vector<std::string> records;
+  AppendCopyRecords("shop", std::move(dump), &records);
+  return records;
+}
+
+// The copy MakeCopyRecords encodes, read back from its records.
+void ExpectTheCopy(const std::vector<std::string>& records) {
+  ASSERT_EQ(records.size(), 3u);
+  auto create = WriteAheadLog::Decode(records[0]);
+  ASSERT_TRUE(create.ok()) << create.status().ToString();
+  EXPECT_EQ(create->type, WalRecordType::kCreateTable);
+  EXPECT_EQ(create->database, "shop");
+  const TableSchema& schema = create->schema;
+  EXPECT_EQ(schema.name(), "item");
+  ASSERT_EQ(schema.num_columns(), 3u);
+  EXPECT_EQ(schema.columns()[2].name, "i_cost");
+  EXPECT_EQ(schema.columns()[2].type, ColumnType::kDouble);
+  EXPECT_TRUE(schema.columns()[0].not_null);
+  EXPECT_EQ(schema.primary_key_index(), 0);
+  ASSERT_EQ(schema.indexes().size(), 1u);
+  EXPECT_EQ(schema.indexes()[0].name, "idx_title");
+  EXPECT_EQ(schema.indexes()[0].column_index, 1);
+  const Row rows[] = {{Value(int64_t{1}), Value("book"), Value(9.5)},
+                      {Value(int64_t{2}), Value::Null(), Value::Null()}};
+  for (int i = 0; i < 2; ++i) {
+    auto insert = WriteAheadLog::Decode(records[i + 1]);
+    ASSERT_TRUE(insert.ok()) << insert.status().ToString();
+    EXPECT_EQ(insert->type, WalRecordType::kInsert);
+    EXPECT_EQ(insert->txn_id, 0u) << "copies are bulk pseudo-transaction 0";
+    EXPECT_EQ(insert->table, "item");
+    EXPECT_EQ(insert->primary_key, rows[i][0]);
+    EXPECT_EQ(insert->row, rows[i]);
   }
-  EXPECT_EQ(a.schema.primary_key_index(), b.schema.primary_key_index());
-  ASSERT_EQ(a.schema.indexes().size(), b.schema.indexes().size());
-  for (size_t i = 0; i < a.schema.indexes().size(); ++i) {
-    EXPECT_EQ(a.schema.indexes()[i].name, b.schema.indexes()[i].name);
-    EXPECT_EQ(a.schema.indexes()[i].column_index,
-              b.schema.indexes()[i].column_index);
-  }
-  ASSERT_EQ(a.rows.size(), b.rows.size());
-  for (size_t i = 0; i < a.rows.size(); ++i) {
-    EXPECT_EQ(a.rows[i].first, b.rows[i].first);
-    EXPECT_EQ(a.rows[i].second, b.rows[i].second);
-  }
-  EXPECT_EQ(a.max_version, b.max_version);
 }
 
 // --- request round trips ---
@@ -185,44 +199,60 @@ TEST(NetCodecTest, BulkLoadRequestCarriesRows) {
   }
 }
 
-TEST(NetCodecTest, ApplyDumpRequestCarriesTableDump) {
+TEST(NetCodecTest, ApplyRecordsRequestCarriesRecords) {
   RpcRequest request;
-  request.type = RpcType::kApplyDump;
+  request.type = RpcType::kApplyRecords;
   request.db_name = "shop";
-  request.dump = MakeDump();
+  request.records = MakeCopyRecords();
+  request.records.push_back(std::string("a\0b", 3));  // opaque bytes
   RpcRequest out = RoundTripRequest(request);
-  ExpectDumpsEqual(out.dump, request.dump);
+  EXPECT_EQ(out.type, RpcType::kApplyRecords);
+  EXPECT_EQ(out.records, request.records);
+  out.records.pop_back();
+  ExpectTheCopy(out.records);
+}
+
+TEST(NetCodecTest, RetiredDumpInstallTypeIsRejected) {
+  // Wire number 15 installed a table dump, the second copy format; copies
+  // now install through kApplyRecords alone.
+  EXPECT_FALSE(IsLiveRpcType(15));
+  RpcRequest request;
+  request.type = static_cast<RpcType>(15);
+  request.db_name = "shop";
+  std::string frame;
+  EncodeRequestFrame(request, &frame);
+  EXPECT_FALSE(DecodeRequest(PayloadOf(frame)).ok());
 }
 
 TEST(NetCodecTest, SchemaNamingNoRealColumnIsRejected) {
+  // Schemas travel inside kCreateTable records, which the copy target
+  // decodes before it replays them.
+  auto decodes = [](const TableSchema& schema) {
+    return WriteAheadLog::Decode(
+               WriteAheadLog::Encode({.type = WalRecordType::kCreateTable,
+                                      .database = "shop",
+                                      .schema = schema}))
+        .ok();
+  };
+  ASSERT_TRUE(decodes(ItemSchema()));
   // A key column past the end of a one-column table.
-  RpcRequest request;
-  request.type = RpcType::kApplyDump;
-  request.db_name = "shop";
-  request.dump.schema =
-      TableSchema("t", {{"id", ColumnType::kInt64, true}}, /*pk=*/5);
-  request.dump.rows.push_back({{Value(int64_t{1})}, 1});
-  std::string frame;
-  EncodeRequestFrame(request, &frame);
-  EXPECT_FALSE(DecodeRequest(PayloadOf(frame)).ok())
+  EXPECT_FALSE(
+      decodes(TableSchema("t", {{"id", ColumnType::kInt64, true}}, /*pk=*/5)))
       << "primary key naming column 5 of 1 decoded";
+  // No columns, so no key column.
+  EXPECT_FALSE(decodes(TableSchema())) << "schema without a key decoded";
 
   // An index on a column past the end: the index's u32 column number
   // follows its name.
-  request.dump = MakeDump();
-  frame.clear();
-  EncodeRequestFrame(request, &frame);
-  std::string payload(PayloadOf(frame));
-  size_t at = payload.find("idx_title");
+  std::string record =
+      WriteAheadLog::Encode({.type = WalRecordType::kCreateTable,
+                             .database = "shop",
+                             .schema = ItemSchema()});
+  size_t at = record.find("idx_title");
   ASSERT_NE(at, std::string::npos);
-  payload[at + 9] = static_cast<char>(0x7f);
-  EXPECT_FALSE(DecodeRequest(payload).ok())
+  record[at + 9] = static_cast<char>(0x7f);
+  EXPECT_FALSE(WriteAheadLog::Decode(record).ok())
       << "index on column 127 of 3 decoded";
-
-  // The unused dump every request carries has no columns and no key.
-  RpcRequest plain;
-  plain.type = RpcType::kHealth;
-  EXPECT_EQ(RoundTripRequest(plain).dump.schema.primary_key_index(), -1);
 }
 
 // --- response round trips ---
@@ -275,14 +305,22 @@ TEST(NetCodecTest, LargeRowsRoundTrip) {
 }
 
 TEST(NetCodecTest, DumpsTxnIdsAndNamesRoundTrip) {
+  // A dump reply carries the copy as log records.
+  RpcResponse dump;
+  dump.records = MakeCopyRecords();
+  RpcResponse out = RoundTripResponse(dump);
+  EXPECT_EQ(out.records, dump.records);
+  ExpectTheCopy(out.records);
+  std::string frame;
+  EncodeResponseFrame(dump, &frame);
+  ExpectPrefixAndSuffixRejected(
+      frame, [](std::string_view payload) { return DecodeResponse(payload); });
+
   RpcResponse response;
-  response.dumps.push_back(MakeDump());
-  response.dumps.push_back(TableDump{});  // empty dump must survive too
   response.txn_ids = {1, 0xFFFFFFFFFFFFFFFFull, 42};
   response.names = {"item", "orders", ""};
-  RpcResponse out = RoundTripResponse(response);
-  ASSERT_EQ(out.dumps.size(), 2u);
-  ExpectDumpsEqual(out.dumps[0], response.dumps[0]);
+  out = RoundTripResponse(response);
+  EXPECT_TRUE(out.records.empty());
   EXPECT_EQ(out.txn_ids, response.txn_ids);
   EXPECT_EQ(out.names, response.names);
 }
@@ -409,7 +447,7 @@ TEST(NetCodecTest, TruncatedRequestPayloadsAreRejected) {
   request.sql = "unused";
   request.params = {Value(int64_t{5}), Value("s")};
   request.rows = {{Value(int64_t{1}), Value("r")}};
-  request.dump = MakeDump();
+  request.records = MakeCopyRecords();
   request.read_only = true;  // trailing u8: every prefix must fail
   std::string frame;
   EncodeRequestFrame(request, &frame);
@@ -423,7 +461,7 @@ TEST(NetCodecTest, TruncatedResponsePayloadsAreRejected) {
   response.message = "deadlock victim";
   response.result.columns = {"a"};
   response.result.rows = {{Value(int64_t{1})}, {Value::Null()}};
-  response.dumps.push_back(MakeDump());
+  response.records = MakeCopyRecords();
   response.txn_ids = {7, 8};
   response.names = {"item"};
   response.retry_after_us = 12'345;

@@ -30,6 +30,7 @@
 #include "src/net/message.h"
 #include "src/obs/load_monitor.h"
 #include "src/storage/wal/wal.h"
+#include "tests/wal_replay_check.h"
 
 namespace mtdb {
 namespace {
@@ -52,6 +53,23 @@ MachineOptions WalMachine(const std::string& tag, int id) {
   std::remove(options.engine_options.wal_path.c_str());
   return options;
 }
+
+// Tells a move's delta installs from its bulk copy's: both are
+// kApplyRecords, and the deltas are the ones after the first delta read
+// past the capability probe.
+class DeltaInstalls {
+ public:
+  bool Match(const net::RpcRequest& request) {
+    if (request.type == net::RpcType::kWalDeltaRead &&
+        request.wal_cursor != UINT64_MAX) {
+      reading_.store(true);
+    }
+    return request.type == net::RpcType::kApplyRecords && reading_.load();
+  }
+
+ private:
+  std::atomic<bool> reading_{false};
+};
 
 rebalance::MigrationPlan MakePlan(const std::string& db, int source,
                                   int target) {
@@ -112,6 +130,15 @@ class RebalanceTest : public ::testing::Test {
                    })
                     .ok());
     return copy;
+  }
+
+  // Waits until every acknowledged commit of `db` has its COMMIT record
+  // durable: phase 2 runs behind the client's answer and keeps the tenant
+  // pinned until the last participant acks it.
+  void AwaitPhaseTwo(const std::string& db) {
+    while (controller_->tenant_catalog()->PinCount(db) > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   }
 
   int64_t CounterValue(int machine, const std::string& db, int64_t id) {
@@ -277,6 +304,31 @@ TEST_F(RebalanceTest, LiveMigrationUnderConcurrentWritesLosesNothing) {
     total += commits[id].load();
   }
   EXPECT_GT(total, 0);
+  // The bulk copy, the deltas and the post-cutover writes are all in the
+  // target's log.
+  AwaitPhaseTwo("hot");
+  ExpectLogReplaysEngine(controller_->machine(1)->engine().get());
+}
+
+TEST_F(RebalanceTest, TargetLogReplaysTheMovedTenant) {
+  // A target that crashes after cutover recovers the moved tenant from its
+  // own log: the copy installed through the one replay, which logs.
+  BuildWal("replay", 2);
+  SetUpCounters("hot", /*machine=*/0, /*rows=*/50);
+  ReplicaBuilder migrator(controller_.get());
+  Status migrated = migrator.Migrate(MakePlan("hot", 0, 1));
+  ASSERT_TRUE(migrated.ok()) << migrated.ToString();
+  auto conn = controller_->Connect("hot");
+  ASSERT_TRUE(conn->Execute("UPDATE counters SET v = 7 WHERE id = 3").ok());
+  EXPECT_EQ(CounterValue(/*machine=*/1, "hot", 3), 7);
+  EXPECT_EQ(controller_->machine(1)
+                ->engine()
+                ->GetDatabase("hot")
+                ->GetTable("counters")
+                ->row_count(),
+            50u);
+  AwaitPhaseTwo("hot");
+  ExpectLogReplaysEngine(controller_->machine(1)->engine().get());
 }
 
 TEST_F(RebalanceTest, MoveRightAfterACommitCarriesTheWrite) {
@@ -314,14 +366,15 @@ TEST_F(RebalanceTest, NulByteStringShipsWholeInTheDelta) {
   std::atomic<bool> dumping{false};
   std::atomic<bool> written{false};
   std::atomic<bool> shipped{false};
+  DeltaInstalls deltas;
   controller_->inproc_transport()->SetFaultHook(
       [&](int, const net::RpcRequest& request) {
         if (request.type == net::RpcType::kDumpTable) {
           dumping.store(true);
           while (!written.load()) std::this_thread::yield();
         }
-        if (request.type == net::RpcType::kWalDeltaApply) {
-          for (const std::string& record : request.wal_records) {
+        if (deltas.Match(request)) {
+          for (const std::string& record : request.records) {
             if (record.find(body) != std::string::npos) shipped.store(true);
           }
         }
@@ -365,7 +418,7 @@ TEST_F(RebalanceTest, MalformedDeltaRecordIsRejectedAndTheMachineServes) {
        {std::string("INS\x1f" "abc"), std::string(),
         real.substr(0, real.size() - 1), real + '\0',
         std::string(1, '\x7f') + real.substr(1)}) {
-    Status status = client->WalDeltaApply(1, "hot", {garbage});
+    Status status = client->ApplyRecords(1, "hot", {garbage});
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
         << status.ToString();
   }
@@ -440,18 +493,18 @@ TEST_F(RebalanceTest, DroppedDeltaRpcAbortsBackToSource) {
   constexpr int64_t kRows = 8;
   SetUpCounters("hot", /*machine=*/0, kRows);
 
-  // Lose every target-bound kWalDeltaApply: the first delta round that
-  // ships lines times out and the migration must abort from kDeltaCatchup.
-  // (Only target-bound RPCs are dropped — the controller's fail-stop model
-  // declares a machine that misses a deadline failed, and failing the
-  // single-replica *source* would be a machine failure, not a migration
-  // fault.)
+  // Lose every target-bound delta install (the bulk copy's goes through):
+  // the first delta round that ships lines times out and the migration must
+  // abort from its delta catch-up. (Only target-bound RPCs are dropped —
+  // the controller's fail-stop model declares a machine that misses a
+  // deadline failed, and failing the single-replica *source* would be a
+  // machine failure, not a migration fault.)
+  DeltaInstalls deltas;
   controller_->inproc_transport()->SetFaultHook(
       [&](int, const net::RpcRequest& request) {
-        if (request.type == net::RpcType::kWalDeltaApply) {
-          return net::InProcTransport::Fault::kDropRequest;
-        }
-        return net::InProcTransport::Fault::kDeliver;
+        return deltas.Match(request)
+                   ? net::InProcTransport::Fault::kDropRequest
+                   : net::InProcTransport::Fault::kDeliver;
       });
 
   std::atomic<bool> stop{false};
@@ -506,6 +559,8 @@ TEST_F(RebalanceTest, DroppedDeltaRpcAbortsBackToSource) {
     EXPECT_EQ(CounterValue(/*machine=*/1, "hot", id), commits[id].load())
         << "row " << id;
   }
+  // The recovered machine's log holds the second copy alone.
+  ExpectLogReplaysEngine(controller_->machine(1)->engine().get());
 }
 
 TEST_F(RebalanceTest, PartitionedTargetAbortsCleanly) {
@@ -533,6 +588,7 @@ TEST_F(RebalanceTest, PartitionedTargetAbortsCleanly) {
   ASSERT_TRUE(migrator.Migrate(MakePlan("hot", 0, 1)).ok());
   EXPECT_EQ(controller_->ReplicasOf("hot"), std::vector<int>{1});
   EXPECT_EQ(CounterValue(/*machine=*/1, "hot", 0), 1);
+  ExpectLogReplaysEngine(controller_->machine(1)->engine().get());
 }
 
 TEST_F(RebalanceTest, FrozenFallbackMovesWalLessTenant) {

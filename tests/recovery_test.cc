@@ -2,12 +2,16 @@
 // machinery beyond the end-to-end paths covered in cluster_controller_test.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <thread>
 
 #include "src/cluster/cluster_controller.h"
 #include "src/cluster/replica_builder.h"
+#include "tests/wal_replay_check.h"
 
 namespace mtdb {
 namespace {
@@ -35,7 +39,43 @@ class RecoveryTest : public ::testing::Test {
     }
   }
 
+  // Replaces the cluster with three machines, each with a WAL of its own.
+  void UseWalMachines(const std::string& tag) {
+    controller_ = std::make_unique<ClusterController>();
+    for (int m = 0; m < 3; ++m) {
+      MachineOptions machine;
+      machine.engine_options.wal_path =
+          ::testing::TempDir() + "mtdb_recovery_" + tag + "_" +
+          std::to_string(static_cast<long long>(getpid())) + "_" +
+          std::to_string(m) + ".wal";
+      std::remove(machine.engine_options.wal_path.c_str());
+      wal_paths_.push_back(machine.engine_options.wal_path);
+      controller_->AddMachine(machine);
+    }
+  }
+
+  // Fails one replica of a 50-row, two-table tenant on WAL machines,
+  // recovers it with `granularity` and returns the new replica's machine.
+  int RecoverOntoWalMachine(CopyGranularity granularity) {
+    UseWalMachines(granularity == CopyGranularity::kTable ? "table" : "db");
+    MakeDb("db", /*tables=*/2, /*rows=*/50);
+    controller_->FailMachine(controller_->ReplicasOf("db")[0]);
+    ReplicaBuilderOptions options;
+    options.granularity = granularity;
+    ReplicaBuilder recovery(controller_.get(), options);
+    auto results = recovery.RecoverAll(2);
+    EXPECT_EQ(results.size(), 1u);
+    if (results.size() != 1 || !results[0].status.ok()) return -1;
+    return results[0].target_machine;
+  }
+
+  void TearDown() override {
+    controller_.reset();
+    for (const std::string& path : wal_paths_) std::remove(path.c_str());
+  }
+
   std::unique_ptr<ClusterController> controller_;
+  std::vector<std::string> wal_paths_;
 };
 
 TEST_F(RecoveryTest, RecoverAllIsNoopWhenHealthy) {
@@ -264,6 +304,36 @@ TEST_F(RecoveryTest, FailedCopyLeavesTargetReusable) {
                 ->values[1]
                 .AsInt(),
             70);
+}
+
+TEST_F(RecoveryTest, TableCopyReplaysFromTheTargetLog) {
+  int target = RecoverOntoWalMachine(CopyGranularity::kTable);
+  ASSERT_GE(target, 0);
+  Engine* copy = controller_->machine(target)->engine().get();
+  EXPECT_EQ(copy->GetDatabase("db")->GetTable("t1")->row_count(), 50u);
+  ExpectLogReplaysEngine(copy);
+}
+
+TEST_F(RecoveryTest, DatabaseCopyReplaysFromTheTargetLog) {
+  int target = RecoverOntoWalMachine(CopyGranularity::kDatabase);
+  ASSERT_GE(target, 0);
+  Engine* copy = controller_->machine(target)->engine().get();
+  EXPECT_EQ(copy->GetDatabase("db")->GetTable("t1")->row_count(), 50u);
+  ExpectLogReplaysEngine(copy);
+}
+
+TEST_F(RecoveryTest, ReplacedMachineStartsAnEmptyLog) {
+  UseWalMachines("replaced");
+  MakeDb("db", /*tables=*/2, /*rows=*/50);
+  Machine* machine = controller_->machine(controller_->ReplicasOf("db")[0]);
+  std::shared_ptr<Engine> failed = machine->engine();
+  machine->Fail();
+  machine->Recover();
+  EXPECT_FALSE(machine->engine()->HasDatabase("db"));
+  // In-flight work may still hold the failed engine; what it writes stays
+  // out of the replacement's log.
+  ASSERT_TRUE(failed->CreateDatabase("late").ok());
+  ExpectLogReplaysEngine(machine->engine().get());
 }
 
 TEST_F(RecoveryTest, QuotaFollowsRecoveredReplica) {
