@@ -89,14 +89,10 @@ int ClusterController::AddMachine(MachineOptions machine_options) {
         std::make_unique<net::MachineService>(machines_.back().get()));
     service = services_.back().get();
     machine_replica_load_.push_back(0);
+    machine_count_.store(machines_.size(), std::memory_order_release);
   }
   transport_->AttachLocal(id, service);
   return id;
-}
-
-size_t ClusterController::machine_count() const {
-  platform::Guard lock(mu_);
-  return machines_.size();
 }
 
 Machine* ClusterController::machine(int id) const {
@@ -729,11 +725,14 @@ analysis::DsgReport ClusterController::CheckClusterSerializability() const {
 void ClusterController::SetLatencyInjector(LatencyInjector injector) {
   platform::Guard lock(injector_mu_);
   latency_injector_ = std::move(injector);
+  injector_installed_.store(latency_injector_ != nullptr,
+                            std::memory_order_release);
 }
 
 int64_t ClusterController::InjectedLatency(const std::string& label,
                                            bool is_write,
                                            int machine_id) const {
+  if (!injector_installed_.load(std::memory_order_acquire)) return 0;
   LatencyInjector injector;
   {
     platform::Guard lock(injector_mu_);

@@ -306,7 +306,10 @@ class ClusterController {
 
   // --- Machines ---
   int AddMachine(MachineOptions machine_options = MachineOptions());
-  size_t machine_count() const;
+  // Lock-free: every read statement calls it to bound its retries.
+  size_t machine_count() const {
+    return machine_count_.load(std::memory_order_acquire);
+  }
   Machine* machine(int id) const;
   std::vector<int> MachineIds() const;
 
@@ -497,6 +500,8 @@ class ClusterController {
 
   mutable platform::Mutex mu_{"cluster/ClusterController::mu"};
   std::vector<std::unique_ptr<Machine>> machines_ MTDB_GUARDED_BY(mu_);
+  // machines_.size(), published under mu_ for lock-free readers.
+  std::atomic<size_t> machine_count_{0};
   // RPC endpoints for the local machines, registered with the transport
   // (no-op for remote transports: the server process hosts the service).
   std::vector<std::unique_ptr<net::MachineService>> services_
@@ -521,6 +526,9 @@ class ClusterController {
 
   mutable platform::Mutex injector_mu_{"cluster/ClusterController::injector_mu"};
   LatencyInjector latency_injector_ MTDB_GUARDED_BY(injector_mu_);
+  // Whether latency_injector_ is set; written under injector_mu_, read
+  // without it so a cluster with no injector pays no lock per operation.
+  std::atomic<bool> injector_installed_{false};
 
   obs::LoadMonitor load_monitor_;
   obs::Counter* m_failover_ = nullptr;

@@ -6,25 +6,32 @@
 
 namespace mtdb {
 
-Histogram::Histogram() : buckets_(kNumBuckets, 0) {}
+namespace {
 
-Histogram::Histogram(const Histogram& other) : buckets_(kNumBuckets, 0) {
-  platform::Guard lock(other.mu_);
-  buckets_ = other.buckets_;
-  count_ = other.count_;
-  sum_ = other.sum_;
-  min_ = other.min_;
-  max_ = other.max_;
+void FoldMin(std::atomic<int64_t>& target, int64_t value) {
+  int64_t seen = target.load(std::memory_order_relaxed);
+  while (value < seen &&
+         !target.compare_exchange_weak(seen, value,
+                                       std::memory_order_relaxed)) {
+  }
 }
+
+void FoldMax(std::atomic<int64_t>& target, int64_t value) {
+  int64_t seen = target.load(std::memory_order_relaxed);
+  while (value > seen &&
+         !target.compare_exchange_weak(seen, value,
+                                       std::memory_order_relaxed)) {
+  }
+}
+
+}  // namespace
+
+Histogram::Histogram(const Histogram& other) { Merge(other); }
 
 Histogram& Histogram::operator=(const Histogram& other) {
   if (this == &other) return *this;
-  platform::DualGuard lock(mu_, other.mu_);
-  buckets_ = other.buckets_;
-  count_ = other.count_;
-  sum_ = other.sum_;
-  min_ = other.min_;
-  max_ = other.max_;
+  Reset();
+  Merge(other);
   return *this;
 }
 
@@ -45,100 +52,99 @@ int64_t Histogram::BucketUpperBound(int bucket) {
 }
 
 void Histogram::Record(int64_t value_us) {
-  platform::Guard lock(mu_);
-  buckets_[BucketFor(value_us)]++;
-  if (count_ == 0) {
-    min_ = max_ = value_us;
-  } else {
-    min_ = std::min(min_, value_us);
-    max_ = std::max(max_, value_us);
+  FoldMin(min_, value_us);
+  FoldMax(max_, value_us);
+  sum_.fetch_add(value_us, std::memory_order_relaxed);
+  // Last, and a release: a snapshot that counts this sample sees the rest.
+  buckets_[BucketFor(value_us)].fetch_add(1, std::memory_order_release);
+}
+
+void Histogram::Add(const Counts& counts, int64_t sum, int64_t min,
+                    int64_t max) {
+  FoldMin(min_, min);
+  FoldMax(max_, max);
+  sum_.fetch_add(sum, std::memory_order_relaxed);
+  for (int i = 0; i < kNumBuckets; ++i) {
+    if (counts[i] != 0) {
+      buckets_[i].fetch_add(counts[i], std::memory_order_release);
+    }
   }
-  ++count_;
-  sum_ += value_us;
 }
 
 void Histogram::Merge(const Histogram& other) {
-  if (this == &other) {
-    // Self-merge: locking mu_ and other.mu_ through scoped_lock would be
-    // undefined behaviour (same mutex twice). Doubling in place preserves
-    // the "add other's samples to mine" contract.
-    platform::Guard lock(mu_);
-    for (int64_t& bucket : buckets_) bucket *= 2;
-    count_ *= 2;
-    sum_ *= 2;
-    return;
-  }
-  platform::DualGuard lock(mu_, other.mu_);
-  for (int i = 0; i < kNumBuckets; ++i) buckets_[i] += other.buckets_[i];
-  if (other.count_ > 0) {
-    min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
-    max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
+  // Reads other's buckets before anything else, so a self-merge adds what
+  // it read and doubles the distribution in place.
+  Counts counts;
+  if (other.LoadCounts(&counts) == 0) return;
+  Add(counts, other.sum_.load(std::memory_order_relaxed),
+      other.min_.load(std::memory_order_relaxed),
+      other.max_.load(std::memory_order_relaxed));
 }
 
 void Histogram::Reset() {
-  platform::Guard lock(mu_);
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = sum_ = min_ = max_ = 0;
+  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
+  sum_.store(0, std::memory_order_relaxed);
+  min_.store(std::numeric_limits<int64_t>::max(), std::memory_order_relaxed);
+  max_.store(std::numeric_limits<int64_t>::min(), std::memory_order_relaxed);
 }
 
-int64_t Histogram::count() const {
-  platform::Guard lock(mu_);
-  return count_;
+int64_t Histogram::LoadCounts(Counts* counts) const {
+  int64_t total = 0;
+  for (int i = 0; i < kNumBuckets; ++i) {
+    (*counts)[i] = buckets_[i].load(std::memory_order_acquire);
+    total += (*counts)[i];
+  }
+  return total;
 }
 
-double Histogram::Mean() const {
-  platform::Guard lock(mu_);
-  return count_ == 0 ? 0.0 : static_cast<double>(sum_) / count_;
-}
-
-int64_t Histogram::Percentile(double p) const {
-  platform::Guard lock(mu_);
-  return PercentileLocked(p);
-}
-
-int64_t Histogram::PercentileLocked(double p) const {
-  if (count_ == 0) return 0;
-  int64_t threshold = static_cast<int64_t>(std::ceil(count_ * p / 100.0));
+int64_t Histogram::PercentileOf(const Counts& counts, int64_t count,
+                                int64_t max, double p) {
+  if (count == 0) return 0;
+  int64_t threshold = static_cast<int64_t>(std::ceil(count * p / 100.0));
   int64_t cumulative = 0;
   for (int i = 0; i < kNumBuckets; ++i) {
-    cumulative += buckets_[i];
-    if (cumulative >= threshold) {
-      return std::min(BucketUpperBound(i), max_);
-    }
+    cumulative += counts[i];
+    if (cumulative >= threshold) return std::min(BucketUpperBound(i), max);
   }
-  return max_;
+  return max;
 }
 
 HistogramSnapshot Histogram::Snapshot() const {
-  platform::Guard lock(mu_);
   HistogramSnapshot snap;
-  snap.count = count_;
-  snap.mean = count_ == 0 ? 0.0 : static_cast<double>(sum_) / count_;
-  snap.p50 = PercentileLocked(50);
-  snap.p99 = PercentileLocked(99);
-  snap.min = min_;
-  snap.max = max_;
+  Counts counts;
+  snap.count = LoadCounts(&counts);
+  if (snap.count == 0) return snap;
+  snap.mean = static_cast<double>(sum_.load(std::memory_order_relaxed)) /
+              snap.count;
+  snap.min = min_.load(std::memory_order_relaxed);
+  snap.max = max_.load(std::memory_order_relaxed);
+  snap.p50 = PercentileOf(counts, snap.count, snap.max, 50);
+  snap.p99 = PercentileOf(counts, snap.count, snap.max, 99);
   return snap;
 }
 
-int64_t Histogram::Min() const {
-  platform::Guard lock(mu_);
-  return min_;
+int64_t Histogram::count() const {
+  Counts counts;
+  return LoadCounts(&counts);
 }
 
-int64_t Histogram::Max() const {
-  platform::Guard lock(mu_);
-  return max_;
+double Histogram::Mean() const { return Snapshot().mean; }
+
+int64_t Histogram::Percentile(double p) const {
+  Counts counts;
+  int64_t count = LoadCounts(&counts);
+  return PercentileOf(counts, count, max_.load(std::memory_order_relaxed), p);
 }
+
+int64_t Histogram::Min() const { return Snapshot().min; }
+
+int64_t Histogram::Max() const { return Snapshot().max; }
 
 std::string Histogram::ToString() const {
+  HistogramSnapshot snap = Snapshot();
   std::ostringstream out;
-  out << "count=" << count() << " mean=" << Mean() << "us p50="
-      << Percentile(50) << "us p99=" << Percentile(99) << "us max=" << Max()
-      << "us";
+  out << "count=" << snap.count << " mean=" << snap.mean << "us p50="
+      << snap.p50 << "us p99=" << snap.p99 << "us max=" << snap.max << "us";
   return out.str();
 }
 

@@ -1,17 +1,17 @@
 #ifndef MTDB_COMMON_HISTOGRAM_H_
 #define MTDB_COMMON_HISTOGRAM_H_
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <limits>
 #include <string>
-#include <vector>
-
-#include "src/platform/mutex.h"
 
 namespace mtdb {
 
-// Point-in-time summary of a Histogram, taken under a single lock
-// acquisition so the fields are mutually consistent even while other
-// threads keep recording.
+// Point-in-time summary of a Histogram. Its count is the total of the
+// buckets it read, so count and percentiles agree even while other threads
+// keep recording.
 struct HistogramSnapshot {
   int64_t count = 0;
   double mean = 0.0;
@@ -22,11 +22,17 @@ struct HistogramSnapshot {
 };
 
 // Thread-safe latency histogram with power-of-two-ish buckets. Records
-// microsecond values; reports count/mean/percentiles. Used by the workload
-// driver and the benchmark harnesses.
+// microsecond values; reports count/mean/percentiles. Used by the metrics
+// registry, the workload driver and the benchmark harnesses.
+//
+// Lock-free: Record, Merge and Snapshot are relaxed atomic adds and loads
+// over 64 buckets plus a sum, a min and a max. The one ordering they rely
+// on is that a bucket add is a release and a snapshot's bucket loads are
+// acquires, so a snapshot that counts a sample also sees that sample's sum,
+// min and max.
 class Histogram {
  public:
-  Histogram();
+  Histogram() = default;
   // Copyable (snapshot semantics) so aggregate stat structs can be passed
   // around by value.
   Histogram(const Histogram& other);
@@ -34,6 +40,7 @@ class Histogram {
 
   void Record(int64_t value_us);
   void Merge(const Histogram& other);
+  // Not atomic against concurrent recorders: call it on a quiet histogram.
   void Reset();
 
   int64_t count() const;
@@ -43,30 +50,31 @@ class Histogram {
   int64_t Min() const;
   int64_t Max() const;
 
-  // All summary fields under one lock acquisition; unlike calling count() /
-  // Mean() / Percentile() separately, the result is a consistent cut even
-  // with concurrent recorders.
+  // All summary fields from one read of the buckets; unlike calling
+  // count() / Mean() / Percentile() separately, the result is a consistent
+  // cut even with concurrent recorders.
   HistogramSnapshot Snapshot() const;
 
   std::string ToString() const;
 
  private:
   static constexpr int kNumBuckets = 64;
+  using Counts = std::array<int64_t, kNumBuckets>;
+
   static int BucketFor(int64_t value);
   static int64_t BucketUpperBound(int bucket);
-  int64_t PercentileLocked(double p) const MTDB_REQUIRES(mu_);
+  static int64_t PercentileOf(const Counts& counts, int64_t count,
+                              int64_t max, double p);
+  // Reads every bucket into *counts and returns their total.
+  int64_t LoadCounts(Counts* counts) const;
+  // Folds [min, max] and `sum` in, then adds `counts` bucket by bucket.
+  void Add(const Counts& counts, int64_t sum, int64_t min, int64_t max);
 
-  // Untracked by the lock-order graph (nullptr): histograms are hot-path
-  // leaves, and Merge/operator= lock two instances of this class pairwise,
-  // which the graph's same-class recursion check would (correctly for
-  // ordered classes, wrongly here) flag. std::lock in DualGuard makes the
-  // pairwise acquisition deadlock-free.
-  mutable platform::Mutex mu_{"common/Histogram::mu", nullptr};
-  std::vector<int64_t> buckets_ MTDB_GUARDED_BY(mu_);
-  int64_t count_ MTDB_GUARDED_BY(mu_) = 0;
-  int64_t sum_ MTDB_GUARDED_BY(mu_) = 0;
-  int64_t min_ MTDB_GUARDED_BY(mu_) = 0;
-  int64_t max_ MTDB_GUARDED_BY(mu_) = 0;
+  std::array<std::atomic<int64_t>, kNumBuckets> buckets_{};
+  std::atomic<int64_t> sum_{0};
+  // Sentinels while empty; readers report 0 for an empty histogram.
+  std::atomic<int64_t> min_{std::numeric_limits<int64_t>::max()};
+  std::atomic<int64_t> max_{std::numeric_limits<int64_t>::min()};
 };
 
 }  // namespace mtdb

@@ -87,14 +87,16 @@ class InProcTransport::InProcChannel : public Channel {
               handler);
       });
     };
-    MachineService* service = transport_->Lookup(machine_id_);
-    if (service == nullptr) {
+    // Deliveries on one channel never overlap (the strand runs one at a
+    // time, inline or queued), so the cached service needs no lock.
+    if (service_ == nullptr) service_ = transport_->Lookup(machine_id_);
+    if (service_ == nullptr) {
       reply(RpcResponse::FromStatus(Status::Unavailable(
           "no machine " + std::to_string(machine_id_) +
           " attached to inproc transport")));
       return;
     }
-    service->Dispatch(request, std::move(reply));
+    service_->Dispatch(request, std::move(reply));
   }
 
   static void Reply(InProcTransport* transport, int machine_id, RpcType type,
@@ -127,6 +129,8 @@ class InProcTransport::InProcChannel : public Channel {
 
   InProcTransport* transport_;
   int machine_id_;
+  // Resolved on the first delivery that finds the machine attached.
+  MachineService* service_ = nullptr;
   Strand strand_;
 };
 
@@ -142,16 +146,24 @@ void InProcTransport::AttachLocal(int machine_id, MachineService* service) {
 void InProcTransport::SetFaultHook(FaultHook hook) {
   platform::Guard lock(mu_);
   fault_hook_ = std::move(hook);
+  UpdateFaultsArmedLocked();
 }
 
 void InProcTransport::PartitionMachine(int machine_id) {
   platform::Guard lock(mu_);
   partitioned_.insert(machine_id);
+  UpdateFaultsArmedLocked();
 }
 
 void InProcTransport::HealMachine(int machine_id) {
   platform::Guard lock(mu_);
   partitioned_.erase(machine_id);
+  UpdateFaultsArmedLocked();
+}
+
+void InProcTransport::UpdateFaultsArmedLocked() {
+  faults_armed_.store(fault_hook_ != nullptr || !partitioned_.empty(),
+                      std::memory_order_release);
 }
 
 MachineService* InProcTransport::Lookup(int machine_id) const {
@@ -162,6 +174,7 @@ MachineService* InProcTransport::Lookup(int machine_id) const {
 
 InProcTransport::Fault InProcTransport::EvaluateFault(
     int machine_id, const RpcRequest& request) const {
+  if (!faults_armed_.load(std::memory_order_acquire)) return Fault::kDeliver;
   FaultHook hook;
   {
     platform::Guard lock(mu_);

@@ -44,6 +44,9 @@ namespace mtdb::net {
 // Hooks run on the delivering thread (the caller's or the strand's), after
 // the request is already serialized, so they see exactly what would have
 // hit the wire. A reply drop is applied wherever the reply is produced.
+// Delivery takes no transport-wide lock while no fault is installed: a
+// channel resolves its machine's service once, and evaluates faults under
+// the transport's mutex only while a hook or a partition is in place.
 class InProcTransport : public Transport {
  public:
   enum class Fault {
@@ -76,15 +79,21 @@ class InProcTransport : public Transport {
  private:
   class InProcChannel;
 
-  // Returns kDeliver/kDropRequest/kDropReply for this request, folding in
-  // partitions. Looks up the service; null means unreachable.
+  // The service attached for machine_id; null means unreachable.
   MachineService* Lookup(int machine_id) const;
+  // Returns kDeliver/kDropRequest/kDropReply for this request, folding in
+  // partitions.
   Fault EvaluateFault(int machine_id, const RpcRequest& request) const;
+  // Recomputes faults_armed_ after a hook or partition change.
+  void UpdateFaultsArmedLocked() MTDB_REQUIRES(mu_);
 
   mutable platform::Mutex mu_{"net/InProcTransport::mu"};
   std::map<int, MachineService*> services_ MTDB_GUARDED_BY(mu_);
   std::set<int> partitioned_ MTDB_GUARDED_BY(mu_);
   FaultHook fault_hook_ MTDB_GUARDED_BY(mu_);
+  // Set while a fault hook is installed or a machine is partitioned; written
+  // under mu_, read without it on every delivery.
+  std::atomic<bool> faults_armed_{false};
   std::atomic<int64_t> delivered_{0};
 };
 

@@ -278,16 +278,6 @@ void MachineClient::CallWithDeadline(Channel* channel, int machine_id,
   state->trace_id = request.trace_id;
   state->start_us = NowMicros();
 
-  if (options_.call_timeout_us > 0) {
-    // Stamped under the lock; WatchdogLoop relies on it to never need a
-    // wake-up when a call is armed.
-    platform::Guard lock(watchdog_mu_);
-    state->deadline = deadlines_.emplace(
-        std::chrono::steady_clock::now() +
-            std::chrono::microseconds(options_.call_timeout_us),
-        state);
-  }
-
   // `this` outlives every reply that finds the call pending: a channel
   // drains before its owner (a Session, a control channel or a synchronous
   // call) goes, a reply that waits for durability is waited for by whoever
@@ -295,9 +285,10 @@ void MachineClient::CallWithDeadline(Channel* channel, int machine_id,
   // those outlives the client. A reply after the deadline returns below
   // without touching `this`.
   channel->Call(request, [this, state](RpcResponse response) {
-    ResponseHandler handler = state->Take();
+    bool armed = false;
+    ResponseHandler handler = state->Take(&armed);
     if (!handler) return;  // the deadline already answered
-    Disarm(state.get());
+    if (armed) Disarm(state.get());
     int64_t elapsed_us = NowMicros() - state->start_us;
     const ClientRpcMetrics& metrics = MetricsForType(state->type);
     obs::Increment(metrics.calls);
@@ -315,6 +306,24 @@ void MachineClient::CallWithDeadline(Channel* channel, int machine_id,
     }
     handler(std::move(response));
   });
+  // An inline reply (the usual in-process case) has already answered, and
+  // no deadline could have woken its caller earlier anyway: only a call
+  // still pending now (queued, dropped, or waiting for durability) is armed.
+  if (options_.call_timeout_us > 0) Arm(state);
+}
+
+void MachineClient::Arm(const std::shared_ptr<CallState>& state) {
+  if (state->Done()) return;
+  platform::Guard lock(watchdog_mu_);
+  platform::Guard call_lock(state->mu);
+  if (state->done) return;  // answered since the check above
+  // Stamped under the lock; WatchdogLoop relies on it to never need a
+  // wake-up when a call is armed.
+  state->deadline = deadlines_.emplace(
+      std::chrono::steady_clock::now() +
+          std::chrono::microseconds(options_.call_timeout_us),
+      state);
+  state->armed = true;
 }
 
 RpcResponse MachineClient::CallSync(Channel* channel, int machine_id,

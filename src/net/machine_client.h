@@ -20,10 +20,12 @@
 namespace mtdb::net {
 
 struct RpcOptions {
-  // Per-call deadline. A call with no reply by then completes with
+  // Per-call deadline, counted from when the caller regains control
+  // (Channel::Call returns). A call still unanswered by then completes with
   // kUnavailable and fires the timeout listener (the paper's fail-stop
   // model: silence is indistinguishable from death, so the controller
-  // declares the machine failed and recovers). <= 0 disables deadlines.
+  // declares the machine failed and recovers). A call answered inline,
+  // before Channel::Call returns, never arms one. <= 0 disables deadlines.
   int64_t call_timeout_us = 60'000'000;
 };
 
@@ -165,6 +167,9 @@ class MachineClient {
     // before the state is shared and read-only afterwards.
     platform::Mutex mu{"net/MachineClient::CallState::mu"};
     bool done MTDB_GUARDED_BY(mu) = false;
+    // Set, with the watchdog's mutex held too, when the call enters
+    // deadlines_; a reply to a call never armed skips Disarm.
+    bool armed MTDB_GUARDED_BY(mu) = false;
     ResponseHandler handler MTDB_GUARDED_BY(mu);
     int machine_id = -1;
     RpcType type = RpcType::kHealth;
@@ -175,18 +180,29 @@ class MachineClient {
     std::optional<DeadlineMap::iterator> deadline;
 
     // The handler, to whichever completion comes first (reply, deadline or
-    // abandonment); empty for every later one.
-    ResponseHandler Take() {
+    // abandonment); empty for every later one. *was_armed tells whether the
+    // call ever entered the watchdog's map.
+    ResponseHandler Take(bool* was_armed = nullptr) {
       platform::Guard lock(mu);
       if (done) return nullptr;
       done = true;
+      if (was_armed != nullptr) *was_armed = armed;
       return std::move(handler);
+    }
+
+    bool Done() {
+      platform::Guard lock(mu);
+      return done;
     }
   };
 
-  // Issues the call on `channel` with the deadline armed.
+  // Issues the call on `channel`, and arms its deadline if the call is still
+  // pending when Channel::Call returns.
   void CallWithDeadline(Channel* channel, int machine_id,
                         const RpcRequest& request, ResponseHandler handler);
+  // Enters a pending call in the watchdog's map; a call answered meanwhile
+  // stays out.
+  void Arm(const std::shared_ptr<CallState>& state);
   // Issues the call with may_run_inline set and blocks for the reply.
   RpcResponse CallSync(Channel* channel, int machine_id, RpcRequest request);
   // Control-plane convenience: sync call on the shared control channel.

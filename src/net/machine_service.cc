@@ -288,6 +288,14 @@ RpcResponse MachineService::DispatchControl(const RpcRequest& request) {
       return response;
     }
     case RpcType::kApplyRecords:
+      // Replay tolerates kNotFound record by record (a delta may name an
+      // object a later record drops), so into a missing database it would
+      // install nothing and answer OK: a target replaced since the copy
+      // created the database must fail the copy instead.
+      if (!engine->HasDatabase(request.db_name)) {
+        return RpcResponse::FromStatus(
+            Status::NotFound("no database " + request.db_name));
+      }
       return RpcResponse::FromStatus(
           WriteAheadLog::Replay(request.records, engine.get()));
     case RpcType::kListTables: {

@@ -8,8 +8,8 @@
 //  1. Hot-path recording must be cheap. Callers resolve a series once
 //     (GetCounter/GetHistogram at setup time) and then record through the
 //     returned pointer: a counter increment is one relaxed atomic add on a
-//     cache-line-padded shard, a histogram observation takes the histogram's
-//     own mutex for a few instructions.
+//     cache-line-padded shard, a histogram observation is a few atomic adds
+//     on the histogram's buckets and sum (no lock).
 //  2. Recording must be safe from any thread at any time. Series pointers
 //     are stable for the process lifetime (node-based maps that never erase,
 //     registry is a leaked singleton), so instrumented code never touches a

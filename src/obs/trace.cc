@@ -1,6 +1,7 @@
 #include "src/obs/trace.h"
 
 #include <sstream>
+#include <utility>
 
 #include "src/common/clock.h"
 #include "src/common/logging.h"
@@ -33,58 +34,60 @@ TraceCollector& TraceCollector::Global() {
 }
 
 uint64_t TraceCollector::StartTrace(uint64_t txn_id) {
-  platform::Guard lock(mu_);
-  uint64_t id = next_trace_id_++;
-  // A leaked transaction (client that never commits or aborts) must not pin
-  // memory forever: drop the oldest active record past the bound.
-  if (active_.size() >= kMaxActiveTraces) active_.erase(active_.begin());
-  TraceRecord& record = active_[id];
+  uint64_t id = next_trace_id_.fetch_add(1, std::memory_order_relaxed);
+  TraceRecord record;
   record.trace_id = id;
   record.txn_id = txn_id;
   record.start_us = NowMicros();
+  Shard& shard = ShardFor(id);
+  platform::Guard lock(shard.mu);
+  if (shard.active.size() >= kMaxActivePerShard) {
+    shard.active.erase(shard.active.begin());
+  }
+  shard.active.emplace(id, std::move(record));
   return id;
 }
 
 void TraceCollector::RecordSpan(const TraceSpan& span) {
   if (span.trace_id == 0) return;
-  platform::Guard lock(mu_);
-  auto it = active_.find(span.trace_id);
-  if (it == active_.end()) return;
+  Shard& shard = ShardFor(span.trace_id);
+  platform::Guard lock(shard.mu);
+  auto it = shard.active.find(span.trace_id);
+  if (it == shard.active.end()) return;
   if (it->second.spans.size() >= kMaxSpansPerTrace) return;
   it->second.spans.push_back(span);
 }
 
 void TraceCollector::FinishTrace(uint64_t trace_id, bool committed) {
   if (trace_id == 0) return;
-  TraceRecord finished;
-  bool slow = false;
+  std::map<uint64_t, TraceRecord>::node_type node;
+  {
+    Shard& shard = ShardFor(trace_id);
+    platform::Guard lock(shard.mu);
+    node = shard.active.extract(trace_id);
+  }
+  if (node.empty()) return;
+  TraceRecord& finished = node.mapped();
+  finished.committed = committed;
+  finished.duration_us = NowMicros() - finished.start_us;
+  if (finished.duration_us <
+      slow_threshold_us_.load(std::memory_order_relaxed)) {
+    return;
+  }
   {
     platform::Guard lock(mu_);
-    auto it = active_.find(trace_id);
-    if (it == active_.end()) return;
-    finished = std::move(it->second);
-    active_.erase(it);
-    finished.committed = committed;
-    finished.duration_us = NowMicros() - finished.start_us;
-    if (finished.duration_us >= slow_threshold_us_) {
-      slow = true;
-      slow_.push_back(finished);
-      if (slow_.size() > kSlowRingCapacity) slow_.pop_front();
-    }
+    slow_.push_back(finished);
+    if (slow_.size() > kSlowRingCapacity) slow_.pop_front();
   }
-  if (slow) {
-    MTDB_LOG(kWarning) << "slow transaction: " << finished.ToString();
-  }
+  MTDB_LOG(kWarning) << "slow transaction: " << finished.ToString();
 }
 
 void TraceCollector::set_slow_threshold_us(int64_t threshold_us) {
-  platform::Guard lock(mu_);
-  slow_threshold_us_ = threshold_us;
+  slow_threshold_us_.store(threshold_us, std::memory_order_relaxed);
 }
 
 int64_t TraceCollector::slow_threshold_us() const {
-  platform::Guard lock(mu_);
-  return slow_threshold_us_;
+  return slow_threshold_us_.load(std::memory_order_relaxed);
 }
 
 std::vector<TraceRecord> TraceCollector::SlowTraces() const {
@@ -92,11 +95,25 @@ std::vector<TraceRecord> TraceCollector::SlowTraces() const {
   return {slow_.begin(), slow_.end()};
 }
 
+size_t TraceCollector::active_traces() const {
+  size_t total = 0;
+  for (const Shard& shard : shards_) {
+    platform::Guard lock(shard.mu);
+    total += shard.active.size();
+  }
+  return total;
+}
+
 void TraceCollector::ResetForTest() {
-  platform::Guard lock(mu_);
-  active_.clear();
-  slow_.clear();
-  slow_threshold_us_ = 1'000'000;
+  for (Shard& shard : shards_) {
+    platform::Guard lock(shard.mu);
+    shard.active.clear();
+  }
+  {
+    platform::Guard lock(mu_);
+    slow_.clear();
+  }
+  slow_threshold_us_.store(1'000'000, std::memory_order_relaxed);
 }
 
 }  // namespace mtdb::obs

@@ -11,6 +11,8 @@
 // in the response). FinishTrace assembles the spans into a TraceRecord;
 // records slower than the configured threshold land in a bounded ring and
 // the slow-transaction log.
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -46,8 +48,12 @@ struct TraceRecord {
   std::string ToString() const;
 };
 
-// Process-wide span sink. Lock-per-call is fine here: spans arrive at RPC
-// granularity (microseconds of work per call), not per row.
+// Process-wide span sink. Spans arrive once per RPC from every client
+// thread, so the per-call path takes no process-wide lock: active traces
+// live in kShards shards keyed by trace id, each behind its own mutex, ids
+// come from an atomic counter and the slow threshold is an atomic. The
+// collector's one mutex guards only the slow ring, and only a trace at or
+// over the threshold takes it.
 class TraceCollector {
  public:
   static TraceCollector& Global();
@@ -70,19 +76,38 @@ class TraceCollector {
 
   std::vector<TraceRecord> SlowTraces() const;
 
+  // Traces started and neither finished nor evicted by the cap.
+  size_t active_traces() const;
+
   void ResetForTest();
 
  private:
   TraceCollector() = default;
 
+  static constexpr size_t kShards = 16;
+  // A leaked transaction (a client that never commits or aborts) must not
+  // pin memory forever: past its share of this cap, a shard drops its
+  // oldest active trace.
   static constexpr size_t kMaxActiveTraces = 4096;
+  static constexpr size_t kMaxActivePerShard = kMaxActiveTraces / kShards;
   static constexpr size_t kMaxSpansPerTrace = 64;
   static constexpr size_t kSlowRingCapacity = 128;
 
+  // Padded to a cache line each, so recorders on different shards do not
+  // share one.
+  struct alignas(64) Shard {
+    mutable platform::Mutex mu{"obs/TraceCollector::Shard::mu"};
+    // Ordered by id, so the oldest trace is first.
+    std::map<uint64_t, TraceRecord> active MTDB_GUARDED_BY(mu);
+  };
+
+  Shard& ShardFor(uint64_t trace_id) { return shards_[trace_id % kShards]; }
+
+  std::atomic<uint64_t> next_trace_id_{1};
+  std::atomic<int64_t> slow_threshold_us_{1'000'000};
+  Shard shards_[kShards];
+
   mutable platform::Mutex mu_{"obs/TraceCollector::mu"};
-  uint64_t next_trace_id_ MTDB_GUARDED_BY(mu_) = 1;
-  int64_t slow_threshold_us_ MTDB_GUARDED_BY(mu_) = 1'000'000;
-  std::map<uint64_t, TraceRecord> active_ MTDB_GUARDED_BY(mu_);
   std::deque<TraceRecord> slow_ MTDB_GUARDED_BY(mu_);
 };
 

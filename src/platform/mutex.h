@@ -108,9 +108,8 @@ class LockOrderGraph {
 // default graph argument, tracking is active only in builds where
 // MTDB_INVARIANT_CHECKS_ENABLED is on; passing an explicit graph (tests)
 // always tracks, and an explicit nullptr opts a lock class out — reserved
-// for classes whose instances are legitimately acquired pairwise on one
-// thread (e.g. Histogram::Merge), which the class-granular recursion check
-// would misreport.
+// for leaf latches on the hottest paths (storage/Table::latch), where
+// per-acquisition bookkeeping would dominate sanitizer runs.
 class MTDB_CAPABILITY("mutex") Mutex {
  public:
   explicit Mutex(const char* name,
@@ -190,27 +189,6 @@ class MTDB_SCOPED_CAPABILITY UniqueLock {
  private:
   Mutex& mu_;
   bool owns_ = true;
-};
-
-// Acquires two mutexes of the same class deadlock-free (std::lock's
-// try-and-back-off), e.g. Histogram::Merge locking *this and other. The two
-// must be distinct objects.
-class MTDB_SCOPED_CAPABILITY DualGuard {
- public:
-  DualGuard(Mutex& a, Mutex& b) MTDB_ACQUIRE(a, b) : a_(a), b_(b) {
-    std::lock(a_, b_);
-  }
-  ~DualGuard() MTDB_RELEASE() {
-    a_.unlock();
-    b_.unlock();
-  }
-
-  DualGuard(const DualGuard&) = delete;
-  DualGuard& operator=(const DualGuard&) = delete;
-
- private:
-  Mutex& a_;
-  Mutex& b_;
 };
 
 // Condition variable paired with Mutex/UniqueLock. Deliberately predicate-

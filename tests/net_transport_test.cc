@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
@@ -215,6 +216,89 @@ TEST_F(NetTransportTest, AnsweredCallsReleaseTheirDeadlines) {
     ASSERT_TRUE(client->Health(i % 3).ok());
   }
   EXPECT_EQ(client->armed_deadlines(), 0u);
+}
+
+TEST_F(NetTransportTest, InlineCallArmsNoDeadline) {
+  // A call answered before Channel::Call returns never enters the
+  // watchdog's map: while an inline Health call is being delivered, nothing
+  // is armed.
+  Build(ClusterControllerOptions{});
+  net::InProcTransport* transport = controller_->inproc_transport();
+  net::MachineClient* client = controller_->machine_client();
+  std::atomic<int64_t> armed_during_delivery{-1};
+  transport->SetFaultHook(
+      [client, &armed_during_delivery](int machine_id,
+                                       const net::RpcRequest& request) {
+        if (machine_id == 1 && request.type == net::RpcType::kHealth) {
+          armed_during_delivery.store(
+              static_cast<int64_t>(client->armed_deadlines()));
+        }
+        return net::InProcTransport::Fault::kDeliver;
+      });
+  ASSERT_TRUE(client->Health(1).ok());
+  EXPECT_EQ(armed_during_delivery.load(), 0);
+
+  // A dropped request is still pending when Call returns: it is armed, and
+  // its deadline answers it with kUnavailable.
+  transport->SetFaultHook([](int machine_id, const net::RpcRequest& request) {
+    return machine_id == 2 && request.type == net::RpcType::kHealth
+               ? net::InProcTransport::Fault::kDropRequest
+               : net::InProcTransport::Fault::kDeliver;
+  });
+  Status dropped;
+  std::thread caller([client, &dropped] { dropped = client->Health(2); });
+  int64_t give_up_us = NowMicros() + 1'000'000;
+  while (client->armed_deadlines() == 0 && NowMicros() < give_up_us) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(client->armed_deadlines(), 1u);
+  caller.join();
+  EXPECT_EQ(dropped.code(), StatusCode::kUnavailable) << dropped.ToString();
+  EXPECT_EQ(client->armed_deadlines(), 0u);
+  transport->SetFaultHook(nullptr);
+}
+
+// Sends a Health request on `session`, allowed to run inline, and returns
+// whether it was answered before the send returned. A dropped request is
+// left to its deadline.
+bool AnsweredInline(net::MachineClient::Session* session) {
+  net::RpcRequest request;
+  request.type = net::RpcType::kHealth;
+  request.may_run_inline = true;
+  auto answered = std::make_shared<std::atomic<bool>>(false);
+  session->CallAsync(std::move(request),
+                     [answered](net::RpcResponse) { answered->store(true); });
+  return answered->load();
+}
+
+TEST_F(NetTransportTest, FaultsInstalledAfterTrafficStillApply) {
+  // A channel that has already delivered requests (and resolved its
+  // machine) still sees a fault hook or a partition installed afterwards.
+  Build(ClusterControllerOptions{});
+  net::InProcTransport* transport = controller_->inproc_transport();
+  net::MachineClient* client = controller_->machine_client();
+  auto session = client->OpenSession(2);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(AnsweredInline(session.get()));
+
+  transport->SetFaultHook([](int machine_id, const net::RpcRequest&) {
+    return machine_id == 2 ? net::InProcTransport::Fault::kDropRequest
+                           : net::InProcTransport::Fault::kDeliver;
+  });
+  EXPECT_FALSE(AnsweredInline(session.get()));
+  EXPECT_EQ(client->armed_deadlines(), 1u);
+  // Answer the dropped call now, without declaring the machine failed.
+  client->AbandonArmedCalls();
+  transport->SetFaultHook(nullptr);
+  EXPECT_TRUE(AnsweredInline(session.get()));
+
+  transport->PartitionMachine(2);
+  EXPECT_FALSE(AnsweredInline(session.get()));
+  EXPECT_EQ(client->armed_deadlines(), 1u);
+  client->AbandonArmedCalls();
+  transport->HealMachine(2);
+  EXPECT_TRUE(AnsweredInline(session.get()));
+  EXPECT_EQ(client->armed_deadlines(), 0u);
+  EXPECT_FALSE(controller_->machine(2)->failed());
 }
 
 TEST_F(NetTransportTest, DroppedControlRequestSurfacesAsUnavailable) {

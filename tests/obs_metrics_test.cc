@@ -1,12 +1,13 @@
 // Tests for the metrics registry and the live load-feedback path.
 //
 // The concurrency tests here carry the "sanitizer"/"obs" ctest labels: the
-// sharded counter, the registry's shared_mutex fast path, and the histogram
-// Merge/Snapshot locking are exactly the code TSan must see under real
-// thread interleavings.
+// sharded counter, the registry's shared_mutex fast path, and the lock-free
+// histogram's Record/Merge/Snapshot are exactly the code TSan must see
+// under real thread interleavings.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -122,7 +123,7 @@ TEST(ObsMetricsTest, HistogramSelfMergeDoublesInPlace) {
 }
 
 // TSan coverage for the histogram: concurrent Record, Merge (including
-// self-merge), and Snapshot must be free of lock-order inversions and races.
+// self-merge), and Snapshot must be free of races.
 TEST(ObsMetricsTest, HistogramConcurrentMergeAndRecord) {
   Histogram a;
   Histogram b;
@@ -136,8 +137,7 @@ TEST(ObsMetricsTest, HistogramConcurrentMergeAndRecord) {
   // Few merge rounds on purpose: each merge roughly doubles the counts, so
   // the iteration budget must keep count/sum far away from int64 overflow.
   workers.emplace_back([&a, &b] {
-    // Merge in both directions: scoped_lock's deadlock-avoidance must hold
-    // even while both histograms take recordings.
+    // Merge in both directions while both histograms take recordings.
     for (int i = 0; i < 8; ++i) {
       a.Merge(b);
       b.Merge(a);
@@ -152,6 +152,53 @@ TEST(ObsMetricsTest, HistogramConcurrentMergeAndRecord) {
   for (auto& w : workers) w.join();
   EXPECT_GT(a.Snapshot().count, 0);
   EXPECT_GT(b.Snapshot().count, 0);
+}
+
+TEST(ObsMetricsTest, ConcurrentRecordingIsExact) {
+  // Four recorders share one histogram with no lock: recorder t records
+  // t * kPerThread + 1 ... (t + 1) * kPerThread, so the values are
+  // 1 ... kTotal, each once.
+  constexpr int kThreads = 4;
+  constexpr int64_t kPerThread = 50'000;
+  constexpr int64_t kTotal = kThreads * kPerThread;
+  Histogram histogram;
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> recorders;
+  for (int t = 0; t < kThreads; ++t) {
+    recorders.emplace_back([&histogram, &running, t] {
+      for (int64_t i = 1; i <= kPerThread; ++i) {
+        histogram.Record(t * kPerThread + i);
+      }
+      running.fetch_sub(1);
+    });
+  }
+  // Snapshots taken meanwhile are cuts of the recorded values: their count
+  // only grows, their percentiles lie between their min and max, and they
+  // never report a value no recorder wrote.
+  int64_t last_count = 0;
+  int snapshots = 0;
+  while (running.load() > 0) {
+    HistogramSnapshot snap = histogram.Snapshot();
+    ++snapshots;
+    ASSERT_GE(snap.count, last_count);
+    ASSERT_LE(snap.count, kTotal);
+    last_count = snap.count;
+    if (snap.count == 0) continue;
+    ASSERT_GE(snap.min, 1);
+    ASSERT_LE(snap.max, kTotal);
+    ASSERT_LE(snap.min, snap.p50);
+    ASSERT_LE(snap.p50, snap.p99);
+    ASSERT_LE(snap.p99, snap.max);
+  }
+  for (auto& recorder : recorders) recorder.join();
+  EXPECT_GT(snapshots, 0);
+  HistogramSnapshot done = histogram.Snapshot();
+  EXPECT_EQ(done.count, kTotal);
+  EXPECT_EQ(histogram.count(), kTotal);
+  EXPECT_EQ(done.min, 1);
+  EXPECT_EQ(done.max, kTotal);
+  // With the count exact, an exact mean means an exact sum.
+  EXPECT_DOUBLE_EQ(done.mean, (kTotal + 1) / 2.0);
 }
 
 TEST(ObsMetricsTest, ScopedTimerRecordsElapsed) {

@@ -7,10 +7,12 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/cluster/cluster_controller.h"
 #include "src/cluster/machine.h"
+#include "src/common/logging.h"
 #include "src/net/machine_service.h"
 #include "src/net/tcp_transport.h"
 #include "src/obs/trace.h"
@@ -79,6 +81,77 @@ TEST(ObsTraceTest, SlowTransactionsLandInTheSlowRing) {
   id = collector.StartTrace(/*txn_id=*/8);
   collector.FinishTrace(id, /*committed=*/true);
   EXPECT_EQ(collector.SlowTraces().size(), 1u);  // fast txn not retained
+}
+
+TEST(ObsTraceTest, ConcurrentTracesKeepTheirSpans) {
+  // Eight threads trace at once, on shards shared between them: every
+  // retained record carries exactly the spans recorded for its trace.
+  auto& collector = TraceCollector::Global();
+  collector.ResetForTest();
+  collector.set_slow_threshold_us(0);  // retain every finished trace
+  LogLevel log_level = GetLogLevel();
+  SetLogLevel(LogLevel::kError);  // every trace is "slow": keep the log quiet
+  constexpr int kThreads = 8;
+  constexpr int kTracesPerThread = 200;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&collector, t] {
+      for (int i = 0; i < kTracesPerThread; ++i) {
+        // The txn id names the thread and the trace's index in it, and the
+        // index picks how many spans the trace gets.
+        uint64_t id = collector.StartTrace(/*txn_id=*/t * 1000 + i);
+        for (int n = 0; n < 1 + i % 4; ++n) {
+          TraceSpan span;
+          span.trace_id = id;
+          span.machine_id = t;
+          span.start_us = i;
+          span.operation = "Execute";
+          collector.RecordSpan(span);
+        }
+        collector.FinishTrace(id, /*committed=*/true);
+      }
+    });
+  }
+  for (auto& worker : workers) worker.join();
+  SetLogLevel(log_level);
+  std::vector<TraceRecord> finished = collector.SlowTraces();
+  EXPECT_EQ(finished.size(), 128u);  // the slow ring's capacity
+  for (const TraceRecord& record : finished) {
+    int thread = static_cast<int>(record.txn_id / 1000);
+    int index = static_cast<int>(record.txn_id % 1000);
+    ASSERT_EQ(record.spans.size(), static_cast<size_t>(1 + index % 4))
+        << "txn " << record.txn_id;
+    for (const TraceSpan& span : record.spans) {
+      EXPECT_EQ(span.trace_id, record.trace_id);
+      EXPECT_EQ(span.machine_id, thread);
+      EXPECT_EQ(span.start_us, index);
+    }
+  }
+  EXPECT_EQ(collector.active_traces(), 0u);
+  collector.ResetForTest();
+}
+
+TEST(ObsTraceTest, AbandonedTracesStayBounded) {
+  // Transactions that never finish must not pin memory: past the cap the
+  // oldest active traces are dropped.
+  constexpr size_t kCap = 4096;
+  auto& collector = TraceCollector::Global();
+  collector.ResetForTest();
+  collector.set_slow_threshold_us(0);
+  uint64_t first = collector.StartTrace(/*txn_id=*/1);
+  uint64_t last = first;
+  for (size_t i = 1; i < 3 * kCap; ++i) {
+    last = collector.StartTrace(/*txn_id=*/1);
+    ASSERT_LE(collector.active_traces(), kCap);
+  }
+  EXPECT_LE(collector.active_traces(), kCap);
+  // The oldest is gone (finishing it is a no-op); the newest is live.
+  collector.FinishTrace(first, /*committed=*/true);
+  EXPECT_TRUE(collector.SlowTraces().empty());
+  collector.FinishTrace(last, /*committed=*/true);
+  ASSERT_EQ(collector.SlowTraces().size(), 1u);
+  EXPECT_EQ(collector.SlowTraces()[0].trace_id, last);
+  collector.ResetForTest();
 }
 
 // Drives one transaction and returns the finished trace for it, read from

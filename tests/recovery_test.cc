@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -11,6 +12,7 @@
 
 #include "src/cluster/cluster_controller.h"
 #include "src/cluster/replica_builder.h"
+#include "src/net/inproc_transport.h"
 #include "tests/wal_replay_check.h"
 
 namespace mtdb {
@@ -334,6 +336,61 @@ TEST_F(RecoveryTest, ReplacedMachineStartsAnEmptyLog) {
   // out of the replacement's log.
   ASSERT_TRUE(failed->CreateDatabase("late").ok());
   ExpectLogReplaysEngine(machine->engine().get());
+}
+
+TEST_F(RecoveryTest, CopyIntoAMissingDatabaseIsNotFound) {
+  // An install replays record by record and tolerates a record whose object
+  // is gone, so the database must be checked before anything replays.
+  MakeDb("db");
+  std::vector<int> replicas = controller_->ReplicasOf("db");
+  int outsider = 0;
+  while (outsider == replicas[0] || outsider == replicas[1]) ++outsider;
+  net::MachineClient* client = controller_->machine_client();
+  auto records = client->DumpTable(replicas[0], "db", "t0",
+                                   /*dump_txn_id=*/12345,
+                                   /*per_row_delay_us=*/0);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  ASSERT_FALSE(records->empty());
+  Status installed = client->ApplyRecords(outsider, "db", *records);
+  EXPECT_EQ(installed.code(), StatusCode::kNotFound) << installed.ToString();
+  EXPECT_FALSE(controller_->machine(outsider)->engine()->HasDatabase("db"));
+}
+
+TEST_F(RecoveryTest, TargetReplacedBeforeInstallFailsTheBuild) {
+  // The target is replaced (an empty engine) after the build created the
+  // database on it and before the first install arrives: the build fails
+  // instead of completing with an empty replica.
+  MakeDb("db");
+  std::vector<int> replicas = controller_->ReplicasOf("db");
+  controller_->FailMachine(replicas[0]);
+  net::InProcTransport* transport = controller_->inproc_transport();
+  std::atomic<bool> replaced{false};
+  ClusterController* cluster = controller_.get();
+  transport->SetFaultHook(
+      [cluster, &replaced](int machine_id, const net::RpcRequest& request) {
+        if (request.type == net::RpcType::kApplyRecords &&
+            !replaced.exchange(true)) {
+          cluster->machine(machine_id)->Recover();
+        }
+        return net::InProcTransport::Fault::kDeliver;
+      });
+  ReplicaBuilder recovery(controller_.get(), ReplicaBuilderOptions{});
+  auto failed = recovery.RecoverAll(2);
+  transport->SetFaultHook(nullptr);
+  ASSERT_TRUE(replaced.load());
+  ASSERT_EQ(failed.size(), 1u);
+  EXPECT_FALSE(failed[0].status.ok());
+  EXPECT_EQ(controller_->ReplicasOf("db"), replicas);
+
+  // The aborted build left the target reusable.
+  auto retried = recovery.RecoverAll(2);
+  ASSERT_EQ(retried.size(), 1u);
+  ASSERT_TRUE(retried[0].status.ok()) << retried[0].status.ToString();
+  Database* copy = controller_->machine(retried[0].target_machine)
+                       ->engine()
+                       ->GetDatabase("db");
+  ASSERT_NE(copy, nullptr);
+  EXPECT_EQ(copy->GetTable("t1")->row_count(), 5u);
 }
 
 TEST_F(RecoveryTest, QuotaFollowsRecoveredReplica) {
