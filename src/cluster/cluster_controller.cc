@@ -1138,8 +1138,16 @@ Result<sql::QueryResult> Connection::ExecuteWrite(
     Poison(status);
     return status;
   }
+  // Register the write before routing it. A copy window opens before the
+  // replica builder waits for quiescence, so either the builder's wait sees
+  // this registration and outlasts the write, or the routing below sees the
+  // open window and refuses the write. Registering after routing would let
+  // a write routed just before the window reach only the sources after the
+  // builder's wait had passed.
+  controller_->BeginInflightWrite(db_name_, table);
   auto targets_or = controller_->WriteTargets(db_name_, table);
   if (!targets_or.ok()) {
+    controller_->EndInflightWrite(db_name_, table);
     // Algorithm 1 line 11: reject the operation and abort the transaction.
     if (targets_or.status().code() == StatusCode::kRejected) {
       (void)AbortInternal(targets_or.status());
@@ -1150,7 +1158,6 @@ Result<sql::QueryResult> Connection::ExecuteWrite(
   }
   const std::vector<int>& targets = *targets_or;
   wrote_ = true;
-  controller_->BeginInflightWrite(db_name_, table);
 
   auto pending = std::make_shared<PendingWrite>();
   pending->outstanding = static_cast<int>(targets.size());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -26,7 +27,7 @@ uint64_t HashOf(const Value& v) {
     if (d == 0.0) d = 0.0;  // -0.0 == 0.0
     return std::hash<double>{}(d);
   }
-  return std::hash<std::string>{}(v.AsString());
+  return std::hash<std::string_view>{}(v.AsString());
 }
 
 // The rest of one SELECT after its rows are fetched. Consume() takes each

@@ -154,11 +154,10 @@ bool Evaluator::IsTruthy(const Value& v) {
   return !v.AsString().empty();
 }
 
-bool Evaluator::LikeMatch(const std::string& text,
-                          const std::string& pattern) {
+bool Evaluator::LikeMatch(std::string_view text, std::string_view pattern) {
   // Iterative glob matching with backtracking on '%'.
   size_t t = 0, p = 0;
-  size_t star_p = std::string::npos, star_t = 0;
+  size_t star_p = std::string_view::npos, star_t = 0;
   while (t < text.size()) {
     if (p < pattern.size() &&
         (pattern[p] == '_' || pattern[p] == text[t])) {
@@ -167,7 +166,7 @@ bool Evaluator::LikeMatch(const std::string& text,
     } else if (p < pattern.size() && pattern[p] == '%') {
       star_p = p++;
       star_t = t;
-    } else if (star_p != std::string::npos) {
+    } else if (star_p != std::string_view::npos) {
       p = star_p + 1;
       t = ++star_t;
     } else {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/result.h"
@@ -114,7 +115,7 @@ class Evaluator {
                    Status* status) const;
 
   // SQL LIKE with % (any run) and _ (single char).
-  static bool LikeMatch(const std::string& text, const std::string& pattern);
+  static bool LikeMatch(std::string_view text, std::string_view pattern);
 
   // WHERE-clause truthiness: non-null and numerically non-zero.
   static bool IsTruthy(const Value& v);

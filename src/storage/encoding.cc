@@ -69,7 +69,7 @@ Value Reader::ReadValue() {
       return Value(d);
     }
     case kTagString:
-      return Value(ReadString());
+      return Value(ReadBytes(ReadU32()));
     default:
       ok_ = false;
       return Value::Null();

@@ -1,5 +1,8 @@
 #include "src/storage/value.h"
 
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
 
 namespace mtdb {
@@ -14,6 +17,26 @@ std::string_view ColumnTypeName(ColumnType type) {
       return "VARCHAR";
   }
   return "?";
+}
+
+void Value::AssignString(std::string_view v) {
+  if (v.size() <= kInlineCapacity) {
+    if (!v.empty()) std::memcpy(bytes_, v.data(), v.size());
+    tag_ = static_cast<uint8_t>(kInline | v.size());
+    return;
+  }
+  if (v.size() > std::numeric_limits<uint32_t>::max()) {
+    // The heap length is a u32, as on the wire: never truncate.
+    std::fprintf(stderr, "mtdb: a %zu-byte string does not fit a Value\n",
+                 v.size());
+    std::abort();
+  }
+  char* data = new char[v.size()];
+  std::memcpy(data, v.data(), v.size());
+  uint32_t size = static_cast<uint32_t>(v.size());
+  std::memcpy(bytes_, &data, sizeof data);
+  std::memcpy(bytes_ + sizeof data, &size, sizeof size);
+  tag_ = kHeap;
 }
 
 int Value::Compare(const Value& other) const {
@@ -47,7 +70,7 @@ std::string Value::ToString() const {
   if (is_int()) return std::to_string(AsInt());
   if (is_double()) {
     std::ostringstream out;
-    out << std::get<double>(data_);
+    out << AsDouble();
     return out.str();
   }
   std::string out = "'";
@@ -60,7 +83,7 @@ std::string Value::ToString() const {
 }
 
 std::string Value::ToDisplayString() const {
-  if (is_string()) return AsString();
+  if (is_string()) return std::string(AsString());
   return ToString();
 }
 
@@ -74,9 +97,9 @@ std::string Value::LockKey() const {
   if (is_null()) return "~null";
   if (is_int()) return std::string("i").append(std::to_string(AsInt()));
   if (is_double()) {
-    return std::string("d").append(std::to_string(std::get<double>(data_)));
+    return std::string("d").append(std::to_string(AsDouble()));
   }
-  return "s" + AsString();
+  return std::string("s").append(AsString());
 }
 
 }  // namespace mtdb

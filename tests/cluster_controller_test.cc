@@ -4,7 +4,9 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <future>
 #include <memory>
 #include <thread>
 
@@ -319,6 +321,41 @@ TEST_F(ClusterTest, WritesRejectedOnTableBeingCopied) {
   EXPECT_EQ(controller_->rejected_writes("bank"), 1);
   // Reads still work during the copy.
   EXPECT_TRUE(conn->Execute("SELECT COUNT(*) FROM accounts").ok());
+}
+
+// A write registers in flight before it is routed, so that the replica
+// builder's quiescence wait cannot miss a write routed just before a copy
+// window opened. A write that routing refuses must end that registration,
+// or the builder's next wait on the table would block for good.
+TEST_F(ClusterTest, RefusedWritesLeaveNothingInFlight) {
+  Build({});
+  SetUpAccountsDb();
+  ASSERT_TRUE(controller_->BeginCopy("bank", 2).ok());
+  ASSERT_TRUE(controller_->SetCopyInProgress("bank", "accounts").ok());
+  auto conn = controller_->Connect("bank");
+  EXPECT_EQ(conn->Execute("UPDATE accounts SET balance = 0 WHERE id = 1")
+                .status()
+                .code(),
+            StatusCode::kRejected);
+  ASSERT_TRUE(controller_->AbandonCopy("bank").ok());
+  for (int id : controller_->ReplicasOf("bank")) controller_->FailMachine(id);
+  auto unrouted = controller_->Connect("bank");
+  EXPECT_EQ(unrouted->Execute("UPDATE accounts SET balance = 0 WHERE id = 2")
+                .status()
+                .code(),
+            StatusCode::kUnavailable);
+
+  auto drained = std::async(std::launch::async, [this] {
+    controller_->WaitForQuiescentWrites("bank", "accounts");
+    controller_->WaitForQuiescentWrites("bank", "*");
+  });
+  if (drained.wait_for(std::chrono::seconds(5)) !=
+      std::future_status::ready) {
+    // A leaked registration blocks the wait for good: end the run rather
+    // than hang it.
+    ADD_FAILURE() << "a refused write is still registered in flight";
+    std::abort();
+  }
 }
 
 TEST_F(ClusterTest, WritesToCopiedTableReachCopyTarget) {

@@ -72,6 +72,15 @@ TEST(ObsMetricsTest, ConcurrentResolveAndRecordIsSafe) {
   }
   EXPECT_EQ(total, int64_t{kThreads} * kOps);
   EXPECT_EQ(registry.SumCounter("test_resolve_total"), total);
+  // Zero every series counted into, so a repeated run starts from zero.
+  // Resetting them up front would register m1-m3 before the race: the
+  // threads must insert them.
+  for (int m = 0; m < 4; ++m) {
+    registry
+        .GetCounter("test_resolve_total",
+                    {.machine = std::string("m").append(std::to_string(m))})
+        ->Reset();
+  }
 }
 
 TEST(ObsMetricsTest, TextDumpFormatsLabelsAndHistograms) {
@@ -80,6 +89,7 @@ TEST(ObsMetricsTest, TextDumpFormatsLabelsAndHistograms) {
   registry.GetCounter("test_dump_total", labels)->Reset();
   obs::Increment(registry.GetCounter("test_dump_total", labels), 42);
   Histogram* hist = registry.GetHistogram("test_dump_us", {.operation = "Get"});
+  hist->Reset();
   hist->Record(100);
   hist->Record(300);
 

@@ -200,6 +200,39 @@ TEST_F(SqlTest, GroupByDoubleKeysUsesValueEquality) {
   EXPECT_EQ(nulls.at(0, 0).AsInt(), 2);
 }
 
+TEST_F(SqlTest, GroupByAndJoinOnStringsAcrossTheInlineLimit) {
+  // A Value keeps strings of up to 15 bytes inline and longer ones on the
+  // heap: equal strings group and join alike on either side of that limit.
+  const std::string k15(15, 'k');
+  const std::string k16(16, 'k');
+  const std::string k40(40, 'k');
+  Exec("CREATE TABLE s (id INT PRIMARY KEY, k VARCHAR(40))");
+  Exec("INSERT INTO s VALUES (1, '" + k15 + "'), (2, '" + k16 + "'), (3, '" +
+       k15 + "'), (4, '" + k40 + "'), (5, '" + k16 + "'), (6, '" + k16 +
+       "'), (7, '')");
+  QueryResult r = Exec("SELECT k, COUNT(*) FROM s GROUP BY k ORDER BY k");
+  ASSERT_EQ(r.rows.size(), 4u);
+  EXPECT_EQ(r.at(0, 0).AsString(), "");
+  EXPECT_EQ(r.at(0, 1).AsInt(), 1);
+  EXPECT_EQ(r.at(1, 0).AsString(), k15);
+  EXPECT_EQ(r.at(1, 1).AsInt(), 2);
+  EXPECT_EQ(r.at(2, 0).AsString(), k16);
+  EXPECT_EQ(r.at(2, 1).AsInt(), 3);
+  EXPECT_EQ(r.at(3, 0).AsString(), k40);
+  EXPECT_EQ(r.at(3, 1).AsInt(), 1);
+
+  Exec("CREATE TABLE t (name VARCHAR(40) PRIMARY KEY, w INT)");
+  Exec("INSERT INTO t VALUES ('" + k15 + "', 10), ('" + k16 + "', 20)");
+  QueryResult joined = Exec(
+      "SELECT t.w, COUNT(*) FROM s JOIN t ON s.k = t.name GROUP BY t.w "
+      "ORDER BY t.w");
+  ASSERT_EQ(joined.rows.size(), 2u);
+  EXPECT_EQ(joined.at(0, 0).AsInt(), 10);
+  EXPECT_EQ(joined.at(0, 1).AsInt(), 2);
+  EXPECT_EQ(joined.at(1, 0).AsInt(), 20);
+  EXPECT_EQ(joined.at(1, 1).AsInt(), 3);
+}
+
 TEST_F(SqlTest, HavingAndOrderByOnAggregatesAbsentFromSelectList) {
   // book: qty 5, max price 20; toy: qty 9, max 40; food: qty 9, max 5.5.
   QueryResult r = Exec(
