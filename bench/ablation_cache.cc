@@ -2,7 +2,6 @@
 // > 3 throughput ordering of Figures 2-4. With cache modeling disabled the
 // three options converge.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench/bench_util.h"
 #include "bench/tpcw_bench_common.h"
@@ -12,8 +11,7 @@ int main() {
   using namespace mtdb::bench;
 
   PrintHeader("Ablation", "Buffer-pool locality effect on read routing (TPS)");
-  const char* env = std::getenv("MTDB_BENCH_MS");
-  int64_t duration_ms = env != nullptr ? atoll(env) : 700;
+  const int64_t duration_ms = BenchMs(700);
 
   PrintRow({"config", "TPS (cache ON)", "hit% (ON)", "TPS (cache OFF)"});
   const struct {

@@ -3,7 +3,6 @@
 // disabled, even the aggressive controller under Option 3 becomes
 // serializable (at the cost of cross-replica blocking/aborts).
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "bench/bench_util.h"
@@ -85,9 +84,8 @@ int main() {
   PrintHeader("Ablation",
               "Read-lock release at PREPARE (aggressive controller, "
               "Option 3)");
-  const char* env = std::getenv("MTDB_BENCH_MS");
-  int rounds = env != nullptr ? std::max(2, static_cast<int>(atoll(env) / 100))
-                              : 12;
+  const int rounds =
+      static_cast<int>(std::max<int64_t>(2, BenchMs(1200) / 100));
   PrintRow({"engine 2PC mode", "violations", "avg committed/round"});
   for (bool release : {true, false}) {
     int violations = 0;

@@ -2,7 +2,6 @@
 #define MTDB_BENCH_DEADLOCK_FIGURE_H_
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -23,8 +22,7 @@ inline void RunDeadlockFigure(const std::string& figure_id,
                   std::string(workload::TpcwMixName(mix)) + " mix "
                   "(deadlock aborts/sec)");
 
-  const char* env_duration = std::getenv("MTDB_BENCH_MS");
-  int64_t duration_ms = env_duration != nullptr ? atoll(env_duration) : 700;
+  const int64_t duration_ms = BenchMs(700);
   const std::vector<int64_t> item_counts = {10, 25, 80, 250};
 
   const struct {

@@ -2,8 +2,8 @@
 // browsing mix, for the no-replication baseline and read Options 1/2/3.
 //
 // With --isolation=snapshot, runs the isolation ablation instead: strict 2PL
-// vs MVCC snapshot reads on a contention-heavy browsing mix, writing
-// BENCH_fig3_mvcc.json and exiting nonzero unless snapshot wins (CI gate).
+// vs MVCC snapshot reads on a contention-heavy browsing mix, printing its
+// JSON report and exiting nonzero unless snapshot wins (CI gate).
 #include <cstring>
 
 #include "bench/snapshot_ablation.h"
@@ -13,8 +13,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--isolation=snapshot") == 0) {
       return mtdb::bench::RunSnapshotAblation(
-          "Figure 3", mtdb::workload::TpcwMix::kBrowsing,
-          "BENCH_fig3_mvcc.json");
+          "Figure 3", mtdb::workload::TpcwMix::kBrowsing);
     }
   }
   mtdb::bench::RunThroughputFigure("Figure 3",

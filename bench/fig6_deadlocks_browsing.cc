@@ -13,8 +13,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--isolation=snapshot") == 0) {
       return mtdb::bench::RunSnapshotAblation(
-          "Figure 6", mtdb::workload::TpcwMix::kBrowsing,
-          "BENCH_fig6_mvcc.json");
+          "Figure 6", mtdb::workload::TpcwMix::kBrowsing);
     }
   }
   mtdb::bench::RunDeadlockFigure("Figure 6",

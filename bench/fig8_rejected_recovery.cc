@@ -9,8 +9,7 @@ int main() {
 
   PrintHeader("Figure 8",
               "Rejected Transactions during Recovery (per database)");
-  const char* env = std::getenv("MTDB_BENCH_MS");
-  int64_t workload_ms = env != nullptr ? atoll(env) * 3 : 2200;
+  const int64_t workload_ms = BenchMs(2200, /*scale=*/3);
   const int thread_counts[] = {1, 2, 4};
 
   PrintRow({"copy granularity", "1 thread", "2 threads", "4 threads"});

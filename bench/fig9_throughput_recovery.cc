@@ -7,8 +7,7 @@ int main() {
   using namespace mtdb::bench;
 
   PrintHeader("Figure 9", "Throughput during Recovery (TPS)");
-  const char* env = std::getenv("MTDB_BENCH_MS");
-  int64_t workload_ms = env != nullptr ? atoll(env) * 3 : 2200;
+  const int64_t workload_ms = BenchMs(2200, /*scale=*/3);
 
   PrintRow({"configuration", "TPS", "recovery-sec"});
 

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "bench/bench_util.h"
 #include "src/analysis/history.h"
 #include "src/common/clock.h"
 #include "src/common/random.h"
@@ -201,8 +202,7 @@ int RunMetricsOverheadGate() {
   std::printf("metrics overhead gate: skipped (MTDB_NO_METRICS build)\n");
   return 0;
 #endif
-  const char* env = std::getenv("MTDB_BENCH_MS");
-  int64_t duration_ms = env != nullptr ? atoll(env) : 300;
+  const int64_t duration_ms = bench::BenchMs(300);
 
   auto engine = MakeLoadedEngine(1000);
   (void)MeasureEngineTps(engine.get(), duration_ms);  // warm-up
@@ -226,12 +226,14 @@ int RunMetricsOverheadGate() {
   double disabled_tps = disabled_trials[1];
 
   double ratio = disabled_tps > 0 ? enabled_tps / disabled_tps : 1.0;
-  bool ok = enabled_tps >= 0.95 * disabled_tps;
-  std::printf(
-      "metrics overhead gate: enabled %.0f txn/s, disabled %.0f txn/s "
-      "(ratio %.3f, floor 0.950): %s\n",
-      enabled_tps, disabled_tps, ratio, ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  bench::PrintRow({"metrics overhead gate", "enabled txn/s", "disabled txn/s",
+                   "ratio"});
+  bench::PrintRow({"median of 3", bench::Fmt(enabled_tps, 0),
+                   bench::Fmt(disabled_tps, 0), bench::Fmt(ratio, 3)});
+  bench::Report report;
+  report.Gate("metrics enabled txn/s >= 0.95x disabled",
+              enabled_tps >= 0.95 * disabled_tps);
+  return report.Finish();
 }
 
 }  // namespace mtdb

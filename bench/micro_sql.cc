@@ -1,7 +1,6 @@
 // Microbenchmark for the split SQL path (parse → plan → execute).
 //
-// Three sections, all written to BENCH_micro_sql.json (override the path
-// with MTDB_BENCH_JSON) and printed as a table:
+// Three sections, printed as a table and as the harness's JSON report:
 //
 //  1. Stage breakdown — ns/statement spent in parse, plan, and execute for a
 //     TPC-W-style point SELECT, measured by timing parse alone, then
@@ -21,7 +20,6 @@
 //
 // Exits non-zero unless text-cached throughput is strictly above unprepared
 // — CI runs this as a smoke test of the plan cache.
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -200,11 +198,7 @@ ClusterPair MeasureClusterRoundTrip(int64_t duration_ms) {
 }
 
 int Run() {
-  const char* env = std::getenv("MTDB_BENCH_MS");
-  int64_t duration_ms = env != nullptr ? atoll(env) : 300;
-  const char* json_env = std::getenv("MTDB_BENCH_JSON");
-  std::string json_path =
-      json_env != nullptr ? json_env : "BENCH_micro_sql.json";
+  const int64_t duration_ms = BenchMs(300);
 
   // Zero the registry so the counters reported below cover exactly this run.
   obs::MetricsRegistry::Global().ResetForTest();
@@ -313,51 +307,38 @@ int Run() {
   PrintRow({"statements planned", std::to_string(planned)});
   PrintRow({"plans executed", std::to_string(executed)});
 
-  // Benchmark JSON artifact, not a durability path. mtdblint: allow(wal-sync)
-  FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json != nullptr) {
-    std::fprintf(
-        json,
-        "{\n"
-        "  \"experiment\": \"micro_sql\",\n"
-        "  \"duration_ms_per_measurement\": %lld,\n"
-        "  \"stage_ns_per_stmt\": {\"parse\": %.0f, \"plan\": %.0f, "
-        "\"execute_cached\": %.0f},\n"
-        "  \"engine_stmts_per_sec\": {\"unprepared\": %.0f, "
-        "\"text_cached\": %.0f},\n"
-        "  \"engine_stmt_ns\": {\"best_sellers\": %.0f, "
-        "\"search_by_title\": %.0f},\n"
-        "  \"cluster_txns_per_sec\": {\"execute\": %.0f, "
-        "\"execute_prepared\": %.0f},\n"
-        "  \"speedup\": {\"engine_text_cached_over_unprepared\": %.2f, "
-        "\"cluster_prepared_over_execute\": %.2f},\n"
-        "  \"plan_cache\": {\"hits\": %lld, \"misses\": %lld, "
-        "\"hit_rate\": %.4f},\n"
-        "  \"phase_counters\": {\"parse\": %lld, \"plan\": %lld, "
-        "\"execute\": %lld}\n"
-        "}\n",
-        static_cast<long long>(duration_ms), parse_ns, plan_ns, execute_ns,
-        unprepared, text_cached, best_sellers_ns, search_by_title_ns,
-        cluster.execute_tps, cluster.prepared_tps,
-        unprepared > 0 ? text_cached / unprepared : 0,
-        cluster.execute_tps > 0 ? cluster.prepared_tps / cluster.execute_tps
-                                : 0,
-        static_cast<long long>(cache_hits),
-        static_cast<long long>(cache_misses), hit_rate,
-        static_cast<long long>(parsed), static_cast<long long>(planned),
-        static_cast<long long>(executed));
-    std::fclose(json);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  Report report;
+  report.Set("experiment", "micro_sql");
+  report.Set("duration_ms_per_measurement", duration_ms);
+  report.Set("stage_ns_per_stmt.parse", parse_ns, 0);
+  report.Set("stage_ns_per_stmt.plan", plan_ns, 0);
+  report.Set("stage_ns_per_stmt.execute_cached", execute_ns, 0);
+  report.Set("engine_stmts_per_sec.unprepared", unprepared, 0);
+  report.Set("engine_stmts_per_sec.text_cached", text_cached, 0);
+  report.Set("engine_stmt_ns.best_sellers", best_sellers_ns, 0);
+  report.Set("engine_stmt_ns.search_by_title", search_by_title_ns, 0);
+  report.Set("cluster_txns_per_sec.execute", cluster.execute_tps, 0);
+  report.Set("cluster_txns_per_sec.execute_prepared", cluster.prepared_tps, 0);
+  report.Set("speedup.engine_text_cached_over_unprepared",
+             unprepared > 0 ? text_cached / unprepared : 0, 2);
+  report.Set("speedup.cluster_prepared_over_execute",
+             cluster.execute_tps > 0
+                 ? cluster.prepared_tps / cluster.execute_tps
+                 : 0,
+             2);
+  report.Set("plan_cache.hits", cache_hits);
+  report.Set("plan_cache.misses", cache_misses);
+  report.Set("plan_cache.hit_rate", hit_rate, 4);
+  report.Set("phase_counters.parse", parsed);
+  report.Set("phase_counters.plan", planned);
+  report.Set("phase_counters.execute", executed);
 
   // CI gate: the plan cache must pay — a hit skips parse+plan per call. The
   // cluster pair differs only by the controller's routing lookup, well
   // inside run-to-run noise, so it is reported but not gated.
-  bool ok = text_cached > unprepared;
-  std::printf("gate: text-cached > unprepared (engine %.2fx): %s\n",
-              unprepared > 0 ? text_cached / unprepared : 0,
-              ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  report.Gate("engine text_cached > unprepared stmts/sec",
+              text_cached > unprepared);
+  return report.Finish();
 }
 
 }  // namespace

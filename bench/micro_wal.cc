@@ -19,12 +19,9 @@
 // cache_miss_penalty_us models a data-page miss; on the bare host file
 // system an fflush costs ~nothing and every policy would measure the same.
 //
-// Writes BENCH_wal_group_commit.json (override with MTDB_BENCH_JSON) and
-// exits non-zero unless group commit reaches >= 2x per-commit TPS — CI runs
-// this as the group-commit gate.
+// Prints its JSON report and exits non-zero unless group commit reaches
+// >= 2x per-commit TPS — CI runs this as the group-commit gate.
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -132,11 +129,7 @@ PolicyResult RunPolicy(wal::SyncPolicy policy, int64_t duration_ms,
 }
 
 int Run() {
-  const char* env = std::getenv("MTDB_BENCH_MS");
-  int64_t duration_ms = env != nullptr ? atoll(env) : 1500;
-  const char* json_env = std::getenv("MTDB_BENCH_JSON");
-  std::string json_path =
-      json_env != nullptr ? json_env : "BENCH_wal_group_commit.json";
+  const int64_t duration_ms = BenchMs(1500);
 
   const std::filesystem::path wal_path =
       std::filesystem::temp_directory_path() /
@@ -169,45 +162,26 @@ int Run() {
   PrintRow({"group/per_commit", Fmt(group_speedup, 2) + "x"});
   PrintRow({"async/per_commit", Fmt(async_speedup, 2) + "x"});
 
-  // Benchmark JSON artifact, not a durability path. mtdblint: allow(wal-sync)
-  FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n"
-                 "  \"experiment\": \"wal_group_commit\",\n"
-                 "  \"committers\": %d,\n"
-                 "  \"sync_delay_us\": %lld,\n"
-                 "  \"duration_ms\": %lld,\n",
-                 kCommitters, static_cast<long long>(kSyncDelayUs),
-                 static_cast<long long>(duration_ms));
-    std::fprintf(json, "  \"policies\": {\n");
-    for (size_t i = 0; i < results.size(); ++i) {
-      const PolicyResult& r = results[i];
-      std::fprintf(json,
-                   "    \"%s\": {\"commits_per_sec\": %.0f, "
-                   "\"p50_us\": %lld, \"p99_us\": %lld, "
-                   "\"device_syncs\": %lld, \"records_per_sync\": %.1f}%s\n",
-                   r.name.c_str(), r.tps, static_cast<long long>(r.p50_us),
-                   static_cast<long long>(r.p99_us),
-                   static_cast<long long>(r.syncs), r.records_per_sync,
-                   i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(json,
-                 "  },\n"
-                 "  \"speedup\": {\"group_over_per_commit\": %.2f, "
-                 "\"async_over_per_commit\": %.2f}\n"
-                 "}\n",
-                 group_speedup, async_speedup);
-    std::fclose(json);
-    std::printf("wrote %s\n", json_path.c_str());
+  Report report;
+  report.Set("experiment", "wal_group_commit");
+  report.Set("committers", kCommitters);
+  report.Set("sync_delay_us", kSyncDelayUs);
+  report.Set("duration_ms", duration_ms);
+  for (const PolicyResult& r : results) {
+    const std::string policy = "policies." + r.name + ".";
+    report.Set(policy + "commits_per_sec", r.tps, 0);
+    report.Set(policy + "p50_us", r.p50_us);
+    report.Set(policy + "p99_us", r.p99_us);
+    report.Set(policy + "device_syncs", r.syncs);
+    report.Set(policy + "records_per_sync", r.records_per_sync, 1);
   }
+  report.Set("speedup.group_over_per_commit", group_speedup, 2);
+  report.Set("speedup.async_over_per_commit", async_speedup, 2);
 
   // CI gate: with 16 committers sharing flushes, group commit must clear at
   // least 2x the one-sync-per-commit baseline.
-  bool ok = group_speedup >= 2.0;
-  std::printf("gate: group >= 2x per_commit at %d committers (%.2fx): %s\n",
-              kCommitters, group_speedup, ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  report.Gate("group >= 2x per_commit commits/sec", group_speedup >= 2.0);
+  return report.Finish();
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 //   qos_on   both tenants, weighted fair queueing + an admission quota on
 //            the aggressor: the protected tenant keeps >= 70% of solo.
 //
-// Prints one JSON object with all three throughputs and the two isolation
+// Prints one JSON report with all three throughputs and the two isolation
 // ratios; exits non-zero when the qos_on ratio falls below 0.70 (the CI
 // gate). MTDB_BENCH_MS scales the per-phase duration (default 1000 ms).
 #include <atomic>
@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/cluster/cluster_controller.h"
 #include "src/common/clock.h"
 #include "src/common/random.h"
@@ -144,8 +145,7 @@ PhaseResult RunPhase(ClusterController* controller, bool with_aggressor,
 
 int main() {
   using namespace mtdb;
-  const char* env = std::getenv("MTDB_BENCH_MS");
-  int64_t duration_ms = env != nullptr ? atoll(env) : 1000;
+  const int64_t duration_ms = bench::BenchMs(1000);
 
   // Phase 1: the protected tenant alone (FIFO — policy is irrelevant with
   // one tenant, so use the same config the qos_off phase runs under).
@@ -189,24 +189,17 @@ int main() {
       solo.protected_tps > 0 ? qos_off.protected_tps / solo.protected_tps : 0;
   double on_ratio =
       solo.protected_tps > 0 ? qos_on.protected_tps / solo.protected_tps : 0;
-  bool pass = on_ratio >= 0.70;
 
-  std::printf(
-      "{\n"
-      "  \"solo_protected_tps\": %.1f,\n"
-      "  \"qos_off_protected_tps\": %.1f,\n"
-      "  \"qos_off_aggressor_tps\": %.1f,\n"
-      "  \"qos_off_ratio\": %.3f,\n"
-      "  \"qos_on_protected_tps\": %.1f,\n"
-      "  \"qos_on_aggressor_tps\": %.1f,\n"
-      "  \"qos_on_aggressor_throttled\": %lld,\n"
-      "  \"qos_on_ratio\": %.3f,\n"
-      "  \"floor\": 0.70,\n"
-      "  \"pass\": %s\n"
-      "}\n",
-      solo.protected_tps, qos_off.protected_tps, qos_off.aggressor_tps,
-      off_ratio, qos_on.protected_tps, qos_on.aggressor_tps,
-      static_cast<long long>(qos_on.aggressor_throttled), on_ratio,
-      pass ? "true" : "false");
-  return pass ? 0 : 1;
+  bench::Report report;
+  report.Set("solo_protected_tps", solo.protected_tps, 1);
+  report.Set("qos_off_protected_tps", qos_off.protected_tps, 1);
+  report.Set("qos_off_aggressor_tps", qos_off.aggressor_tps, 1);
+  report.Set("qos_off_ratio", off_ratio, 3);
+  report.Set("qos_on_protected_tps", qos_on.protected_tps, 1);
+  report.Set("qos_on_aggressor_tps", qos_on.aggressor_tps, 1);
+  report.Set("qos_on_aggressor_throttled", qos_on.aggressor_throttled);
+  report.Set("qos_on_ratio", on_ratio, 3);
+  report.Set("floor", 0.70, 2);
+  report.Gate("qos_on_ratio >= floor", on_ratio >= 0.70);
+  return report.Finish();
 }

@@ -15,7 +15,7 @@
 //             tenants off machine 0 while the workload keeps running. The
 //             phase's TPS includes every migration's disruption.
 //
-// Prints one JSON object; exits non-zero when the gate fails:
+// Prints one JSON report; exits non-zero when the gate fails:
 //   auto >= 1.3x static TPS, AND
 //   auto recovers >= 30% of the balanced-minus-static gap.
 // MTDB_BENCH_MS scales the per-phase duration (default 1200 ms).
@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/cluster/cluster_controller.h"
 #include "src/cluster/rebalance/rebalancer.h"
 #include "src/common/clock.h"
@@ -148,8 +149,7 @@ PhaseResult RunPhase(ClusterController* controller, int64_t duration_ms) {
 
 int main() {
   using namespace mtdb;
-  const char* env = std::getenv("MTDB_BENCH_MS");
-  int64_t duration_ms = env != nullptr ? atoll(env) : 1200;
+  const int64_t duration_ms = bench::BenchMs(1200);
 
   auto static_cluster = BuildCluster("static", /*skewed=*/true);
   PhaseResult skewed = RunPhase(static_cluster.controller.get(), duration_ms);
@@ -183,33 +183,18 @@ int main() {
   double gap = balanced.aggregate_tps - skewed.aggregate_tps;
   double recovery =
       gap > 0 ? (autonomous.aggregate_tps - skewed.aggregate_tps) / gap : 0;
-  bool pass = vs_static >= 1.3 && recovery >= 0.30 && skewed.failed == 0 &&
-              autonomous.failed == 0;
 
-  std::printf(
-      "{\n"
-      "  \"static_tps\": %.1f,\n"
-      "  \"balanced_tps\": %.1f,\n"
-      "  \"auto_tps\": %.1f,\n"
-      "  \"auto_vs_static\": %.3f,\n"
-      "  \"recovery_fraction\": %.3f,\n"
-      "  \"migrations_executed\": %lld,\n"
-      "  \"failed_txns_static\": %lld,\n"
-      "  \"failed_txns_auto\": %lld,\n"
-      "  \"gate\": \"auto >= 1.3x static and recovery >= 0.30\",\n"
-      "  \"pass\": %s\n"
-      "}\n",
-      skewed.aggregate_tps, balanced.aggregate_tps, autonomous.aggregate_tps,
-      vs_static, recovery, static_cast<long long>(migrations),
-      static_cast<long long>(skewed.failed),
-      static_cast<long long>(autonomous.failed), pass ? "true" : "false");
-  if (!pass) {
-    std::fprintf(stderr,
-                 "rebalance_skew: GATE FAILED (auto %.1f tps vs static %.1f, "
-                 "recovery %.2f, %lld migrations)\n",
-                 autonomous.aggregate_tps, skewed.aggregate_tps, recovery,
-                 static_cast<long long>(migrations));
-    return 1;
-  }
-  return 0;
+  bench::Report report;
+  report.Set("static_tps", skewed.aggregate_tps, 1);
+  report.Set("balanced_tps", balanced.aggregate_tps, 1);
+  report.Set("auto_tps", autonomous.aggregate_tps, 1);
+  report.Set("auto_vs_static", vs_static, 3);
+  report.Set("recovery_fraction", recovery, 3);
+  report.Set("migrations_executed", migrations);
+  report.Set("failed_txns_static", skewed.failed);
+  report.Set("failed_txns_auto", autonomous.failed);
+  report.Gate("auto >= 1.3x static and recovery >= 0.30",
+              vs_static >= 1.3 && recovery >= 0.30 && skewed.failed == 0 &&
+                  autonomous.failed == 0);
+  return report.Finish();
 }

@@ -1,8 +1,6 @@
 #ifndef MTDB_BENCH_SNAPSHOT_ABLATION_H_
 #define MTDB_BENCH_SNAPSHOT_ABLATION_H_
 
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,9 +15,9 @@ namespace mtdb::bench {
 // TPC-W mix run twice, once with every transaction under strict 2PL and once
 // with read-only interactions as MVCC snapshot transactions (writers keep
 // strict 2PL either way). Reports TPS and lock-victim aborts side by side,
-// read-only interactions' apart from writers', writes the result as JSON,
-// and returns nonzero unless snapshot beats strict 2PL on throughput — the
-// CI gate for the MVCC read path.
+// read-only interactions' apart from writers', prints the result as its JSON
+// report, and returns nonzero unless snapshot beats strict 2PL on
+// throughput — the CI gate for the MVCC read path.
 //
 // The cluster is configured so locking, not the simulated I/O model, is the
 // bottleneck: a small hot database, several sessions per tenant, and no cache
@@ -89,15 +87,11 @@ inline SnapshotAblationResult RunSnapshotAblationOnce(workload::TpcwMix mix,
 }
 
 inline int RunSnapshotAblation(const std::string& figure_id,
-                               workload::TpcwMix mix,
-                               const std::string& default_json_path) {
+                               workload::TpcwMix mix) {
   PrintHeader(figure_id + " (isolation ablation)",
               std::string("Strict 2PL vs MVCC snapshot reads, ") +
                   std::string(workload::TpcwMixName(mix)) + " mix");
-  const char* env_duration = std::getenv("MTDB_BENCH_MS");
-  int64_t duration_ms = env_duration != nullptr ? atoll(env_duration) : 1500;
-  const char* json_env = std::getenv("MTDB_BENCH_JSON");
-  std::string json_path = json_env != nullptr ? json_env : default_json_path;
+  const int64_t duration_ms = BenchMs(1500);
 
   // Best-of-3 per mode to shave scheduler noise off short runs.
   SnapshotAblationResult best;
@@ -118,42 +112,20 @@ inline int RunSnapshotAblation(const std::string& figure_id,
   }
   PrintRow({"snapshot/2PL", Fmt(ratio, 2) + "x", "", ""});
 
-  // Benchmark JSON artifact, not a durability path. mtdblint: allow(wal-sync)
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n"
-                 "  \"figure\": \"%s\",\n"
-                 "  \"mix\": \"%s\",\n"
-                 "  \"strict_2pl_tps\": %.1f,\n"
-                 "  \"snapshot_tps\": %.1f,\n"
-                 "  \"snapshot_over_2pl\": %.3f,\n"
-                 "  \"strict_2pl_reader_lock_aborts\": %lld,\n"
-                 "  \"strict_2pl_writer_lock_aborts\": %lld,\n"
-                 "  \"snapshot_reader_lock_aborts\": %lld,\n"
-                 "  \"snapshot_writer_lock_aborts\": %lld\n"
-                 "}\n",
-                 figure_id.c_str(),
-                 std::string(workload::TpcwMixName(mix)).c_str(),
-                 best.strict.tps, best.snapshot.tps, ratio,
-                 static_cast<long long>(best.strict.reader_lock_aborts),
-                 static_cast<long long>(best.strict.writer_lock_aborts),
-                 static_cast<long long>(best.snapshot.reader_lock_aborts),
-                 static_cast<long long>(best.snapshot.writer_lock_aborts));
-    std::fclose(json);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-
+  Report report;
+  report.Set("figure", figure_id);
+  report.Set("mix", workload::TpcwMixName(mix));
+  report.Set("strict_2pl_tps", best.strict.tps, 1);
+  report.Set("snapshot_tps", best.snapshot.tps, 1);
+  report.Set("snapshot_over_2pl", ratio, 3);
+  report.Set("strict_2pl_reader_lock_aborts", best.strict.reader_lock_aborts);
+  report.Set("strict_2pl_writer_lock_aborts", best.strict.writer_lock_aborts);
+  report.Set("snapshot_reader_lock_aborts", best.snapshot.reader_lock_aborts);
+  report.Set("snapshot_writer_lock_aborts", best.snapshot.writer_lock_aborts);
   // CI gate: snapshot reads must strictly beat the lock-based browse path.
-  if (best.snapshot.tps <= best.strict.tps) {
-    std::fprintf(stderr,
-                 "FAIL: snapshot TPS %.1f did not beat strict-2PL TPS %.1f\n",
-                 best.snapshot.tps, best.strict.tps);
-    return 1;
-  }
-  std::printf("gate OK: snapshot %.1f TPS > strict-2PL %.1f TPS (%.2fx)\n",
-              best.snapshot.tps, best.strict.tps, ratio);
-  return 0;
+  report.Gate("snapshot_tps > strict_2pl_tps",
+              best.snapshot.tps > best.strict.tps);
+  return report.Finish();
 }
 
 }  // namespace mtdb::bench

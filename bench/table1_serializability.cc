@@ -189,9 +189,8 @@ int main() {
   PrintHeader("Table 1",
               "Serializability for read options x write-ack policies "
               "(violations / rounds)");
-  const char* env = std::getenv("MTDB_BENCH_MS");
-  int rounds = env != nullptr ? std::max(2, static_cast<int>(atoll(env) / 100))
-                              : 12;
+  const int rounds =
+      static_cast<int>(std::max<int64_t>(2, BenchMs(1200) / 100));
 
   PrintRow({"", "Conservative", "Aggressive"});
   const struct {

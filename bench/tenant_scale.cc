@@ -24,12 +24,11 @@
 //            registrations, so these reads reload the catalog's state but
 //            hit the machines' plan caches.
 //
-// Prints one JSON object; exits non-zero if a sampled first query fails or
+// Prints one JSON report; exits non-zero if a sampled first query fails or
 // if --baseline=<file> is given and create p99 or bytes/tenant regress more
 // than 20% (plus an absolute slack) against the committed numbers. CI runs
 // `tenant_scale --databases=5000 --baseline=BENCH_tenant_scale.json`;
 // the committed file comes from a full 100k run (see EXPERIMENTS.md).
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/cluster/cluster_controller.h"
 #include "src/common/clock.h"
 #include "src/common/histogram.h"
@@ -160,21 +160,20 @@ int main(int argc, char** argv) {
   auto* catalog = controller.tenant_catalog();
   (void)catalog->EvictResidentDownTo(0);
   Histogram cold_us;
-  if (!run_reads(cold_us)) return 1;
+  bool pass = run_reads(cold_us);
 
   // --- warm: everything the sample touched is resident ---
   Histogram warm_us;
-  if (!run_reads(warm_us)) return 1;
+  pass = pass && run_reads(warm_us);
 
   // --- reload: evict again, every tenant must still answer ---
   (void)catalog->EvictResidentDownTo(0);
   Histogram reload_us;
-  if (!run_reads(reload_us)) return 1;
+  pass = pass && run_reads(reload_us);
 
   catalog::CatalogStats stats = catalog->Stats();
 
-  bool pass = true;
-  std::string gate;
+  std::string gate = "every sampled tenant answers its first query";
   if (!baseline_path.empty()) {
     std::ifstream in(baseline_path);
     std::stringstream buf;
@@ -185,45 +184,32 @@ int main(int argc, char** argv) {
     // 20% relative headroom plus an absolute slack floor, so sub-millisecond
     // jitter and RSS page granularity can't flip the gate.
     double p99 = static_cast<double>(create_us.Percentile(99));
-    if (base_p99 > 0 && p99 > base_p99 * 1.2 + 1000.0) {
-      gate += "create_p99 regressed; ";
-      pass = false;
-    }
+    gate += ", create_p99_us <= 1.2x baseline + 1000 and bytes_per_tenant "
+            "<= 1.2x baseline + 512";
+    if (base_p99 > 0 && p99 > base_p99 * 1.2 + 1000.0) pass = false;
     if (base_bytes > 0 && bytes_per_tenant > 0 &&
         static_cast<double>(bytes_per_tenant) > base_bytes * 1.2 + 512.0) {
-      gate += "bytes_per_tenant regressed; ";
       pass = false;
     }
   }
 
-  std::printf(
-      "{\n"
-      "  \"databases\": %d,\n"
-      "  \"create_total_s\": %.1f,\n"
-      "  \"create_p50_us\": %" PRId64 ",\n"
-      "  \"create_p99_us\": %" PRId64 ",\n"
-      "  \"bytes_per_tenant\": %" PRId64 ",\n"
-      "  \"cold_first_query_p50_us\": %" PRId64 ",\n"
-      "  \"cold_first_query_p99_us\": %" PRId64 ",\n"
-      "  \"warm_query_p50_us\": %" PRId64 ",\n"
-      "  \"warm_query_p99_us\": %" PRId64 ",\n"
-      "  \"reload_first_query_p50_us\": %" PRId64 ",\n"
-      "  \"reload_first_query_p99_us\": %" PRId64 ",\n"
-      "  \"catalog_tenants\": %" PRId64 ",\n"
-      "  \"catalog_resident\": %" PRId64 ",\n"
-      "  \"catalog_evictions\": %" PRId64 ",\n"
-      "  \"catalog_reloads\": %" PRId64 ",\n"
-      "  \"prepared_evicted\": %" PRId64 ",\n"
-      "  \"pass\": %s\n"
-      "}\n",
-      databases, create_total_s, create_us.Percentile(50),
-      create_us.Percentile(99), bytes_per_tenant, cold_us.Percentile(50),
-      cold_us.Percentile(99), warm_us.Percentile(50), warm_us.Percentile(99),
-      reload_us.Percentile(50), reload_us.Percentile(99), stats.tenants, stats.resident, stats.evictions, stats.reloads,
-      stats.prepared_evicted, pass ? "true" : "false");
-  if (!pass) {
-    std::fprintf(stderr, "tenant_scale: GATE FAILED: %s\n", gate.c_str());
-    return 1;
-  }
-  return 0;
+  bench::Report report;
+  report.Set("databases", databases);
+  report.Set("create_total_s", create_total_s, 1);
+  report.Set("create_p50_us", create_us.Percentile(50));
+  report.Set("create_p99_us", create_us.Percentile(99));
+  report.Set("bytes_per_tenant", bytes_per_tenant);
+  report.Set("cold_first_query_p50_us", cold_us.Percentile(50));
+  report.Set("cold_first_query_p99_us", cold_us.Percentile(99));
+  report.Set("warm_query_p50_us", warm_us.Percentile(50));
+  report.Set("warm_query_p99_us", warm_us.Percentile(99));
+  report.Set("reload_first_query_p50_us", reload_us.Percentile(50));
+  report.Set("reload_first_query_p99_us", reload_us.Percentile(99));
+  report.Set("catalog_tenants", stats.tenants);
+  report.Set("catalog_resident", stats.resident);
+  report.Set("catalog_evictions", stats.evictions);
+  report.Set("catalog_reloads", stats.reloads);
+  report.Set("prepared_evicted", stats.prepared_evicted);
+  report.Gate(gate, pass);
+  return report.Finish();
 }

@@ -2,7 +2,6 @@
 #define MTDB_BENCH_THROUGHPUT_FIGURE_H_
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -20,8 +19,7 @@ inline void RunThroughputFigure(const std::string& figure_id, workload::TpcwMix 
               std::string("Throughput with Synchronous Replication, ") +
                   std::string(workload::TpcwMixName(mix)) + " mix (TPS)");
 
-  const char* env_duration = std::getenv("MTDB_BENCH_MS");
-  int64_t duration_ms = env_duration != nullptr ? atoll(env_duration) : 1500;
+  const int64_t duration_ms = BenchMs(1500);
     // Two session counts per database: enough to show scaling while keeping
   // the host (which simulates every machine) out of CPU saturation, where
   // scheduler noise would swamp the ~10-20% routing effects.

@@ -42,6 +42,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -87,6 +88,13 @@ struct TenantRecord {
   int primary_offset = 0;
   CopyState copy;
   int64_t rejected_writes = 0;
+  // Client writes routed and not yet answered by their last replica, per
+  // table. ClusterController::WriteTargets counts a write in the section
+  // that reads `copy`, so a copy window opened after the count waits the
+  // write out; the write's last reply uncounts it. An entry goes with its
+  // table's last write in flight, so the map holds at most the tenant's
+  // tables.
+  std::map<std::string, int64_t> writes_in_flight;
   // QoS admission quota + WDRR weight, pushed to every replica (and to a
   // copy target when the copy completes). has_quota distinguishes "no
   // quota configured" from "explicitly unlimited".

@@ -18,6 +18,9 @@ namespace {
 constexpr int64_t kInitialBackoffUs = 1'000;
 constexpr int64_t kMaxBackoffUs = 100'000;
 
+// How often WaitForQuiescentWrites re-reads a tenant's writes in flight.
+constexpr int64_t kQuiescencePollUs = 200;
+
 // The single table a write statement touches (the correctness of Algorithm 1
 // relies on SQL updates touching exactly one table).
 const std::string* WriteTargetTable(const sql::Statement& stmt) {
@@ -561,6 +564,7 @@ Result<std::vector<int>> ClusterController::WriteTargets(
               record.copy.copied_tables.count(table) > 0;
         }
         snap.replicas = record.replicas;
+        record.writes_in_flight[table]++;
       });
   MTDB_RETURN_IF_ERROR(found);
   if (rejected) {
@@ -577,41 +581,43 @@ Result<std::vector<int>> ClusterController::WriteTargets(
     }
   }
   if (targets.empty()) {
+    EndWrite(db_name, table);
     return Status::Unavailable("no alive replica of " + db_name);
   }
   return targets;
 }
 
-// --- Process pair ---
-
-void ClusterController::BeginInflightWrite(const std::string& db_name,
-                                           const std::string& table) {
-  platform::Guard lock(inflight_mu_);
-  inflight_writes_[db_name]++;
-  inflight_writes_[db_name + "/" + table]++;
+void ClusterController::EndWrite(const std::string& db_name,
+                                 const std::string& table) {
+  // The tenant may have been dropped, or dropped and created again, while
+  // the write was in flight.
+  (void)catalog_.With(db_name, [&table](catalog::TenantRecord& record) {
+    auto it = record.writes_in_flight.find(table);
+    if (it != record.writes_in_flight.end() && --it->second == 0) {
+      record.writes_in_flight.erase(it);
+    }
+  });
 }
 
-void ClusterController::EndInflightWrite(const std::string& db_name,
-                                         const std::string& table) {
-  {
-    platform::Guard lock(inflight_mu_);
-    for (const std::string& key : {db_name, db_name + "/" + table}) {
-      auto it = inflight_writes_.find(key);
-      if (--it->second == 0) inflight_writes_.erase(it);
+int64_t ClusterController::WritesInFlight(const std::string& db_name,
+                                          const std::string& table) const {
+  int64_t count = 0;
+  (void)catalog_.With(db_name, [&](const catalog::TenantRecord& record) {
+    for (const auto& [name, writes] : record.writes_in_flight) {
+      if (table == "*" || name == table) count += writes;
     }
-  }
-  inflight_cv_.NotifyAll();
+  });
+  return count;
 }
 
 void ClusterController::WaitForQuiescentWrites(const std::string& db_name,
-                                               const std::string& table) {
-  std::string key = table == "*" ? db_name : db_name + "/" + table;
-  platform::UniqueLock lock(inflight_mu_);
-  for (;;) {
-    if (inflight_writes_.count(key) == 0) break;
-    inflight_cv_.Wait(lock);
+                                               const std::string& table) const {
+  while (WritesInFlight(db_name, table) > 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(kQuiescencePollUs));
   }
 }
+
+// --- Process pair ---
 
 void ClusterController::LogCommitDecision(uint64_t txn_id) {
   platform::Guard lock(mu_);
@@ -832,8 +838,6 @@ net::MachineClient::Session* Connection::SessionFor(int machine_id) {
              .emplace(machine_id,
                       controller_->client_->OpenSession(machine_id))
              .first;
-    // A session opened mid-transaction must carry the current trace id.
-    it->second->SetTraceId(trace_id_);
   }
   return it->second.get();
 }
@@ -899,9 +903,6 @@ Status Connection::BeginInternal(bool read_only) {
   }
   txn_start_us_ = NowMicros();
   trace_id_ = obs::TraceCollector::Global().StartTrace(txn_id_);
-  for (auto& [machine_id, session] : sessions_) {
-    session->SetTraceId(trace_id_);
-  }
   return Status::OK();
 }
 
@@ -917,15 +918,13 @@ void Connection::FinishTxn(bool committed) {
   controller_->load_monitor_.RecordTxn(db_name_, committed);
   obs::TraceCollector::Global().FinishTrace(trace_id_, committed);
   trace_id_ = 0;
-  for (auto& [machine_id, session] : sessions_) {
-    session->SetTraceId(0);
-  }
 }
 
 net::RpcRequest Connection::TxnRequest(net::RpcType type) const {
   net::RpcRequest request;
   request.type = type;
   request.txn_id = txn_id_;
+  request.trace_id = trace_id_;
   return request;
 }
 
@@ -1138,16 +1137,8 @@ Result<sql::QueryResult> Connection::ExecuteWrite(
     Poison(status);
     return status;
   }
-  // Register the write before routing it. A copy window opens before the
-  // replica builder waits for quiescence, so either the builder's wait sees
-  // this registration and outlasts the write, or the routing below sees the
-  // open window and refuses the write. Registering after routing would let
-  // a write routed just before the window reach only the sources after the
-  // builder's wait had passed.
-  controller_->BeginInflightWrite(db_name_, table);
   auto targets_or = controller_->WriteTargets(db_name_, table);
   if (!targets_or.ok()) {
-    controller_->EndInflightWrite(db_name_, table);
     // Algorithm 1 line 11: reject the operation and abort the transaction.
     if (targets_or.status().code() == StatusCode::kRejected) {
       (void)AbortInternal(targets_or.status());
@@ -1191,12 +1182,9 @@ Result<sql::QueryResult> Connection::ExecuteWrite(
 net::ResponseHandler Connection::MakeWriteHandler(
     std::shared_ptr<PendingWrite> pending, std::string table) {
   // The MachineClient guarantees this handler fires exactly once per call
-  // (reply or deadline), so the inflight-write accounting cannot leak.
-  ClusterController* controller = controller_;
-  std::string inflight_db = db_name_;
-  return [pending = std::move(pending), controller,
-          inflight_db = std::move(inflight_db),
-          inflight_table = std::move(table)](net::RpcResponse response) {
+  // (reply or deadline), so the write's in-flight count cannot leak.
+  return [pending = std::move(pending), controller = controller_,
+          db = db_name_, table = std::move(table)](net::RpcResponse response) {
     Status status = response.ToStatus();
     bool last = false;
     {
@@ -1216,7 +1204,7 @@ net::ResponseHandler Connection::MakeWriteHandler(
       }
       pending->cv.NotifyAll();
     }
-    if (last) controller->EndInflightWrite(inflight_db, inflight_table);
+    if (last) controller->EndWrite(db, table);
   };
 }
 

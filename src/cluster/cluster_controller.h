@@ -201,7 +201,7 @@ class Connection {
   Status WaitOutstandingWrites();
   Status CommitInternal();
   Status AbortInternal(Status reason);
-  // A request of this transaction: `type` and txn_id only.
+  // A request of this transaction: `type`, txn_id and trace id only.
   net::RpcRequest TxnRequest(net::RpcType type) const;
   // A kExecute of `sql` on `machine_id`, with the injected test latency.
   net::RpcRequest StatementRequest(const std::string& sql,
@@ -368,13 +368,16 @@ class ClusterController {
                            const std::string& table);
   // Moves `table` into the copied set (writes now go to m' too).
   Status MarkTableCopied(const std::string& db_name, const std::string& table);
-  // Blocks until no routed-but-unfinished write targets the table ("*" = any
-  // table of the database). Called by the replica builder after
+  // Client writes routed to the table ("*" = any table of the database)
+  // whose last replica reply has not come back.
+  int64_t WritesInFlight(const std::string& db_name,
+                         const std::string& table) const;
+  // Polls until WritesInFlight is 0. Called by the replica builder after
   // SetCopyInProgress and before the dump takes its read lock: a write that
   // was routed before the copy window opened must reach the engines before
   // the snapshot, or the new replica would silently miss it.
   void WaitForQuiescentWrites(const std::string& db_name,
-                              const std::string& table);
+                              const std::string& table) const;
   // The cutover: new transactions on db back off
   // (TenantCatalog::AcquireForTxn) and no write is routed to the target
   // any more, so the tenant's pins can drain.
@@ -474,19 +477,19 @@ class ClusterController {
   Status WithCopy(const std::string& db_name,
                   const std::function<Status(catalog::TenantRecord&)>& fn);
   // Write targets per Algorithm 1; returns kRejected for a table being
-  // copied (and bumps the rejection counter).
+  // copied (and bumps the rejection counter). A write it routes is counted
+  // in flight until EndWrite; a refused one (kRejected, kNotFound,
+  // kUnavailable) is not.
   Result<std::vector<int>> WriteTargets(const std::string& db_name,
                                         const std::string& table);
+  // Uncounts a routed write: its last replica reply has come back.
+  void EndWrite(const std::string& db_name, const std::string& table);
   // Option-1 primary (first alive replica); Option 2/3 round-robin pick.
   Result<int> PickReadMachine(const std::string& db_name, int sticky);
   void LogCommitDecision(uint64_t txn_id);
   void ForgetCommitDecision(uint64_t txn_id);
   // Blocks until every logged decision is forgotten: phase 2 has settled.
   void SettleCommitDecisions() const;
-  // In-flight replicated-write accounting (see WaitForQuiescentWrites).
-  void BeginInflightWrite(const std::string& db_name,
-                          const std::string& table);
-  void EndInflightWrite(const std::string& db_name, const std::string& table);
   int64_t InjectedLatency(const std::string& label, bool is_write,
                           int machine_id) const;
 
@@ -555,13 +558,6 @@ class ClusterController {
   // Parses for routing (PrepareStatement, Connection::Execute), shared by
   // every tenant that sends the same text.
   sql::StatementCache statements_;
-
-  mutable platform::Mutex inflight_mu_{"cluster/ClusterController::inflight_mu"};
-  platform::CondVar inflight_cv_;
-  // Keys: "<db>" (all tables) and "<db>/<table>". Entries are erased when
-  // their count drops to zero, so the map tracks only writes in flight.
-  // mtdblint: allow(tenant-map)
-  std::map<std::string, int64_t> inflight_writes_ MTDB_GUARDED_BY(inflight_mu_);
 
   // Declared last: destroyed first, so the deadline watchdog and all control
   // channels wind down while machines and services are still alive.

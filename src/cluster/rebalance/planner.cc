@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <limits>
 
-#include "src/sla/placement.h"
-
 namespace mtdb::rebalance {
 
 namespace {
-// How far above the re-solved balanced bound the hottest machine may run
-// before a move is proposed.
+// How far above the balanced bound the hottest machine may run before a
+// move is proposed.
 constexpr double kSlack = 1.05;
 }  // namespace
 
@@ -40,44 +38,13 @@ std::optional<MigrationPlan> FirstFitReplanner::Plan(
       });
   double hot_u = Utilization(hottest->load, hottest->capacity);
 
-  // Re-solve placement from scratch: first-fit decreasing over the measured
-  // demands, on the uniform capacity of the pool. On a packable cluster the
-  // FFD bin count goes into the plan's rationale; when a single measured
-  // demand overcommits a whole machine the packing fails, but that must not
-  // stop the planner — spreading the load is all that is left then.
-  std::vector<sla::DatabaseDemand> demands;
-  demands.reserve(view.tenants.size());
-  for (const TenantLoad& t : view.tenants) {
-    sla::DatabaseDemand d;
-    d.name = t.database;
-    d.requirement = t.demand;
-    d.replicas = static_cast<int>(t.replicas.size());
-    demands.push_back(std::move(d));
-  }
-  std::sort(demands.begin(), demands.end(),
-            [](const sla::DatabaseDemand& a, const sla::DatabaseDemand& b) {
-              return Utilization(a.requirement, ResourceVector(1, 1, 1, 1)) >
-                     Utilization(b.requirement, ResourceVector(1, 1, 1, 1));
-            });
-  const ResourceVector& capacity = alive.front()->capacity;
-  sla::FirstFitPlacer placer(capacity);
-  bool packable = true;
-  for (const sla::DatabaseDemand& demand : demands) {
-    if (!placer.AddDatabase(demand).ok()) {
-      packable = false;
-      break;
-    }
-  }
-
-  // The yardstick the hottest machine is judged against. First-fit packs
-  // (it minimizes machines, so its own max utilization IS a hotspot); what
-  // a *balanced* cluster would run at is the classic makespan lower bound:
-  // total demand spread evenly over the alive machines, but never below the
-  // largest single tenant, which is unsplittable.
+  // The yardstick the hottest machine is judged against: what a balanced
+  // cluster would run at, the classic makespan lower bound — total demand
+  // spread evenly over the alive machines, but never below the largest
+  // single tenant, which is unsplittable.
   ResourceVector total;
-  for (const sla::DatabaseDemand& demand : demands) {
-    total += demand.requirement;
-  }
+  for (const TenantLoad& t : view.tenants) total += t.demand;
+  const ResourceVector& capacity = alive.front()->capacity;
   double balanced_max =
       Utilization(total, capacity) / static_cast<double>(alive.size());
   for (const TenantLoad& t : view.tenants) {
@@ -129,10 +96,6 @@ std::optional<MigrationPlan> FirstFitReplanner::Plan(
   plan.reason = "machine " + std::to_string(hottest->id) + " at " +
                 std::to_string(hot_u) + "x capacity vs balanced bound " +
                 std::to_string(balanced_max);
-  plan.reason += packable ? " (ffd re-solve: " +
-                                std::to_string(placer.loads().size()) +
-                                " machines)"
-                          : " (measured demands overcommit a machine)";
   return plan;
 }
 

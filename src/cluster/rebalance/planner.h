@@ -55,14 +55,12 @@ struct MigrationPlan {
 // capacity is degenerate). The scalar the imbalance test runs on.
 double Utilization(const ResourceVector& load, const ResourceVector& capacity);
 
-// The planner: re-solves placement from scratch with the same
-// FirstFitPlacer the SLA layer uses (first-fit decreasing over measured
-// demands) as a feasibility check, then judges the hottest machine against
-// the balanced-placement lower bound — total demand spread evenly across the
-// alive machines, floored at the largest single (unsplittable) tenant. A
-// move is only proposed when the hottest machine exceeds that bound by 5%
-// slack. The move itself is greedy: the largest-demand tenant on the
-// hottest machine goes to the coldest machine with room.
+// The planner: judges the hottest machine against the balanced-placement
+// lower bound — total measured demand spread evenly across the alive
+// machines, floored at the largest single (unsplittable) tenant. A move is
+// only proposed when the hottest machine exceeds that bound by 5% slack.
+// The move itself is greedy: the largest-demand tenant on the hottest
+// machine goes to the coldest machine with room.
 class FirstFitReplanner {
  public:
   // Returns the single best move, or nullopt when the cluster is balanced

@@ -315,17 +315,17 @@ Status ReplicaBuilder::FreezeAndDrain(Copy& copy) {
   MTDB_RETURN_IF_ERROR(controller_->FreezeCopy(copy.db));
   copy.frozen_us = NowMicros();
   // New begins are now refused (they back off and retry); wait out the
-  // transactions that pinned the tenant before the freeze.
+  // transactions that pinned the tenant before the freeze, and their writes:
+  // on abort paths a write may still be in flight past its pin's release.
+  // Once no pin is left no write can start, so one pass sees both at rest.
   int64_t deadline_us = copy.frozen_us + kDrainTimeoutUs;
-  while (controller_->tenant_catalog()->PinCount(copy.db) > 0) {
+  while (controller_->tenant_catalog()->PinCount(copy.db) > 0 ||
+         controller_->WritesInFlight(copy.db, "*") > 0) {
     if (NowMicros() > deadline_us) {
       return Status::Aborted("drain timed out for " + copy.db);
     }
     std::this_thread::sleep_for(std::chrono::microseconds(kDrainPollUs));
   }
-  // A write routed before the freeze may still be in flight past its pin
-  // release on abort paths; the quiescence barrier covers it.
-  controller_->WaitForQuiescentWrites(copy.db, "*");
   return Status::OK();
 }
 

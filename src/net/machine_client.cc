@@ -78,13 +78,11 @@ std::unique_ptr<MachineClient::Session> MachineClient::OpenSession(
 
 void MachineClient::Session::CallAsync(RpcRequest request,
                                        ResponseHandler done) {
-  request.trace_id = trace_id_.load(std::memory_order_relaxed);
   client_->CallWithDeadline(channel_.get(), machine_id_, request,
                             std::move(done));
 }
 
 RpcResponse MachineClient::Session::Call(RpcRequest request) {
-  request.trace_id = trace_id_.load(std::memory_order_relaxed);
   return client_->CallSync(channel_.get(), machine_id_, std::move(request));
 }
 

@@ -1,7 +1,6 @@
 #ifndef MTDB_NET_MACHINE_CLIENT_H_
 #define MTDB_NET_MACHINE_CLIENT_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -57,15 +56,9 @@ class MachineClient {
    public:
     int machine_id() const { return machine_id_; }
 
-    // Trace id stamped on every subsequent request from this session (0
-    // disables). Set by the owning Connection at transaction boundaries.
-    void SetTraceId(uint64_t trace_id) {
-      trace_id_.store(trace_id, std::memory_order_relaxed);
-    }
-
     // Sends one transactional request (kBegin, kExecute, kPrepare, kCommit,
-    // kCommitPrepared or kAbort) stamped with the session's trace id; `done`
-    // hears the reply exactly once (reply or deadline). Set
+    // kCommitPrepared or kAbort); `done` hears the reply exactly once (reply
+    // or deadline). Set
     // request.may_run_inline to let an in-process transport run the request
     // on the calling thread.
     void CallAsync(RpcRequest request, ResponseHandler done);
@@ -83,7 +76,6 @@ class MachineClient {
     MachineClient* client_;
     int machine_id_;
     std::unique_ptr<Channel> channel_;
-    std::atomic<uint64_t> trace_id_{0};
   };
 
   std::unique_ptr<Session> OpenSession(int machine_id);

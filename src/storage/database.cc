@@ -44,7 +44,13 @@ size_t Database::table_count() const {
 size_t Database::ApproxByteSize() const {
   platform::ReaderGuard lock(latch_);
   size_t total = 0;
-  for (const auto& [name, table] : tables_) total += table->byte_size();
+  for (const auto& [name, table] : tables_) {
+    table->VisitRange(std::nullopt, std::nullopt,
+                      [&total](const Value&, const StoredRow& row) {
+                        for (const Value& v : row.values) total += v.ByteSize();
+                        return true;
+                      });
+  }
   return total;
 }
 

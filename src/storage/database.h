@@ -37,7 +37,8 @@ class Database {
   std::vector<std::string> TableNames() const;
   size_t table_count() const;
 
-  // Total approximate data bytes across tables.
+  // Value::ByteSize summed over every live row of every table, under each
+  // table's read latch: a scan, for the SLA profiler's occasional sizing.
   size_t ApproxByteSize() const;
 
   // Table::SettleAll over every table; returns the versions dropped.

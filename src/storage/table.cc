@@ -5,12 +5,6 @@
 namespace mtdb {
 
 namespace {
-size_t RowBytes(const Row& row) {
-  size_t total = 0;
-  for (const Value& v : row) total += v.ByteSize();
-  return total;
-}
-
 uint64_t HashCombine(uint64_t a, uint64_t b) {
   return a ^ (b + 0x9E3779B97F4A7C15ULL + (a << 6) + (a >> 2));
 }
@@ -73,7 +67,6 @@ bool Table::Insert(const Row& row, uint64_t version, StoredRow* pre) {
   auto [it, inserted] = rows_.try_emplace(pk, StoredRow{row, version});
   if (!inserted) return false;
   IndexInsertLocked(pk, row);
-  byte_size_.fetch_add(RowBytes(row), std::memory_order_relaxed);
   auto entry = history_.find(pk);
   if (pre != nullptr) {
     if (entry == history_.end()) entry = history_.try_emplace(pk).first;
@@ -92,7 +85,6 @@ bool Table::Update(const Value& pk, const Row& row, uint64_t version,
   platform::WriterGuard lock(latch_);
   auto it = rows_.find(pk);
   if (it == rows_.end()) return false;
-  byte_size_.fetch_sub(RowBytes(it->second.values), std::memory_order_relaxed);
   IndexEraseLocked(pk, it->second.values);
   if (pre != nullptr) {
     SeedLocked(history_[pk], &it->second, 0);
@@ -101,7 +93,6 @@ bool Table::Update(const Value& pk, const Row& row, uint64_t version,
   it->second.values = row;
   it->second.version = version;
   IndexInsertLocked(pk, row);
-  byte_size_.fetch_add(RowBytes(row), std::memory_order_relaxed);
   return true;
 }
 
@@ -110,7 +101,6 @@ bool Table::Delete(const Value& pk, uint64_t tombstone_version,
   platform::WriterGuard lock(latch_);
   auto it = rows_.find(pk);
   if (it == rows_.end()) return false;
-  byte_size_.fetch_sub(RowBytes(it->second.values), std::memory_order_relaxed);
   IndexEraseLocked(pk, it->second.values);
   auto entry = history_.try_emplace(pk).first;
   if (pre != nullptr) {
@@ -244,10 +234,6 @@ uint64_t Table::LastVersionLocked(const Value& pk) const {
 size_t Table::row_count() const {
   platform::ReaderGuard lock(latch_);
   return rows_.size();
-}
-
-size_t Table::byte_size() const {
-  return byte_size_.load(std::memory_order_relaxed);
 }
 
 uint64_t Table::ContentFingerprint() const {

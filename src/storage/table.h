@@ -163,8 +163,6 @@ class Table {
   uint64_t LastVersion(const Value& pk) const;
 
   size_t row_count() const;
-  // Approximate bytes of row data (for database sizing / SLA profiling).
-  size_t byte_size() const;
 
   // Order-insensitive hash of (pk, values) pairs, ignoring versions. Two
   // replicas of a table are content-equal iff fingerprints match (w.h.p.).
@@ -227,7 +225,6 @@ class Table {
   std::atomic<int64_t> versions_{0};
   std::atomic<int64_t>* const versions_live_;
   std::atomic<uint64_t> version_counter_{0};
-  std::atomic<size_t> byte_size_{0};
 };
 
 }  // namespace mtdb

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -323,9 +324,9 @@ TEST_F(ClusterTest, WritesRejectedOnTableBeingCopied) {
   EXPECT_TRUE(conn->Execute("SELECT COUNT(*) FROM accounts").ok());
 }
 
-// A write registers in flight before it is routed, so that the replica
+// Routing a write counts it in flight in the same step, so that the replica
 // builder's quiescence wait cannot miss a write routed just before a copy
-// window opened. A write that routing refuses must end that registration,
+// window opened. A write that routing refuses must leave nothing counted,
 // or the builder's next wait on the table would block for good.
 TEST_F(ClusterTest, RefusedWritesLeaveNothingInFlight) {
   Build({});
@@ -356,6 +357,61 @@ TEST_F(ClusterTest, RefusedWritesLeaveNothingInFlight) {
     ADD_FAILURE() << "a refused write is still registered in flight";
     std::abort();
   }
+}
+
+// A quiescence wait that starts while a routed write is held on one
+// replica outlasts the write, on its table and on the whole database; a
+// wait on another table does not.
+TEST_F(ClusterTest, QuiescenceWaitsForARoutedWrite) {
+  Build({});
+  SetUpAccountsDb();
+  ASSERT_TRUE(
+      controller_->ExecuteDdl("bank", "CREATE TABLE other (id INT PRIMARY KEY)")
+          .ok());
+  const int held = controller_->ReplicasOf("bank")[0];
+  std::promise<void> routed;
+  std::atomic<bool> signalled{false};
+  controller_->SetLatencyInjector(
+      [&](const std::string&, bool is_write, int machine_id) -> int64_t {
+        if (!is_write || machine_id != held) return 0;
+        if (!signalled.exchange(true)) routed.set_value();
+        return 500'000;
+      });
+  auto conn = controller_->Connect("bank");
+  auto write = std::async(std::launch::async, [&conn] {
+    return conn->Execute("UPDATE accounts SET balance = 4242 WHERE id = 1")
+        .status();
+  });
+  routed.get_future().wait();
+  Table* accounts = controller_->machine(held)
+                        ->engine()
+                        ->GetDatabase("bank")
+                        ->GetTable("accounts");
+  auto applied = [accounts] {
+    return accounts->Get(Value(int64_t{1}))->values[1].AsInt() == 4242;
+  };
+
+  controller_->WaitForQuiescentWrites("bank", "other");
+  EXPECT_FALSE(applied());
+  auto on_table = std::async(std::launch::async, [&] {
+    controller_->WaitForQuiescentWrites("bank", "accounts");
+    return applied();
+  });
+  auto on_database = std::async(std::launch::async, [&] {
+    controller_->WaitForQuiescentWrites("bank", "*");
+    return applied();
+  });
+  if (on_table.wait_for(std::chrono::seconds(5)) !=
+          std::future_status::ready ||
+      on_database.wait_for(std::chrono::seconds(5)) !=
+          std::future_status::ready) {
+    ADD_FAILURE() << "a finished write is still counted in flight";
+    std::abort();
+  }
+  EXPECT_TRUE(on_table.get());
+  EXPECT_TRUE(on_database.get());
+  EXPECT_TRUE(write.get().ok());
+  controller_->SetLatencyInjector(nullptr);
 }
 
 TEST_F(ClusterTest, WritesToCopiedTableReachCopyTarget) {

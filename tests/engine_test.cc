@@ -140,6 +140,34 @@ TEST_F(EngineTest, AbortUndoesInsertUpdateDelete) {
   EXPECT_EQ(engine_->aborted_count(), 1);
 }
 
+// The database's size is Value::ByteSize summed over its live rows: an
+// update counts the new image, a delete and an aborted insert nothing.
+TEST_F(EngineTest, ApproxByteSizeSumsTheLiveRows) {
+  Database* shop = engine_->GetDatabase("shop");
+  EXPECT_EQ(shop->ApproxByteSize(), 0u);
+  uint64_t txn = NewTxn();
+  for (int64_t id : {1, 2, 3}) {
+    ASSERT_TRUE(
+        engine_->Insert(txn, "shop", "items", ItemRow(id, "x", id)).ok());
+  }
+  ASSERT_TRUE(engine_->Commit(txn).ok());
+  const Row updated = ItemRow(1, "a name longer than fifteen bytes", 99);
+  txn = NewTxn();
+  ASSERT_TRUE(
+      engine_->Update(txn, "shop", "items", Value(int64_t{1}), updated).ok());
+  ASSERT_TRUE(engine_->Delete(txn, "shop", "items", Value(int64_t{2})).ok());
+  ASSERT_TRUE(engine_->Commit(txn).ok());
+  txn = NewTxn();
+  ASSERT_TRUE(engine_->Insert(txn, "shop", "items", ItemRow(4, "y", 4)).ok());
+  ASSERT_TRUE(engine_->Abort(txn).ok());
+
+  size_t expected = 0;
+  for (const Row& row : {updated, ItemRow(3, "x", 3)}) {
+    for (const Value& v : row) expected += v.ByteSize();
+  }
+  EXPECT_EQ(shop->ApproxByteSize(), expected);
+}
+
 TEST_F(EngineTest, UpdateMissingRowFails) {
   uint64_t txn = NewTxn();
   EXPECT_EQ(engine_->Update(txn, "shop", "items", Value(int64_t{7}),
